@@ -1,0 +1,12 @@
+"""Make the benchmark's modules and the package source importable in its tests.
+
+Run with `python -m pytest bench` from the repository root.
+"""
+
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+for path in (HERE.parent / "src", HERE):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
