@@ -1,7 +1,10 @@
 """Privacy amplification and the secure-rate accounting around it.
 
 Secret keys are distilled from the information bits of `unit_blocks`
-decoded blocks through Toeplitz-matrix universal hashing. The admissible
+decoded blocks through Toeplitz-matrix universal hashing (Krawczyk's
+family). Hashing n_in bits to n_out bits packs the input and the matrix
+diagonal into two Python ints and takes n_out big-int AND/popcounts of
+n_in bits each; it computes only the outputs it keeps. The admissible
 output size per unit comes from a lower bound on the conditional secrecy
 rate:
 
@@ -157,17 +160,31 @@ def toeplitz_matrix(seed: HashSeed, n_in: int, n_out: int) -> np.ndarray:
 def extract_key(info_bits, key_bits: int, seed: HashSeed, key_bits_max: int | None = None) -> np.ndarray:
     """Hash one unit's information bits down to key_bits secret bits.
 
+    Computes exactly the key_bits outputs of toeplitz_matrix(seed, n_in,
+    key_bits) @ x mod 2, with integers only. The input, reversed, and the
+    diagonal are each packed into one Python int, X and D; output bit i is
+    the parity of (D >> i) & X. The cost is key_bits big-int AND/popcounts
+    of n_in bits, with no n_in x key_bits matrix and no full convolution.
+
     Refuses to exceed key_bits_max when given; that cap must come from
-    capacity_lower_bound for the extraction to be rate-safe.
+    capacity_lower_bound for the extraction to be rate-safe. Raises
+    ValueError for an empty input or a value outside {0, 1}.
     """
-    info_bits = np.asarray(info_bits, dtype=np.uint8)
+    info_bits = np.asarray(info_bits)
+    if info_bits.ndim != 1 or len(info_bits) == 0:
+        raise ValueError("info_bits must be a non-empty 1-d bit array")
+    if ((info_bits != 0) & (info_bits != 1)).any():
+        raise ValueError("info_bits must hold only 0 and 1")
     if key_bits < 1:
         raise ValueError("key_bits must be >= 1")
     if key_bits_max is not None and key_bits > key_bits_max:
         raise ValueError(f"requested {key_bits} key bits but the rate bound allows {key_bits_max}")
     n_in = len(info_bits)
     diag = expand_seed(seed, n_in, key_bits)
-    # out[i] = parity over j of diag[n_in-1+i-j] * x[j]: a slice of the full
-    # convolution of the input with the diagonal bits.
-    conv = np.convolve(info_bits.astype(np.int64), diag.astype(np.int64))
-    return (conv[n_in - 1 : n_in - 1 + key_bits] & 1).astype(np.uint8)
+    # out[i] = parity over j of diag[n_in-1+i-j] * x[j]. With bit p of X equal
+    # to x[n_in-1-p] and bit q of D equal to diag[q], that is the parity of
+    # the bits p where both X and D >> i are set.
+    packed = np.packbits(info_bits.astype(np.uint8)).tobytes()
+    x = int.from_bytes(packed, "big") >> (8 * len(packed) - n_in)
+    d = int.from_bytes(np.packbits(diag, bitorder="little").tobytes(), "little")
+    return np.array([((d >> i) & x).bit_count() & 1 for i in range(key_bits)], dtype=np.uint8)

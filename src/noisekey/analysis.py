@@ -18,7 +18,9 @@ import warnings
 from dataclasses import dataclass, asdict
 
 import numpy as np
-from scipy.special import gammaln, logsumexp, ndtr
+
+# scipy.special is imported inside the functions that use it: it costs
+# ~25 MB and ~0.2 s to import, and a protocol session never calls them.
 
 from .amplify import (
     CapacityParams,
@@ -61,6 +63,7 @@ def log_binomial_tail(q: TailQuery, mode: str = "exact") -> float:
     The exact mode sums pmf terms in log space, so it stays meaningful far
     below the smallest positive float.
     """
+    from scipy.special import gammaln, logsumexp, ndtr
     if mode == "normal":
         mean = q.trials * q.p
         sd = math.sqrt(q.trials * q.p * (1.0 - q.p))
@@ -130,6 +133,7 @@ class PatternEntropy:
 def error_pattern_entropy(m: int, k: int, ber: float, d: int) -> PatternEntropy:
     """-sum over correctable weights of C(mk,w) p_w log2 p_w, plus the
     m*k*h(ber) approximation it converges to when the tail is negligible."""
+    from scipy.special import gammaln
     mk = m * k
     approx = mk * binary_entropy(ber)
     if ber == 0.0:
@@ -158,6 +162,7 @@ def error_pattern_entropy(m: int, k: int, ber: float, d: int) -> PatternEntropy:
 
 def average_pattern_count_log2(m: int, k: int, ber: float) -> float:
     """log2 C(mk, mean_errors) at the real-valued mean weight, via log-gamma."""
+    from scipy.special import gammaln
     if not 0.0 <= ber < 1.0:
         raise ValueError("ber must lie in [0, 1)")
     mk = m * k

@@ -18,9 +18,7 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -222,13 +220,7 @@ def cmd_simulate(args) -> int:
             write_capture(args.capture, report.eve_capture)
         return report.to_dict()
 
-    trials = int(resolved["trials"])
-    workers = max(1, min(int(os.environ.get("NOISEKEY_THREADS", "1")), trials))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(one_trial, range(trials)))
-    else:
-        reports = [one_trial(t) for t in range(trials)]
+    reports = [one_trial(t) for t in range(int(resolved["trials"]))]
     doc = {
         "resolved_params": {**resolved, "seed": args.seed, "key_hex": key.to_hex()},
         "trials": reports,

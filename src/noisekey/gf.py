@@ -40,6 +40,10 @@ class FieldSpec:
     primitive_poly: int
     exp_table: np.ndarray = field(repr=False)
     log_table: np.ndarray = field(repr=False)
+    # The same tables as Python lists for scalar loops; exp_list is doubled
+    # (length 2 * (2^m - 1)) so a sum of two logs indexes it without a modulo.
+    exp_list: list = field(repr=False)
+    log_list: list = field(repr=False)
 
     @property
     def order(self) -> int:
@@ -129,7 +133,15 @@ def build_field(m: int, primitive_poly: int | None = None) -> FieldSpec:
         raise ValueError(f"0x{primitive_poly:X} is not primitive: cycle does not close")
     exp_table.setflags(write=False)
     log_table.setflags(write=False)
-    return FieldSpec(m=m, primitive_poly=primitive_poly, exp_table=exp_table, log_table=log_table)
+    exp_list = exp_table.tolist()
+    return FieldSpec(
+        m=m,
+        primitive_poly=primitive_poly,
+        exp_table=exp_table,
+        log_table=log_table,
+        exp_list=exp_list + exp_list,
+        log_list=log_table.tolist(),
+    )
 
 
 def gf_add(a: int, b: int) -> int:

@@ -13,7 +13,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, logsumexp, ndtr
+
+# scipy.special is imported inside the functions that use it: it costs
+# ~25 MB and ~0.2 s to import, and a protocol session never calls them.
 
 
 class FramingError(ValueError):
@@ -105,6 +107,7 @@ def outside_set_probability(length: int, balance_limit: float, mode: str = "exac
            |count - length/2| <= balance_limit * sqrt(length/4), in log space.
     normal: the Gaussian approximation, 2 * Phi(-balance_limit).
     """
+    from scipy.special import gammaln, logsumexp, ndtr
     if length < 2:
         raise ValueError("key must have at least 2 bits")
     if mode == "normal":

@@ -165,7 +165,7 @@ def _syndromes(code: CodeSpec, word: np.ndarray) -> np.ndarray:
 
 
 def _berlekamp_massey(fld: FieldSpec, synd: list[int]) -> tuple[list[int], int]:
-    exp, log, qm1 = fld.exp_table, fld.log_table, fld.mul_order
+    exp, log, qm1 = fld.exp_list, fld.log_list, fld.mul_order
     cur = [1]
     prev = [1]
     length = 0
@@ -177,14 +177,12 @@ def _berlekamp_massey(fld: FieldSpec, synd: list[int]) -> tuple[list[int], int]:
             cj = cur[j]
             sij = synd[i - j]
             if cj and sij:
-                disc ^= int(exp[(log[cj] + log[sij]) % qm1])
+                disc ^= exp[log[cj] + log[sij]]
         if disc == 0:
             shift += 1
             continue
         coef_log = (log[disc] - log[prev_disc]) % qm1
-        delta = [0] * shift + [
-            int(exp[(coef_log + log[b]) % qm1]) if b else 0 for b in prev
-        ]
+        delta = [0] * shift + [exp[coef_log + log[b]] if b else 0 for b in prev]
         if 2 * length <= i:
             saved = list(cur)
             if len(delta) > len(cur):
@@ -223,7 +221,7 @@ def decode_block(code: CodeSpec, received) -> DecodeResult:
     if not synd.any():
         return DecodeResult(ok=True, info=received[: code.k].copy(), corrected=0)
 
-    locator, length = _berlekamp_massey(fld, [int(s) for s in synd])
+    locator, length = _berlekamp_massey(fld, synd.tolist())
     if length > code.t or length != len(locator) - 1:
         return DecodeResult(ok=False, info=None, corrected=0, reason="locator degree")
 
@@ -238,13 +236,10 @@ def decode_block(code: CodeSpec, received) -> DecodeResult:
     # Forney: omega = synd(x) * locator(x) mod x^nsym, error value at X_l is
     # omega(X_l^-1) / locator'(X_l^-1) for first root alpha^1.
     omega = np.zeros(nsym, dtype=np.int64)
+    for j, c in enumerate(locator):
+        if c:
+            omega[j:] ^= fld.mul_vec(synd[: nsym - j], c)
     loc_arr = np.array(locator, dtype=np.int64)
-    for i, s in enumerate(synd):
-        if s == 0:
-            continue
-        seg = loc_arr[: nsym - i]
-        nzc = np.nonzero(seg)[0]
-        omega[i + nzc] ^= fld.exp_table[(fld.log_table[s] + fld.log_table[seg[nzc]]) % fld.mul_order]
     inv_logs = (-err_degrees) % fld.mul_order
     omega_vals = fld.eval_poly_at_powers(omega, inv_logs)
     deriv = loc_arr[1:].copy()

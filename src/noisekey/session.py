@@ -238,11 +238,28 @@ def run_transmitter(config: SessionConfig) -> TransmitterRun:
 
 
 def run_receiver(frames, config: SessionConfig) -> ReceiverRun:
-    """Regroup, decode, and hash the delivered frames into secret keys."""
+    """Regroup, decode, and hash the delivered frames into secret keys.
+
+    A block whose parity frame is missing fails like an undecodable one. A
+    duplicate parity frame, a parity frame of the wrong size, or one for a
+    block the payload stream never completes raises FramingError.
+    """
     code = config.code
     block_bits = code.info_bits
     info_frames = [f for f in frames if f.kind == KIND_INFO]
-    parities = {(f.group, f.index): f for f in frames if f.kind == KIND_PARITY}
+    parities: dict[tuple[int, int], Frame] = {}
+    for frame in frames:
+        if frame.kind != KIND_PARITY:
+            continue
+        tag = (frame.group, frame.index)
+        if tag in parities:
+            raise FramingError(f"duplicate parity frame for group {tag[0]} block {tag[1]}")
+        if len(frame.payload) != code.parity_bits:
+            raise FramingError(
+                f"parity frame for group {tag[0]} block {tag[1]} carries "
+                f"{len(frame.payload)} bits, expected {code.parity_bits}"
+            )
+        parities[tag] = frame
     for pos, frame in enumerate(info_frames):
         if frame.index != pos:
             raise FramingError(f"payload frame {frame.index} arrived at position {pos}")
@@ -250,16 +267,22 @@ def run_receiver(frames, config: SessionConfig) -> ReceiverRun:
             raise FramingError(
                 f"payload frame {frame.index} carries {len(frame.payload)} bits, expected {block_bits}"
             )
-    if not info_frames:
-        return ReceiverRun(keys=[], outcomes=[])
-    stream = np.concatenate([f.payload for f in info_frames])
+    stream = np.concatenate([f.payload for f in info_frames]) if info_frames else np.zeros(0, np.uint8)
 
+    # Walk the completed blocks until every parity frame is used; a block
+    # whose parity frame is missing before that point fails its unit.
     outcomes: list[BlockOutcome] = []
     corrected_bits: list[np.ndarray | None] = []
+    unused = len(parities)
     for group, index, bits in _completed_blocks(stream, config.key, block_bits):
+        if not unused:
+            break
         frame = parities.get((group, index))
         if frame is None:
-            break
+            outcomes.append(BlockOutcome(group=group, index=index, ok=False, corrected=0))
+            corrected_bits.append(None)
+            continue
+        unused -= 1
         info = bits_to_symbols(bits, code.m)
         parity = bits_to_symbols(frame.payload, code.m)
         result = decode_block(code, np.concatenate([info, parity]))
@@ -267,6 +290,8 @@ def run_receiver(frames, config: SessionConfig) -> ReceiverRun:
             BlockOutcome(group=group, index=index, ok=result.ok, corrected=result.corrected)
         )
         corrected_bits.append(symbols_to_bits(result.info, code.m) if result.ok else None)
+    if unused:
+        raise FramingError(f"{unused} parity frame(s) name blocks the payload stream never completes")
 
     keys: list[np.ndarray | None] = []
     for unit in range(len(corrected_bits) // config.unit_blocks):

@@ -80,8 +80,7 @@ def test_simulate_schema_and_determinism(capsys):
     assert out1 == out2
 
 
-def test_simulate_trials_with_thread_cap(capsys, monkeypatch):
-    monkeypatch.setenv("NOISEKEY_THREADS", "2")
+def test_simulate_trials_with_thread_cap(capsys):
     code, out, _ = run_cli(
         capsys, "simulate", "--seed", "4", "--blocks-target", "10", "--trials", "3", "--format", "json",
     )

@@ -1,0 +1,90 @@
+"""Each fast path against an independent slow oracle.
+
+`extract_key` is checked against the explicit Toeplitz matrix, and
+`decode_block` against the frozen reference decoder in `reference_rs`.
+"""
+
+import numpy as np
+import pytest
+from numpy.lib.stride_tricks import sliding_window_view
+
+from noisekey.amplify import HashSeed, expand_seed, extract_key, toeplitz_matrix
+from noisekey.gf import build_field
+from noisekey.rs import decode_block, make_code
+
+import reference_rs
+from conftest import random_codeword_with_errors
+
+# Above this many matrix entries the oracle builds the rows from the diagonal
+# directly instead of through toeplitz_matrix's int64 index array.
+MATRIX_LIMIT = 1 << 23
+
+
+def toeplitz_oracle(seed, x, key_bits):
+    """(T @ x) mod 2 for the explicit n_out x n_in Toeplitz matrix T."""
+    n_in = len(x)
+    if n_in * key_bits <= MATRIX_LIMIT:
+        mat = toeplitz_matrix(seed, n_in, key_bits)
+    else:
+        # Row i, column j is diag[n_in-1+i-j]: row i is diag[i : i+n_in] reversed.
+        mat = sliding_window_view(expand_seed(seed, n_in, key_bits), n_in)[:, ::-1]
+    # A uint8 accumulator wraps mod 256, which keeps the parity.
+    return ((mat @ x.astype(np.uint8)) & 1).astype(np.uint8)
+
+
+def test_windowed_rows_are_the_toeplitz_matrix():
+    seed = HashSeed.of(7, 7)
+    for n_in, n_out in [(1, 1), (9, 12), (95, 98)]:
+        rows = sliding_window_view(expand_seed(seed, n_in, n_out), n_in)[:, ::-1]
+        assert np.array_equal(rows, toeplitz_matrix(seed, n_in, n_out))
+
+
+@pytest.mark.parametrize("n_in", [1, 7, 8, 9, 95, 1000, 13360])
+@pytest.mark.parametrize("key_bits", [1, 2, 12, 506, "n_in+3"])
+def test_extract_key_matches_matrix(n_in, key_bits):
+    key_bits = n_in + 3 if key_bits == "n_in+3" else key_bits
+    rng = np.random.default_rng(n_in * 1000 + key_bits)
+    inputs = [
+        np.zeros(n_in, dtype=np.uint8),
+        np.ones(n_in, dtype=np.uint8),
+        rng.integers(0, 2, n_in, dtype=np.uint8),
+        rng.integers(0, 2, n_in).astype(np.int64),
+        rng.integers(0, 2, n_in).astype(bool),
+    ]
+    for trial, x in enumerate(inputs):
+        seed = HashSeed.of(n_in, key_bits, trial)
+        key = extract_key(x, key_bits, seed)
+        assert key.dtype == np.uint8 and key.shape == (key_bits,)
+        assert np.array_equal(key, toeplitz_oracle(seed, x, key_bits))
+
+
+@pytest.mark.parametrize("bad", [[0, 1, 2], [1, -1, 0], [0.5, 1.0], np.array([0, 256])])
+def test_extract_key_rejects_non_bits(bad):
+    with pytest.raises(ValueError):
+        extract_key(bad, 1, HashSeed.of(1))
+
+
+def test_extract_key_rejects_empty_input():
+    with pytest.raises(ValueError):
+        extract_key(np.zeros(0, dtype=np.uint8), 1, HashSeed.of(1))
+    with pytest.raises(ValueError):
+        extract_key(np.zeros((2, 4), dtype=np.uint8), 1, HashSeed.of(1))
+
+
+@pytest.mark.parametrize("m,n,k", [(3, 7, 5), (4, 15, 9), (5, 31, 19), (8, 255, 167)])
+def test_decode_matches_reference(m, n, k):
+    code = make_code(build_field(m), n, k)
+    rng = np.random.default_rng(1000 * m + n)
+    weights = range(code.t + 7)
+    outcomes = {True: 0, False: 0}
+    for i in range(2000):
+        _, word, _ = random_codeword_with_errors(rng, code, min(weights[i % len(weights)], n))
+        fast = decode_block(code, word)
+        slow = reference_rs.decode_block(code, word)
+        assert (fast.ok, fast.corrected, fast.reason) == (slow.ok, slow.corrected, slow.reason)
+        if slow.info is None:
+            assert fast.info is None
+        else:
+            assert np.array_equal(fast.info, slow.info)
+        outcomes[slow.ok] += 1
+    assert outcomes[True] and outcomes[False]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from noisekey.channel import ChannelConfig, Frame, KIND_INFO, KIND_PARITY
-from noisekey.grouping import CommonKey, sample_key, split_stream
+from noisekey.grouping import CommonKey, FramingError, sample_key, split_stream
 from noisekey.rs import bits_to_symbols, encode_parity, make_code
 from noisekey.gf import build_field
 from noisekey.session import (
@@ -135,6 +135,58 @@ def test_out_of_order_frames_rejected(toy_code, toy_key):
     infos = [i for i, f in enumerate(frames) if f.kind == KIND_INFO]
     frames[infos[0]], frames[infos[1]] = frames[infos[1]], frames[infos[0]]
     with pytest.raises(ValueError):
+        run_receiver(frames, cfg)
+
+
+def _parity_positions(frames):
+    return [i for i, f in enumerate(frames) if f.kind == KIND_PARITY]
+
+
+def test_missing_parity_frame_fails_only_its_unit(toy_code, toy_key):
+    cfg = toy_config(toy_code, toy_key, blocks=10)
+    tx = run_transmitter(cfg)
+    frames = list(tx.frames)
+    del frames[_parity_positions(frames)[3]]
+    rx = run_receiver(frames, cfg)
+    assert len(rx.outcomes) == 10 and len(rx.keys) == 10
+    assert not rx.outcomes[3].ok and rx.keys[3] is None
+    assert (rx.outcomes[3].group, rx.outcomes[3].index) == (tx.blocks[3].group, tx.blocks[3].index)
+    for j, (ka, kb) in enumerate(zip(tx.keys, rx.keys)):
+        if j != 3:
+            assert kb is not None and np.array_equal(ka, kb)
+
+
+def test_duplicate_parity_frame_rejected(toy_code, toy_key):
+    cfg = toy_config(toy_code, toy_key, blocks=5)
+    tx = run_transmitter(cfg)
+    frames = list(tx.frames)
+    frames.append(frames[_parity_positions(frames)[1]])
+    with pytest.raises(FramingError):
+        run_receiver(frames, cfg)
+
+
+def test_parity_frame_for_uncompleted_block_rejected(toy_code, toy_key):
+    cfg = toy_config(toy_code, toy_key, blocks=5)
+    tx = run_transmitter(cfg)
+    last = tx.frames[_parity_positions(tx.frames)[-1]]
+    extra = Frame(method=last.method, group=last.group, index=last.index + 100,
+                  kind=KIND_PARITY, payload=last.payload)
+    with pytest.raises(FramingError):
+        run_receiver(list(tx.frames) + [extra], cfg)
+    parity_only = [f for f in tx.frames if f.kind == KIND_PARITY]
+    with pytest.raises(FramingError):
+        run_receiver(parity_only, cfg)
+
+
+def test_short_parity_frame_rejected(toy_code, toy_key):
+    cfg = toy_config(toy_code, toy_key, blocks=5)
+    tx = run_transmitter(cfg)
+    frames = list(tx.frames)
+    pos = _parity_positions(frames)[2]
+    f = frames[pos]
+    frames[pos] = Frame(method=f.method, group=f.group, index=f.index, kind=f.kind,
+                        payload=f.payload[:-1])
+    with pytest.raises(FramingError):
         run_receiver(frames, cfg)
 
 
