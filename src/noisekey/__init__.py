@@ -19,7 +19,7 @@ from .analysis import (
     security_report,
 )
 from .channel import ChannelConfig, Frame, bsc_transmit, decode_frame, deliver, encode_frame
-from .gf import FieldSpec, build_field, gf_add, gf_inv, gf_mul
+from .gf import FieldSpec, build_field
 from .grouping import (
     CommonKey,
     merge_stream,

@@ -110,7 +110,17 @@ def encode_frame(frame: Frame) -> bytes:
     """Serialize: magic, version, method, group, index, kind, bit length, payload.
 
     Payload bits are packed MSB first and zero-padded to a byte boundary.
+    A header field that is not an integer in its unsigned range raises
+    ValueError naming the field.
     """
+    for name, value, limit in (
+        ("method", frame.method, 0xFF),
+        ("group", frame.group, 0xFF),
+        ("index", frame.index, 0xFFFFFFFF),
+        ("kind", frame.kind, 0xFF),
+    ):
+        if not isinstance(value, (int, np.integer)) or not 0 <= value <= limit:
+            raise ValueError(f"frame {name} must be an integer in 0..{limit}, got {value!r}")
     payload = np.asarray(frame.payload, dtype=np.uint8)
     header = _HEADER.pack(
         MAGIC, VERSION, frame.method, frame.group, frame.index, frame.kind, len(payload)

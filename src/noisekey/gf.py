@@ -60,13 +60,6 @@ class FieldSpec:
             return 0
         return int(self.exp_table[(self.log_table[a] + self.log_table[b]) % self.mul_order])
 
-    def div(self, a: int, b: int) -> int:
-        if b == 0:
-            raise ZeroDivisionError("division by the zero element")
-        if a == 0:
-            return 0
-        return int(self.exp_table[(self.log_table[a] - self.log_table[b]) % self.mul_order])
-
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("the zero element has no inverse")
@@ -143,17 +136,3 @@ def build_field(m: int, primitive_poly: int | None = None) -> FieldSpec:
         log_list=log_table.tolist(),
     )
 
-
-def gf_add(a: int, b: int) -> int:
-    """Field addition: bitwise XOR (its own inverse)."""
-    return a ^ b
-
-
-def gf_mul(fld: FieldSpec, a: int, b: int) -> int:
-    """Field multiplication through the exp/log tables."""
-    return fld.mul(a, b)
-
-
-def gf_inv(fld: FieldSpec, a: int) -> int:
-    """Multiplicative inverse; raises ZeroDivisionError for 0."""
-    return fld.inv(a)

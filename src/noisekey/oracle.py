@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grouping import CommonKey, split_stream
-from .rs import CodeSpec, bits_to_symbols, decode_block, encode_parity
+from .rs import CodeSpec, bits_to_symbols, decode_block, encode_parity, symbols_to_bits
 
 MAX_KEY_LENGTH = 20
 MAX_INFO_ENUM_LOG2 = 24
@@ -46,7 +46,7 @@ class TinyScenario:
     code: CodeSpec
     key_space: np.ndarray       # (count, key_length) admissible keys
     x: np.ndarray               # the tapped stream, possibly with bit errors
-    parity: np.ndarray          # clean parity of the first group-I block
+    parity: np.ndarray          # clean parity bits of the first group-I block
     offset: int = 0             # known alignment of the key against the stream
     balance_limit: float = 0.0
 
@@ -75,8 +75,7 @@ def make_scenario(
     x = rng.integers(0, 2, size=stream_bits, dtype=np.uint8)
     true_row = keys[rng.integers(0, len(keys))]
     true_key = CommonKey.from_bits(true_row, balance_limit, require_admissible=False)
-    block = _first_block_symbols(code, x, true_row, 0)
-    parity = encode_parity(code, block)
+    parity = encode_parity(code, _first_block_bits(code, x, true_row[None, :], 0)[0])
     x_seen = x.copy()
     if ber > 0.0:
         flips = rng.random(stream_bits) < ber
@@ -87,44 +86,24 @@ def make_scenario(
     return scenario, true_key
 
 
-def _first_block_symbols(code: CodeSpec, x: np.ndarray, key_row: np.ndarray, offset: int) -> np.ndarray:
-    """Group-I information symbols of the first block under one key."""
-    n_bits = code.info_bits
-    reps = -(-(offset + len(x)) // len(key_row))
-    mask = np.tile(key_row, reps)[offset : offset + len(x)].astype(bool)
-    routed = x[mask]
-    if len(routed) < n_bits:
-        raise ValueError("stream too short to fill one block for this key")
-    return bits_to_symbols(routed[:n_bits], code.m)
-
-
-def _first_block_parities(scenario: TinyScenario) -> np.ndarray:
-    """Parity of each candidate key's first group-I block, vectorized over keys."""
-    code = scenario.code
-    keys = scenario.key_space
-    x = scenario.x
+def _first_block_bits(code: CodeSpec, x: np.ndarray, keys: np.ndarray, offset: int) -> np.ndarray:
+    """Group-I bits of the first block under each key row, one row per key."""
     n_bits = code.info_bits
     count, klen = keys.shape
-    reps = -(-(scenario.offset + len(x)) // klen)
-    masks = np.tile(keys, (1, reps))[:, scenario.offset : scenario.offset + len(x)].astype(bool)
-    filled = masks.cumsum(axis=1)
+    reps = -(-(offset + len(x)) // klen)
+    masks = np.tile(keys, (1, reps))[:, offset : offset + len(x)].astype(bool)
+    filled = masks.cumsum(axis=1, dtype=np.int32)
     if (filled[:, -1] < n_bits).any():
         raise ValueError("stream too short to fill one block for every key")
     take = masks & (filled <= n_bits)
-    # Stable argsort floats the selected positions to the front, in order.
-    order = np.argsort(~take, axis=1, kind="stable")[:, :n_bits]
-    bits = x[order]
-    weights = 1 << np.arange(code.m - 1, -1, -1)
-    symbols = bits.reshape(count, code.k, code.m) @ weights
-    fld = code.field
-    parity = np.zeros((count, code.n - code.k), dtype=np.int64)
-    for i in range(code.k):
-        col = symbols[:, i]
-        row_logs = code._parity_map_logs[i]
-        prod = fld.exp_table[(fld.log_table[col][:, None] + row_logs[None, :]) % fld.mul_order]
-        prod = np.where((col[:, None] == 0) | (row_logs[None, :] < 0), 0, prod)
-        parity ^= prod
-    return parity
+    # Row-major nonzero lists each row's n_bits selected positions in order.
+    return x[np.nonzero(take)[1].reshape(count, n_bits)]
+
+
+def _first_block_parities(scenario: TinyScenario) -> np.ndarray:
+    """Parity bits of each candidate key's first group-I block, one row per key."""
+    blocks = _first_block_bits(scenario.code, scenario.x, scenario.key_space, scenario.offset)
+    return encode_parity(scenario.code, blocks)
 
 
 def partition_by_parity(scenario: TinyScenario) -> dict[bytes, np.ndarray]:
@@ -138,35 +117,24 @@ def partition_by_parity(scenario: TinyScenario) -> dict[bytes, np.ndarray]:
 
 
 def enumerate_info_candidates(code: CodeSpec, parity) -> np.ndarray:
-    """All information vectors whose parity equals the given one.
+    """All information bit vectors whose parity bits equal the given ones.
 
     Exhaustive over the 2^(m*k) info space, chunked to bound memory; the
-    result always has exactly 2^(m*(2k-n)) rows.
+    result always has exactly 2^(m*(2k-n)) rows of m*k bits.
     """
     if code.info_bits > MAX_INFO_ENUM_LOG2:
         raise ValueError(f"info space 2^{code.info_bits} exceeds the enumeration guard")
-    parity = np.asarray(parity, dtype=np.int64)
-    fld = code.field
+    parity = np.asarray(parity)
+    if parity.shape != (code.parity_bits,):
+        raise ValueError(f"parity must be {code.parity_bits} bits, got shape {parity.shape}")
     total = 1 << code.info_bits
-    sym_shifts = np.arange(code.k - 1, -1, -1) * code.m
-    mask = (1 << code.m) - 1
+    shifts = np.arange(code.info_bits - 1, -1, -1)
     hits = []
-    chunk = 1 << 20
+    chunk = 1 << 16
     for start in range(0, total, chunk):
         values = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        symbols = (values[:, None] >> sym_shifts[None, :]) & mask
-        pz = np.zeros((len(values), code.n - code.k), dtype=np.int64)
-        for i in range(code.k):
-            col = symbols[:, i]
-            row_logs = code._parity_map_logs[i]
-            prod = fld.exp_table[(fld.log_table[col][:, None] + row_logs[None, :]) % fld.mul_order]
-            prod = np.where((col[:, None] == 0) | (row_logs[None, :] < 0), 0, prod)
-            pz ^= prod
-        match = (pz == parity[None, :]).all(axis=1)
-        if match.any():
-            hits.append(symbols[match])
-    if not hits:
-        return np.zeros((0, code.k), dtype=np.int64)
+        bits = ((values[:, None] >> shifts) & 1).astype(np.uint8)
+        hits.append(bits[(encode_parity(code, bits) == parity).all(axis=1)])
     return np.concatenate(hits, axis=0)
 
 
@@ -183,9 +151,6 @@ class CandidateSet:
     @property
     def total_candidates(self) -> int:
         return sum(len(v) for v in self.per_pattern.values())
-
-    def keys_for(self, pattern: tuple) -> np.ndarray:
-        return self.per_pattern.get(tuple(pattern), np.zeros((0, 0), dtype=np.uint8))
 
     def all_keys(self) -> np.ndarray:
         mats = [v for v in self.per_pattern.values() if len(v)]
@@ -230,7 +195,7 @@ def enumerate_key_candidates(scenario: TinyScenario) -> CandidateSet:
 def enumerate_with_errors(scenario: TinyScenario, max_weight: int, unit: str = "symbol") -> CandidateSet:
     """Candidate keys per hypothesized error pattern of weight <= max_weight.
 
-    Each pattern e shifts the matching parity to observed + e*parity_map;
+    Each pattern e shifts the matching parity to observed + parity(e);
     patterns differing as symbol vectors of weight <= t therefore select
     pairwise disjoint key sets.
     """
@@ -242,12 +207,11 @@ def enumerate_with_errors(scenario: TinyScenario, max_weight: int, unit: str = "
         raise ValueError("scenario exceeds the enumeration work guard")
     buckets = partition_by_parity(scenario)
     empty = scenario.key_space[:0]
-    per_pattern = {}
-    for pattern in patterns:
-        shift = encode_parity(code, np.array(pattern, dtype=np.int64))
-        target = (scenario.parity ^ shift).tobytes()
-        per_pattern[pattern] = buckets.get(target, empty)
-    return CandidateSet(per_pattern=per_pattern)
+    pattern_bits = symbols_to_bits(np.array(patterns).ravel(), code.m).reshape(len(patterns), -1)
+    targets = (encode_parity(code, pattern_bits) ^ scenario.parity).astype(np.uint8)
+    return CandidateSet(
+        per_pattern={p: buckets.get(t.tobytes(), empty) for p, t in zip(patterns, targets)}
+    )
 
 
 @dataclass(frozen=True)
@@ -271,8 +235,8 @@ def judge_candidate(
 ) -> Judgement:
     """Regroup the stream under a key guess and score the decode statistics.
 
-    parity_frames is the observed per-group parity sequence: (group, parity)
-    pairs with group 1 or 2, in transmission order within each group. A guess
+    parity_frames is the observed per-group parity sequence: (group, parity
+    bits) pairs with group 1 or 2, in transmission order within each group. A guess
     is consistent when every paired block decodes and the mean corrected
     error count stays within four standard errors of the channel's expected
     k * symbol_error_rate.
@@ -290,8 +254,8 @@ def judge_candidate(
         if start + n_bits > len(data):
             break
         cursor[group] = start + n_bits
-        info = bits_to_symbols(data[start : start + n_bits], code.m)
-        result = decode_block(code, np.concatenate([info, np.asarray(parity, dtype=np.int64)]))
+        word = np.concatenate([data[start : start + n_bits], np.asarray(parity, dtype=np.uint8)])
+        result = decode_block(code, bits_to_symbols(word, code.m))
         if not result.ok:
             failures += 1
         else:
@@ -316,9 +280,7 @@ def class_size_by_parity(scenario: TinyScenario) -> np.ndarray:
     """Candidate-class size for every possible parity value (zeros included)."""
     code = scenario.code
     counts = np.zeros(1 << code.parity_bits, dtype=np.int64)
-    sym_shifts = np.arange(code.n - code.k - 1, -1, -1) * code.m
+    weights = 1 << np.arange(code.parity_bits - 1, -1, -1)
     for tag, keys in partition_by_parity(scenario).items():
-        symbols = np.frombuffer(tag, dtype=np.int64)
-        index = int((symbols << sym_shifts).sum())
-        counts[index] = len(keys)
+        counts[int(np.frombuffer(tag, dtype=np.uint8) @ weights)] = len(keys)
     return counts

@@ -4,6 +4,10 @@ Shortened codes (n < 2^m - 1) come for free: the parity map is built from
 x^d mod g(x) for the degrees actually used, which is the full-length code
 with implicit leading zeros.
 
+Encoding works on bits: the parity is a GF(2)-linear map of the m*k
+information bits, applied as the XOR of the rows of a packed binary parity
+matrix. Blocks travel as bits everywhere outside the decoder.
+
 The decoder is hard-decision, errors-only: syndromes, Berlekamp-Massey
 locator synthesis, Chien search over the n used positions, Forney values,
 then a re-encode verification so miscorrected words that fail the parity
@@ -32,7 +36,8 @@ class CodeSpec:
     t_max: int                  # upper correction limit, n - k
     generator_poly: tuple       # descending coefficients, leading 1
     parity_map: np.ndarray = field(repr=False)      # k x (n-k) symbol matrix
-    _parity_map_logs: np.ndarray = field(repr=False)
+    # m*k x ceil(m*(n-k)/8) packed bits; row i is the parity of info bit i alone
+    parity_matrix: np.ndarray = field(repr=False)
 
     @property
     def m(self) -> int:
@@ -95,14 +100,31 @@ def _parity_rows(fld: FieldSpec, gen: list[int], n: int, k: int) -> np.ndarray:
     return out
 
 
+def _parity_matrix(fld: FieldSpec, pmap: np.ndarray) -> np.ndarray:
+    # Row m*i + b is the parity of bit b (MSB first) of info symbol i alone,
+    # the symbol value alpha^(m-1-b): parity_map[i] times alpha^(m-1-b). Walk
+    # b down from m-1 (the value 1), multiplying the plane by alpha = x each
+    # step; a plane's symbols unpack from the top m bits of big-endian uint16s.
+    k, nsym = pmap.shape
+    m = fld.m
+    out = np.empty((k, m, -(-m * nsym // 8)), dtype=np.uint8)
+    plane = pmap.astype(np.uint32)
+    for b in range(m - 1, -1, -1):
+        top = (plane << (16 - m)).astype(">u2").view(np.uint8).reshape(k, nsym, 2)
+        bits = np.unpackbits(top, axis=-1, count=m)
+        out[:, b] = np.packbits(bits.reshape(k, m * nsym), axis=-1)
+        plane = (plane << 1) ^ ((plane >> (m - 1)) & 1) * fld.primitive_poly
+    return out.reshape(k * m, -1)
+
+
 @lru_cache(maxsize=32)
 def _make_code_cached(m: int, primitive_poly: int, n: int, k: int) -> CodeSpec:
     fld = build_field(m, primitive_poly)
     gen = _generator_poly(fld, n - k)
     pmap = _parity_rows(fld, gen, n, k)
     pmap.setflags(write=False)
-    logs = np.where(pmap > 0, fld.log_table[pmap], -1)
-    logs.setflags(write=False)
+    pmat = _parity_matrix(fld, pmap)
+    pmat.setflags(write=False)
     return CodeSpec(
         field=fld,
         n=n,
@@ -112,7 +134,7 @@ def _make_code_cached(m: int, primitive_poly: int, n: int, k: int) -> CodeSpec:
         t_max=n - k,
         generator_poly=tuple(gen),
         parity_map=pmap,
-        _parity_map_logs=logs,
+        parity_matrix=pmat,
     )
 
 
@@ -125,25 +147,31 @@ def make_code(fld: FieldSpec, n: int, k: int) -> CodeSpec:
     return _make_code_cached(fld.m, fld.primitive_poly, n, k)
 
 
-def encode_parity(code: CodeSpec, info) -> np.ndarray:
-    """Systematic parity of an information vector: info . parity_map."""
-    info = np.asarray(info, dtype=np.int64)
-    if info.shape != (code.k,):
-        raise ValueError(f"info length must be {code.k}, got {info.shape}")
-    nz = np.nonzero(info)[0]
-    if len(nz) == 0:
-        return np.zeros(code.n - code.k, dtype=np.int64)
-    fld = code.field
-    logs = code._parity_map_logs[nz]
-    expo = (fld.log_table[info[nz]][:, None] + logs) % fld.mul_order
-    vals = np.where(logs >= 0, fld.exp_table[expo], 0)
-    return np.bitwise_xor.reduce(vals, axis=0)
+def encode_parity(code: CodeSpec, info_bits) -> np.ndarray:
+    """Systematic parity bits of one information bit vector or a batch of them.
+
+    Takes a (..., m*k) array of 0/1 (symbols MSB first, as on the wire) and
+    returns the (..., m*(n-k)) parity bits as uint8: the XOR of the parity
+    matrix rows the set bits select. A batch of B rows briefly takes B
+    times the matrix's memory. Raises ValueError for a wrong trailing length or a
+    value outside {0, 1}.
+    """
+    bits = np.asarray(info_bits)
+    if bits.shape[-1:] != (code.info_bits,):
+        raise ValueError(f"info must end in {code.info_bits} bits, got shape {bits.shape}")
+    if ((bits != 0) & (bits != 1)).any():
+        raise ValueError("info bits must hold only 0 and 1")
+    rows = code.parity_matrix * bits.astype(np.uint8)[..., None]
+    return np.unpackbits(np.bitwise_xor.reduce(rows, axis=-2), axis=-1, count=code.parity_bits)
 
 
 def codeword(code: CodeSpec, info) -> np.ndarray:
-    """Information symbols followed by their parity."""
+    """Information symbols followed by their parity symbols."""
     info = np.asarray(info, dtype=np.int64)
-    return np.concatenate([info, encode_parity(code, info)])
+    if ((info < 0) | (info >= code.field.order)).any():
+        raise ValueError(f"info symbols must lie in [0, {code.field.order})")
+    parity = encode_parity(code, symbols_to_bits(info, code.m))
+    return np.concatenate([info, bits_to_symbols(parity, code.m)])
 
 
 def parity_rows(code: CodeSpec) -> np.ndarray:

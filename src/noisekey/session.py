@@ -82,10 +82,7 @@ class SessionConfig:
 class BlockRecord:
     group: int
     index: int          # per-group ordinal
-    wire_order: int     # completion order across both groups
     info_bits: np.ndarray
-    info: np.ndarray
-    parity: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -173,61 +170,40 @@ def run_transmitter(config: SessionConfig) -> TransmitterRun:
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=config.source_seed, spawn_key=(_SOURCE_STREAM,))
     )
-    frames: list[Frame] = []
-    blocks: list[BlockRecord] = []
-    chunks: list[np.ndarray] = []
     if config.blocks_target == 0:
         return TransmitterRun(frames=[], keys=[], blocks=[], stream=np.zeros(0, dtype=np.uint8))
 
-    # Generate chunk by chunk until enough blocks complete. The block former
-    # is re-run over the growing stream only at the end to keep one shared
-    # code path with the receiver; per-chunk bookkeeping tracks completions.
-    routed_bits = {1: 0, 2: 0}
-    chunk_idx = 0
-    while routed_bits[1] // block_bits + routed_bits[2] // block_bits < config.blocks_target:
-        chunk = rng.integers(0, 2, size=block_bits, dtype=np.uint8)
-        chunks.append(chunk)
-        frames.append(
-            Frame(
-                method=config.channel.method,
-                group=GROUP_NONE,
-                index=chunk_idx,
-                kind=KIND_INFO,
-                payload=chunk,
-            )
-        )
-        ones = int(_key_mask(config.key, block_bits, chunk_idx * block_bits).sum())
-        routed_bits[1] += ones
-        routed_bits[2] += block_bits - ones
-        chunk_idx += 1
-
+    # Block completion depends only on the key. Each group leaves fewer than
+    # block_bits bits over, so blocks_target + 1 chunks always complete the
+    # target; send chunks up to the first whose end completes it.
+    chunk_mask = _key_mask(config.key, (config.blocks_target + 1) * block_bits, 0)
+    ones = np.cumsum(chunk_mask.reshape(-1, block_bits).sum(axis=1))
+    ends = block_bits * np.arange(1, len(ones) + 1)
+    done = ones // block_bits + (ends - ones) // block_bits
+    chunks = [
+        rng.integers(0, 2, size=block_bits, dtype=np.uint8)
+        for _ in range(int(np.argmax(done >= config.blocks_target)) + 1)
+    ]
+    frames = [
+        Frame(method=config.channel.method, group=GROUP_NONE, index=i, kind=KIND_INFO, payload=c)
+        for i, c in enumerate(chunks)
+    ]
     stream = np.concatenate(chunks)
-    parity_counter = 0
+
+    blocks: list[BlockRecord] = []
     for group, index, bits in _completed_blocks(stream, config.key, block_bits):
-        if parity_counter >= config.blocks_target:
+        if len(blocks) == config.blocks_target:
             break
-        info = bits_to_symbols(bits, code.m)
-        parity = encode_parity(code, info)
         frames.append(
             Frame(
                 method=config.channel.method,
                 group=group,
                 index=index,
                 kind=KIND_PARITY,
-                payload=symbols_to_bits(parity, code.m),
+                payload=encode_parity(code, bits),
             )
         )
-        blocks.append(
-            BlockRecord(
-                group=group,
-                index=index,
-                wire_order=parity_counter,
-                info_bits=bits,
-                info=info,
-                parity=parity,
-            )
-        )
-        parity_counter += 1
+        blocks.append(BlockRecord(group=group, index=index, info_bits=bits))
 
     keys = []
     for unit in range(len(blocks) // config.unit_blocks):
@@ -283,9 +259,7 @@ def run_receiver(frames, config: SessionConfig) -> ReceiverRun:
             corrected_bits.append(None)
             continue
         unused -= 1
-        info = bits_to_symbols(bits, code.m)
-        parity = bits_to_symbols(frame.payload, code.m)
-        result = decode_block(code, np.concatenate([info, parity]))
+        result = decode_block(code, bits_to_symbols(np.concatenate([bits, frame.payload]), code.m))
         outcomes.append(
             BlockOutcome(group=group, index=index, ok=result.ok, corrected=result.corrected)
         )

@@ -35,7 +35,7 @@ from noisekey.oracle import (
     enumerate_with_errors,
     make_scenario,
 )
-from noisekey.rs import encode_parity, make_code
+from noisekey.rs import bits_to_symbols, encode_parity, make_code, symbols_to_bits
 from noisekey.session import SessionConfig, run_session
 
 EVE_BER = 1.0 - 0.9 ** 0.125  # symbol error rate 0.1 over GF(2^8)
@@ -116,10 +116,10 @@ def test_criterion_05_preimage_counts_exact():
     code = make_code(build_field(2, 0x7), 3, 2)
     expected = 2 ** (code.m * (2 * code.k - code.n))
     for parity in range(4):
-        preimages = enumerate_info_candidates(code, np.array([parity]))
+        preimages = enumerate_info_candidates(code, symbols_to_bits(np.array([parity]), code.m))
         assert len(preimages) == expected == 4
         for row in preimages:
-            assert int(encode_parity(code, row)[0]) == parity
+            assert int(bits_to_symbols(encode_parity(code, row), code.m)[0]) == parity
     _ok("criterion 5 parity preimage counts", "4 preimages for each of the 4 parity values")
 
 

@@ -143,3 +143,29 @@ def test_capture_round_trip(tmp_path):
         data = path.read_bytes()
         path.write_bytes(data[:-1])
         read_capture(path)
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("index", 2**32),
+        ("index", -1),
+        ("index", 1.5),
+        ("method", 256),
+        ("method", -1),
+        ("group", 256),
+        ("kind", 256),
+        ("kind", -1),
+    ],
+)
+def test_encode_frame_rejects_out_of_range_fields(field, value):
+    fields = dict(method=1, group=GROUP_NONE, index=0, kind=KIND_INFO)
+    fields[field] = value
+    frame = Frame(payload=np.ones(8, dtype=np.uint8), **fields)
+    with pytest.raises(ValueError, match=field):
+        encode_frame(frame)
+
+
+def test_encode_frame_accepts_field_limits():
+    frame = Frame(method=255, group=255, index=2**32 - 1, kind=255, payload=np.ones(3, dtype=np.uint8))
+    assert encode_frame(frame)[5:12] == b"\xff" * 7

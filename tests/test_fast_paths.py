@@ -1,19 +1,25 @@
 """Each fast path against an independent slow oracle.
 
-`extract_key` is checked against the explicit Toeplitz matrix, and
-`decode_block` against the frozen reference decoder in `reference_rs`.
+`extract_key` is checked against the explicit Toeplitz matrix,
+`decode_block` against the frozen reference decoder in `reference_rs`, and
+the bit-level `encode_parity` against polynomial long division.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
 from noisekey.amplify import HashSeed, expand_seed, extract_key, toeplitz_matrix
 from noisekey.gf import build_field
-from noisekey.rs import decode_block, make_code
+from noisekey.grouping import CommonKey, merge_stream, split_stream
+from noisekey.rs import bits_to_symbols, decode_block, encode_parity, make_code, symbols_to_bits
 
 import reference_rs
 from conftest import random_codeword_with_errors
+from test_rs import remainder_parity
+
+CODES = [(3, 7, 5), (4, 15, 9), (5, 31, 19), (8, 255, 167)]
 
 # Above this many matrix entries the oracle builds the rows from the diagonal
 # directly instead of through toeplitz_matrix's int64 index array.
@@ -71,7 +77,7 @@ def test_extract_key_rejects_empty_input():
         extract_key(np.zeros((2, 4), dtype=np.uint8), 1, HashSeed.of(1))
 
 
-@pytest.mark.parametrize("m,n,k", [(3, 7, 5), (4, 15, 9), (5, 31, 19), (8, 255, 167)])
+@pytest.mark.parametrize("m,n,k", CODES)
 def test_decode_matches_reference(m, n, k):
     code = make_code(build_field(m), n, k)
     rng = np.random.default_rng(1000 * m + n)
@@ -88,3 +94,76 @@ def test_decode_matches_reference(m, n, k):
             assert np.array_equal(fast.info, slow.info)
         outcomes[slow.ok] += 1
     assert outcomes[True] and outcomes[False]
+
+
+@pytest.mark.parametrize("m,n,k", CODES)
+def test_encode_matches_remainder_oracle(m, n, k):
+    code = make_code(build_field(m), n, k)
+    rng = np.random.default_rng(2000 * m + n)
+    one_hot = np.eye(code.info_bits, dtype=np.uint8)
+    if code.info_bits > 100:
+        # Long division costs k*(n-k) table products per word; sample the rows.
+        one_hot = one_hot[list(range(0, code.info_bits, 89)) + [code.info_bits - 1]]
+    inputs = [np.zeros(code.info_bits, dtype=np.uint8), *one_hot]
+    inputs += [rng.integers(0, 2, code.info_bits, dtype=np.uint8) for _ in range(5)]
+    for bits in inputs:
+        parity = encode_parity(code, bits)
+        assert parity.dtype == np.uint8 and parity.shape == (code.parity_bits,)
+        oracle = remainder_parity(code, bits_to_symbols(bits, m))
+        assert np.array_equal(parity, symbols_to_bits(oracle, m))
+
+
+@pytest.mark.parametrize("m,n,k", [(5, 31, 19), (8, 255, 167)])
+def test_batched_encode_equals_rows(m, n, k):
+    code = make_code(build_field(m), n, k)
+    rng = np.random.default_rng(m)
+    batch = rng.integers(0, 2, (3, 4, code.info_bits)).astype(bool)
+    out = encode_parity(code, batch)
+    assert out.shape == (3, 4, code.parity_bits)
+    for i in range(3):
+        for j in range(4):
+            assert np.array_equal(out[i, j], encode_parity(code, batch[i, j]))
+    assert encode_parity(code, batch[:0]).shape == (0, 4, code.parity_bits)
+
+
+@pytest.mark.parametrize("bad", [2, -1, 0.5, 255])
+def test_encode_rejects_non_bits(code_7_5, bad):
+    bits = np.zeros(code_7_5.info_bits, dtype=type(bad))
+    bits[3] = bad
+    with pytest.raises(ValueError):
+        encode_parity(code_7_5, bits)
+
+
+@pytest.mark.parametrize("shape", [(), (14,), (16,), (15, 1), (2, 16)])
+def test_encode_rejects_wrong_length(code_7_5, shape):
+    with pytest.raises(ValueError):
+        encode_parity(code_7_5, np.zeros(shape, dtype=np.uint8))
+
+
+def draw_bits(data, count):
+    size = -(-count // 8)
+    raw = data.draw(st.binary(min_size=size, max_size=size))
+    return np.unpackbits(np.frombuffer(raw, dtype=np.uint8), count=count)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(CODES), st.data())
+def test_encode_is_linear(params, data):
+    m, n, k = params
+    code = make_code(build_field(m), n, k)
+    a, b = draw_bits(data, code.info_bits), draw_bits(data, code.info_bits)
+    assert np.array_equal(encode_parity(code, a ^ b), encode_parity(code, a) ^ encode_parity(code, b))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.integers(0, 1), min_size=2, max_size=24),
+    st.lists(st.integers(0, 1), max_size=200),
+)
+def test_split_merge_round_trip_every_offset(key_bits, stream):
+    key = CommonKey.from_bits(key_bits, 0.0, require_admissible=False)
+    x = np.array(stream, dtype=np.uint8)
+    for offset in range(2 * key.length + 1):
+        groups = split_stream(x, key, offset)
+        assert groups.offset == offset and groups.consumed == len(x)
+        assert np.array_equal(merge_stream(groups, key), x)

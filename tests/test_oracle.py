@@ -15,9 +15,9 @@ from noisekey.oracle import (
     judge_candidate,
     make_scenario,
     partition_by_parity,
-    _first_block_symbols,
 )
-from noisekey.rs import bits_to_symbols, encode_parity, make_code
+from noisekey.grouping import split_stream
+from noisekey.rs import bits_to_symbols, encode_parity, make_code, symbols_to_bits
 from noisekey.session import _completed_blocks
 from noisekey.channel import bsc_transmit
 from noisekey.gf import build_field
@@ -44,28 +44,31 @@ def test_admissible_key_listing():
 def test_info_candidates_tiny_code(code_3_2):
     seen = set()
     for parity in range(4):
-        pre = enumerate_info_candidates(code_3_2, np.array([parity]))
+        pre = enumerate_info_candidates(code_3_2, symbols_to_bits(np.array([parity]), code_3_2.m))
         assert len(pre) == 4  # 2^(m(2k-n))
         for row in pre:
-            assert int(encode_parity(code_3_2, row)[0]) == parity
+            assert int(bits_to_symbols(encode_parity(code_3_2, row), code_3_2.m)[0]) == parity
             seen.add(tuple(row))
     assert len(seen) == 16  # the preimages partition the info space
-    zero = enumerate_info_candidates(code_3_2, np.zeros(1, dtype=np.int64))
+    zero = enumerate_info_candidates(code_3_2, np.zeros(code_3_2.parity_bits, dtype=np.uint8))
     assert any((row == 0).all() for row in zero)
+    with pytest.raises(ValueError):
+        enumerate_info_candidates(code_3_2, np.array([3]))  # a parity symbol, not its bits
 
 
 def test_info_candidates_guard(code_255_167):
     with pytest.raises(ValueError):
-        enumerate_info_candidates(code_255_167, np.zeros(88, dtype=np.int64))
+        enumerate_info_candidates(code_255_167, np.zeros(code_255_167.parity_bits, dtype=np.uint8))
 
 
 def test_batch_parities_match_scalar(code_7_5):
     rng = np.random.default_rng(60)
     scenario, _ = make_scenario(code_7_5, 12, 2.0, rng)
     buckets = partition_by_parity(scenario)
-    # spot-check a few keys through the one-key path
+    # spot-check a few keys through split_stream and a one-block encode
     for row in scenario.key_space[::500]:
-        block = _first_block_symbols(code_7_5, scenario.x, row, 0)
+        key = CommonKey.from_bits(row, 2.0, require_admissible=False)
+        block = split_stream(scenario.x, key).group1[: code_7_5.info_bits]
         parity = encode_parity(code_7_5, block).tobytes()
         assert any(
             np.array_equal(row, cand) for cand in buckets[parity]
@@ -92,7 +95,8 @@ def test_average_class_size_matches_formula(code_3_2):
     for _ in range(20):
         x = rng.integers(0, 2, 12 * code_3_2.info_bits, dtype=np.uint8)
         scenario = TinyScenario(
-            code=code_3_2, key_space=keys, x=x, parity=np.zeros(1, dtype=np.int64), balance_limit=2.0
+            code=code_3_2, key_space=keys, x=x, parity=np.zeros(code_3_2.parity_bits, dtype=np.uint8),
+            balance_limit=2.0,
         )
         sizes = class_size_by_parity(scenario)
         assert sizes.mean() == pytest.approx(formula, rel=1e-12)
@@ -157,7 +161,7 @@ def _judge_fixture(code, rng, p_bob, blocks=50, key_length=12):
     stream = rng.integers(0, 2, size=code.info_bits * blocks * 3, dtype=np.uint8)
     parity_frames = []
     for group, _idx, bits in _completed_blocks(stream, key, code.info_bits):
-        parity_frames.append((group, encode_parity(code, bits_to_symbols(bits, code.m))))
+        parity_frames.append((group, encode_parity(code, bits)))
         if len(parity_frames) >= blocks:
             break
     noisy = bsc_transmit(stream, p_bob, rng)
@@ -205,7 +209,7 @@ def test_scenario_guard():
         code=code,
         key_space=keys,
         x=np.zeros(code.info_bits, dtype=np.uint8),
-        parity=np.zeros(6, dtype=np.int64),
+        parity=np.zeros(code.parity_bits, dtype=np.uint8),
     )
     with pytest.raises(ValueError):
         enumerate_with_errors(scenario, 3, "bit")
@@ -222,7 +226,7 @@ def test_candidate_narrowing_to_true_key(code_7_5):
     parity_frames = []
     first_parity = None
     for group, index, bits in _completed_blocks(stream, key, code_7_5.info_bits):
-        parity = encode_parity(code_7_5, bits_to_symbols(bits, code_7_5.m))
+        parity = encode_parity(code_7_5, bits)
         parity_frames.append((group, parity))
         if group == 1 and index == 0:
             first_parity = parity

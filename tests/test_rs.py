@@ -15,6 +15,12 @@ from noisekey.rs import (
 from conftest import random_codeword_with_errors
 
 
+def parity_symbols(code, info):
+    """encode_parity on symbols: the bit-level encoder between the conversions."""
+    bits = symbols_to_bits(np.asarray(info), code.m)
+    return bits_to_symbols(encode_parity(code, bits), code.m)
+
+
 def remainder_parity(code, info):
     """Independent oracle: long division of info(x) * x^(n-k) by the generator."""
     nsym = code.n - code.k
@@ -42,17 +48,17 @@ def test_bad_parameters(gf256):
 
 
 def test_zero_info_zero_parity(code_7_5):
-    assert (encode_parity(code_7_5, np.zeros(5, dtype=np.int64)) == 0).all()
+    assert (parity_symbols(code_7_5, np.zeros(5, dtype=np.int64)) == 0).all()
 
 
 def test_parity_matches_remainder_oracle(code_7_5, code_255_167):
     rng = np.random.default_rng(10)
     for _ in range(50):
         info = rng.integers(0, 8, size=5)
-        assert encode_parity(code_7_5, info).tolist() == remainder_parity(code_7_5, info)
+        assert parity_symbols(code_7_5, info).tolist() == remainder_parity(code_7_5, info)
     for _ in range(5):
         info = rng.integers(0, 256, size=167)
-        assert encode_parity(code_255_167, info).tolist() == remainder_parity(code_255_167, info)
+        assert parity_symbols(code_255_167, info).tolist() == remainder_parity(code_255_167, info)
 
 
 def test_parity_linearity(code_7_5):
@@ -60,8 +66,8 @@ def test_parity_linearity(code_7_5):
     for _ in range(50):
         a = rng.integers(0, 8, size=5)
         b = rng.integers(0, 8, size=5)
-        lhs = encode_parity(code_7_5, a ^ b)
-        rhs = encode_parity(code_7_5, a) ^ encode_parity(code_7_5, b)
+        lhs = parity_symbols(code_7_5, a ^ b)
+        rhs = parity_symbols(code_7_5, a) ^ parity_symbols(code_7_5, b)
         assert (lhs == rhs).all()
 
 
@@ -70,15 +76,15 @@ def test_parity_rows_definition(code_7_5):
     for i in range(5):
         unit = np.zeros(5, dtype=np.int64)
         unit[i] = 1
-        assert (encode_parity(code_7_5, unit) == mat[i]).all()
-    assert (encode_parity(code_7_5, np.zeros(5, dtype=np.int64)) == 0).all()
+        assert (parity_symbols(code_7_5, unit) == mat[i]).all()
+    assert (parity_symbols(code_7_5, np.zeros(5, dtype=np.int64)) == 0).all()
     rng = np.random.default_rng(12)
     for _ in range(50):
         b = rng.integers(0, 8, size=5)
         via_matrix = np.zeros(2, dtype=np.int64)
         for i in range(5):
             via_matrix ^= code_7_5.field.mul_vec(np.full(2, b[i]), mat[i])
-        assert (via_matrix == encode_parity(code_7_5, b)).all()
+        assert (via_matrix == parity_symbols(code_7_5, b)).all()
 
 
 def test_decode_clean(code_7_5):
@@ -135,6 +141,12 @@ def test_wrong_lengths(code_7_5):
         decode_block(code_7_5, np.zeros(6, dtype=np.int64))
 
 
+@pytest.mark.parametrize("bad", [-1, 8])
+def test_codeword_rejects_symbols_outside_field(code_7_5, bad):
+    with pytest.raises(ValueError):
+        codeword(code_7_5, np.array([0, 1, bad, 3, 4]))
+
+
 def test_shortened_code_round_trip(gf8):
     code = make_code(gf8, 5, 3)
     assert (code.d, code.t) == (3, 1)
@@ -157,7 +169,7 @@ def test_preimage_count_per_parity(code_3_2):
     # Each of the 4 parity values has exactly 2^(m(2k-n)) = 4 info preimages.
     buckets = {}
     for pair in itertools.product(range(4), repeat=2):
-        parity = tuple(encode_parity(code_3_2, np.array(pair)).tolist())
+        parity = tuple(parity_symbols(code_3_2, np.array(pair)).tolist())
         buckets.setdefault(parity, []).append(pair)
     assert len(buckets) == 4
     assert all(len(v) == 4 for v in buckets.values())
@@ -167,8 +179,8 @@ def test_golden_wire_bytes(code_255_167, code_7_5):
     # regression pins: systematic parity bytes are part of the wire contract
     # (root offset alpha^1, highest-degree-first symbol order)
     assert list(code_7_5.generator_poly) == [1, 6, 3]
-    assert encode_parity(code_7_5, np.array([3, 1, 4, 1, 5])).tolist() == [5, 6]
-    parity = encode_parity(code_255_167, np.arange(167) % 256)
+    assert parity_symbols(code_7_5, np.array([3, 1, 4, 1, 5])).tolist() == [5, 6]
+    parity = parity_symbols(code_255_167, np.arange(167) % 256)
     assert parity[:8].tolist() == [0x51, 0xA9, 0xC5, 0x99, 0x74, 0x9B, 0x34, 0xBF]
     assert parity[-8:].tolist() == [0xC0, 0x6D, 0xEA, 0x9F, 0xBE, 0x68, 0xDE, 0xAF]
     assert int(np.bitwise_xor.reduce(parity)) == 0x51
