@@ -87,17 +87,31 @@ def make_scenario(
 
 
 def _first_block_bits(code: CodeSpec, x: np.ndarray, keys: np.ndarray, offset: int) -> np.ndarray:
-    """Group-I bits of the first block under each key row, one row per key."""
+    """Group-I bits of the first block under each key row, one row per key.
+
+    A key with w ones at positions pos[0..w-1] of its period (rotated by the
+    offset) routes its j-th group-I bit from stream position
+    (j // w) * key_length + pos[j % w], so each class of keys with the same w
+    is one gather of m*k bits per key; the stream is never tiled.
+    """
     n_bits = code.info_bits
     count, klen = keys.shape
-    reps = -(-(offset + len(x)) // klen)
-    masks = np.tile(keys, (1, reps))[:, offset : offset + len(x)].astype(bool)
-    filled = masks.cumsum(axis=1, dtype=np.int32)
-    if (filled[:, -1] < n_bits).any():
-        raise ValueError("stream too short to fill one block for every key")
-    take = masks & (filled <= n_bits)
-    # Row-major nonzero lists each row's n_bits selected positions in order.
-    return x[np.nonzero(take)[1].reshape(count, n_bits)]
+    rotated = np.roll(keys.astype(bool), -(offset % klen), axis=1)
+    ones = rotated.sum(axis=1)
+    j = np.arange(n_bits)
+    out = np.empty((count, n_bits), dtype=x.dtype)
+    short = "stream too short to fill one block for every key"
+    for w in np.unique(ones):
+        if w == 0:
+            raise ValueError(short)
+        rows = np.flatnonzero(ones == w)
+        # Row-major nonzero lists each row's w one-positions in order.
+        pos = np.nonzero(rotated[rows])[1].reshape(len(rows), w)
+        idx = (j // w) * klen + pos[:, j % w]
+        if idx[:, -1].max() >= len(x):
+            raise ValueError(short)
+        out[rows] = x[idx]
+    return out
 
 
 def _first_block_parities(scenario: TinyScenario) -> np.ndarray:
@@ -107,13 +121,19 @@ def _first_block_parities(scenario: TinyScenario) -> np.ndarray:
 
 
 def partition_by_parity(scenario: TinyScenario) -> dict[bytes, np.ndarray]:
-    """Bucket the admissible keys by the parity their first block induces."""
+    """Bucket the admissible keys by the parity their first block induces.
+
+    Buckets are keyed by the parity row's bytes in first-occurrence order,
+    and each holds its keys in key-space order.
+    """
     parities = _first_block_parities(scenario)
-    tags = [p.tobytes() for p in parities]
-    buckets: dict[bytes, list[int]] = {}
-    for idx, tag in enumerate(tags):
-        buckets.setdefault(tag, []).append(idx)
-    return {tag: scenario.key_space[idx] for tag, idx in buckets.items()}
+    packed = np.packbits(parities, axis=1)
+    tags = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+    _, first, inverse = np.unique(tags, return_index=True, return_inverse=True)
+    order = np.argsort(inverse, kind="stable")
+    bounds = np.cumsum(np.bincount(inverse))[:-1]
+    buckets = np.split(scenario.key_space[order], bounds)
+    return {parities[first[u]].tobytes(): buckets[u] for u in np.argsort(first)}
 
 
 def enumerate_info_candidates(code: CodeSpec, parity) -> np.ndarray:

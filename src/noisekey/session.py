@@ -91,6 +91,7 @@ class BlockOutcome:
     index: int
     ok: bool
     corrected: int
+    reason: str | None  # why a failed block failed: a decoder reason or "missing parity"
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,19 +118,24 @@ class SessionReport:
     eve_capture: list
     blocks_completed: int
     units_completed: int
+    key_bits: int
 
     def to_dict(self) -> dict:
+        """JSON form; keys are lowercase hex of key_bits bits, MSB first, left-padded to a nibble."""
         def hexkey(bits):
             if bits is None:
                 return None
-            return "".join(str(int(b)) for b in bits)
+            value = int("".join(str(int(b)) for b in bits), 2)
+            return f"{value:0{-(-len(bits) // 4)}x}"
 
         return {
+            "key_bits": self.key_bits,
             "keys_alice": [hexkey(k) for k in self.keys_alice],
             "keys_bob": [hexkey(k) for k in self.keys_bob],
             "agreement_rate": self.agreement_rate,
             "bob_blocks": [
-                {"group": o.group, "index": o.index, "ok": o.ok, "corrected": o.corrected}
+                {"group": o.group, "index": o.index, "ok": o.ok, "corrected": o.corrected,
+                 "reason": o.reason}
                 for o in self.bob_outcomes
             ],
             "eve_block_flips": list(map(int, self.eve_block_flips)),
@@ -255,13 +261,17 @@ def run_receiver(frames, config: SessionConfig) -> ReceiverRun:
             break
         frame = parities.get((group, index))
         if frame is None:
-            outcomes.append(BlockOutcome(group=group, index=index, ok=False, corrected=0))
+            outcomes.append(
+                BlockOutcome(group=group, index=index, ok=False, corrected=0, reason="missing parity")
+            )
             corrected_bits.append(None)
             continue
         unused -= 1
         result = decode_block(code, bits_to_symbols(np.concatenate([bits, frame.payload]), code.m))
         outcomes.append(
-            BlockOutcome(group=group, index=index, ok=result.ok, corrected=result.corrected)
+            BlockOutcome(
+                group=group, index=index, ok=result.ok, corrected=result.corrected, reason=result.reason
+            )
         )
         corrected_bits.append(symbols_to_bits(result.info, code.m) if result.ok else None)
     if unused:
@@ -310,6 +320,7 @@ def run_session(config: SessionConfig) -> SessionReport:
         eve_capture=eve_frames,
         blocks_completed=len(tx.blocks),
         units_completed=units,
+        key_bits=config.key_bits,
     )
 
 

@@ -1,10 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
 import pytest
 
-from noisekey.cli import main
+import noisekey
+from noisekey.cli import build_parser, main
 
 SCHEMAS = Path(__file__).resolve().parent.parent / "schemas"
 
@@ -158,3 +162,23 @@ def test_params_file_overrides(capsys, tmp_path):
     assert code == 0
     doc = json.loads(out)
     assert doc["ones"] + doc["zeros"] == 32
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_back_to_back_calls_share_no_state(capsys, tmp_path):
+    report = tmp_path / "attack.json"
+    code, out, _ = run_cli(capsys, "attack", "--seed", "2", "--format", "json", "--out", str(report))
+    assert code == 0 and out == ""
+    assert json.loads(report.read_text())["true_key_found"] is True
+    code, out, _ = run_cli(capsys, "reproduce-table2", "--format", "json")
+    assert code == 0
+    src = str(Path(noisekey.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    fresh = subprocess.run(
+        [sys.executable, "-m", "noisekey.cli", "reproduce-table2", "--format", "json"],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert out == fresh.stdout

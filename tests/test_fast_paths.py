@@ -1,9 +1,13 @@
 """Each fast path against an independent slow oracle.
 
 `extract_key` is checked against the explicit Toeplitz matrix,
-`decode_block` against the frozen reference decoder in `reference_rs`, and
-the bit-level `encode_parity` against polynomial long division.
+`decode_block` against the frozen reference decoder in `reference_rs`, the
+bit-level `encode_parity` against polynomial long division, and the
+exhaustive adversary's key routing and parity buckets against per-key
+`split_stream` and a plain dict loop.
 """
+
+import functools
 
 import numpy as np
 import pytest
@@ -13,6 +17,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from noisekey.amplify import HashSeed, expand_seed, extract_key, toeplitz_matrix
 from noisekey.gf import build_field
 from noisekey.grouping import CommonKey, merge_stream, split_stream
+from noisekey.oracle import TinyScenario, _first_block_bits, admissible_keys, partition_by_parity
 from noisekey.rs import bits_to_symbols, decode_block, encode_parity, make_code, symbols_to_bits
 
 import reference_rs
@@ -167,3 +172,77 @@ def test_split_merge_round_trip_every_offset(key_bits, stream):
         groups = split_stream(x, key, offset)
         assert groups.offset == offset and groups.consumed == len(x)
         assert np.array_equal(merge_stream(groups, key), x)
+
+
+ORACLE_CODE = (3, 7, 5)
+OFFSETS = ["0", "1", "klen-1", "klen", "2klen+3"]
+
+
+def resolve_offset(name, klen):
+    return {"0": 0, "1": 1, "klen-1": klen - 1, "klen": klen, "2klen+3": 2 * klen + 3}[name]
+
+
+def fill_points(keys, offset, n_bits):
+    """Stream length at which each key's group I first holds n_bits bits."""
+    klen = keys.shape[1]
+    span = offset + n_bits * klen  # enough for any key with at least one 1
+    mask = np.tile(keys, (1, -(-span // klen)))[:, offset:span].astype(bool)
+    return np.argmax(mask.cumsum(axis=1) >= n_bits, axis=1) + 1
+
+
+@functools.cache
+def routing_case(key_length, offset):
+    """Every admissible key, a stream exactly as long as the latest fill point,
+    and each key's first group-I block cut from split_stream."""
+    code = make_code(build_field(ORACLE_CODE[0]), *ORACLE_CODE[1:])
+    keys = admissible_keys(key_length, 2.0)
+    length = int(fill_points(keys, offset, code.info_bits).max())
+    x = np.random.default_rng(key_length * 100 + offset).integers(0, 2, length, dtype=np.uint8)
+    blocks = np.array([
+        split_stream(x, CommonKey.from_bits(row, 2.0, require_admissible=False), offset)
+        .group1[: code.info_bits]
+        for row in keys
+    ])
+    return code, keys, x, blocks
+
+
+@pytest.mark.parametrize("offset", OFFSETS)
+@pytest.mark.parametrize("key_length", [12, 16])
+def test_first_block_bits_match_split_stream(key_length, offset):
+    offset = resolve_offset(offset, key_length)
+    code, keys, x, blocks = routing_case(key_length, offset)
+    assert blocks.shape == (len(keys), code.info_bits)
+    assert np.array_equal(_first_block_bits(code, x, keys, offset), blocks)
+    with pytest.raises(ValueError, match="stream too short"):
+        _first_block_bits(code, x[:-1], keys, offset)
+
+
+def test_first_block_bits_rejects_keys_without_ones():
+    code = make_code(build_field(ORACLE_CODE[0]), *ORACLE_CODE[1:])
+    keys = np.zeros((2, 12), dtype=np.uint8)
+    keys[1, ::2] = 1
+    x = np.ones(12 * code.info_bits, dtype=np.uint8)
+    assert np.array_equal(_first_block_bits(code, x, keys[1:], 0), x[None, : code.info_bits])
+    with pytest.raises(ValueError, match="stream too short"):
+        _first_block_bits(code, x, keys, 0)
+
+
+@pytest.mark.parametrize("offset", OFFSETS)
+@pytest.mark.parametrize("key_length", [12, 16])
+def test_partition_matches_dict_loop(key_length, offset):
+    offset = resolve_offset(offset, key_length)
+    code, keys, x, blocks = routing_case(key_length, offset)
+    scenario = TinyScenario(
+        code=code, key_space=keys, x=x, parity=np.zeros(code.parity_bits, dtype=np.uint8),
+        offset=offset,
+    )
+    reference: dict[bytes, list] = {}
+    for row, parity in zip(keys, encode_parity(code, blocks)):
+        reference.setdefault(parity.tobytes(), []).append(row)
+    buckets = partition_by_parity(scenario)
+    assert list(buckets) == list(reference)
+    for tag, rows in reference.items():
+        assert np.array_equal(buckets[tag], np.array(rows))
+    seen = np.concatenate(list(buckets.values()))
+    assert len(seen) == len(keys)
+    assert len(np.unique(seen, axis=0)) == len(keys)  # each key in exactly one bucket

@@ -5,10 +5,12 @@ import pytest
 
 from noisekey.channel import ChannelConfig, Frame, KIND_INFO, KIND_PARITY
 from noisekey.grouping import CommonKey, FramingError, sample_key, split_stream
-from noisekey.rs import encode_parity, make_code
+from noisekey.rs import bits_to_symbols, decode_block, encode_parity, make_code
 from noisekey.gf import build_field
 from noisekey.session import (
+    BlockOutcome,
     SessionConfig,
+    SessionReport,
     run_receiver,
     run_session,
     run_transmitter,
@@ -155,6 +157,42 @@ def test_missing_parity_frame_fails_only_its_unit(toy_code, toy_key):
             assert kb is not None and np.array_equal(ka, kb)
 
 
+def test_missing_parity_frame_reason(toy_code, toy_key):
+    cfg = toy_config(toy_code, toy_key, blocks=10)
+    frames = list(run_transmitter(cfg).frames)
+    del frames[_parity_positions(frames)[3]]
+    rx = run_receiver(frames, cfg)
+    assert rx.outcomes[3].reason == "missing parity"
+    assert all(o.ok and o.reason is None for j, o in enumerate(rx.outcomes) if j != 3)
+
+
+def test_beyond_t_block_reason(toy_code, toy_key):
+    # Inverting every parity bit puts n - k = 12 > t symbol errors in block 2.
+    cfg = toy_config(toy_code, toy_key, blocks=5)
+    tx = run_transmitter(cfg)
+    frames = list(tx.frames)
+    pos = _parity_positions(frames)[2]
+    f = frames[pos]
+    frames[pos] = Frame(method=f.method, group=f.group, index=f.index, kind=f.kind,
+                        payload=f.payload ^ 1)
+    rx = run_receiver(frames, cfg)
+    word = np.concatenate([tx.blocks[2].info_bits, f.payload ^ 1])
+    expected = decode_block(toy_code, bits_to_symbols(word, toy_code.m))
+    assert not expected.ok and expected.reason is not None
+    assert not rx.outcomes[2].ok and rx.outcomes[2].reason == expected.reason
+    assert rx.keys[2] is None
+    assert all(o.ok and o.reason is None for j, o in enumerate(rx.outcomes) if j != 2)
+
+
+def test_noisy_session_reasons_match_outcomes(toy_code, toy_key):
+    report = run_session(toy_config(toy_code, toy_key, blocks=40, bob_ber=0.08))
+    failed = [o for o in report.bob_outcomes if not o.ok]
+    assert failed
+    assert all((o.reason is None) == o.ok for o in report.bob_outcomes)
+    blocks = report.to_dict()["bob_blocks"]
+    assert [b["reason"] for b in blocks] == [o.reason for o in report.bob_outcomes]
+
+
 def test_duplicate_parity_frame_rejected(toy_code, toy_key):
     cfg = toy_config(toy_code, toy_key, blocks=5)
     tx = run_transmitter(cfg)
@@ -202,6 +240,29 @@ def test_session_report_round_trip(toy_code, toy_key):
     assert doc["blocks_completed"] == 12
     assert len(doc["keys_alice"]) == doc["units_completed"]
     assert doc["agreement_rate"] == report.agreement_rate
+
+
+@pytest.mark.parametrize("key_bits", [2, 4, 506])
+def test_report_keys_are_padded_hex(key_bits):
+    rng = np.random.default_rng(key_bits)
+    keys = [rng.integers(0, 2, key_bits, dtype=np.uint8) for _ in range(3)]
+    keys.append(np.ones(key_bits, dtype=np.uint8))
+    report = SessionReport(
+        keys_alice=keys, keys_bob=keys[:2] + [None], agreement_rate=None,
+        bob_outcomes=[BlockOutcome(group=1, index=0, ok=True, corrected=0, reason=None)],
+        eve_block_flips=[], eve_capture=[], blocks_completed=1, units_completed=len(keys),
+        key_bits=key_bits,
+    )
+    doc = report.to_dict()
+    assert doc["key_bits"] == key_bits
+    assert doc["keys_bob"][2] is None
+    for key, text in zip(keys, doc["keys_alice"]):
+        assert len(text) == -(-key_bits // 4)
+        assert text == text.lower() and set(text) <= set("0123456789abcdef")
+        value = int(text, 16)
+        assert value >> key_bits == 0  # the pad is all zero bits
+        bits = [(value >> (key_bits - 1 - i)) & 1 for i in range(key_bits)]
+        assert bits == key.tolist()
 
 
 def test_method1_tap_sees_exact_parity(toy_code, toy_key):
