@@ -268,8 +268,8 @@ def cmd_attack(args) -> int:
         "patterns": len(candidates.patterns),
         "total_candidates": candidates.total_candidates,
         "true_key_found": any(
-            any(np.array_equal(row, true_key.bits) for row in candidates.per_pattern[p])
-            for p in candidates.patterns
+            bool((rows == true_key.bits).all(axis=1).any())
+            for rows in candidates.per_pattern.values()
         ),
         "class_sizes": sizes,
         "class_size_histogram": {str(k): v for k, v in sorted(histogram.items())},

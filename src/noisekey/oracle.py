@@ -26,17 +26,20 @@ MAX_INFO_ENUM_LOG2 = 24
 MAX_WORK = 1 << 26
 
 
+# 1-bits per byte value (np.bitwise_count needs numpy 2)
+_BYTE_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
+
+
 def admissible_keys(key_length: int, balance_limit: float) -> np.ndarray:
     """All admissible keys as a (count, key_length) bit matrix, MSB first."""
     if key_length > MAX_KEY_LENGTH:
         raise ValueError(f"exhaustive key listing is capped at {MAX_KEY_LENGTH} bits")
-    values = np.arange(1 << key_length, dtype=np.uint32)
-    shifts = np.arange(key_length - 1, -1, -1, dtype=np.uint32)
-    bits = ((values[:, None] >> shifts[None, :]) & 1).astype(np.uint8)
-    ones = bits.sum(axis=1)
+    # Filter the values by popcount, then expand only the kept ones to bits.
+    octets = np.arange(1 << key_length, dtype=np.uint32).astype(">u4").view(np.uint8).reshape(-1, 4)
+    ones = sum(_BYTE_POPCOUNT[octets[:, i]] for i in range(4))
     sigma = math.sqrt(key_length / 4.0)
-    keep = np.abs(ones - key_length / 2.0) <= balance_limit * sigma
-    return bits[keep]
+    kept = octets[np.abs(ones - key_length / 2.0) <= balance_limit * sigma]
+    return np.ascontiguousarray(np.unpackbits(kept, axis=1)[:, 32 - key_length :])
 
 
 @dataclass(frozen=True, eq=False)

@@ -10,8 +10,11 @@ matrix. Blocks travel as bits everywhere outside the decoder.
 
 The decoder is hard-decision, errors-only: syndromes, Berlekamp-Massey
 locator synthesis, Chien search over the n used positions, Forney values,
-then a re-encode verification so miscorrected words that fail the parity
-check are reported as failures rather than silent wrong answers.
+then a syndrome re-check of the corrected word so miscorrected words that
+fail the parity check are reported as failures rather than silent wrong
+answers. Syndromes are GF(2)-linear in the word's bits too: they are the XOR
+of the entries of a per-(position, bit) syndrome table that the set bits
+select.
 """
 
 from __future__ import annotations
@@ -38,6 +41,9 @@ class CodeSpec:
     parity_map: np.ndarray = field(repr=False)      # k x (n-k) symbol matrix
     # m*k x ceil(m*(n-k)/8) packed bits; row i is the parity of info bit i alone
     parity_matrix: np.ndarray = field(repr=False)
+    # words x m*n uint64; column m*p + b packs S_1..S_(n-k) of bit b of
+    # position p alone as uint8 symbols (uint16 for m > 8), zero-padded
+    syndrome_table: np.ndarray = field(repr=False)
 
     @property
     def m(self) -> int:
@@ -117,6 +123,28 @@ def _parity_matrix(fld: FieldSpec, pmap: np.ndarray) -> np.ndarray:
     return out.reshape(k * m, -1)
 
 
+def _symbol_dtype(m: int):
+    return np.uint8 if m <= 8 else np.uint16
+
+
+def _syndrome_table(fld: FieldSpec, n: int, k: int) -> np.ndarray:
+    # Bit b (MSB first) of the symbol at position p is the value 2^(m-1-b) at
+    # degree n-1-p, so its syndromes are alpha^(j*(n-1-p)) times 2^(m-1-b):
+    # walk b down from m-1 (the value 1), multiplying by alpha = x each step.
+    # Each column's n-k symbols are then packed into whole 64-bit words and
+    # the table is stored word-major, so a word's syndromes are one take and
+    # one XOR reduce along contiguous rows.
+    m, nsym = fld.m, n - k
+    dtype = _symbol_dtype(m)
+    per_word = 8 // np.dtype(dtype).itemsize
+    plane = fld.exp_table[((n - 1 - np.arange(n))[:, None] * np.arange(1, nsym + 1)) % fld.mul_order]
+    out = np.zeros((n, m, -(-nsym // per_word) * per_word), dtype=dtype)
+    for b in range(m - 1, -1, -1):
+        out[:, b, :nsym] = plane
+        plane = (plane << 1) ^ ((plane >> (m - 1)) & 1) * fld.primitive_poly
+    return np.ascontiguousarray(out.reshape(n * m, -1).view(np.uint64).T)
+
+
 @lru_cache(maxsize=32)
 def _make_code_cached(m: int, primitive_poly: int, n: int, k: int) -> CodeSpec:
     fld = build_field(m, primitive_poly)
@@ -125,6 +153,8 @@ def _make_code_cached(m: int, primitive_poly: int, n: int, k: int) -> CodeSpec:
     pmap.setflags(write=False)
     pmat = _parity_matrix(fld, pmap)
     pmat.setflags(write=False)
+    stab = _syndrome_table(fld, n, k)
+    stab.setflags(write=False)
     return CodeSpec(
         field=fld,
         n=n,
@@ -135,6 +165,7 @@ def _make_code_cached(m: int, primitive_poly: int, n: int, k: int) -> CodeSpec:
         generator_poly=tuple(gen),
         parity_map=pmap,
         parity_matrix=pmat,
+        syndrome_table=stab,
     )
 
 
@@ -180,56 +211,80 @@ def parity_rows(code: CodeSpec) -> np.ndarray:
 
 
 def _syndromes(code: CodeSpec, word: np.ndarray) -> np.ndarray:
-    fld = code.field
-    nsym = code.n - code.k
-    nz = np.nonzero(word)[0]
-    if len(nz) == 0:
-        return np.zeros(nsym, dtype=np.int64)
-    degs = (code.n - 1 - nz) % fld.mul_order
-    coeff_logs = fld.log_table[word[nz]]
-    js = np.arange(1, nsym + 1)
-    expo = (coeff_logs[None, :] + js[:, None] * degs[None, :]) % fld.mul_order
-    return np.bitwise_xor.reduce(fld.exp_table[expo], axis=1)
+    # S_1..S_(n-k): the XOR of the syndrome table columns of the word's set bits.
+    m = code.m
+    top = (word << (16 - m)).astype(">u2").view(np.uint8).reshape(-1, 2)
+    bits = np.unpackbits(top, axis=1, count=m)
+    words = np.bitwise_xor.reduce(code.syndrome_table.take(np.flatnonzero(bits), axis=1), axis=1)
+    return words.view(_symbol_dtype(m))[: code.n - code.k]
 
 
-def _berlekamp_massey(fld: FieldSpec, synd: list[int]) -> tuple[list[int], int]:
+def _times_syndromes(fld: FieldSpec, poly, synd: np.ndarray) -> np.ndarray:
+    # Coefficients 0..n-k-1 of poly(x) * S(x), with S(x) = sum S_(i+1) x^i:
+    # coefficient i is Berlekamp-Massey's discrepancy at step i for this
+    # locator, and the whole vector is Forney's omega.
+    coeffs = np.asarray(poly)
+    nz = np.flatnonzero(coeffs)
+    idx = np.arange(len(synd)) - nz[:, None]
+    shifted = np.where(idx >= 0, synd[idx], 0)
+    return np.bitwise_xor.reduce(fld.mul_vec(shifted, coeffs[nz, None]), axis=0)
+
+
+def _berlekamp_massey(fld: FieldSpec, synd: np.ndarray) -> tuple[list[int], int, np.ndarray | None]:
+    """Massey's locator synthesis with an exact early exit.
+
+    At a zero discrepancy with 2L <= i, one product locator(x) * S(x) gives
+    every remaining discrepancy of the current locator: if all are zero the
+    locator is final and the product is omega (returned third, else None);
+    otherwise the steps up to the first nonzero one only lengthen the shift.
+    """
     exp, log, qm1 = fld.exp_list, fld.log_list, fld.mul_order
+    synd_list = synd.tolist()
+    nsym = len(synd_list)
     cur = [1]
     prev = [1]
     length = 0
     shift = 1
     prev_disc = 1
-    for i, s in enumerate(synd):
-        disc = s
-        for j in range(1, min(length, len(cur) - 1) + 1):
-            cj = cur[j]
-            sij = synd[i - j]
+    omega = None
+    i = 0
+    while i < nsym:
+        disc = synd_list[i]
+        top = min(length, len(cur) - 1)
+        for cj, sij in zip(cur[1 : top + 1], reversed(synd_list[i - top : i])):
             if cj and sij:
                 disc ^= exp[log[cj] + log[sij]]
         if disc == 0:
-            shift += 1
-            continue
+            if 2 * length > i:
+                shift += 1
+                i += 1
+                continue
+            product = _times_syndromes(fld, cur, synd)
+            rest = np.flatnonzero(product[i + 1 :])
+            if len(rest) == 0:
+                omega = product
+                break
+            shift += int(rest[0]) + 1
+            i += int(rest[0]) + 1
+            disc = int(product[i])
+        # cur(x) -= (disc / prev_disc) x^shift prev(x), growing cur if needed.
         coef_log = (log[disc] - log[prev_disc]) % qm1
-        delta = [0] * shift + [exp[coef_log + log[b]] if b else 0 for b in prev]
-        if 2 * length <= i:
-            saved = list(cur)
-            if len(delta) > len(cur):
-                cur = cur + [0] * (len(delta) - len(cur))
-            for idx, v in enumerate(delta):
-                cur[idx] ^= v
+        saved = list(cur) if 2 * length <= i else None
+        cur += [0] * (shift + len(prev) - len(cur))
+        for idx, b in enumerate(prev, shift):
+            if b:
+                cur[idx] ^= exp[coef_log + log[b]]
+        if saved is not None:
             length = i + 1 - length
             prev = saved
             prev_disc = disc
             shift = 1
         else:
-            if len(delta) > len(cur):
-                cur = cur + [0] * (len(delta) - len(cur))
-            for idx, v in enumerate(delta):
-                cur[idx] ^= v
             shift += 1
+        i += 1
     while len(cur) > 1 and cur[-1] == 0:
         cur.pop()
-    return cur, length
+    return cur, length, omega
 
 
 def decode_block(code: CodeSpec, received) -> DecodeResult:
@@ -238,18 +293,20 @@ def decode_block(code: CodeSpec, received) -> DecodeResult:
     A returned failure is a normal outcome of a noisy block, not an
     exception. Note that a received word landing within distance t of a
     *different* codeword decodes to that codeword; such miscorrections are
-    indistinguishable from success at this layer.
+    indistinguishable from success at this layer. Raises ValueError for a
+    wrong length or a symbol outside [0, 2^m).
     """
     received = np.asarray(received, dtype=np.int64)
     if received.shape != (code.n,):
         raise ValueError(f"received length must be {code.n}, got {received.shape}")
+    if (received >> code.m).any():
+        raise ValueError(f"received symbols must lie in [0, {code.field.order})")
     fld = code.field
-    nsym = code.n - code.k
     synd = _syndromes(code, received)
     if not synd.any():
         return DecodeResult(ok=True, info=received[: code.k].copy(), corrected=0)
 
-    locator, length = _berlekamp_massey(fld, synd.tolist())
+    locator, length, omega = _berlekamp_massey(fld, synd)
     if length > code.t or length != len(locator) - 1:
         return DecodeResult(ok=False, info=None, corrected=0, reason="locator degree")
 
@@ -263,10 +320,8 @@ def decode_block(code: CodeSpec, received) -> DecodeResult:
 
     # Forney: omega = synd(x) * locator(x) mod x^nsym, error value at X_l is
     # omega(X_l^-1) / locator'(X_l^-1) for first root alpha^1.
-    omega = np.zeros(nsym, dtype=np.int64)
-    for j, c in enumerate(locator):
-        if c:
-            omega[j:] ^= fld.mul_vec(synd[: nsym - j], c)
+    if omega is None:
+        omega = _times_syndromes(fld, locator, synd)
     loc_arr = np.array(locator, dtype=np.int64)
     inv_logs = (-err_degrees) % fld.mul_order
     omega_vals = fld.eval_poly_at_powers(omega, inv_logs)
@@ -283,11 +338,12 @@ def decode_block(code: CodeSpec, received) -> DecodeResult:
     if (magnitudes == 0).any():
         return DecodeResult(ok=False, info=None, corrected=0, reason="zero magnitude")
 
-    corrected = received.copy()
-    corrected[code.n - 1 - err_degrees] ^= magnitudes
-    if _syndromes(code, corrected).any():
+    # The corrected word's syndromes are S(received) ^ S(error) by linearity.
+    error = np.zeros(code.n, dtype=np.int64)
+    error[code.n - 1 - err_degrees] = magnitudes
+    if not np.array_equal(_syndromes(code, error), synd):
         return DecodeResult(ok=False, info=None, corrected=0, reason="reverify")
-    return DecodeResult(ok=True, info=corrected[: code.k].copy(), corrected=int(length))
+    return DecodeResult(ok=True, info=received[: code.k] ^ error[: code.k], corrected=int(length))
 
 
 def bits_to_symbols(bits, m: int) -> np.ndarray:

@@ -12,6 +12,7 @@ no key rather than a partial one.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,6 +107,7 @@ class TransmitterRun:
 class ReceiverRun:
     keys: list          # one entry per unit; None marks a failed unit
     outcomes: list
+    bits: list          # corrected info bits per outcome; None where the block failed
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,6 +121,7 @@ class SessionReport:
     blocks_completed: int
     units_completed: int
     key_bits: int
+    unit_outcomes: tuple = ()   # per unit: "agreed", "failed" or "miscorrected"
 
     def to_dict(self) -> dict:
         """JSON form; keys are lowercase hex of key_bits bits, MSB first, left-padded to a nibble."""
@@ -141,6 +144,12 @@ class SessionReport:
             "eve_block_flips": list(map(int, self.eve_block_flips)),
             "blocks_completed": self.blocks_completed,
             "units_completed": self.units_completed,
+            "unit_outcomes": {
+                o: self.unit_outcomes.count(o) for o in ("agreed", "failed", "miscorrected")
+            },
+            "block_failure_reasons": dict(
+                sorted(Counter(o.reason for o in self.bob_outcomes if not o.ok).items())
+            ),
         }
 
 
@@ -273,7 +282,9 @@ def run_receiver(frames, config: SessionConfig) -> ReceiverRun:
                 group=group, index=index, ok=result.ok, corrected=result.corrected, reason=result.reason
             )
         )
-        corrected_bits.append(symbols_to_bits(result.info, code.m) if result.ok else None)
+        corrected_bits.append(
+            symbols_to_bits(result.info, code.m).astype(np.uint8) if result.ok else None
+        )
     if unused:
         raise FramingError(f"{unused} parity frame(s) name blocks the payload stream never completes")
 
@@ -285,7 +296,22 @@ def run_receiver(frames, config: SessionConfig) -> ReceiverRun:
             continue
         unit_bits = np.concatenate(members)
         keys.append(_unit_key(config, unit, unit_bits))
-    return ReceiverRun(keys=keys, outcomes=outcomes)
+    return ReceiverRun(keys=keys, outcomes=outcomes, bits=corrected_bits)
+
+
+def unit_outcomes(tx: TransmitterRun, rx: ReceiverRun, unit_blocks: int) -> tuple:
+    """Per unit: "failed" (Bob has no key), "miscorrected" (every block
+    decoded but Bob's corrected info bits differ from Alice's) or "agreed"."""
+    out = []
+    for unit, bob_key in enumerate(rx.keys):
+        members = range(unit * unit_blocks, (unit + 1) * unit_blocks)
+        if bob_key is None:
+            out.append("failed")
+        elif all(np.array_equal(rx.bits[i], tx.blocks[i].info_bits) for i in members):
+            out.append("agreed")
+        else:
+            out.append("miscorrected")
+    return tuple(out)
 
 
 def run_session(config: SessionConfig) -> SessionReport:
@@ -321,6 +347,7 @@ def run_session(config: SessionConfig) -> SessionReport:
         blocks_completed=len(tx.blocks),
         units_completed=units,
         key_bits=config.key_bits,
+        unit_outcomes=unit_outcomes(tx, rx, config.unit_blocks),
     )
 
 

@@ -5,10 +5,14 @@ import sys
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
 import noisekey
 from noisekey.cli import build_parser, main
+from noisekey.gf import build_field
+from noisekey.oracle import enumerate_with_errors, make_scenario
+from noisekey.rs import make_code
 
 SCHEMAS = Path(__file__).resolve().parent.parent / "schemas"
 
@@ -111,6 +115,26 @@ def test_attack_schema(capsys):
     doc = json.loads(out)
     check_schema("attack", doc)
     assert doc["true_key_found"] is True
+
+
+@pytest.mark.parametrize("seed,found", [(4, True), (5, False)])
+def test_attack_key_search_matches_row_loop(capsys, tmp_path, seed, found):
+    params = tmp_path / "attack.json"
+    params.write_text(json.dumps({"key_length": 16, "eve_ber": 0.05, "max_weight": 1}))
+    code, out, _ = run_cli(
+        capsys, "attack", "--params", str(params), "--seed", str(seed), "--format", "json"
+    )
+    assert code == 0
+    doc = json.loads(out)
+    # The same scenario and candidates, searched one row at a time.
+    rs_code = make_code(build_field(3, 0xB), 7, 5)
+    scenario, true_key = make_scenario(rs_code, 16, 2.0, np.random.default_rng(seed), ber=0.05)
+    candidates = enumerate_with_errors(scenario, 1, "symbol")
+    row_loop = any(
+        any(np.array_equal(row, true_key.bits) for row in candidates.per_pattern[p])
+        for p in candidates.patterns
+    )
+    assert doc["true_key_found"] is row_loop is found
 
 
 def test_table_reproduction(capsys):

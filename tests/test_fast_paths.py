@@ -1,10 +1,11 @@
 """Each fast path against an independent slow oracle.
 
 `extract_key` is checked against the explicit Toeplitz matrix,
-`decode_block` against the frozen reference decoder in `reference_rs`, the
-bit-level `encode_parity` against polynomial long division, and the
-exhaustive adversary's key routing and parity buckets against per-key
-`split_stream` and a plain dict loop.
+`decode_block`, its syndrome table and its early-exit Berlekamp-Massey
+against the frozen reference decoder in `reference_rs`, the bit-level
+`encode_parity` against polynomial long division, and the exhaustive
+adversary's key routing and parity buckets against per-key `split_stream`
+and a plain dict loop.
 """
 
 import functools
@@ -15,10 +16,19 @@ from hypothesis import given, settings, strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
 from noisekey.amplify import HashSeed, expand_seed, extract_key, toeplitz_matrix
-from noisekey.gf import build_field
+from noisekey.gf import FieldSpec, build_field
 from noisekey.grouping import CommonKey, merge_stream, split_stream
 from noisekey.oracle import TinyScenario, _first_block_bits, admissible_keys, partition_by_parity
-from noisekey.rs import bits_to_symbols, decode_block, encode_parity, make_code, symbols_to_bits
+from noisekey.rs import (
+    _berlekamp_massey,
+    _syndromes,
+    bits_to_symbols,
+    codeword,
+    decode_block,
+    encode_parity,
+    make_code,
+    symbols_to_bits,
+)
 
 import reference_rs
 from conftest import random_codeword_with_errors
@@ -82,6 +92,17 @@ def test_extract_key_rejects_empty_input():
         extract_key(np.zeros((2, 4), dtype=np.uint8), 1, HashSeed.of(1))
 
 
+def assert_same_decode(code, word):
+    fast = decode_block(code, word)
+    slow = reference_rs.decode_block(code, word)
+    assert (fast.ok, fast.corrected, fast.reason) == (slow.ok, slow.corrected, slow.reason)
+    if slow.info is None:
+        assert fast.info is None
+    else:
+        assert np.array_equal(fast.info, slow.info)
+    return slow.ok
+
+
 @pytest.mark.parametrize("m,n,k", CODES)
 def test_decode_matches_reference(m, n, k):
     code = make_code(build_field(m), n, k)
@@ -90,15 +111,99 @@ def test_decode_matches_reference(m, n, k):
     outcomes = {True: 0, False: 0}
     for i in range(2000):
         _, word, _ = random_codeword_with_errors(rng, code, min(weights[i % len(weights)], n))
-        fast = decode_block(code, word)
-        slow = reference_rs.decode_block(code, word)
-        assert (fast.ok, fast.corrected, fast.reason) == (slow.ok, slow.corrected, slow.reason)
-        if slow.info is None:
-            assert fast.info is None
-        else:
-            assert np.array_equal(fast.info, slow.info)
-        outcomes[slow.ok] += 1
+        outcomes[assert_same_decode(code, word)] += 1
     assert outcomes[True] and outcomes[False]
+    # The correction limit itself, where the early exit has the fewest steps to skip.
+    for weight in (code.t - 1, code.t, code.t + 1):
+        for _ in range(60):
+            _, word, _ = random_codeword_with_errors(rng, code, weight)
+            assert_same_decode(code, word)
+
+
+def test_reverify_rejects_wrong_error_values(monkeypatch):
+    # Scaling every Forney error value by alpha leaves (1 + alpha) * e, a
+    # nonzero error of weight <= t, in the corrected word: never a codeword.
+    code = make_code(build_field(5), 31, 19)
+    evaluate = FieldSpec.eval_poly_at_powers
+
+    def skewed(fld, coeffs, power_logs):
+        values = evaluate(fld, coeffs, power_logs)
+        is_omega = len(coeffs) == code.n - code.k
+        return fld.mul_vec(values, 2) if is_omega else values
+
+    monkeypatch.setattr(FieldSpec, "eval_poly_at_powers", skewed)
+    rng = np.random.default_rng(31)
+    for weight in range(1, code.t + 1):
+        _, word, _ = random_codeword_with_errors(rng, code, weight)
+        assert_same_decode(code, word)
+        assert decode_block(code, word).reason == "reverify"
+
+
+def one_hot_words(code):
+    """One word per syndrome table column: bit b of the symbol at position p."""
+    words = np.zeros((code.n * code.m, code.n), dtype=np.int64)
+    for col in range(code.n * code.m):
+        words[col, col // code.m] = 1 << (code.m - 1 - col % code.m)
+    return words
+
+
+@pytest.mark.parametrize("m,n,k", CODES)
+def test_syndrome_table_matches_reference(m, n, k):
+    code = make_code(build_field(m), n, k)
+    rng = np.random.default_rng(m)
+    words = [np.zeros(n, dtype=np.int64), *one_hot_words(code)]
+    words += [rng.integers(0, code.field.order, size=n) for _ in range(50)]
+    for word in words:
+        assert np.array_equal(_syndromes(code, word), reference_rs.syndromes(code, word))
+
+
+def poly_times_syndromes(fld, poly, synd):
+    """Coefficients 0..len(synd)-1 of poly(x) * S(x), one scalar product at a time."""
+    out = [0] * len(synd)
+    for i in range(len(synd)):
+        for j, c in enumerate(poly[: i + 1]):
+            out[i] ^= fld.mul(int(c), int(synd[i - j]))
+    return out
+
+
+@pytest.mark.parametrize("m,n,k", CODES)
+def test_early_exit_berlekamp_massey_matches_reference(m, n, k):
+    code = make_code(build_field(m), n, k)
+    rng = np.random.default_rng(7 * m)
+    exits = 0
+    for weight in range(code.t + 8):
+        for _ in range(10):
+            _, word, _ = random_codeword_with_errors(rng, code, min(weight, n))
+            synd = _syndromes(code, word)
+            locator, length, omega = _berlekamp_massey(code.field, synd)
+            assert (locator, length) == reference_rs.berlekamp_massey(code.field, synd.tolist())
+            if omega is not None:
+                exits += 1
+                assert omega.tolist() == poly_times_syndromes(code.field, locator, synd)
+    assert exits
+
+
+REASONS = {"locator degree", "root count", "zero derivative", "zero magnitude", "reverify"}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(CODES), st.data())
+def test_decode_returns_failure_or_codeword_within_t(params, data):
+    m, n, k = params
+    code = make_code(build_field(m), n, k)
+    symbols = st.integers(0, code.field.order - 1)
+    if data.draw(st.booleans(), label="arbitrary word"):
+        word = np.array(data.draw(st.lists(symbols, min_size=n, max_size=n)), dtype=np.int64)
+    else:
+        word = codeword(code, data.draw(st.lists(symbols, min_size=k, max_size=k)))
+        for pos in data.draw(st.lists(st.integers(0, n - 1), max_size=code.t + 3, unique=True)):
+            word[pos] ^= data.draw(st.integers(1, code.field.order - 1))
+    result = decode_block(code, word)
+    if result.ok:
+        distance = int((codeword(code, result.info) != word).sum())
+        assert distance <= code.t and result.corrected == distance
+    else:
+        assert result.info is None and result.corrected == 0 and result.reason in REASONS
 
 
 @pytest.mark.parametrize("m,n,k", CODES)

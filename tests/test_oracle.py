@@ -41,6 +41,24 @@ def test_admissible_key_listing():
         admissible_keys(24, 2.0)
 
 
+def full_matrix_admissible_keys(key_length, balance_limit):
+    # Every key as a bit row first, then the balance filter.
+    values = np.arange(1 << key_length, dtype=np.uint32)
+    shifts = np.arange(key_length - 1, -1, -1, dtype=np.uint32)
+    bits = ((values[:, None] >> shifts[None, :]) & 1).astype(np.uint8)
+    sigma = math.sqrt(key_length / 4.0)
+    return bits[np.abs(bits.sum(axis=1) - key_length / 2.0) <= balance_limit * sigma]
+
+
+@pytest.mark.parametrize("key_length", range(4, 17))
+@pytest.mark.parametrize("balance_limit", [0.0, 0.5, 1.0, 2.0, 3.5])
+def test_admissible_keys_match_full_matrix(key_length, balance_limit):
+    keys = admissible_keys(key_length, balance_limit)
+    expected = full_matrix_admissible_keys(key_length, balance_limit)
+    assert keys.dtype == expected.dtype and keys.shape == expected.shape
+    assert np.array_equal(keys, expected)
+
+
 def test_info_candidates_tiny_code(code_3_2):
     seen = set()
     for parity in range(4):

@@ -147,6 +147,14 @@ def test_codeword_rejects_symbols_outside_field(code_7_5, bad):
         codeword(code_7_5, np.array([0, 1, bad, 3, 4]))
 
 
+@pytest.mark.parametrize("bad", [-1, 8, 1 << 20])
+def test_decode_rejects_symbols_outside_field(code_7_5, bad):
+    word = codeword(code_7_5, np.array([0, 1, 2, 3, 4]))
+    word[2] = bad
+    with pytest.raises(ValueError):
+        decode_block(code_7_5, word)
+
+
 def test_shortened_code_round_trip(gf8):
     code = make_code(gf8, 5, 3)
     assert (code.d, code.t) == (3, 1)

@@ -7,6 +7,7 @@ from noisekey.channel import ChannelConfig, Frame, KIND_INFO, KIND_PARITY
 from noisekey.grouping import CommonKey, FramingError, sample_key, split_stream
 from noisekey.rs import bits_to_symbols, decode_block, encode_parity, make_code
 from noisekey.gf import build_field
+from noisekey import session
 from noisekey.session import (
     BlockOutcome,
     SessionConfig,
@@ -191,6 +192,43 @@ def test_noisy_session_reasons_match_outcomes(toy_code, toy_key):
     assert all((o.reason is None) == o.ok for o in report.bob_outcomes)
     blocks = report.to_dict()["bob_blocks"]
     assert [b["reason"] for b in blocks] == [o.reason for o in report.bob_outcomes]
+
+
+def test_unit_outcomes_and_failure_reason_counts(toy_code, toy_key, monkeypatch):
+    # Bob gets block 2's parity inverted (n - k = 12 > t symbol errors, a
+    # detected failure) and block 4's replaced by the parity of info bits one
+    # symbol away from Alice's (it decodes to those bits, a miscorrection).
+    cfg = toy_config(toy_code, toy_key, blocks=6)
+    assert run_session(cfg).unit_outcomes == ("agreed",) * 6
+    tx = run_transmitter(cfg)
+    parity = {(f.group, f.index): f.payload for f in tx.frames if f.kind == KIND_PARITY}
+    beyond, wrong = tx.blocks[2], tx.blocks[4]
+    neighbour = wrong.info_bits.copy()
+    neighbour[0] ^= 1
+    forged = {
+        (beyond.group, beyond.index): parity[beyond.group, beyond.index] ^ 1,
+        (wrong.group, wrong.index): encode_parity(toy_code, neighbour),
+    }
+    real_deliver = session.deliver
+
+    def deliver(frame, channel, party):
+        out = real_deliver(frame, channel, party)
+        tag = (frame.group, frame.index)
+        if party == "bob" and frame.kind == KIND_PARITY and tag in forged:
+            return Frame(method=out.method, group=out.group, index=out.index, kind=out.kind,
+                         payload=forged[tag])
+        return out
+
+    monkeypatch.setattr(session, "deliver", deliver)
+    report = run_session(cfg)
+    assert report.unit_outcomes == ("agreed", "agreed", "failed", "agreed", "miscorrected", "agreed")
+    # Bob holds a key for the miscorrected unit; with 1-bit keys it may even match.
+    assert report.keys_bob[2] is None and report.keys_bob[4] is not None
+    reason = report.bob_outcomes[2].reason
+    assert reason in {"locator degree", "root count", "zero derivative", "zero magnitude", "reverify"}
+    doc = report.to_dict()
+    assert doc["unit_outcomes"] == {"agreed": 4, "failed": 1, "miscorrected": 1}
+    assert doc["block_failure_reasons"] == {reason: 1}
 
 
 def test_duplicate_parity_frame_rejected(toy_code, toy_key):
