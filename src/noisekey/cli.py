@@ -8,8 +8,11 @@ Subcommands:
   attack            exhaustive key-candidate enumeration on a toy scenario
   reproduce-table2  analyzer grid next to the published reference figures
 
-Every run echoes the fully resolved parameter set so results can be
-reproduced from the output alone. All randomness flows from --seed.
+Parameters come from the command's defaults, then --preset, then a
+--params JSON object, then flags; FIELDS types and range-checks every
+value, and a bad one raises ParameterError (exit 2). Every run echoes the
+fully resolved parameter set so results can be reproduced from the output
+alone. All randomness flows from --seed.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import functools
 import io
 import json
 import sys
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,7 +32,7 @@ from .amplify import CapacityParams, capacity_lower_bound
 from .analysis import capacity_table, security_report
 from .channel import ChannelConfig, write_capture
 from .gf import build_field
-from .grouping import sample_key, save_key
+from .grouping import sample_key
 from .oracle import enumerate_with_errors, make_scenario
 from .rs import make_code
 from .session import SessionConfig, run_session
@@ -50,43 +54,155 @@ def _emit(args, doc: dict, text_lines: list[str]) -> None:
         print(out)
 
 
-def _load_params(args) -> dict:
-    params = presets.design_point() if args.preset == "paper-255-167" else {}
-    if getattr(args, "params", None):
+class ParameterError(ValueError):
+    """A preset, --params or flag value that no command can take."""
+
+
+@dataclass(frozen=True)
+class Field:
+    """One parameter: its type, an inclusive range or a set of choices, and
+    the commands that take it as the flag --name-with-dashes."""
+
+    type: type
+    lo: float | None = None
+    hi: float | None = None
+    choices: tuple = ()
+    optional: bool = False  # may stay None after resolution
+    flag_in: tuple = ()
+
+    def describe(self) -> str:
+        if self.choices:
+            return "one of " + ", ".join(map(str, self.choices))
+        if self.hi is not None:
+            return f"{self.type.__name__} in [{self.lo}, {self.hi}]"
+        if self.lo is not None:
+            return f"{self.type.__name__} >= {self.lo}"
+        return self.type.__name__
+
+
+# Every key a preset or --params file may hold. Float fields carry both
+# bounds, so NaN and infinities fail the range check. The bounds on n,
+# key_length and unit_blocks keep the code tables and binomial tail sums to
+# tens of MB; balance_limit >= 1 guarantees every key length an admissible
+# key, so rejection sampling ends.
+FIELDS = {
+    "name": Field(str),
+    "m": Field(int, 2, 16),
+    "primitive_poly": Field(int, 1, 2**17 - 1),
+    "n": Field(int, 2, 1023),
+    "k": Field(int, 1, 1022),
+    "symbol_error_rate": Field(float, 0.0, 1.0),
+    "eve_ber": Field(float, 0.0, 0.5, flag_in=("capacity", "analyze", "attack")),
+    "bob_ber": Field(float, 0.0, 0.5, optional=True, flag_in=("analyze",)),
+    "method": Field(int, choices=(1, 2), flag_in=("analyze", "simulate")),
+    "key_length": Field(int, 2, 65536, flag_in=("keygen",)),
+    "balance_limit": Field(float, 1.0, 100.0, flag_in=("keygen",)),
+    "unit_blocks": Field(int, 1, 1000, flag_in=("capacity", "analyze")),
+    "fluctuation_sigmas": Field(float, 0.0, 100.0, flag_in=("capacity", "analyze")),
+    "safety_bits": Field(int, 1, 1000, flag_in=("capacity", "analyze")),
+    "delta_mode": Field(str, choices=("exact", "normal"), flag_in=("analyze",)),
+    "key_bits": Field(int, 1, optional=True),
+    "blocks_target": Field(int, 0, flag_in=("simulate",)),
+    "trials": Field(int, 1, flag_in=("simulate",)),
+    "max_weight": Field(int, 0, flag_in=("attack",)),
+    "pattern_unit": Field(str, choices=("symbol", "bit"), flag_in=("attack",)),
+}
+
+# Per command: the fields it takes with their defaults, in the order the
+# resolved set is echoed. None must be filled by the preset, --params or a
+# flag, unless the field is optional: bob_ber then follows eve_ber, and
+# key_bits is the largest rate-safe size.
+DEFAULTS = {
+    "keygen": {"key_length": None, "balance_limit": 3.0},
+    "capacity": {
+        "m": None, "primitive_poly": None, "n": None, "k": None,
+        "eve_ber": None, "unit_blocks": 1, "fluctuation_sigmas": 3.0,
+        "safety_bits": 10,
+    },
+    "analyze": {
+        "m": None, "primitive_poly": None, "n": None, "k": None,
+        "eve_ber": None, "bob_ber": None, "key_length": None,
+        "balance_limit": 3.0, "unit_blocks": 1, "fluctuation_sigmas": 3.0,
+        "safety_bits": 10, "method": 1, "delta_mode": "exact",
+    },
+    "simulate": {
+        "m": 5, "primitive_poly": 0x25, "n": 31, "k": 19,
+        "eve_ber": 0.016, "bob_ber": None, "method": 1,
+        "key_length": 160, "balance_limit": 2.0,
+        "unit_blocks": 1, "fluctuation_sigmas": 0.5, "safety_bits": 1,
+        "key_bits": None, "blocks_target": 100, "trials": 1,
+    },
+    "attack": {
+        "m": 3, "primitive_poly": 0xB, "n": 7, "k": 5,
+        "eve_ber": 0.0, "key_length": 12, "balance_limit": 2.0,
+        "max_weight": 1, "pattern_unit": "symbol",
+    },
+}
+
+
+def _check(name: str, value):
+    """`value` as field `name`'s type, or ParameterError naming both."""
+    field = FIELDS.get(name)
+    if field is None:
+        raise ParameterError(f"unknown parameter {name!r}")
+    if value is None:
+        return None
+    # A JSON integer is a valid float; a bool is not an int, nor a string a number.
+    kind = int if field.type is float and type(value) is int else field.type
+    if type(value) is not kind or not (
+        value in field.choices if field.choices else
+        (field.lo is None or field.lo <= value) and (field.hi is None or value <= field.hi)
+    ):
+        raise ParameterError(f"{name} must be {field.describe()}, got {value!r}")
+    return field.type(value)
+
+
+def _resolve(args) -> dict:
+    """The command's parameters: its defaults, then the preset, then
+    --params, then flags, each value typed and checked against FIELDS."""
+    given = presets.design_point() if args.preset == "paper-255-167" else {}
+    if args.params:
         with open(args.params, "r", encoding="utf-8") as fh:
-            params.update(json.load(fh))
-    return params
-
-
-def _resolve(params: dict, args, fields: dict, optional: tuple = ()) -> dict:
-    """Fill defaults, then let explicit flags win; returns the resolved set."""
-    resolved = dict(fields)
-    resolved.update({k: v for k, v in params.items() if k in fields or k == "name"})
-    for key in fields:
-        flag = getattr(args, key, None)
+            try:
+                loaded = json.load(fh)
+            except ValueError as exc:
+                raise ParameterError(f"--params {args.params}: not JSON ({exc})") from exc
+        if not isinstance(loaded, dict):
+            raise ParameterError(f"--params must hold a JSON object, got {type(loaded).__name__}")
+        given.update(loaded)
+    given = {name: _check(name, value) for name, value in given.items()}
+    defaults = DEFAULTS[args.command]
+    resolved = {**defaults, **{k: v for k, v in given.items() if k in defaults or k == "name"}}
+    for name in defaults:
+        flag = getattr(args, name, None)
         if flag is not None:
-            resolved[key] = flag
-    missing = [k for k, v in resolved.items() if v is None and k not in optional]
+            resolved[name] = _check(name, flag)
+    missing = [k for k, v in resolved.items() if v is None and not FIELDS[k].optional]
     if missing:
-        raise ValueError(f"missing parameters: {', '.join(missing)}")
+        raise ParameterError(f"missing parameters: {', '.join(missing)}")
+    if "bob_ber" in resolved and resolved["bob_ber"] is None:
+        resolved["bob_ber"] = resolved["eve_ber"]
     return resolved
 
 
-def _code_from(resolved: dict):
-    fld = build_field(int(resolved["m"]), int(resolved["primitive_poly"]))
-    return make_code(fld, int(resolved["n"]), int(resolved["k"]))
+def _code_from(p: dict):
+    return make_code(build_field(p["m"], p["primitive_poly"]), p["n"], p["k"])
+
+
+def _capacity_params(p: dict) -> CapacityParams:
+    return CapacityParams(
+        code=_code_from(p),
+        eve_ber=p["eve_ber"],
+        unit_blocks=p["unit_blocks"],
+        fluctuation_sigmas=p["fluctuation_sigmas"],
+        safety_bits=p["safety_bits"],
+    )
 
 
 def cmd_keygen(args) -> int:
-    resolved = _resolve(
-        _load_params(args),
-        args,
-        {"key_length": None, "balance_limit": 3.0},
-    )
+    resolved = _resolve(args)
     rng = np.random.default_rng(args.seed)
-    key = sample_key(int(resolved["key_length"]), float(resolved["balance_limit"]), rng)
-    if args.key_out:
-        save_key(args.key_out, key)
+    key = sample_key(resolved["key_length"], resolved["balance_limit"], rng)
     doc = {
         "resolved_params": {**resolved, "seed": args.seed},
         "key_hex": key.to_hex(),
@@ -98,24 +214,8 @@ def cmd_keygen(args) -> int:
 
 
 def cmd_capacity(args) -> int:
-    resolved = _resolve(
-        _load_params(args),
-        args,
-        {
-            "m": None, "primitive_poly": None, "n": None, "k": None,
-            "eve_ber": None, "unit_blocks": 1, "fluctuation_sigmas": 3.0,
-            "safety_bits": 10,
-        },
-    )
-    code = _code_from(resolved)
-    params = CapacityParams(
-        code=code,
-        eve_ber=float(resolved["eve_ber"]),
-        unit_blocks=int(resolved["unit_blocks"]),
-        fluctuation_sigmas=float(resolved["fluctuation_sigmas"]),
-        safety_bits=int(resolved["safety_bits"]),
-    )
-    bound = capacity_lower_bound(params)
+    resolved = _resolve(args)
+    bound = capacity_lower_bound(_capacity_params(resolved))
     doc = {
         "resolved_params": resolved,
         "capacity_rate": bound.rate,
@@ -140,34 +240,14 @@ def cmd_capacity(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    resolved = _resolve(
-        _load_params(args),
-        args,
-        {
-            "m": None, "primitive_poly": None, "n": None, "k": None,
-            "eve_ber": None, "bob_ber": None, "key_length": None,
-            "balance_limit": 3.0, "unit_blocks": 1, "fluctuation_sigmas": 3.0,
-            "safety_bits": 10, "method": 1, "delta_mode": "exact",
-        },
-        optional=("bob_ber",),
-    )
-    if resolved["bob_ber"] is None:
-        resolved["bob_ber"] = resolved["eve_ber"]
-    code = _code_from(resolved)
-    params = CapacityParams(
-        code=code,
-        eve_ber=float(resolved["eve_ber"]),
-        unit_blocks=int(resolved["unit_blocks"]),
-        fluctuation_sigmas=float(resolved["fluctuation_sigmas"]),
-        safety_bits=int(resolved["safety_bits"]),
-    )
+    resolved = _resolve(args)
     report = security_report(
-        key_length=int(resolved["key_length"]),
-        balance_limit=float(resolved["balance_limit"]),
-        params=params,
-        bob_ber=float(resolved["bob_ber"]),
-        method=int(resolved["method"]),
-        delta_mode=str(resolved["delta_mode"]),
+        key_length=resolved["key_length"],
+        balance_limit=resolved["balance_limit"],
+        params=_capacity_params(resolved),
+        bob_ber=resolved["bob_ber"],
+        method=resolved["method"],
+        delta_mode=resolved["delta_mode"],
     )
     doc = {"resolved_params": resolved, "report": report.to_dict()}
     lines = [f"params: {resolved}"] + [
@@ -179,39 +259,26 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    resolved = _resolve(
-        _load_params(args),
-        args,
-        {
-            "m": 5, "primitive_poly": 0x25, "n": 31, "k": 19,
-            "eve_ber": 0.016, "bob_ber": None, "method": 1,
-            "key_length": 160, "balance_limit": 2.0,
-            "unit_blocks": 1, "fluctuation_sigmas": 0.5, "safety_bits": 1,
-            "key_bits": None, "blocks_target": 100, "trials": 1,
-        },
-        optional=("bob_ber", "key_bits"),
-    )
-    if resolved["bob_ber"] is None:
-        resolved["bob_ber"] = resolved["eve_ber"]
+    resolved = _resolve(args)
     code = _code_from(resolved)
     rng = np.random.default_rng(args.seed)
-    key = sample_key(int(resolved["key_length"]), float(resolved["balance_limit"]), rng)
+    key = sample_key(resolved["key_length"], resolved["balance_limit"], rng)
 
     def one_trial(trial: int) -> dict:
         channel = ChannelConfig(
-            eve_ber=float(resolved["eve_ber"]),
-            bob_ber=float(resolved["bob_ber"]),
-            method=int(resolved["method"]),
+            eve_ber=resolved["eve_ber"],
+            bob_ber=resolved["bob_ber"],
+            method=resolved["method"],
             seed=args.seed + 1000 * trial + 1,
         )
         config = SessionConfig(
             key=key,
             code=code,
             channel=channel,
-            blocks_target=int(resolved["blocks_target"]),
-            unit_blocks=int(resolved["unit_blocks"]),
-            fluctuation_sigmas=float(resolved["fluctuation_sigmas"]),
-            safety_bits=int(resolved["safety_bits"]),
+            blocks_target=resolved["blocks_target"],
+            unit_blocks=resolved["unit_blocks"],
+            fluctuation_sigmas=resolved["fluctuation_sigmas"],
+            safety_bits=resolved["safety_bits"],
             key_bits=resolved["key_bits"],
             source_seed=args.seed + 1000 * trial + 2,
             hash_seed=args.seed + 1000 * trial + 3,
@@ -221,7 +288,7 @@ def cmd_simulate(args) -> int:
             write_capture(args.capture, report.eve_capture)
         return report.to_dict()
 
-    reports = [one_trial(t) for t in range(int(resolved["trials"]))]
+    reports = [one_trial(t) for t in range(resolved["trials"])]
     doc = {
         "resolved_params": {**resolved, "seed": args.seed, "key_hex": key.to_hex()},
         "trials": reports,
@@ -237,27 +304,13 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_attack(args) -> int:
-    resolved = _resolve(
-        _load_params(args),
-        args,
-        {
-            "m": 3, "primitive_poly": 0xB, "n": 7, "k": 5,
-            "eve_ber": 0.0, "key_length": 12, "balance_limit": 2.0,
-            "max_weight": 1, "pattern_unit": "symbol",
-        },
-    )
+    resolved = _resolve(args)
     code = _code_from(resolved)
     rng = np.random.default_rng(args.seed)
     scenario, true_key = make_scenario(
-        code,
-        int(resolved["key_length"]),
-        float(resolved["balance_limit"]),
-        rng,
-        ber=float(resolved["eve_ber"]),
+        code, resolved["key_length"], resolved["balance_limit"], rng, ber=resolved["eve_ber"]
     )
-    candidates = enumerate_with_errors(
-        scenario, int(resolved["max_weight"]), str(resolved["pattern_unit"])
-    )
+    candidates = enumerate_with_errors(scenario, resolved["max_weight"], resolved["pattern_unit"])
     sizes = {str(p): len(candidates.per_pattern[p]) for p in candidates.patterns}
     histogram: dict[int, int] = {}
     for count in sizes.values():
@@ -344,67 +397,34 @@ def cmd_table(args) -> int:
     return 0 if doc["all_pass"] else 1
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--params", help="JSON file of parameter overrides")
-    sub.add_argument("--preset", choices=["paper-255-167"], help="built-in parameter set")
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--format", choices=["json", "csv", "text"], default="text")
-    sub.add_argument("--out", help="write the report here instead of stdout")
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The one parser of this process; each `parse_args` returns a fresh Namespace."""
     parser = argparse.ArgumentParser(prog="noisekey")
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("keygen", help="sample an admissible grouping key")
-    _add_common(p)
-    p.add_argument("--key-length", dest="key_length", type=int)
-    p.add_argument("--balance-limit", dest="balance_limit", type=float)
-    p.add_argument("--key-out", dest="key_out", help="also write a loadable one-line hex key file")
-    p.set_defaults(func=cmd_keygen)
-
-    p = subs.add_parser("capacity", help="secure-rate lower bound")
-    _add_common(p)
-    p.add_argument("--unit-blocks", dest="unit_blocks", type=int)
-    p.add_argument("--fluctuation-sigmas", dest="fluctuation_sigmas", type=float)
-    p.add_argument("--safety-bits", dest="safety_bits", type=int)
-    p.add_argument("--eve-ber", dest="eve_ber", type=float)
-    p.set_defaults(func=cmd_capacity)
-
-    p = subs.add_parser("analyze", help="full security report")
-    _add_common(p)
-    p.add_argument("--unit-blocks", dest="unit_blocks", type=int)
-    p.add_argument("--fluctuation-sigmas", dest="fluctuation_sigmas", type=float)
-    p.add_argument("--safety-bits", dest="safety_bits", type=int)
-    p.add_argument("--eve-ber", dest="eve_ber", type=float)
-    p.add_argument("--bob-ber", dest="bob_ber", type=float)
-    p.add_argument("--method", type=int, choices=[1, 2])
-    p.add_argument("--delta-mode", dest="delta_mode", choices=["exact", "normal"])
-    p.set_defaults(func=cmd_analyze)
-
-    p = subs.add_parser("simulate", help="run end-to-end sessions")
-    _add_common(p)
-    p.add_argument("--blocks-target", dest="blocks_target", type=int)
-    p.add_argument("--trials", type=int)
-    p.add_argument("--method", type=int, choices=[1, 2])
-    p.add_argument("--capture", help="write the tap's frame capture here")
-    p.set_defaults(func=cmd_simulate)
-
-    p = subs.add_parser("attack", help="exhaustive candidate enumeration on a toy scenario")
-    _add_common(p)
-    p.add_argument("--max-weight", dest="max_weight", type=int)
-    p.add_argument("--pattern-unit", dest="pattern_unit", choices=["symbol", "bit"])
-    p.add_argument("--eve-ber", dest="eve_ber", type=float)
-    p.set_defaults(func=cmd_attack)
-
-    p = subs.add_parser(
-        "reproduce-table2",
-        help="analyzer grid against the published reference figures",
-    )
-    _add_common(p)
-    p.set_defaults(func=cmd_table)
+    for command, func, help_text in (
+        ("keygen", cmd_keygen, "sample an admissible grouping key"),
+        ("capacity", cmd_capacity, "secure-rate lower bound"),
+        ("analyze", cmd_analyze, "full security report"),
+        ("simulate", cmd_simulate, "run end-to-end sessions"),
+        ("attack", cmd_attack, "exhaustive candidate enumeration on a toy scenario"),
+        ("reproduce-table2", cmd_table, "analyzer grid against the published reference figures"),
+    ):
+        p = subs.add_parser(command, help=help_text)
+        p.add_argument("--params", help="JSON file holding one object of parameter overrides")
+        p.add_argument("--preset", choices=["paper-255-167"], help="built-in parameter set")
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--format", choices=["json", "csv", "text"], default="text")
+        p.add_argument("--out", help="write the report here instead of stdout")
+        for name in DEFAULTS.get(command, ()):
+            field = FIELDS[name]
+            if command in field.flag_in:
+                p.add_argument(
+                    "--" + name.replace("_", "-"), dest=name, type=field.type, help=field.describe()
+                )
+        if command == "simulate":
+            p.add_argument("--capture", help="write the tap's frame capture here")
+        p.set_defaults(func=func)
     return parser
 
 

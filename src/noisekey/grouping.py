@@ -64,30 +64,13 @@ class CommonKey:
         return validate_key(self.bits, self.balance_limit)
 
     def to_hex(self) -> str:
-        """Lowercase hex, most significant bit first; length must be a multiple of 4."""
-        if self.length % 4 != 0:
-            raise ValueError("hex form requires a key length divisible by 4")
-        value = int("".join("1" if b else "0" for b in self.bits), 2)
-        return f"{value:0{self.length // 4}x}"
+        return bits_to_hex(self.bits)
 
 
-def key_from_hex(text: str, balance_limit: float, require_admissible: bool = True) -> CommonKey:
-    text = text.strip()
-    n = 4 * len(text)
-    value = int(text, 16)
-    bits = [(value >> (n - 1 - i)) & 1 for i in range(n)]
-    return CommonKey.from_bits(bits, balance_limit, require_admissible=require_admissible)
-
-
-def save_key(path, key: CommonKey) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(key.to_hex() + "\n")
-
-
-def load_key(path, balance_limit: float) -> CommonKey:
-    """Read a one-line hex key file; admissibility is enforced."""
-    with open(path, "r", encoding="ascii") as fh:
-        return key_from_hex(fh.readline(), balance_limit)
+def bits_to_hex(bits) -> str:
+    """Lowercase hex, most significant bit first, left-padded with zero bits to a whole nibble."""
+    value = int("".join("1" if b else "0" for b in bits), 2)
+    return f"{value:0{-(-len(bits) // 4)}x}"
 
 
 def sample_key(length: int, balance_limit: float, rng: np.random.Generator) -> CommonKey:

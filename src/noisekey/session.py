@@ -26,7 +26,7 @@ from .channel import (
     KIND_PARITY,
     deliver,
 )
-from .grouping import CommonKey, FramingError, _key_mask, block_fits_key_period
+from .grouping import CommonKey, FramingError, _key_mask, bits_to_hex, block_fits_key_period
 from .rs import CodeSpec, bits_to_symbols, decode_block, encode_parity, symbols_to_bits
 
 _SOURCE_STREAM = 7
@@ -124,17 +124,11 @@ class SessionReport:
     unit_outcomes: tuple = ()   # per unit: "agreed", "failed" or "miscorrected"
 
     def to_dict(self) -> dict:
-        """JSON form; keys are lowercase hex of key_bits bits, MSB first, left-padded to a nibble."""
-        def hexkey(bits):
-            if bits is None:
-                return None
-            value = int("".join(str(int(b)) for b in bits), 2)
-            return f"{value:0{-(-len(bits) // 4)}x}"
-
+        """JSON form; keys are `bits_to_hex` strings, None where Bob has no key."""
         return {
             "key_bits": self.key_bits,
-            "keys_alice": [hexkey(k) for k in self.keys_alice],
-            "keys_bob": [hexkey(k) for k in self.keys_bob],
+            "keys_alice": [bits_to_hex(k) for k in self.keys_alice],
+            "keys_bob": [None if k is None else bits_to_hex(k) for k in self.keys_bob],
             "agreement_rate": self.agreement_rate,
             "bob_blocks": [
                 {"group": o.group, "index": o.index, "ok": o.ok, "corrected": o.corrected,
@@ -331,23 +325,19 @@ def run_session(config: SessionConfig) -> SessionReport:
     ):
         eve_flips.append(int(bits.sum()))
 
-    matches = sum(
-        1
-        for ka, kb in zip(tx.keys, rx.keys)
-        if kb is not None and np.array_equal(ka, kb)
-    )
+    outcomes = unit_outcomes(tx, rx, config.unit_blocks)
     units = len(tx.keys)
     return SessionReport(
         keys_alice=tx.keys,
         keys_bob=rx.keys,
-        agreement_rate=(matches / units) if units else None,
+        agreement_rate=outcomes.count("agreed") / units if units else None,
         bob_outcomes=rx.outcomes,
         eve_block_flips=eve_flips,
         eve_capture=eve_frames,
         blocks_completed=len(tx.blocks),
         units_completed=units,
         key_bits=config.key_bits,
-        unit_outcomes=unit_outcomes(tx, rx, config.unit_blocks),
+        unit_outcomes=outcomes,
     )
 
 

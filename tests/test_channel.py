@@ -1,7 +1,9 @@
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from noisekey.channel import (
     ChannelConfig,
@@ -169,3 +171,58 @@ def test_encode_frame_rejects_out_of_range_fields(field, value):
 def test_encode_frame_accepts_field_limits():
     frame = Frame(method=255, group=255, index=2**32 - 1, kind=255, payload=np.ones(3, dtype=np.uint8))
     assert encode_frame(frame)[5:12] == b"\xff" * 7
+
+
+valid_frames = st.builds(
+    Frame,
+    method=st.sampled_from([1, 2]),
+    group=st.sampled_from([GROUP_NONE, GROUP_I, GROUP_II]),
+    index=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from([KIND_INFO, KIND_PARITY]),
+    payload=st.lists(st.integers(0, 1), max_size=80).map(lambda b: np.array(b, dtype=np.uint8)),
+)
+
+
+def _mangled(blob: bytes):
+    """The blob with one byte replaced, then cut or extended."""
+    return st.tuples(
+        st.integers(0, len(blob) - 1), st.integers(0, 255), st.integers(0, len(blob) + 2)
+    ).map(lambda t: (blob[: t[0]] + bytes([t[1]]) + blob[t[0] + 1 :] + b"\0\0")[: t[2]])
+
+
+# Arbitrary bytes rarely get past the magic, so half the inputs are valid frames mangled.
+frame_bytes = st.one_of(st.binary(max_size=40), valid_frames.map(encode_frame).flatmap(_mangled))
+
+
+@settings(max_examples=200, deadline=None)
+@given(valid_frames)
+def test_frame_codec_round_trips_any_valid_frame(frame):
+    assert decode_frame(encode_frame(frame)) == frame
+
+
+@settings(max_examples=300, deadline=None)
+@given(frame_bytes, st.none() | st.integers(0, 80), st.none() | st.integers(0, 80))
+def test_decode_frame_raises_only_frame_parse_error(blob, info_bits, parity_bits):
+    try:
+        decode_frame(blob, info_bits=info_bits, parity_bits=parity_bits)
+    except FrameParseError:
+        pass
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.one_of(
+            frame_bytes.map(lambda b: struct.pack(">I", len(b)) + b),
+            st.binary(max_size=12),
+        ),
+        max_size=4,
+    ).map(b"".join)
+)
+def test_read_capture_raises_only_frame_parse_error(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("capture") / "tap.bin"
+    path.write_bytes(data)
+    try:
+        read_capture(path)
+    except FrameParseError:
+        pass

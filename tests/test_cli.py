@@ -1,5 +1,9 @@
+import argparse
+import contextlib
+import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -7,14 +11,16 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import noisekey
-from noisekey.cli import build_parser, main
+from noisekey.cli import DEFAULTS, FIELDS, build_parser, main
 from noisekey.gf import build_field
 from noisekey.oracle import enumerate_with_errors, make_scenario
 from noisekey.rs import make_code
 
-SCHEMAS = Path(__file__).resolve().parent.parent / "schemas"
+ROOT = Path(__file__).resolve().parent.parent
+SCHEMAS = ROOT / "schemas"
 
 
 def run_cli(capsys, *argv):
@@ -41,19 +47,6 @@ def test_keygen_deterministic(capsys):
     _, out1, _ = run_cli(capsys, "keygen", "--key-length", "64", "--seed", "3", "--format", "json")
     _, out2, _ = run_cli(capsys, "keygen", "--key-length", "64", "--seed", "3", "--format", "json")
     assert out1 == out2
-
-
-def test_keygen_key_file(capsys, tmp_path):
-    path = tmp_path / "key.hex"
-    code, out, _ = run_cli(
-        capsys, "keygen", "--key-length", "64", "--seed", "3", "--format", "json",
-        "--key-out", str(path),
-    )
-    assert code == 0
-    from noisekey.grouping import load_key
-
-    key = load_key(path, 3.0)
-    assert key.to_hex() == json.loads(out)["key_hex"]
 
 
 def test_capacity_preset(capsys):
@@ -206,3 +199,156 @@ def test_back_to_back_calls_share_no_state(capsys, tmp_path):
         capture_output=True, text=True, env=env, check=True,
     )
     assert out == fresh.stdout
+
+
+def test_short_keys_print_padded_hex(capsys, tmp_path):
+    code, out, _ = run_cli(capsys, "keygen", "--key-length", "30", "--seed", "1", "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert len(doc["key_hex"]) == 8 and int(doc["key_hex"], 16) < 2**30
+    assert doc["ones"] + doc["zeros"] == 30
+    params = tmp_path / "p.json"
+    params.write_text(json.dumps({"key_length": 30}))
+    code, out, _ = run_cli(
+        capsys, "simulate", "--params", str(params), "--blocks-target", "4", "--format", "json"
+    )
+    assert code == 0
+    assert len(json.loads(out)["resolved_params"]["key_hex"]) == 8
+
+
+def test_params_file_values_equal_flags(capsys, tmp_path):
+    # A JSON integer for a float field resolves to the float the flag gives.
+    params = tmp_path / "p.json"
+    params.write_text(json.dumps({"unit_blocks": 10, "fluctuation_sigmas": 5, "safety_bits": 16}))
+    _, from_file, _ = run_cli(
+        capsys, "analyze", "--preset", "paper-255-167", "--params", str(params), "--format", "json"
+    )
+    _, from_flags, _ = run_cli(
+        capsys, "analyze", "--preset", "paper-255-167", "--unit-blocks", "10",
+        "--fluctuation-sigmas", "5", "--safety-bits", "16", "--format", "json",
+    )
+    assert from_file == from_flags
+    assert json.loads(from_file)["resolved_params"]["fluctuation_sigmas"] == 5.0
+
+
+PRESET = ("--preset", "paper-255-167")
+
+
+@pytest.mark.parametrize(
+    "argv,params,expected",
+    [
+        (("capacity",), "[1, 2]", ["--params", "list"]),
+        (("capacity",), "{not json", ["--params", "not JSON"]),
+        (("attack", "--eve-ber", "0.6"), None, ["eve_ber", "0.6"]),
+        (("analyze", *PRESET, "--bob-ber", "0.7"), None, ["bob_ber", "0.7"]),
+        (("analyze", *PRESET), {"method": 3}, ["method", "3"]),
+        (("capacity", *PRESET), {"unit_blocks": True}, ["unit_blocks", "True"]),
+        (("keygen", "--key-length", "64"), {"balance_limit": "2"}, ["balance_limit", "'2'"]),
+        (("capacity", *PRESET), {"n": "abc"}, ["n must be", "'abc'"]),
+        (("simulate",), {"trials": 0}, ["trials", "0"]),
+        (("capacity", *PRESET), {"eve-ber": 0.2}, ["'eve-ber'"]),
+        (("capacity", *PRESET), '{"eve_ber": NaN}', ["eve_ber", "nan"]),
+    ],
+)
+def test_bad_parameters_exit_2_naming_the_field(capsys, tmp_path, argv, params, expected):
+    if params is not None:
+        path = tmp_path / "p.json"
+        path.write_text(params if isinstance(params, str) else json.dumps(params))
+        argv += ("--params", str(path))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1
+    message = json.loads(err)["error"]
+    assert all(part in message for part in expected), message
+
+
+# Every subcommand's flags as they were written out by hand before FIELDS
+# generated them, less --key-out (no command read its key file).
+COMMON_FLAGS = {"--params", "--preset", "--seed", "--format", "--out"}
+EXPECTED_FLAGS = {
+    "keygen": {"--key-length", "--balance-limit"},
+    "capacity": {"--unit-blocks", "--fluctuation-sigmas", "--safety-bits", "--eve-ber"},
+    "analyze": {
+        "--unit-blocks", "--fluctuation-sigmas", "--safety-bits", "--eve-ber", "--bob-ber",
+        "--method", "--delta-mode",
+    },
+    "simulate": {"--blocks-target", "--trials", "--method", "--capture"},
+    "attack": {"--max-weight", "--pattern-unit", "--eve-ber"},
+    "reproduce-table2": set(),
+}
+
+
+def test_flag_set_is_unchanged():
+    subs = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    found = {
+        (command, flag)
+        for command, sub in subs.choices.items()
+        for action in sub._actions
+        for flag in action.option_strings
+        if flag.startswith("--") and flag != "--help"
+    }
+    expected = {(c, f) for c, flags in EXPECTED_FLAGS.items() for f in flags | COMMON_FLAGS}
+    assert found == expected
+
+
+def _readme_section(title: str) -> str:
+    text = (ROOT / "README.md").read_text()
+    start = text.index(f"## {title}\n")
+    return text[start : text.index("\n## ", start + 1)]
+
+
+def test_readme_examples_run(tmp_path):
+    block = _readme_section("Command line").split("```sh\n")[1].split("```")[0]
+    lines = [line for line in block.splitlines() if line.startswith("noisekey ")]
+    assert len(lines) == 6
+    for i, line in enumerate(lines):
+        argv = shlex.split(line, comments=True)[1:]
+        if "--capture" in argv:
+            at = argv.index("--capture") + 1
+            argv[at] = str(tmp_path / argv[at])
+        argv += ["--out", str(tmp_path / f"out{i}.txt")]
+        assert main(argv) == 0, line
+
+
+def test_readme_field_table_matches_fields():
+    rows = [
+        f"| `{name}` | {field.describe()} | "
+        f"{', '.join(c for c, d in DEFAULTS.items() if name in d) or '(preset only)'} | "
+        f"{', '.join(field.flag_in)} |"
+        for name, field in FIELDS.items()
+    ]
+    section = _readme_section("Command line")
+    table = [line for line in section.splitlines() if line.startswith("| `")]
+    assert table == rows
+
+
+# Any JSON value, and objects whose keys mostly name fields.
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+field_values = st.one_of(
+    json_values, st.integers(-2, 300), st.floats(-1.0, 4.0), st.sampled_from([1, 2, "bit", "exact"])
+)
+param_docs = json_values | st.dictionaries(
+    st.sampled_from(sorted(FIELDS)) | st.text(max_size=6), field_values, max_size=6
+).map(
+    # keep keygen's rejection sampling and hex encoding small
+    lambda doc: {**doc, "key_length": min(doc["key_length"], 4096)}
+    if type(doc.get("key_length")) is int else doc
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["capacity", "keygen"]), st.booleans(), param_docs)
+def test_any_params_file_exits_0_or_2(tmp_path_factory, command, preset, doc):
+    path = tmp_path_factory.mktemp("params") / "p.json"
+    path.write_text(json.dumps(doc))
+    argv = [command, "--params", str(path), "--format", "json"] + (list(PRESET) if preset else [])
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2)
+    if code == 2:
+        assert err.getvalue().count("\n") == 1 and "error" in json.loads(err.getvalue())

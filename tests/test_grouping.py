@@ -6,13 +6,11 @@ import pytest
 from noisekey.grouping import (
     CommonKey,
     FramingError,
+    bits_to_hex,
     block_fits_key_period,
-    key_from_hex,
-    load_key,
     merge_stream,
     outside_set_probability,
     sample_key,
-    save_key,
     split_stream,
     validate_key,
 )
@@ -127,24 +125,21 @@ def test_block_gate_at_design_point():
     assert not block_fits_key_period(2496, 3.5, 8, 166)
 
 
-def test_hex_round_trip(tmp_path):
-    rng = np.random.default_rng(26)
-    key = sample_key(64, 3.0, rng)
-    path = tmp_path / "key.hex"
-    save_key(path, key)
-    text = path.read_text()
-    assert text == text.lower() and text.count("\n") == 1
-    loaded = load_key(path, 3.0)
-    assert (loaded.bits == key.bits).all()
+@pytest.mark.parametrize("length,balance_limit", [(30, 3.0), (2496, 3.5)])
+def test_hex_is_lowercase_and_padded_to_a_nibble(length, balance_limit):
+    key = sample_key(length, balance_limit, np.random.default_rng(length))
+    text = key.to_hex()
+    assert text == bits_to_hex(key.bits) == text.lower()
+    assert len(text) == -(-length // 4)
+    value = int(text, 16)
+    assert [(value >> (length - 1 - i)) & 1 for i in range(length)] == key.bits.tolist()
 
 
-def test_loader_enforces_admissibility(tmp_path):
-    path = tmp_path / "bad.hex"
-    path.write_text("0000000000000000\n")
+def test_inadmissible_key_needs_the_raw_constructor():
+    zeros = np.zeros(16, dtype=np.uint8)
     with pytest.raises(ValueError):
-        load_key(path, 3.0)
-    # but the raw constructor can carry test-only keys
-    key = key_from_hex("0000000000000000", 3.0, require_admissible=False)
+        CommonKey.from_bits(zeros, 3.0)
+    key = CommonKey.from_bits(zeros, 3.0, require_admissible=False)
     assert key.ones == 0 and not key.admissible
 
 

@@ -222,8 +222,11 @@ def test_unit_outcomes_and_failure_reason_counts(toy_code, toy_key, monkeypatch)
     monkeypatch.setattr(session, "deliver", deliver)
     report = run_session(cfg)
     assert report.unit_outcomes == ("agreed", "agreed", "failed", "agreed", "miscorrected", "agreed")
-    # Bob holds a key for the miscorrected unit; with 1-bit keys it may even match.
-    assert report.keys_bob[2] is None and report.keys_bob[4] is not None
+    # Bob holds a key for the miscorrected unit, and with 1-bit keys it matches
+    # Alice's here; agreement still counts only the agreed units.
+    assert report.keys_bob[2] is None
+    assert report.key_bits == 1 and (report.keys_bob[4] == report.keys_alice[4]).all()
+    assert report.agreement_rate == 4 / 6
     reason = report.bob_outcomes[2].reason
     assert reason in {"locator degree", "root count", "zero derivative", "zero magnitude", "reverify"}
     doc = report.to_dict()
