@@ -34,7 +34,7 @@ from .channel import ChannelConfig, write_capture
 from .gf import build_field
 from .grouping import sample_key
 from .oracle import enumerate_with_errors, make_scenario
-from .rs import make_code
+from .rs import MAX_N, make_code
 from .session import SessionConfig, run_session
 
 
@@ -81,16 +81,16 @@ class Field:
 
 
 # Every key a preset or --params file may hold. Float fields carry both
-# bounds, so NaN and infinities fail the range check. The bounds on n,
-# key_length and unit_blocks keep the code tables and binomial tail sums to
-# tens of MB; balance_limit >= 1 guarantees every key length an admissible
-# key, so rejection sampling ends.
+# bounds, so NaN and infinities fail the range check. The bound on n is
+# make_code's own; those on key_length and unit_blocks keep the binomial
+# tail sums to tens of MB; balance_limit >= 1 guarantees every key length an
+# admissible key, so rejection sampling ends.
 FIELDS = {
     "name": Field(str),
     "m": Field(int, 2, 16),
     "primitive_poly": Field(int, 1, 2**17 - 1),
-    "n": Field(int, 2, 1023),
-    "k": Field(int, 1, 1022),
+    "n": Field(int, 2, MAX_N),
+    "k": Field(int, 1, MAX_N - 1),
     "symbol_error_rate": Field(float, 0.0, 1.0),
     "eve_ber": Field(float, 0.0, 0.5, flag_in=("capacity", "analyze", "attack")),
     "bob_ber": Field(float, 0.0, 0.5, optional=True, flag_in=("analyze",)),
@@ -342,6 +342,10 @@ def cmd_attack(args) -> int:
 
 
 def cmd_table(args) -> int:
+    # The grid is the published one; a parameter source would be ignored.
+    for flag in ("params", "preset"):
+        if getattr(args, flag) is not None:
+            raise ParameterError(f"reproduce-table2 takes no --{flag}: its grid is fixed by the paper")
     point = presets.design_point()
     code = presets.design_code()
     rows = capacity_table(

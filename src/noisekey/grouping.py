@@ -74,9 +74,16 @@ def bits_to_hex(bits) -> str:
 
 
 def sample_key(length: int, balance_limit: float, rng: np.random.Generator) -> CommonKey:
-    """Uniform draw over the admissible set by rejection from all bitstrings."""
+    """Uniform draw over the admissible set by rejection from all bitstrings.
+
+    Raises ValueError, before drawing, when the balance window admits no
+    1-count at all.
+    """
     if length < 2:
         raise ValueError("key must have at least 2 bits")
+    # length // 2 ones lies nearest length/2: if it is refused, every count is.
+    if not validate_key(np.arange(length) < length // 2, balance_limit):
+        raise ValueError(f"no {length}-bit key fits a balance limit of {balance_limit} sigmas")
     while True:
         bits = rng.integers(0, 2, size=length, dtype=np.uint8)
         if validate_key(bits, balance_limit):

@@ -145,6 +145,12 @@ def _syndrome_table(fld: FieldSpec, n: int, k: int) -> np.ndarray:
     return np.ascontiguousarray(out.reshape(n * m, -1).view(np.uint64).T)
 
 
+# Longest code make_code builds. The syndrome table and parity matrix grow
+# as m * n^2: (1023, 1) over GF(2^10) peaks at ~108 MB, and a (65535, k)
+# code over GF(2^16) would need ~34 GB.
+MAX_N = 1023
+
+
 @lru_cache(maxsize=32)
 def _make_code_cached(m: int, primitive_poly: int, n: int, k: int) -> CodeSpec:
     fld = build_field(m, primitive_poly)
@@ -170,11 +176,17 @@ def _make_code_cached(m: int, primitive_poly: int, n: int, k: int) -> CodeSpec:
 
 
 def make_code(fld: FieldSpec, n: int, k: int) -> CodeSpec:
-    """Construct the code, its derived limits, and the parity map."""
+    """Construct the code, its derived limits, and the parity map.
+
+    Raises ValueError, before building any table, unless k < n <= 2^m - 1
+    and n <= MAX_N.
+    """
     if not k < n:
         raise ValueError(f"need k < n, got ({n}, {k})")
     if n > fld.mul_order:
         raise ValueError(f"code length {n} exceeds 2^{fld.m} - 1 = {fld.mul_order}")
+    if n > MAX_N:
+        raise ValueError(f"code length {n} exceeds the supported maximum {MAX_N}")
     return _make_code_cached(fld.m, fld.primitive_poly, n, k)
 
 

@@ -248,6 +248,8 @@ PRESET = ("--preset", "paper-255-167")
         (("simulate",), {"trials": 0}, ["trials", "0"]),
         (("capacity", *PRESET), {"eve-ber": 0.2}, ["'eve-ber'"]),
         (("capacity", *PRESET), '{"eve_ber": NaN}', ["eve_ber", "nan"]),
+        (("reproduce-table2",), "[1, 2]", ["reproduce-table2", "--params"]),
+        (("reproduce-table2", *PRESET), None, ["reproduce-table2", "--preset"]),
     ],
 )
 def test_bad_parameters_exit_2_naming_the_field(capsys, tmp_path, argv, params, expected):

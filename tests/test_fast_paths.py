@@ -1,6 +1,7 @@
 """Each fast path against an independent slow oracle.
 
-`extract_key` is checked against the explicit Toeplitz matrix,
+`extract_key` and both of its hashing kernels are checked against the
+explicit Toeplitz matrix,
 `decode_block`, its syndrome table and its early-exit Berlekamp-Massey
 against the frozen reference decoder in `reference_rs`, the bit-level
 `encode_parity` against polynomial long division, and the exhaustive
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
+from noisekey import amplify
 from noisekey.amplify import HashSeed, expand_seed, extract_key, toeplitz_matrix
 from noisekey.gf import FieldSpec, build_field
 from noisekey.grouping import CommonKey, merge_stream, split_stream
@@ -90,6 +92,59 @@ def test_extract_key_rejects_empty_input():
         extract_key(np.zeros(0, dtype=np.uint8), 1, HashSeed.of(1))
     with pytest.raises(ValueError):
         extract_key(np.zeros((2, 4), dtype=np.uint8), 1, HashSeed.of(1))
+
+
+KERNELS = [amplify._hash_int, amplify._hash_words]
+
+
+def assert_kernel_matches_matrix(kernel, x, key_bits, seed):
+    key = kernel(x, expand_seed(seed, len(x), key_bits), key_bits)
+    assert key.dtype == np.uint8 and key.shape == (key_bits,)
+    assert np.array_equal(key, toeplitz_oracle(seed, x, key_bits))
+
+
+# Lane edges (63/64/65 outputs), row edges (128/129) and word padding (n_in
+# around multiples of 64) of the word kernel.
+@pytest.mark.parametrize("n_in", [1, 63, 64, 65, 127, 128, 200])
+@pytest.mark.parametrize("key_bits", [1, 63, 64, 65, 128, 129])
+def test_word_kernel_matches_matrix(n_in, key_bits):
+    rng = np.random.default_rng(n_in * 1000 + key_bits)
+    for trial, x in enumerate(
+        [np.ones(n_in, dtype=np.uint8), rng.integers(0, 2, n_in, dtype=np.uint8)]
+    ):
+        assert_kernel_matches_matrix(amplify._hash_words, x, key_bits, HashSeed.of(n_in, key_bits, trial))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_in=st.integers(1, 300),
+    key_bits=st.integers(1, 300),
+    data=st.data(),
+    entropy=st.integers(0, 2**32 - 1),
+)
+def test_both_kernels_match_matrix(n_in, key_bits, data, entropy):
+    x = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n_in, max_size=n_in)), dtype=np.uint8)
+    for kernel in KERNELS:
+        assert_kernel_matches_matrix(kernel, x, key_bits, HashSeed.of(entropy))
+
+
+@pytest.mark.parametrize("below", [True, False])
+def test_extract_key_selects_kernel_at_the_threshold(monkeypatch, below):
+    # One input bit fewer than the threshold takes the big-int loop.
+    key_bits = 256
+    n_in = amplify.WORD_KERNEL_MIN // key_bits - below
+    kernel = amplify._hash_int if below else amplify._hash_words
+    used = []
+    for k in KERNELS:
+        monkeypatch.setattr(amplify, k.__name__, lambda *a, k=k: used.append(k) or k(*a))
+    x = np.random.default_rng(n_in).integers(0, 2, n_in, dtype=np.uint8)
+    seed = HashSeed.of(n_in, key_bits)
+    assert np.array_equal(extract_key(x, key_bits, seed), toeplitz_oracle(seed, x, key_bits))
+    assert used == [kernel]
+    x[n_in // 2] = 2
+    with pytest.raises(ValueError):
+        extract_key(x, key_bits, seed)
+    assert used == [kernel]
 
 
 def assert_same_decode(code, word):

@@ -37,6 +37,22 @@ def test_sample_key_deterministic():
     assert (a.bits == b.bits).all()
 
 
+class NoDraws:
+    """A generator stand-in that fails the test on the first draw."""
+
+    def integers(self, *args, **kwargs):
+        raise AssertionError("sample_key drew bits for an empty balance window")
+
+
+def test_sample_key_refuses_an_empty_window_before_drawing():
+    # |ones - 1.5| <= 0.5 * sqrt(3/4) ~ 0.43 holds for no 1-count of 3 bits.
+    with pytest.raises(ValueError, match="balance limit"):
+        sample_key(3, 0.5, NoDraws())
+    # At one sigma the counts 1 and 2 fit.
+    key = sample_key(3, 1.0, np.random.default_rng(0))
+    assert key.length == 3 and key.ones in (1, 2)
+
+
 def test_sample_key_statistics():
     rng = np.random.default_rng(21)
     samples = np.stack([sample_key(64, 3.5, rng).bits for _ in range(10_000)])

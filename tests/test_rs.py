@@ -1,9 +1,13 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from noisekey.gf import build_field
 from noisekey.rs import (
+    MAX_N,
+    _make_code_cached,
     bits_to_symbols,
     codeword,
     decode_block,
@@ -45,6 +49,28 @@ def test_bad_parameters(gf256):
         make_code(gf256, 255, 255)
     with pytest.raises(ValueError):
         make_code(gf256, 256, 100)
+
+
+def test_make_code_refuses_long_codes_before_building_tables():
+    fld = build_field(11, 0x805)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=str(MAX_N)):
+            make_code(fld, MAX_N + 1, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_make_code_builds_the_longest_supported_code():
+    code = make_code(build_field(10, 0x409), MAX_N, 1)
+    try:
+        assert (code.n, code.k, code.t, code.m) == (1023, 1, 511, 10)
+        info = np.array([5])
+        assert (codeword(code, info) == 5).all()  # the repetition code
+    finally:
+        _make_code_cached.cache_clear()  # ~100 MB of tables
 
 
 def test_zero_info_zero_parity(code_7_5):
