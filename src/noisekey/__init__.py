@@ -36,7 +36,7 @@ from .oracle import (
     judge_candidate,
     make_scenario,
 )
-from .rs import CodeSpec, decode_block, encode_parity, make_code, parity_rows
+from .rs import CodeSpec, decode_block, encode_parity, make_code
 from .session import SessionConfig, SessionReport, run_receiver, run_session, run_transmitter
 
 __version__ = "0.1.0"

@@ -191,7 +191,7 @@ class GammaBudget:
     capacity_rate: float
 
 
-def gamma_report(params: CapacityParams, bob_ber: float, method: int = 1, mode: str = "exact") -> GammaBudget:
+def gamma_report(params: CapacityParams, bob_ber: float, method: int = 1) -> GammaBudget:
     """Evaluate the three budget components for one operating point.
 
     Reliability uses the symbol-error rate at the receiver: in method 1 the
@@ -201,7 +201,7 @@ def gamma_report(params: CapacityParams, bob_ber: float, method: int = 1, mode: 
     code = params.code
     p_eff_bob = symbol_error_rate(bob_ber, code.m)
     trials = code.k if method == 1 else code.n
-    eps = binomial_tail(TailQuery(trials=trials, p=p_eff_bob, threshold=code.t, direction="above"), mode)
+    eps = binomial_tail(TailQuery(trials=trials, p=p_eff_bob, threshold=code.t, direction="above"))
     decode_failure = 1.0 - (1.0 - eps) ** params.unit_blocks
 
     p_adj = fluctuation_adjusted_ber(params)
@@ -211,8 +211,7 @@ def gamma_report(params: CapacityParams, bob_ber: float, method: int = 1, mode: 
             p=params.eve_ber,
             threshold=params.unit_info_bits * p_adj,
             direction="below",
-        ),
-        mode,
+        )
     )
 
     bound = capacity_lower_bound(params)

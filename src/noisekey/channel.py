@@ -85,13 +85,13 @@ def _frame_rng(config: ChannelConfig, recipient: str, frame: Frame) -> np.random
     return np.random.default_rng(seq)
 
 
-def deliver(frame: Frame, config: ChannelConfig, recipient: str, rng: np.random.Generator | None = None) -> Frame:
+def deliver(frame: Frame, config: ChannelConfig, recipient: str) -> Frame:
     """Pass one frame through the channel as seen by `recipient` (bob or eve).
 
     Parity frames are untouched in method 1 and treated like payload frames
-    in method 2. Without an explicit rng the noise comes from a sub-stream
-    derived from (seed, recipient, frame identity), so deliveries are
-    reproducible and independent per recipient.
+    in method 2. The noise comes from a sub-stream derived from (seed,
+    recipient, frame identity), so deliveries are reproducible and
+    independent per recipient.
     """
     if recipient not in _RECIPIENT_STREAM:
         raise ValueError(f"recipient must be 'bob' or 'eve', got {recipient!r}")
@@ -100,9 +100,7 @@ def deliver(frame: Frame, config: ChannelConfig, recipient: str, rng: np.random.
     p = config.bob_ber if recipient == "bob" else config.eve_ber
     if p == 0.0:
         return frame
-    if rng is None:
-        rng = _frame_rng(config, recipient, frame)
-    noisy = bsc_transmit(frame.payload, p, rng)
+    noisy = bsc_transmit(frame.payload, p, _frame_rng(config, recipient, frame))
     return Frame(method=frame.method, group=frame.group, index=frame.index, kind=frame.kind, payload=noisy)
 
 

@@ -44,7 +44,7 @@ def _emit(args, doc: dict, text_lines: list[str]) -> None:
         out = json.dumps(public, indent=2, sort_keys=True)
     elif args.format == "csv":
         params = json.dumps(doc.get("resolved_params", {}), sort_keys=True)
-        out = f"# params: {params}\n" + doc.get("_csv", "")
+        out = f"# params: {params}\n" + doc["_csv"]
     else:
         out = "\n".join(text_lines)
     if args.out:
@@ -84,7 +84,11 @@ class Field:
 # bounds, so NaN and infinities fail the range check. The bound on n is
 # make_code's own; those on key_length and unit_blocks keep the binomial
 # tail sums to tens of MB; balance_limit >= 1 guarantees every key length an
-# admissible key, so rejection sampling ends.
+# admissible key, so rejection sampling ends. A session lays out
+# (blocks_target + 1) * m * k stream positions as int64 before it sends
+# anything: at blocks_target = 100000 that peaks at ~240 MB for the (31, 19)
+# default and ~3.4 GB at the (255, 167) design point, where an unbounded
+# target fails with a MemoryError.
 FIELDS = {
     "name": Field(str),
     "m": Field(int, 2, 16),
@@ -102,7 +106,7 @@ FIELDS = {
     "safety_bits": Field(int, 1, 1000, flag_in=("capacity", "analyze")),
     "delta_mode": Field(str, choices=("exact", "normal"), flag_in=("analyze",)),
     "key_bits": Field(int, 1, optional=True),
-    "blocks_target": Field(int, 0, flag_in=("simulate",)),
+    "blocks_target": Field(int, 0, 100_000, flag_in=("simulate",)),
     "trials": Field(int, 1, flag_in=("simulate",)),
     "max_weight": Field(int, 0, flag_in=("attack",)),
     "pattern_unit": Field(str, choices=("symbol", "bit"), flag_in=("attack",)),
@@ -418,7 +422,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--params", help="JSON file holding one object of parameter overrides")
         p.add_argument("--preset", choices=["paper-255-167"], help="built-in parameter set")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--format", choices=["json", "csv", "text"], default="text")
+        # Only the table has rows to write as CSV.
+        formats = ["json", "csv", "text"] if command == "reproduce-table2" else ["json", "text"]
+        p.add_argument("--format", choices=formats, default="text")
         p.add_argument("--out", help="write the report here instead of stdout")
         for name in DEFAULTS.get(command, ()):
             field = FIELDS[name]

@@ -38,7 +38,6 @@ class CodeSpec:
     t: int                      # guaranteed-correctable symbol errors
     t_max: int                  # upper correction limit, n - k
     generator_poly: tuple       # descending coefficients, leading 1
-    parity_map: np.ndarray = field(repr=False)      # k x (n-k) symbol matrix
     # m*k x ceil(m*(n-k)/8) packed bits; row i is the parity of info bit i alone
     parity_matrix: np.ndarray = field(repr=False)
     # words x m*n uint64; column m*p + b packs S_1..S_(n-k) of bit b of
@@ -93,28 +92,26 @@ def _parity_rows(fld: FieldSpec, gen: list[int], n: int, k: int) -> np.ndarray:
     reduction = gd[1:][::-1]
     red_nz = np.nonzero(reduction)[0]
     red_logs = fld.log_table[reduction[red_nz]]
-    rows = {nsym: rem.copy()}
+    out = np.empty((k, nsym), dtype=np.int64)
+    out[k - 1] = rem[::-1]
     for deg in range(nsym + 1, n):
         top = rem[-1]
         rem = np.concatenate(([0], rem[:-1]))
         if top:
             rem[red_nz] ^= fld.exp_table[(fld.log_table[top] + red_logs) % fld.mul_order]
-        rows[deg] = rem.copy()
-    out = np.zeros((k, nsym), dtype=np.int64)
-    for i in range(k):
-        out[i] = rows[n - 1 - i][::-1]
+        out[n - 1 - deg] = rem[::-1]
     return out
 
 
-def _parity_matrix(fld: FieldSpec, pmap: np.ndarray) -> np.ndarray:
+def _parity_matrix(fld: FieldSpec, rows: np.ndarray) -> np.ndarray:
     # Row m*i + b is the parity of bit b (MSB first) of info symbol i alone,
-    # the symbol value alpha^(m-1-b): parity_map[i] times alpha^(m-1-b). Walk
+    # the symbol value alpha^(m-1-b): parity row i times alpha^(m-1-b). Walk
     # b down from m-1 (the value 1), multiplying the plane by alpha = x each
     # step; a plane's symbols unpack from the top m bits of big-endian uint16s.
-    k, nsym = pmap.shape
+    k, nsym = rows.shape
     m = fld.m
     out = np.empty((k, m, -(-m * nsym // 8)), dtype=np.uint8)
-    plane = pmap.astype(np.uint32)
+    plane = rows.astype(np.uint32)
     for b in range(m - 1, -1, -1):
         top = (plane << (16 - m)).astype(">u2").view(np.uint8).reshape(k, nsym, 2)
         bits = np.unpackbits(top, axis=-1, count=m)
@@ -155,9 +152,7 @@ MAX_N = 1023
 def _make_code_cached(m: int, primitive_poly: int, n: int, k: int) -> CodeSpec:
     fld = build_field(m, primitive_poly)
     gen = _generator_poly(fld, n - k)
-    pmap = _parity_rows(fld, gen, n, k)
-    pmap.setflags(write=False)
-    pmat = _parity_matrix(fld, pmap)
+    pmat = _parity_matrix(fld, _parity_rows(fld, gen, n, k))
     pmat.setflags(write=False)
     stab = _syndrome_table(fld, n, k)
     stab.setflags(write=False)
@@ -169,14 +164,13 @@ def _make_code_cached(m: int, primitive_poly: int, n: int, k: int) -> CodeSpec:
         t=(n - k) // 2,
         t_max=n - k,
         generator_poly=tuple(gen),
-        parity_map=pmap,
         parity_matrix=pmat,
         syndrome_table=stab,
     )
 
 
 def make_code(fld: FieldSpec, n: int, k: int) -> CodeSpec:
-    """Construct the code, its derived limits, and the parity map.
+    """Construct the code, its derived limits, and its encoding and decoding tables.
 
     Raises ValueError, before building any table, unless k < n <= 2^m - 1
     and n <= MAX_N.
@@ -215,11 +209,6 @@ def codeword(code: CodeSpec, info) -> np.ndarray:
         raise ValueError(f"info symbols must lie in [0, {code.field.order})")
     parity = encode_parity(code, symbols_to_bits(info, code.m))
     return np.concatenate([info, bits_to_symbols(parity, code.m)])
-
-
-def parity_rows(code: CodeSpec) -> np.ndarray:
-    """The k x (n-k) matrix mapping info vectors to parity vectors."""
-    return code.parity_map.copy()
 
 
 def _syndromes(code: CodeSpec, word: np.ndarray) -> np.ndarray:

@@ -3,11 +3,12 @@
 The transmitter draws a random bit stream, sends it in fixed-size payload
 frames, routes a private copy into two groups with the shared key, and
 publishes one parity frame per completed block. Secret keys fall out of
-hashing `unit_blocks` consecutive blocks (wire completion order, group I
-checked before group II within a chunk). The receiver regroups its noisy
-copy with the same key, error-corrects each block against the published
-parity, and hashes the corrected bits; a unit with any failed block yields
-no key rather than a partial one.
+hashing `unit_blocks` consecutive blocks in wire completion order: by the
+payload chunk that holds a block's last bit, group I before group II within
+a chunk. The receiver regroups its noisy copy with the same key,
+error-corrects each block against the published parity, and hashes the
+corrected bits; a unit with any failed block yields no key rather than a
+partial one.
 """
 
 from __future__ import annotations
@@ -147,29 +148,38 @@ class SessionReport:
         }
 
 
-def _completed_blocks(stream: np.ndarray, key: CommonKey, block_bits: int):
-    """Yield (group, per-group index, routed bits) in wire completion order.
+def _block_layout(key: CommonKey, block_bits: int, stream_bits: int):
+    """(group, per-group index, stream positions) of every block that a
+    stream of `stream_bits` bits, a whole number of payload chunks, completes.
 
-    Completion is checked at payload-chunk boundaries, group I before
-    group II, which both ends reproduce independently of bit values.
+    The (B,) group and index arrays and the (B, block_bits) positions come in
+    wire completion order: by the chunk holding a block's last bit, group I
+    before group II within a chunk. They depend on the key alone, so both
+    ends compute the same layout independently of bit values.
     """
-    mask = _key_mask(key, len(stream), 0)
-    routed = {1: stream[mask], 2: stream[~mask]}
-    prefix_ones = np.cumsum(mask)
-    done = {1: 0, 2: 0}
-    for chunk_end in range(block_bits, len(stream) + 1, block_bits):
-        have = {1: int(prefix_ones[chunk_end - 1])}
-        have[2] = chunk_end - have[1]
-        for group in (1, 2):
-            while (done[group] + 1) * block_bits <= have[group]:
-                j = done[group]
-                yield group, j, routed[group][j * block_bits : (j + 1) * block_bits]
-                done[group] += 1
+    mask = _key_mask(key, stream_bits, 0)
+    per_group = [np.flatnonzero(mask), np.flatnonzero(~mask)]
+    per_group = [p[: len(p) // block_bits * block_bits].reshape(-1, block_bits) for p in per_group]
+    group = np.repeat([1, 2], [len(p) for p in per_group])
+    index = np.concatenate([np.arange(len(p)) for p in per_group])
+    positions = np.concatenate(per_group)
+    order = np.lexsort((index, group, positions[:, -1] // block_bits))
+    return group[order], index[order], positions[order]
 
 
-def _unit_key(config: SessionConfig, unit_index: int, unit_bits: np.ndarray) -> np.ndarray:
-    seed = HashSeed.of(config.hash_seed, unit_index)
-    return extract_key(unit_bits, config.key_bits, seed)
+def _unit_keys(config: SessionConfig, blocks: list) -> list:
+    """One key per whole unit of `unit_blocks` consecutive blocks' bits; None
+    for a unit that holds a failed (None) block."""
+    size = config.unit_blocks
+    keys = []
+    for unit in range(len(blocks) // size):
+        members = blocks[unit * size : (unit + 1) * size]
+        if any(m is None for m in members):
+            keys.append(None)
+            continue
+        seed = HashSeed.of(config.hash_seed, unit)
+        keys.append(extract_key(np.concatenate(members), config.key_bits, seed))
+    return keys
 
 
 def run_transmitter(config: SessionConfig) -> TransmitterRun:
@@ -184,41 +194,33 @@ def run_transmitter(config: SessionConfig) -> TransmitterRun:
 
     # Block completion depends only on the key. Each group leaves fewer than
     # block_bits bits over, so blocks_target + 1 chunks always complete the
-    # target; send chunks up to the first whose end completes it.
-    chunk_mask = _key_mask(config.key, (config.blocks_target + 1) * block_bits, 0)
-    ones = np.cumsum(chunk_mask.reshape(-1, block_bits).sum(axis=1))
-    ends = block_bits * np.arange(1, len(ones) + 1)
-    done = ones // block_bits + (ends - ones) // block_bits
+    # target; send chunks up to the one holding the target block's last bit.
+    layout = _block_layout(config.key, block_bits, (config.blocks_target + 1) * block_bits)
+    group, index, positions = (a[: config.blocks_target] for a in layout)
     chunks = [
         rng.integers(0, 2, size=block_bits, dtype=np.uint8)
-        for _ in range(int(np.argmax(done >= config.blocks_target)) + 1)
+        for _ in range(int(positions[-1, -1]) // block_bits + 1)
     ]
     frames = [
         Frame(method=config.channel.method, group=GROUP_NONE, index=i, kind=KIND_INFO, payload=c)
         for i, c in enumerate(chunks)
     ]
     stream = np.concatenate(chunks)
-
-    blocks: list[BlockRecord] = []
-    for group, index, bits in _completed_blocks(stream, config.key, block_bits):
-        if len(blocks) == config.blocks_target:
-            break
-        frames.append(
-            Frame(
-                method=config.channel.method,
-                group=group,
-                index=index,
-                kind=KIND_PARITY,
-                payload=encode_parity(code, bits),
-            )
+    blocks = [
+        BlockRecord(group=g, index=j, info_bits=stream[pos])
+        for g, j, pos in zip(group.tolist(), index.tolist(), positions)
+    ]
+    frames += [
+        Frame(
+            method=config.channel.method,
+            group=b.group,
+            index=b.index,
+            kind=KIND_PARITY,
+            payload=encode_parity(code, b.info_bits),
         )
-        blocks.append(BlockRecord(group=group, index=index, info_bits=bits))
-
-    keys = []
-    for unit in range(len(blocks) // config.unit_blocks):
-        members = blocks[unit * config.unit_blocks : (unit + 1) * config.unit_blocks]
-        unit_bits = np.concatenate([b.info_bits for b in members])
-        keys.append(_unit_key(config, unit, unit_bits))
+        for b in blocks
+    ]
+    keys = _unit_keys(config, [b.info_bits for b in blocks])
     return TransmitterRun(frames=frames, keys=keys, blocks=blocks, stream=stream)
 
 
@@ -259,7 +261,8 @@ def run_receiver(frames, config: SessionConfig) -> ReceiverRun:
     outcomes: list[BlockOutcome] = []
     corrected_bits: list[np.ndarray | None] = []
     unused = len(parities)
-    for group, index, bits in _completed_blocks(stream, config.key, block_bits):
+    groups, indices, positions = _block_layout(config.key, block_bits, len(stream))
+    for group, index, pos in zip(groups.tolist(), indices.tolist(), positions):
         if not unused:
             break
         frame = parities.get((group, index))
@@ -270,7 +273,8 @@ def run_receiver(frames, config: SessionConfig) -> ReceiverRun:
             corrected_bits.append(None)
             continue
         unused -= 1
-        result = decode_block(code, bits_to_symbols(np.concatenate([bits, frame.payload]), code.m))
+        word = np.concatenate([stream[pos], frame.payload])
+        result = decode_block(code, bits_to_symbols(word, code.m))
         outcomes.append(
             BlockOutcome(
                 group=group, index=index, ok=result.ok, corrected=result.corrected, reason=result.reason
@@ -282,14 +286,7 @@ def run_receiver(frames, config: SessionConfig) -> ReceiverRun:
     if unused:
         raise FramingError(f"{unused} parity frame(s) name blocks the payload stream never completes")
 
-    keys: list[np.ndarray | None] = []
-    for unit in range(len(corrected_bits) // config.unit_blocks):
-        members = corrected_bits[unit * config.unit_blocks : (unit + 1) * config.unit_blocks]
-        if any(m is None for m in members):
-            keys.append(None)
-            continue
-        unit_bits = np.concatenate(members)
-        keys.append(_unit_key(config, unit, unit_bits))
+    keys = _unit_keys(config, corrected_bits)
     return ReceiverRun(keys=keys, outcomes=outcomes, bits=corrected_bits)
 
 
@@ -318,12 +315,8 @@ def run_session(config: SessionConfig) -> SessionReport:
     eve_stream = np.concatenate(
         [f.payload for f in eve_frames if f.kind == KIND_INFO]
     ) if eve_frames else np.zeros(0, dtype=np.uint8)
-    flip_indicator = tx.stream ^ eve_stream
-    eve_flips = []
-    for (_, _, bits), _record in zip(
-        _completed_blocks(flip_indicator, config.key, config.code.info_bits), tx.blocks
-    ):
-        eve_flips.append(int(bits.sum()))
+    _, _, positions = _block_layout(config.key, config.code.info_bits, len(tx.stream))
+    eve_flips = (tx.stream ^ eve_stream)[positions[: len(tx.blocks)]].sum(axis=1).tolist()
 
     outcomes = unit_outcomes(tx, rx, config.unit_blocks)
     units = len(tx.keys)

@@ -148,6 +148,15 @@ def test_table_csv(capsys):
     assert any(line.startswith("capacity_rate,") for line in lines)
 
 
+@pytest.mark.parametrize("command", ["keygen", "capacity", "analyze", "simulate", "attack"])
+def test_csv_is_refused_where_there_is_no_table(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--format", "csv"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--format" in err and "'csv'" in err
+
+
 def test_missing_params_exit_code(capsys):
     code, out, err = run_cli(capsys, "capacity")
     assert code == 2
@@ -250,6 +259,8 @@ PRESET = ("--preset", "paper-255-167")
         (("capacity", *PRESET), '{"eve_ber": NaN}', ["eve_ber", "nan"]),
         (("reproduce-table2",), "[1, 2]", ["reproduce-table2", "--params"]),
         (("reproduce-table2", *PRESET), None, ["reproduce-table2", "--preset"]),
+        (("simulate", "--blocks-target", "10000000000"), None, ["blocks_target", "10000000000"]),
+        (("simulate",), {"blocks_target": 100_001}, ["blocks_target", "100001"]),
     ],
 )
 def test_bad_parameters_exit_2_naming_the_field(capsys, tmp_path, argv, params, expected):

@@ -4,22 +4,23 @@
 explicit Toeplitz matrix,
 `decode_block`, its syndrome table and its early-exit Berlekamp-Massey
 against the frozen reference decoder in `reference_rs`, the bit-level
-`encode_parity` against polynomial long division, and the exhaustive
-adversary's key routing and parity buckets against per-key `split_stream`
-and a plain dict loop.
+`encode_parity` against polynomial long division, the session's block
+layout against the chunk-by-chunk completion walk in `reference_layout`,
+and the exhaustive adversary's key routing and parity buckets against
+per-key `split_stream` and a plain dict loop.
 """
 
 import functools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
 from noisekey import amplify
 from noisekey.amplify import HashSeed, expand_seed, extract_key, toeplitz_matrix
 from noisekey.gf import FieldSpec, build_field
-from noisekey.grouping import CommonKey, merge_stream, split_stream
+from noisekey.grouping import CommonKey, merge_stream, split_stream, validate_key
 from noisekey.oracle import TinyScenario, _first_block_bits, admissible_keys, partition_by_parity
 from noisekey.rs import (
     _berlekamp_massey,
@@ -31,8 +32,10 @@ from noisekey.rs import (
     make_code,
     symbols_to_bits,
 )
+from noisekey.session import _block_layout
 
 import reference_rs
+from reference_layout import completed_blocks
 from conftest import random_codeword_with_errors
 from test_rs import remainder_parity
 
@@ -332,6 +335,24 @@ def test_split_merge_round_trip_every_offset(key_bits, stream):
         groups = split_stream(x, key, offset)
         assert groups.offset == offset and groups.consumed == len(x)
         assert np.array_equal(merge_stream(groups, key), x)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(0, 1), min_size=2, max_size=64),
+    st.floats(1.0, 4.0),
+    st.integers(1, 40),
+    st.integers(0, 30),
+)
+def test_block_layout_matches_completion_walk(key_bits, balance_limit, block_bits, chunks):
+    assume(validate_key(key_bits, balance_limit))
+    key = CommonKey.from_bits(key_bits, balance_limit)
+    # On the stream 0, 1, 2, ... the walk's routed bits are the positions.
+    stream = np.arange(chunks * block_bits)
+    expected = [(g, j, bits.tolist()) for g, j, bits in completed_blocks(stream, key, block_bits)]
+    group, index, positions = _block_layout(key, block_bits, len(stream))
+    assert positions.shape == (len(expected), block_bits)
+    assert list(zip(group.tolist(), index.tolist(), positions.tolist())) == expected
 
 
 ORACLE_CODE = (3, 7, 5)

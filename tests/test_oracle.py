@@ -18,9 +18,10 @@ from noisekey.oracle import (
 )
 from noisekey.grouping import split_stream
 from noisekey.rs import bits_to_symbols, encode_parity, make_code, symbols_to_bits
-from noisekey.session import _completed_blocks
 from noisekey.channel import bsc_transmit
 from noisekey.gf import build_field
+
+from reference_layout import completed_blocks
 
 
 def brute_admissible_count(length, limit):
@@ -178,7 +179,7 @@ def _judge_fixture(code, rng, p_bob, blocks=50, key_length=12):
     key = CommonKey.from_bits(true_row, 2.0, require_admissible=False)
     stream = rng.integers(0, 2, size=code.info_bits * blocks * 3, dtype=np.uint8)
     parity_frames = []
-    for group, _idx, bits in _completed_blocks(stream, key, code.info_bits):
+    for group, _idx, bits in completed_blocks(stream, key, code.info_bits):
         parity_frames.append((group, encode_parity(code, bits)))
         if len(parity_frames) >= blocks:
             break
@@ -243,7 +244,7 @@ def test_candidate_narrowing_to_true_key(code_7_5):
     stream = rng.integers(0, 2, size=code_7_5.info_bits * 60, dtype=np.uint8)
     parity_frames = []
     first_parity = None
-    for group, index, bits in _completed_blocks(stream, key, code_7_5.info_bits):
+    for group, index, bits in completed_blocks(stream, key, code_7_5.info_bits):
         parity = encode_parity(code_7_5, bits)
         parity_frames.append((group, parity))
         if group == 1 and index == 0:

@@ -13,7 +13,6 @@ from noisekey.rs import (
     decode_block,
     encode_parity,
     make_code,
-    parity_rows,
     symbols_to_bits,
 )
 from conftest import random_codeword_with_errors
@@ -98,19 +97,20 @@ def test_parity_linearity(code_7_5):
 
 
 def test_parity_rows_definition(code_7_5):
-    mat = parity_rows(code_7_5)
-    for i in range(5):
-        unit = np.zeros(5, dtype=np.int64)
-        unit[i] = 1
-        assert (parity_symbols(code_7_5, unit) == mat[i]).all()
-    assert (parity_symbols(code_7_5, np.zeros(5, dtype=np.int64)) == 0).all()
+    # The parity of unit info vector e_i is row i of the parity map,
+    # x^(n-1-i) mod g(x); every parity is the GF-weighted XOR of those rows.
+    k = code_7_5.k
+    rows = [codeword(code_7_5, unit)[k:] for unit in np.eye(k, dtype=np.int64)]
+    for unit, row in zip(np.eye(k, dtype=np.int64), rows):
+        assert row.tolist() == remainder_parity(code_7_5, unit)
+    assert (codeword(code_7_5, np.zeros(k, dtype=np.int64))[k:] == 0).all()
     rng = np.random.default_rng(12)
     for _ in range(50):
-        b = rng.integers(0, 8, size=5)
-        via_matrix = np.zeros(2, dtype=np.int64)
-        for i in range(5):
-            via_matrix ^= code_7_5.field.mul_vec(np.full(2, b[i]), mat[i])
-        assert (via_matrix == parity_symbols(code_7_5, b)).all()
+        b = rng.integers(0, 8, size=k)
+        via_rows = np.zeros(2, dtype=np.int64)
+        for i in range(k):
+            via_rows ^= code_7_5.field.mul_vec(np.full(2, b[i]), rows[i])
+        assert (via_rows == codeword(code_7_5, b)[k:]).all()
 
 
 def test_decode_clean(code_7_5):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -17,6 +18,8 @@ from noisekey.session import (
     run_transmitter,
     xor_pad,
 )
+
+from reference_layout import completed_blocks
 
 EVE_BER = 1.0 - 0.9 ** 0.125
 
@@ -80,6 +83,22 @@ def test_transmitter_deterministic(toy_code, toy_key):
     assert len(a.frames) == len(b.frames)
     assert all(fa == fb for fa, fb in zip(a.frames, b.frames))
     assert all(np.array_equal(ka, kb) for ka, kb in zip(a.keys, b.keys))
+
+
+@pytest.mark.parametrize("key_length", [24, 160])
+@pytest.mark.parametrize("blocks", [1, 2, 7, 40])
+def test_transmitter_sends_the_fewest_chunks(toy_code, key_length, blocks):
+    # Alice's blocks are the walk's first ones, and one chunk fewer would
+    # complete fewer than the target.
+    key = sample_key(key_length, 2.0, np.random.default_rng(key_length))
+    tx = run_transmitter(toy_config(toy_code, key, blocks=blocks))
+    size = toy_code.info_bits
+    walk = list(completed_blocks(tx.stream, key, size))
+    assert [(b.group, b.index, b.info_bits.tolist()) for b in tx.blocks] == [
+        (g, j, bits.tolist()) for g, j, bits in walk[:blocks]
+    ]
+    fewer = sum(1 for _ in completed_blocks(tx.stream[:-size], key, size))
+    assert len(walk) >= blocks > fewer
 
 
 def test_parity_frames_recomputable_from_capture(toy_code, toy_key):
@@ -341,6 +360,17 @@ def test_eve_no_worse_than_bob(toy_code, toy_key):
     assert eve_rate < 0.03
     bob_corrected_bits = sum(o.corrected for o in report.bob_outcomes) * toy_code.m
     assert sum(report.eve_block_flips) < bob_corrected_bits  # tap is cleaner than the receiver
+
+
+def test_eve_flips_follow_the_completion_walk(toy_code, toy_key):
+    cfg = toy_config(toy_code, toy_key, blocks=60, ber=0.05)
+    tx = run_transmitter(cfg)
+    report = run_session(cfg)
+    eve_stream = np.concatenate([f.payload for f in report.eve_capture if f.kind == KIND_INFO])
+    walk = completed_blocks(tx.stream ^ eve_stream, toy_key, toy_code.info_bits)
+    expected = [int(bits.sum()) for _, _, bits in itertools.islice(walk, 60)]
+    assert report.eve_block_flips == expected and sum(expected) > 0
+    assert all(type(f) is int for f in report.eve_block_flips)
 
 
 def test_source_stream_looks_uniform(toy_code, toy_key):
