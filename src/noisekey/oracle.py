@@ -24,6 +24,7 @@ from .rs import CodeSpec, bits_to_symbols, decode_block, encode_parity, symbols_
 MAX_KEY_LENGTH = 20
 MAX_INFO_ENUM_LOG2 = 24
 MAX_WORK = 1 << 26
+MAX_TAG_BITS = 62
 
 
 # 1-bits per byte value (np.bitwise_count needs numpy 2)
@@ -50,12 +51,6 @@ class TinyScenario:
     key_space: np.ndarray       # (count, key_length) admissible keys
     x: np.ndarray               # the tapped stream, possibly with bit errors
     parity: np.ndarray          # clean parity bits of the first group-I block
-    offset: int = 0             # known alignment of the key against the stream
-    balance_limit: float = 0.0
-
-    @property
-    def key_length(self) -> int:
-        return self.key_space.shape[1]
 
 
 def make_scenario(
@@ -78,29 +73,26 @@ def make_scenario(
     x = rng.integers(0, 2, size=stream_bits, dtype=np.uint8)
     true_row = keys[rng.integers(0, len(keys))]
     true_key = CommonKey.from_bits(true_row, balance_limit, require_admissible=False)
-    parity = encode_parity(code, _first_block_bits(code, x, true_row[None, :], 0)[0])
+    parity = encode_parity(code, _first_block_bits(code, x, true_row[None, :])[0])
     x_seen = x.copy()
     if ber > 0.0:
         flips = rng.random(stream_bits) < ber
         x_seen ^= flips.astype(np.uint8)
-    scenario = TinyScenario(
-        code=code, key_space=keys, x=x_seen, parity=parity, offset=0, balance_limit=balance_limit
-    )
-    return scenario, true_key
+    return TinyScenario(code=code, key_space=keys, x=x_seen, parity=parity), true_key
 
 
-def _first_block_bits(code: CodeSpec, x: np.ndarray, keys: np.ndarray, offset: int) -> np.ndarray:
+def _first_block_bits(code: CodeSpec, x: np.ndarray, keys: np.ndarray) -> np.ndarray:
     """Group-I bits of the first block under each key row, one row per key.
 
-    A key with w ones at positions pos[0..w-1] of its period (rotated by the
-    offset) routes its j-th group-I bit from stream position
+    A key with w ones at positions pos[0..w-1] of its period routes its j-th
+    group-I bit from stream position
     (j // w) * key_length + pos[j % w], so each class of keys with the same w
     is one gather of m*k bits per key; the stream is never tiled.
     """
     n_bits = code.info_bits
     count, klen = keys.shape
-    rotated = np.roll(keys.astype(bool), -(offset % klen), axis=1)
-    ones = rotated.sum(axis=1)
+    keys = keys.astype(bool)
+    ones = keys.sum(axis=1)
     j = np.arange(n_bits)
     out = np.empty((count, n_bits), dtype=x.dtype)
     short = "stream too short to fill one block for every key"
@@ -109,7 +101,7 @@ def _first_block_bits(code: CodeSpec, x: np.ndarray, keys: np.ndarray, offset: i
             raise ValueError(short)
         rows = np.flatnonzero(ones == w)
         # Row-major nonzero lists each row's w one-positions in order.
-        pos = np.nonzero(rotated[rows])[1].reshape(len(rows), w)
+        pos = np.nonzero(keys[rows])[1].reshape(len(rows), w)
         idx = (j // w) * klen + pos[:, j % w]
         if idx[:, -1].max() >= len(x):
             raise ValueError(short)
@@ -117,26 +109,27 @@ def _first_block_bits(code: CodeSpec, x: np.ndarray, keys: np.ndarray, offset: i
     return out
 
 
-def _first_block_parities(scenario: TinyScenario) -> np.ndarray:
-    """Parity bits of each candidate key's first group-I block, one row per key."""
-    blocks = _first_block_bits(scenario.code, scenario.x, scenario.key_space, scenario.offset)
-    return encode_parity(scenario.code, blocks)
+def _parity_tags(parity: np.ndarray) -> np.ndarray:
+    """Each (…, p)-bit parity row as one int64, most significant bit first."""
+    bits = parity.shape[-1]
+    if bits > MAX_TAG_BITS:
+        raise ValueError(f"{bits} parity bits exceed the {MAX_TAG_BITS}-bit tag")
+    return parity.astype(np.int64) @ (1 << np.arange(bits - 1, -1, -1, dtype=np.int64))
 
 
-def partition_by_parity(scenario: TinyScenario) -> dict[bytes, np.ndarray]:
-    """Bucket the admissible keys by the parity their first block induces.
+def partition_by_parity(scenario: TinyScenario) -> dict[int, np.ndarray]:
+    """Bucket the admissible keys by the parity tag their first block induces.
 
-    Buckets are keyed by the parity row's bytes in first-occurrence order,
-    and each holds its keys in key-space order.
+    Buckets come in increasing tag order, and each holds its keys in
+    key-space order.
     """
-    parities = _first_block_parities(scenario)
-    packed = np.packbits(parities, axis=1)
-    tags = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
-    _, first, inverse = np.unique(tags, return_index=True, return_inverse=True)
-    order = np.argsort(inverse, kind="stable")
-    bounds = np.cumsum(np.bincount(inverse))[:-1]
-    buckets = np.split(scenario.key_space[order], bounds)
-    return {parities[first[u]].tobytes(): buckets[u] for u in np.argsort(first)}
+    code = scenario.code
+    blocks = _first_block_bits(code, scenario.x, scenario.key_space)
+    tags = _parity_tags(encode_parity(code, blocks))
+    order = np.argsort(tags, kind="stable")
+    tags = tags[order]
+    starts = np.flatnonzero(np.diff(tags, prepend=-1))
+    return dict(zip(tags[starts].tolist(), np.split(scenario.key_space[order], starts[1:])))
 
 
 def enumerate_info_candidates(code: CodeSpec, parity) -> np.ndarray:
@@ -223,6 +216,9 @@ def enumerate_with_errors(scenario: TinyScenario, max_weight: int, unit: str = "
     pairwise disjoint key sets.
     """
     code = scenario.code
+    parity = np.asarray(scenario.parity)
+    if parity.shape != (code.parity_bits,) or not np.isin(parity, (0, 1)).all():
+        raise ValueError(f"parity must be {code.parity_bits} bits of 0 or 1")
     if max_weight > code.t:
         raise ValueError(f"patterns beyond {code.t} errors are not separable for this code")
     patterns = list(_error_patterns(code, max_weight, unit))
@@ -231,10 +227,8 @@ def enumerate_with_errors(scenario: TinyScenario, max_weight: int, unit: str = "
     buckets = partition_by_parity(scenario)
     empty = scenario.key_space[:0]
     pattern_bits = symbols_to_bits(np.array(patterns).ravel(), code.m).reshape(len(patterns), -1)
-    targets = (encode_parity(code, pattern_bits) ^ scenario.parity).astype(np.uint8)
-    return CandidateSet(
-        per_pattern={p: buckets.get(t.tobytes(), empty) for p, t in zip(patterns, targets)}
-    )
+    targets = _parity_tags(encode_parity(code, pattern_bits) ^ parity.astype(np.uint8)).tolist()
+    return CandidateSet(per_pattern={p: buckets.get(t, empty) for p, t in zip(patterns, targets)})
 
 
 @dataclass(frozen=True)
@@ -254,18 +248,21 @@ def judge_candidate(
     parity_frames,
     code: CodeSpec,
     symbol_error_rate: float,
-    offset: int = 0,
 ) -> Judgement:
     """Regroup the stream under a key guess and score the decode statistics.
 
     parity_frames is the observed per-group parity sequence: (group, parity
-    bits) pairs with group 1 or 2, in transmission order within each group. A guess
+    bits) pairs with group 1 or 2 and code.parity_bits bits, in transmission
+    order within each group; any other frame raises ValueError. A guess
     is consistent when every paired block decodes and the mean corrected
     error count stays within four standard errors of the channel's expected
     k * symbol_error_rate.
     """
+    parity_frames = list(parity_frames)
+    if any(g not in (1, 2) or np.shape(p) != (code.parity_bits,) for g, p in parity_frames):
+        raise ValueError(f"a parity frame is (group 1 or 2, {code.parity_bits} bits)")
     key = CommonKey.from_bits(key_bits, 0.0, require_admissible=False)
-    groups = split_stream(np.asarray(stream, dtype=np.uint8), key, offset)
+    groups = split_stream(np.asarray(stream, dtype=np.uint8), key)
     per_group = {1: groups.group1, 2: groups.group2}
     cursor = {1: 0, 2: 0}
     n_bits = code.info_bits
@@ -301,9 +298,9 @@ def judge_candidate(
 
 def class_size_by_parity(scenario: TinyScenario) -> np.ndarray:
     """Candidate-class size for every possible parity value (zeros included)."""
-    code = scenario.code
-    counts = np.zeros(1 << code.parity_bits, dtype=np.int64)
-    weights = 1 << np.arange(code.parity_bits - 1, -1, -1)
-    for tag, keys in partition_by_parity(scenario).items():
-        counts[int(np.frombuffer(tag, dtype=np.uint8) @ weights)] = len(keys)
-    return counts
+    code, bits = scenario.code, scenario.code.parity_bits
+    if bits > MAX_INFO_ENUM_LOG2:
+        raise ValueError(f"2^{bits} parity classes exceed the 2^{MAX_INFO_ENUM_LOG2} guard")
+    blocks = _first_block_bits(code, scenario.x, scenario.key_space)
+    tags = _parity_tags(encode_parity(code, blocks))
+    return np.bincount(tags, minlength=1 << bits)

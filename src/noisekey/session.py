@@ -157,7 +157,7 @@ def _block_layout(key: CommonKey, block_bits: int, stream_bits: int):
     before group II within a chunk. They depend on the key alone, so both
     ends compute the same layout independently of bit values.
     """
-    mask = _key_mask(key, stream_bits, 0)
+    mask = _key_mask(key, stream_bits)
     per_group = [np.flatnonzero(mask), np.flatnonzero(~mask)]
     per_group = [p[: len(p) // block_bits * block_bits].reshape(-1, block_bits) for p in per_group]
     group = np.repeat([1, 2], [len(p) for p in per_group])

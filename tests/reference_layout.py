@@ -15,7 +15,7 @@ from noisekey.grouping import CommonKey, _key_mask
 
 def completed_blocks(stream: np.ndarray, key: CommonKey, block_bits: int):
     """Yield (group, per-group index, routed bits) in wire completion order."""
-    mask = _key_mask(key, len(stream), 0)
+    mask = _key_mask(key, len(stream))
     routed = {1: stream[mask], 2: stream[~mask]}
     prefix_ones = np.cumsum(mask)
     done = {1: 0, 2: 0}

@@ -135,7 +135,7 @@ def test_criterion_06_average_candidate_class_size():
         for _ in range(draws):
             x = rng.integers(0, 2, key_length * code.info_bits, dtype=np.uint8)
             scenario = TinyScenario(
-                code=code, key_space=keys, x=x, parity=np.zeros(1, dtype=np.int64), balance_limit=2.0
+                code=code, key_space=keys, x=x, parity=np.zeros(1, dtype=np.int64)
             )
             means.append(class_size_by_parity(scenario).mean())
         grand = float(np.mean(means))

@@ -81,7 +81,7 @@ def test_simulate_schema_and_determinism(capsys):
     assert out1 == out2
 
 
-def test_simulate_trials_with_thread_cap(capsys):
+def test_simulate_trials(capsys):
     code, out, _ = run_cli(
         capsys, "simulate", "--seed", "4", "--blocks-target", "10", "--trials", "3", "--format", "json",
     )

@@ -328,13 +328,12 @@ def test_encode_is_linear(params, data):
     st.lists(st.integers(0, 1), min_size=2, max_size=24),
     st.lists(st.integers(0, 1), max_size=200),
 )
-def test_split_merge_round_trip_every_offset(key_bits, stream):
+def test_split_merge_round_trip_any_key(key_bits, stream):
     key = CommonKey.from_bits(key_bits, 0.0, require_admissible=False)
     x = np.array(stream, dtype=np.uint8)
-    for offset in range(2 * key.length + 1):
-        groups = split_stream(x, key, offset)
-        assert groups.offset == offset and groups.consumed == len(x)
-        assert np.array_equal(merge_stream(groups, key), x)
+    groups = split_stream(x, key)
+    assert groups.consumed == len(x)
+    assert np.array_equal(merge_stream(groups, key), x)
 
 
 @settings(max_examples=200, deadline=None)
@@ -356,46 +355,60 @@ def test_block_layout_matches_completion_walk(key_bits, balance_limit, block_bit
 
 
 ORACLE_CODE = (3, 7, 5)
-OFFSETS = ["0", "1", "klen-1", "klen", "2klen+3"]
+# A rotation of every key row stands for a shifted key alignment; the
+# admissible set is closed under rotation, so it only reorders the rows.
+ROTATIONS = ["0", "1", "klen-1", "klen", "2klen+3"]
 
 
-def resolve_offset(name, klen):
+def resolve_rotation(name, klen):
     return {"0": 0, "1": 1, "klen-1": klen - 1, "klen": klen, "2klen+3": 2 * klen + 3}[name]
 
 
-def fill_points(keys, offset, n_bits):
+def fill_points(keys, n_bits):
     """Stream length at which each key's group I first holds n_bits bits."""
     klen = keys.shape[1]
-    span = offset + n_bits * klen  # enough for any key with at least one 1
-    mask = np.tile(keys, (1, -(-span // klen)))[:, offset:span].astype(bool)
+    span = n_bits * klen  # enough for any key with at least one 1
+    mask = np.tile(keys, (1, span // klen)).astype(bool)
     return np.argmax(mask.cumsum(axis=1) >= n_bits, axis=1) + 1
 
 
 @functools.cache
-def routing_case(key_length, offset):
+def routing_case(key_length):
     """Every admissible key, a stream exactly as long as the latest fill point,
     and each key's first group-I block cut from split_stream."""
     code = make_code(build_field(ORACLE_CODE[0]), *ORACLE_CODE[1:])
     keys = admissible_keys(key_length, 2.0)
-    length = int(fill_points(keys, offset, code.info_bits).max())
-    x = np.random.default_rng(key_length * 100 + offset).integers(0, 2, length, dtype=np.uint8)
+    length = int(fill_points(keys, code.info_bits).max())
+    x = np.random.default_rng(key_length * 100).integers(0, 2, length, dtype=np.uint8)
     blocks = np.array([
-        split_stream(x, CommonKey.from_bits(row, 2.0, require_admissible=False), offset)
+        split_stream(x, CommonKey.from_bits(row, 2.0, require_admissible=False))
         .group1[: code.info_bits]
         for row in keys
     ])
     return code, keys, x, blocks
 
 
-@pytest.mark.parametrize("offset", OFFSETS)
+def rotated_case(key_length, rotation):
+    """routing_case with every key row rotated left, its rows permuted to
+    match: rotated row i is the unrotated row perm[i]."""
+    code, keys, x, blocks = routing_case(key_length)
+    rotated = np.roll(keys, -resolve_rotation(rotation, key_length), axis=1)
+    weights = 1 << np.arange(key_length - 1, -1, -1)
+    values, rotated_values = keys @ weights, rotated @ weights
+    assert np.array_equal(np.sort(rotated_values), np.sort(values))  # closed under rotation
+    perm = np.searchsorted(values, rotated_values)  # keys are listed in increasing value
+    assert np.array_equal(keys[perm], rotated)
+    return code, rotated, x, blocks[perm]
+
+
+@pytest.mark.parametrize("rotation", ROTATIONS)
 @pytest.mark.parametrize("key_length", [12, 16])
-def test_first_block_bits_match_split_stream(key_length, offset):
-    offset = resolve_offset(offset, key_length)
-    code, keys, x, blocks = routing_case(key_length, offset)
+def test_first_block_bits_match_split_stream(key_length, rotation):
+    code, keys, x, blocks = rotated_case(key_length, rotation)
     assert blocks.shape == (len(keys), code.info_bits)
-    assert np.array_equal(_first_block_bits(code, x, keys, offset), blocks)
+    assert np.array_equal(_first_block_bits(code, x, keys), blocks)
     with pytest.raises(ValueError, match="stream too short"):
-        _first_block_bits(code, x[:-1], keys, offset)
+        _first_block_bits(code, x[:-1], keys)
 
 
 def test_first_block_bits_rejects_keys_without_ones():
@@ -403,27 +416,26 @@ def test_first_block_bits_rejects_keys_without_ones():
     keys = np.zeros((2, 12), dtype=np.uint8)
     keys[1, ::2] = 1
     x = np.ones(12 * code.info_bits, dtype=np.uint8)
-    assert np.array_equal(_first_block_bits(code, x, keys[1:], 0), x[None, : code.info_bits])
+    assert np.array_equal(_first_block_bits(code, x, keys[1:]), x[None, : code.info_bits])
     with pytest.raises(ValueError, match="stream too short"):
-        _first_block_bits(code, x, keys, 0)
+        _first_block_bits(code, x, keys)
 
 
-@pytest.mark.parametrize("offset", OFFSETS)
+@pytest.mark.parametrize("rotation", ROTATIONS)
 @pytest.mark.parametrize("key_length", [12, 16])
-def test_partition_matches_dict_loop(key_length, offset):
-    offset = resolve_offset(offset, key_length)
-    code, keys, x, blocks = routing_case(key_length, offset)
+def test_partition_matches_dict_loop(key_length, rotation):
+    code, keys, x, blocks = rotated_case(key_length, rotation)
     scenario = TinyScenario(
         code=code, key_space=keys, x=x, parity=np.zeros(code.parity_bits, dtype=np.uint8),
-        offset=offset,
     )
-    reference: dict[bytes, list] = {}
-    for row, parity in zip(keys, encode_parity(code, blocks)):
-        reference.setdefault(parity.tobytes(), []).append(row)
+    reference: dict[int, list] = {}
+    for row, parity in zip(keys, encode_parity(code, blocks).tolist()):
+        reference.setdefault(int("".join(map(str, parity)), 2), []).append(row)
     buckets = partition_by_parity(scenario)
-    assert list(buckets) == list(reference)
+    assert list(buckets) == sorted(reference)
     for tag, rows in reference.items():
         assert np.array_equal(buckets[tag], np.array(rows))
     seen = np.concatenate(list(buckets.values()))
     assert len(seen) == len(keys)
-    assert len(np.unique(seen, axis=0)) == len(keys)  # each key in exactly one bucket
+    values = seen @ (1 << np.arange(key_length - 1, -1, -1))
+    assert len(np.unique(values)) == len(keys)  # each key in exactly one bucket

@@ -7,6 +7,7 @@ import pytest
 from noisekey.grouping import CommonKey
 from noisekey.oracle import (
     TinyScenario,
+    _parity_tags,
     admissible_keys,
     class_size_by_parity,
     enumerate_info_candidates,
@@ -88,7 +89,7 @@ def test_batch_parities_match_scalar(code_7_5):
     for row in scenario.key_space[::500]:
         key = CommonKey.from_bits(row, 2.0, require_admissible=False)
         block = split_stream(scenario.x, key).group1[: code_7_5.info_bits]
-        parity = encode_parity(code_7_5, block).tobytes()
+        parity = int("".join(str(b) for b in encode_parity(code_7_5, block)), 2)
         assert any(
             np.array_equal(row, cand) for cand in buckets[parity]
         )
@@ -114,8 +115,7 @@ def test_average_class_size_matches_formula(code_3_2):
     for _ in range(20):
         x = rng.integers(0, 2, 12 * code_3_2.info_bits, dtype=np.uint8)
         scenario = TinyScenario(
-            code=code_3_2, key_space=keys, x=x, parity=np.zeros(code_3_2.parity_bits, dtype=np.uint8),
-            balance_limit=2.0,
+            code=code_3_2, key_space=keys, x=x, parity=np.zeros(code_3_2.parity_bits, dtype=np.uint8)
         )
         sizes = class_size_by_parity(scenario)
         assert sizes.mean() == pytest.approx(formula, rel=1e-12)
@@ -249,9 +249,7 @@ def test_candidate_narrowing_to_true_key(code_7_5):
         parity_frames.append((group, parity))
         if group == 1 and index == 0:
             first_parity = parity
-    scenario = TinyScenario(
-        code=code_7_5, key_space=keys, x=stream, parity=first_parity, balance_limit=2.0
-    )
+    scenario = TinyScenario(code=code_7_5, key_space=keys, x=stream, parity=first_parity)
     candidates = enumerate_key_candidates(scenario).all_keys()
     assert len(candidates) > 1
     survivors = [
@@ -261,3 +259,60 @@ def test_candidate_narrowing_to_true_key(code_7_5):
     ]
     assert len(survivors) == 1
     assert np.array_equal(survivors[0], true_row)
+
+
+@pytest.mark.parametrize(
+    "parity",
+    [[0], [3, 0, 0, 0, 0, 0], [0] * 7],
+    ids=["one-bit", "non-binary", "seven-bits"],
+)
+def test_enumeration_rejects_malformed_parity(code_7_5, parity):
+    # (7,5) has 6 parity bits; each of these used to broadcast or miss silently
+    keys = admissible_keys(12, 2.0)
+    scenario = TinyScenario(
+        code=code_7_5, key_space=keys, x=np.zeros(12 * code_7_5.info_bits, dtype=np.uint8),
+        parity=np.array(parity),
+    )
+    with pytest.raises(ValueError, match="parity must be 6 bits"):
+        enumerate_with_errors(scenario, 1)
+
+
+def test_class_sizes_refuse_more_than_2_24_classes():
+    code = make_code(build_field(5, 0x25), 31, 19)  # 60 parity bits
+    keys = admissible_keys(12, 2.0)[:4]
+    scenario = TinyScenario(
+        code=code, key_space=keys, x=np.ones(12 * code.info_bits, dtype=np.uint8),
+        parity=np.zeros(code.parity_bits, dtype=np.uint8),
+    )
+    with pytest.raises(ValueError, match=r"2\^60 parity classes"):
+        class_size_by_parity(scenario)
+    assert sum(len(rows) for rows in partition_by_parity(scenario).values()) == 4
+
+
+def test_parity_tags_stop_at_62_bits():
+    assert _parity_tags(np.ones(62, dtype=np.uint8)) == 2**62 - 1
+    bits = np.array([[1] + [0] * 61, [0] * 61 + [1]], dtype=np.uint8)
+    assert _parity_tags(bits).tolist() == [2**61, 1]
+    with pytest.raises(ValueError, match="63 parity bits"):
+        _parity_tags(np.zeros(63, dtype=np.uint8))
+    code = make_code(build_field(5, 0x25), 31, 18)  # 65 parity bits
+    scenario = TinyScenario(
+        code=code, key_space=admissible_keys(12, 2.0)[:4],
+        x=np.ones(12 * code.info_bits, dtype=np.uint8),
+        parity=np.zeros(code.parity_bits, dtype=np.uint8),
+    )
+    with pytest.raises(ValueError, match="65 parity bits"):
+        partition_by_parity(scenario)
+
+
+@pytest.mark.parametrize(
+    "frame",
+    [(0, np.zeros(6, dtype=np.uint8)), (3, np.zeros(6, dtype=np.uint8)),
+     (1, np.zeros(5, dtype=np.uint8)), (2, np.zeros(7, dtype=np.uint8))],
+    ids=["group-0", "group-3", "five-bits", "seven-bits"],
+)
+def test_judge_rejects_malformed_frames(code_7_5, frame):
+    rng = np.random.default_rng(72)
+    key, stream, _, parity_frames = _judge_fixture(code_7_5, rng, 0.0, blocks=4)
+    with pytest.raises(ValueError, match="parity frame"):
+        judge_candidate(key.bits, stream, parity_frames + [frame], code_7_5, 0.01)
