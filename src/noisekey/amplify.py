@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .rs import CodeSpec
+from .rs import CodeSpec, all_bits
 
 
 def binary_entropy(p: float) -> float:
@@ -243,7 +243,7 @@ def extract_key(info_bits, key_bits: int, seed: HashSeed, key_bits_max: int | No
     info_bits = np.asarray(info_bits)
     if info_bits.ndim != 1 or len(info_bits) == 0:
         raise ValueError("info_bits must be a non-empty 1-d bit array")
-    if ((info_bits != 0) & (info_bits != 1)).any():
+    if not all_bits(info_bits):
         raise ValueError("info_bits must hold only 0 and 1")
     if key_bits < 1:
         raise ValueError("key_bits must be >= 1")

@@ -26,7 +26,6 @@ from .amplify import (
     CapacityParams,
     binary_entropy,
     capacity_lower_bound,
-    fluctuation_adjusted_ber,
     leakage_bound,
 )
 
@@ -204,17 +203,15 @@ def gamma_report(params: CapacityParams, bob_ber: float, method: int = 1) -> Gam
     eps = binomial_tail(TailQuery(trials=trials, p=p_eff_bob, threshold=code.t, direction="above"))
     decode_failure = 1.0 - (1.0 - eps) ** params.unit_blocks
 
-    p_adj = fluctuation_adjusted_ber(params)
+    bound = capacity_lower_bound(params)
     low_noise = binomial_tail(
         TailQuery(
             trials=params.unit_info_bits,
             p=params.eve_ber,
-            threshold=params.unit_info_bits * p_adj,
+            threshold=params.unit_info_bits * bound.adjusted_ber,
             direction="below",
         )
     )
-
-    bound = capacity_lower_bound(params)
     leak = leakage_bound(params.safety_bits, bound.key_bits_real) if bound.secure else 1.0
     return GammaBudget(
         decode_failure=decode_failure,
@@ -224,31 +221,6 @@ def gamma_report(params: CapacityParams, bob_ber: float, method: int = 1) -> Gam
         per_block_failure=eps,
         key_bits_real=bound.key_bits_real,
         capacity_rate=bound.rate,
-    )
-
-
-@dataclass(frozen=True)
-class RateMargin:
-    """Parity bits per block versus secret-key bits per block.
-
-    When parity_bits exceeds key_bits_per_block, listing candidates from the
-    leaked parity is already the eavesdropper's cheapest route; harvested
-    keys cannot shrink her search below it.
-    """
-
-    parity_bits: int
-    key_bits_per_block: float
-    holds: bool
-
-
-def parity_key_margin(params: CapacityParams) -> RateMargin:
-    bound = capacity_lower_bound(params)
-    per_block = bound.key_bits_real / params.unit_blocks
-    parity_bits = params.code.parity_bits
-    return RateMargin(
-        parity_bits=parity_bits,
-        key_bits_per_block=per_block,
-        holds=parity_bits > per_block and parity_bits > 0,
     )
 
 
@@ -292,7 +264,7 @@ def security_report(
     log2_cand = candidate_count_log2(key_length, code.m, code.n, code.k, delta)
     entropy = error_pattern_entropy(code.m, code.k, params.eve_ber, code.d)
     budget = gamma_report(params, bob_ber, method)
-    margin = parity_key_margin(params)
+    per_block = budget.key_bits_real / params.unit_blocks
     return SecurityReport(
         key_length=key_length,
         delta=delta,
@@ -300,12 +272,12 @@ def security_report(
         pattern_entropy=entropy.truncated,
         pattern_entropy_approx=entropy.approximation,
         log2_attack_cost=entropy.truncated + log2_cand,
-        effective_key_bits=effective_key_length(
-            key_length, code.m, code.n, code.k, params.eve_ber, delta
-        ),
-        parity_bits=margin.parity_bits,
-        key_bits_per_block=margin.key_bits_per_block,
-        margin_holds=margin.holds,
+        effective_key_bits=log2_cand + entropy.approximation,
+        parity_bits=code.parity_bits,
+        key_bits_per_block=per_block,
+        # With more parity than key bits per block, listing candidates from
+        # the leaked parity is already the eavesdropper's cheapest route.
+        margin_holds=code.parity_bits > per_block,
         decode_failure=budget.decode_failure,
         low_noise_tail=budget.low_noise_tail,
         leakage=budget.leakage,

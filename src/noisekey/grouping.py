@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .rs import all_bits
+
 # scipy.special is imported inside the functions that use it: it costs
 # ~25 MB and ~0.2 s to import, and a protocol session never calls them.
 
@@ -41,7 +43,10 @@ class CommonKey:
 
     @classmethod
     def from_bits(cls, bits, balance_limit: float, require_admissible: bool = True) -> "CommonKey":
-        arr = np.asarray(bits, dtype=np.uint8).copy()
+        arr = np.asarray(bits)
+        if not all_bits(arr):
+            raise ValueError("key bits must hold only 0 and 1")
+        arr = arr.astype(np.uint8)
         if require_admissible and not validate_key(arr, balance_limit):
             raise ValueError("key is outside the admissible balance window")
         arr.setflags(write=False)
@@ -93,8 +98,9 @@ def sample_key(length: int, balance_limit: float, rng: np.random.Generator) -> C
 def outside_set_probability(length: int, balance_limit: float, mode: str = "exact") -> float:
     """Probability that a uniform bitstring falls outside the admissible set.
 
-    exact: sums the binomial distribution of the 1-count over the window
-           |count - length/2| <= balance_limit * sqrt(length/4), in log space.
+    exact: sums the binomial distribution of the 1-count over the counts
+           outside the window |count - length/2| <= balance_limit *
+           sqrt(length/4), in log space (1 - P(inside) would cancel).
     normal: the Gaussian approximation, 2 * Phi(-balance_limit).
     """
     from scipy.special import gammaln, logsumexp, ndtr
@@ -106,16 +112,18 @@ def outside_set_probability(length: int, balance_limit: float, mode: str = "exac
         raise ValueError(f"unknown mode {mode!r}")
     sigma = math.sqrt(length / 4.0)
     counts = np.arange(length + 1)
-    inside = np.abs(counts - length / 2.0) <= balance_limit * sigma
-    if not inside.any():
+    outside = counts[np.abs(counts - length / 2.0) > balance_limit * sigma]
+    if len(outside) == 0:
+        return 0.0
+    if len(outside) == len(counts):
         return 1.0
     log_pmf = (
         gammaln(length + 1)
-        - gammaln(counts[inside] + 1)
-        - gammaln(length - counts[inside] + 1)
+        - gammaln(outside + 1)
+        - gammaln(length - outside + 1)
         - length * math.log(2.0)
     )
-    return float(1.0 - math.exp(logsumexp(log_pmf)))
+    return float(math.exp(logsumexp(log_pmf)))
 
 
 @dataclass(frozen=True, eq=False)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grouping import CommonKey, split_stream
-from .rs import CodeSpec, bits_to_symbols, decode_block, encode_parity, symbols_to_bits
+from .rs import CodeSpec, all_bits, bits_to_symbols, decode_block, encode_parity, symbols_to_bits
 
 MAX_KEY_LENGTH = 20
 MAX_INFO_ENUM_LOG2 = 24
@@ -59,17 +59,15 @@ def make_scenario(
     balance_limit: float,
     rng: np.random.Generator,
     ber: float = 0.0,
-    stream_bits: int | None = None,
 ) -> tuple[TinyScenario, CommonKey]:
     """Draw a random stream and true key, leak the first group-I parity.
 
-    The stream is long enough for every admissible key to fill one block;
+    The stream's key_length * m*k bits let every admissible key fill one block;
     with ber > 0 the scenario's stream carries the eavesdropper's bit errors
     while the parity stays clean.
     """
     keys = admissible_keys(key_length, balance_limit)
-    if stream_bits is None:
-        stream_bits = key_length * code.info_bits
+    stream_bits = key_length * code.info_bits
     x = rng.integers(0, 2, size=stream_bits, dtype=np.uint8)
     true_row = keys[rng.integers(0, len(keys))]
     true_key = CommonKey.from_bits(true_row, balance_limit, require_admissible=False)
@@ -217,7 +215,7 @@ def enumerate_with_errors(scenario: TinyScenario, max_weight: int, unit: str = "
     """
     code = scenario.code
     parity = np.asarray(scenario.parity)
-    if parity.shape != (code.parity_bits,) or not np.isin(parity, (0, 1)).all():
+    if parity.shape != (code.parity_bits,) or not all_bits(parity):
         raise ValueError(f"parity must be {code.parity_bits} bits of 0 or 1")
     if max_weight > code.t:
         raise ValueError(f"patterns beyond {code.t} errors are not separable for this code")

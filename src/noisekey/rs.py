@@ -184,6 +184,11 @@ def make_code(fld: FieldSpec, n: int, k: int) -> CodeSpec:
     return _make_code_cached(fld.m, fld.primitive_poly, n, k)
 
 
+def all_bits(x: np.ndarray) -> bool:
+    """True iff every entry of x is 0 or 1; exact for any dtype."""
+    return not (x.astype(bool) != x).any()
+
+
 def encode_parity(code: CodeSpec, info_bits) -> np.ndarray:
     """Systematic parity bits of one information bit vector or a batch of them.
 
@@ -196,7 +201,7 @@ def encode_parity(code: CodeSpec, info_bits) -> np.ndarray:
     bits = np.asarray(info_bits)
     if bits.shape[-1:] != (code.info_bits,):
         raise ValueError(f"info must end in {code.info_bits} bits, got shape {bits.shape}")
-    if ((bits != 0) & (bits != 1)).any():
+    if not all_bits(bits):
         raise ValueError("info bits must hold only 0 and 1")
     rows = code.parity_matrix * bits.astype(np.uint8)[..., None]
     return np.unpackbits(np.bitwise_xor.reduce(rows, axis=-2), axis=-1, count=code.parity_bits)

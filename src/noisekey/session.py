@@ -2,13 +2,13 @@
 
 The transmitter draws a random bit stream, sends it in fixed-size payload
 frames, routes a private copy into two groups with the shared key, and
-publishes one parity frame per completed block. Secret keys fall out of
-hashing `unit_blocks` consecutive blocks in wire completion order: by the
-payload chunk that holds a block's last bit, group I before group II within
-a chunk. The receiver regroups its noisy copy with the same key,
-error-corrects each block against the published parity, and hashes the
-corrected bits; a unit with any failed block yields no key rather than a
-partial one.
+publishes one parity frame per block. Secret keys fall out of hashing
+`unit_blocks` consecutive blocks in wire completion order: by the payload
+chunk that holds a block's last bit, group I before group II within a
+chunk. Both ends lay out the session's `blocks_target` blocks from the key
+alone. The receiver regroups its noisy copy into that plan, error-corrects
+each block against the published parity, and hashes the corrected bits; a
+unit with any failed block yields no key rather than a partial one.
 """
 
 from __future__ import annotations
@@ -148,22 +148,24 @@ class SessionReport:
         }
 
 
-def _block_layout(key: CommonKey, block_bits: int, stream_bits: int):
-    """(group, per-group index, stream positions) of every block that a
-    stream of `stream_bits` bits, a whole number of payload chunks, completes.
+def _block_layout(key: CommonKey, block_bits: int, blocks: int):
+    """(group, per-group index, stream positions) of a session's first
+    `blocks` blocks.
 
     The (B,) group and index arrays and the (B, block_bits) positions come in
-    wire completion order: by the chunk holding a block's last bit, group I
-    before group II within a chunk. They depend on the key alone, so both
-    ends compute the same layout independently of bit values.
+    wire completion order: by the payload chunk holding a block's last bit,
+    group I before group II within a chunk. Each group leaves fewer than
+    block_bits bits over, so blocks + 1 chunks always complete them. The
+    layout depends on the key alone, so both ends compute it independently
+    of bit values.
     """
-    mask = _key_mask(key, stream_bits)
+    mask = _key_mask(key, (blocks + 1) * block_bits)
     per_group = [np.flatnonzero(mask), np.flatnonzero(~mask)]
     per_group = [p[: len(p) // block_bits * block_bits].reshape(-1, block_bits) for p in per_group]
     group = np.repeat([1, 2], [len(p) for p in per_group])
     index = np.concatenate([np.arange(len(p)) for p in per_group])
     positions = np.concatenate(per_group)
-    order = np.lexsort((index, group, positions[:, -1] // block_bits))
+    order = np.lexsort((index, group, positions[:, -1] // block_bits))[:blocks]
     return group[order], index[order], positions[order]
 
 
@@ -192,11 +194,7 @@ def run_transmitter(config: SessionConfig) -> TransmitterRun:
     if config.blocks_target == 0:
         return TransmitterRun(frames=[], keys=[], blocks=[], stream=np.zeros(0, dtype=np.uint8))
 
-    # Block completion depends only on the key. Each group leaves fewer than
-    # block_bits bits over, so blocks_target + 1 chunks always complete the
-    # target; send chunks up to the one holding the target block's last bit.
-    layout = _block_layout(config.key, block_bits, (config.blocks_target + 1) * block_bits)
-    group, index, positions = (a[: config.blocks_target] for a in layout)
+    group, index, positions = _block_layout(config.key, block_bits, config.blocks_target)
     chunks = [
         rng.integers(0, 2, size=block_bits, dtype=np.uint8)
         for _ in range(int(positions[-1, -1]) // block_bits + 1)
@@ -227,13 +225,18 @@ def run_transmitter(config: SessionConfig) -> TransmitterRun:
 def run_receiver(frames, config: SessionConfig) -> ReceiverRun:
     """Regroup, decode, and hash the delivered frames into secret keys.
 
-    A block whose parity frame is missing fails like an undecodable one. A
-    duplicate parity frame, a parity frame of the wrong size, or one for a
-    block the payload stream never completes raises FramingError.
+    The frames must be the payload frames 0 .. C-1 that complete the
+    session's `blocks_target` blocks and at most one parity frame per block,
+    each of its size; anything else raises FramingError. A block whose
+    parity frame is missing fails like an undecodable one.
     """
     code = config.code
     block_bits = code.info_bits
+    groups, indices, positions = _block_layout(config.key, block_bits, config.blocks_target)
+    chunks = int(positions[-1, -1]) // block_bits + 1 if len(positions) else 0
     info_frames = [f for f in frames if f.kind == KIND_INFO]
+    if len(info_frames) != chunks:
+        raise FramingError(f"{len(info_frames)} payload frames arrived; the session's blocks take {chunks}")
     parities: dict[tuple[int, int], Frame] = {}
     for frame in frames:
         if frame.kind != KIND_PARITY:
@@ -256,23 +259,16 @@ def run_receiver(frames, config: SessionConfig) -> ReceiverRun:
             )
     stream = np.concatenate([f.payload for f in info_frames]) if info_frames else np.zeros(0, np.uint8)
 
-    # Walk the completed blocks until every parity frame is used; a block
-    # whose parity frame is missing before that point fails its unit.
     outcomes: list[BlockOutcome] = []
     corrected_bits: list[np.ndarray | None] = []
-    unused = len(parities)
-    groups, indices, positions = _block_layout(config.key, block_bits, len(stream))
     for group, index, pos in zip(groups.tolist(), indices.tolist(), positions):
-        if not unused:
-            break
-        frame = parities.get((group, index))
+        frame = parities.pop((group, index), None)
         if frame is None:
             outcomes.append(
                 BlockOutcome(group=group, index=index, ok=False, corrected=0, reason="missing parity")
             )
             corrected_bits.append(None)
             continue
-        unused -= 1
         word = np.concatenate([stream[pos], frame.payload])
         result = decode_block(code, bits_to_symbols(word, code.m))
         outcomes.append(
@@ -283,8 +279,8 @@ def run_receiver(frames, config: SessionConfig) -> ReceiverRun:
         corrected_bits.append(
             symbols_to_bits(result.info, code.m).astype(np.uint8) if result.ok else None
         )
-    if unused:
-        raise FramingError(f"{unused} parity frame(s) name blocks the payload stream never completes")
+    if parities:
+        raise FramingError(f"{len(parities)} parity frame(s) name no block of the session")
 
     keys = _unit_keys(config, corrected_bits)
     return ReceiverRun(keys=keys, outcomes=outcomes, bits=corrected_bits)
@@ -315,8 +311,8 @@ def run_session(config: SessionConfig) -> SessionReport:
     eve_stream = np.concatenate(
         [f.payload for f in eve_frames if f.kind == KIND_INFO]
     ) if eve_frames else np.zeros(0, dtype=np.uint8)
-    _, _, positions = _block_layout(config.key, config.code.info_bits, len(tx.stream))
-    eve_flips = (tx.stream ^ eve_stream)[positions[: len(tx.blocks)]].sum(axis=1).tolist()
+    _, _, positions = _block_layout(config.key, config.code.info_bits, config.blocks_target)
+    eve_flips = (tx.stream ^ eve_stream)[positions].sum(axis=1).tolist()
 
     outcomes = unit_outcomes(tx, rx, config.unit_blocks)
     units = len(tx.keys)

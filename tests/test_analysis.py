@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from noisekey.analysis import (
     gamma_report,
     log2_binomial_tail,
     log_binomial_tail,
-    parity_key_margin,
     security_report,
     symbol_error_rate,
 )
@@ -201,22 +201,40 @@ def test_gamma_method2_counts_all_symbols(code_255_167):
     assert m2.decode_failure > m1.decode_failure  # parity symbols add error trials
 
 
+def _margin_report(params, key_length, balance_limit):
+    return security_report(key_length, balance_limit, params, bob_ber=params.eve_ber)
+
+
 def test_margin_reference(code_255_167):
-    margin = parity_key_margin(_design_params(code_255_167, 1, 3.0, 10))
-    assert margin.parity_bits == 704
-    assert margin.key_bits_per_block == pytest.approx(12.5, rel=0.005)
-    assert margin.holds
-    margin10 = parity_key_margin(_design_params(code_255_167, 10, 5.0, 16))
-    assert margin10.key_bits_per_block == pytest.approx(41.6, rel=0.005)
-    assert margin10.holds
+    report = _margin_report(_design_params(code_255_167, 1, 3.0, 10), 2496, 3.5)
+    assert report.parity_bits == 704
+    assert report.key_bits_per_block == pytest.approx(12.5, rel=0.005)
+    assert report.margin_holds
+    report10 = _margin_report(_design_params(code_255_167, 10, 5.0, 16), 2496, 3.5)
+    assert report10.key_bits_per_block == pytest.approx(41.6, rel=0.005)
+    assert report10.margin_holds
 
 
 def test_margin_fails_when_key_rate_dominates():
     code = make_code(build_field(4, 0x13), 15, 13)
     params = CapacityParams(code=code, eve_ber=0.3, unit_blocks=10, fluctuation_sigmas=3.0, safety_bits=1)
-    margin = parity_key_margin(params)
-    assert margin.key_bits_per_block > margin.parity_bits
-    assert not margin.holds
+    with pytest.warns(UserWarning, match="correctable range"):
+        report = _margin_report(params, 64, 3.0)
+    assert report.key_bits_per_block > report.parity_bits
+    assert not report.margin_holds
+
+
+def test_security_report_warns_once_per_cause(code_7_5):
+    # A 6-bit key against 6 parity bits and a 15-bit unit under a 3-sigma
+    # guard trip the candidate, the clamp and the pattern-tail warnings.
+    params = CapacityParams(code=code_7_5, eve_ber=0.05, unit_blocks=1, fluctuation_sigmas=3.0, safety_bits=1)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        security_report(6, 2.0, params, bob_ber=0.05)
+    messages = [str(w.message) for w in caught]
+    for cause in ("candidate counting", "adjusted BER clamped", "correctable range"):
+        assert sum(cause in m for m in messages) == 1, messages
+    assert len(messages) == 3
 
 
 def test_security_report_coherent(code_255_167):

@@ -343,15 +343,17 @@ def test_split_merge_round_trip_any_key(key_bits, stream):
     st.integers(1, 40),
     st.integers(0, 30),
 )
-def test_block_layout_matches_completion_walk(key_bits, balance_limit, block_bits, chunks):
+def test_block_layout_matches_completion_walk(key_bits, balance_limit, block_bits, blocks):
+    # The layout of B blocks is the walk's first B blocks over B + 1 chunks.
     assume(validate_key(key_bits, balance_limit))
     key = CommonKey.from_bits(key_bits, balance_limit)
     # On the stream 0, 1, 2, ... the walk's routed bits are the positions.
-    stream = np.arange(chunks * block_bits)
-    expected = [(g, j, bits.tolist()) for g, j, bits in completed_blocks(stream, key, block_bits)]
-    group, index, positions = _block_layout(key, block_bits, len(stream))
-    assert positions.shape == (len(expected), block_bits)
-    assert list(zip(group.tolist(), index.tolist(), positions.tolist())) == expected
+    stream = np.arange((blocks + 1) * block_bits)
+    walk = [(g, j, bits.tolist()) for g, j, bits in completed_blocks(stream, key, block_bits)]
+    assert len(walk) >= blocks
+    group, index, positions = _block_layout(key, block_bits, blocks)
+    assert positions.shape == (blocks, block_bits)
+    assert list(zip(group.tolist(), index.tolist(), positions.tolist())) == walk[:blocks]
 
 
 ORACLE_CODE = (3, 7, 5)

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -72,6 +73,35 @@ def test_outside_probability_exact_toy():
     expected = 1 - (math.comb(8, 3) + math.comb(8, 4) + math.comb(8, 5)) / 256
     assert outside_set_probability(8, 1.0, "exact") == pytest.approx(expected, abs=1e-12)
     assert expected == pytest.approx(74 / 256)
+
+
+def _outside_fraction(length, balance_limit):
+    """1 - P(inside) from exact integer binomial sums, rounded once."""
+    sigma = math.sqrt(length / 4.0)
+    inside = [c for c in range(length + 1) if abs(c - length / 2.0) <= balance_limit * sigma]
+    term, total = math.comb(length, inside[0]), 0
+    for c in inside:
+        total += term
+        term = term * (length - c) // (c + 1)
+    return float(Fraction((1 << length) - total, 1 << length))
+
+
+@pytest.mark.parametrize(
+    "length, balance_limit",
+    [(10_000, 9.0), (65_536, 9.0), (2496, 8.0), (100, 20.0), (8, 1.0), (64, 3.0)],
+)
+def test_outside_probability_exact_deep_tail(length, balance_limit):
+    # Here 1 - P(inside) cancels: to below zero at 9 sigma, and to 3e-14 at
+    # (100, 20 sigma), where no count lies outside. Log-gamma near 65537 is
+    # ~6.6e5, whose ulp of ~1e-10 sets the tolerance.
+    expected = _outside_fraction(length, balance_limit)
+    got = outside_set_probability(length, balance_limit, "exact")
+    assert got == pytest.approx(expected, rel=1e-10, abs=0.0)
+
+
+def test_outside_probability_exact_empty_window():
+    # length 3 at half a sigma: |count - 1.5| <= 0.43 admits no count
+    assert outside_set_probability(3, 0.5, "exact") == 1.0
 
 
 def test_exact_converges_to_normal():
@@ -153,3 +183,11 @@ def test_inadmissible_key_needs_the_raw_constructor():
 def test_counts():
     key = CommonKey.from_bits([1, 0, 1, 1], 99.0, require_admissible=False)
     assert key.ones == 3 and key.zeros == 1 and key.length == 4
+
+
+# A 2 would route to group I yet count as two ones, a 0.5 would truncate to
+# 0, and a -1 overflows uint8.
+@pytest.mark.parametrize("bits", [[0, 2, 1, 0], [0.5, 1, 1, 0], [-1, 1, 0, 1]])
+def test_from_bits_rejects_non_bits(bits):
+    with pytest.raises(ValueError, match="only 0 and 1"):
+        CommonKey.from_bits(bits, 99.0, require_admissible=False)

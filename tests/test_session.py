@@ -253,6 +253,57 @@ def test_unit_outcomes_and_failure_reason_counts(toy_code, toy_key, monkeypatch)
     assert doc["block_failure_reasons"] == {reason: 1}
 
 
+def test_missing_last_parity_frame_fails_the_last_unit(toy_code, toy_key):
+    # The receiver plans the session's 10 blocks from the key, so a lost
+    # last parity frame is a failed block, not a shorter session.
+    cfg = toy_config(toy_code, toy_key, blocks=10)
+    tx = run_transmitter(cfg)
+    frames = list(tx.frames)
+    del frames[_parity_positions(frames)[-1]]
+    rx = run_receiver(frames, cfg)
+    assert len(rx.outcomes) == 10 and len(rx.keys) == 10
+    assert rx.outcomes[-1].reason == "missing parity" and rx.keys[-1] is None
+    assert (rx.outcomes[-1].group, rx.outcomes[-1].index) == (tx.blocks[-1].group, tx.blocks[-1].index)
+    assert all(o.ok for o in rx.outcomes[:-1])
+
+
+def test_no_parity_frames_fail_every_block(toy_code, toy_key):
+    cfg = toy_config(toy_code, toy_key, blocks=10)
+    frames = [f for f in run_transmitter(cfg).frames if f.kind == KIND_INFO]
+    rx = run_receiver(frames, cfg)
+    assert [o.reason for o in rx.outcomes] == ["missing parity"] * 10
+    assert rx.keys == [None] * 10
+
+
+def test_extra_payload_frame_rejected(toy_code, toy_key):
+    cfg = toy_config(toy_code, toy_key, blocks=10)
+    frames = list(run_transmitter(cfg).frames)
+    infos = [f for f in frames if f.kind == KIND_INFO]
+    last = infos[-1]
+    extra = Frame(method=last.method, group=last.group, index=len(infos), kind=KIND_INFO,
+                  payload=last.payload)
+    with pytest.raises(FramingError):
+        run_receiver(frames + [extra], cfg)
+
+
+def test_missing_payload_tail_rejected(toy_code, toy_key):
+    # Dropping the last chunk and the parity of every block it completes
+    # leaves a consistent shorter session, which the plan still refuses.
+    cfg = toy_config(toy_code, toy_key, blocks=10)
+    tx = run_transmitter(cfg)
+    size = toy_code.info_bits
+    last_chunk = len(tx.stream) // size - 1
+    # On the stream 0, 1, 2, ... the walk's routed bits are the positions.
+    walk = itertools.islice(completed_blocks(np.arange(len(tx.stream)), toy_key, size), 10)
+    lost = {(g, j) for g, j, pos in walk if pos[-1] // size == last_chunk}
+    assert lost
+    frames = [f for f in tx.frames
+              if not (f.kind == KIND_INFO and f.index == last_chunk)
+              and not (f.kind == KIND_PARITY and (f.group, f.index) in lost)]
+    with pytest.raises(FramingError):
+        run_receiver(frames, cfg)
+
+
 def test_duplicate_parity_frame_rejected(toy_code, toy_key):
     cfg = toy_config(toy_code, toy_key, blocks=5)
     tx = run_transmitter(cfg)
