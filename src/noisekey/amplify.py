@@ -147,9 +147,12 @@ class HashSeed:
 
 
 def expand_seed(seed: HashSeed, n_in: int, n_out: int) -> np.ndarray:
-    """Expand the seed into the n_in + n_out - 1 Toeplitz diagonal bits."""
-    rng = np.random.default_rng(np.random.SeedSequence(list(seed.entropy)))
-    return rng.integers(0, 2, size=n_in + n_out - 1, dtype=np.uint8)
+    """Expand the seed into the n_in + n_out - 1 Toeplitz diagonal bits: those of
+    default_rng(SeedSequence(entropy)).integers(0, 2, n, uint8), which by Lemire's
+    method are the top bits of the bytes of PCG64's 64-bit outputs, low byte first."""
+    n = n_in + n_out - 1
+    raw = np.random.PCG64(np.random.SeedSequence(list(seed.entropy))).random_raw(-(-n // 8))
+    return raw.astype("<u8").view(np.uint8)[:n] >> 7
 
 
 def toeplitz_matrix(seed: HashSeed, n_in: int, n_out: int) -> np.ndarray:

@@ -19,8 +19,9 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-# scipy.special is imported inside the functions that use it: it costs
-# ~25 MB and ~0.2 s to import, and a protocol session never calls them.
+# scipy.special's ufuncs are imported inside the functions that use them: it
+# costs ~25 MB and ~0.2 s to import, and a protocol session never calls them.
+# Log-space sums use grouping.log_sum_exp, not logsumexp's array-API dispatch.
 
 from .amplify import (
     CapacityParams,
@@ -28,6 +29,7 @@ from .amplify import (
     capacity_lower_bound,
     leakage_bound,
 )
+from .grouping import log_sum_exp, outside_set_probability
 
 
 @dataclass(frozen=True)
@@ -62,7 +64,7 @@ def log_binomial_tail(q: TailQuery, mode: str = "exact") -> float:
     The exact mode sums pmf terms in log space, so it stays meaningful far
     below the smallest positive float.
     """
-    from scipy.special import gammaln, logsumexp, ndtr
+    from scipy.special import gammaln, ndtr
     if mode == "normal":
         mean = q.trials * q.p
         sd = math.sqrt(q.trials * q.p * (1.0 - q.p))
@@ -88,12 +90,7 @@ def log_binomial_tail(q: TailQuery, mode: str = "exact") -> float:
         + ks * math.log(q.p)
         + (q.trials - ks) * math.log1p(-q.p)
     )
-    return float(logsumexp(log_pmf))
-
-
-def log2_binomial_tail(q: TailQuery, mode: str = "exact") -> float:
-    """The same tail in log2, for exponent bookkeeping."""
-    return log_binomial_tail(q, mode) / math.log(2.0)
+    return log_sum_exp(log_pmf)
 
 
 def binomial_tail(q: TailQuery, mode: str = "exact") -> float:
@@ -257,8 +254,6 @@ def security_report(
     method: int = 1,
     delta_mode: str = "exact",
 ) -> SecurityReport:
-    from .grouping import outside_set_probability
-
     code = params.code
     delta = outside_set_probability(key_length, balance_limit, delta_mode)
     log2_cand = candidate_count_log2(key_length, code.m, code.n, code.k, delta)

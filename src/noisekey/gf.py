@@ -8,6 +8,7 @@ does not generate the full multiplicative cycle of 2^m - 1 elements.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -40,10 +41,10 @@ class FieldSpec:
     primitive_poly: int
     exp_table: np.ndarray = field(repr=False)
     log_table: np.ndarray = field(repr=False)
-    # The same tables as Python lists for scalar loops; exp_list is doubled
-    # (length 2 * (2^m - 1)) so a sum of two logs indexes it without a modulo.
-    exp_list: list = field(repr=False)
-    log_list: list = field(repr=False)
+    # The tables as tuples for scalar loops, shared by every build_field caller;
+    # exp_list is doubled (2 * (2^m - 1) long) so a sum of two logs needs no modulo.
+    exp_list: tuple = field(repr=False)
+    log_list: tuple = field(repr=False)
 
     @property
     def order(self) -> int:
@@ -92,11 +93,12 @@ class FieldSpec:
         return np.bitwise_xor.reduce(self.exp_table[expo], axis=0)
 
 
+@lru_cache(maxsize=32)
 def build_field(m: int, primitive_poly: int | None = None) -> FieldSpec:
-    """Build exp/log tables for GF(2^m).
+    """Build exp/log tables for GF(2^m), once per (m, primitive_poly).
 
-    Raises ValueError when the polynomial has the wrong degree or is not
-    primitive (the generated cycle is shorter than 2^m - 1).
+    Raises ValueError, on every call, when the polynomial has the wrong
+    degree or is not primitive (the generated cycle is shorter than 2^m - 1).
     """
     if not 2 <= m <= 16:
         raise ValueError(f"extension degree must be in 2..16, got {m}")
@@ -132,7 +134,7 @@ def build_field(m: int, primitive_poly: int | None = None) -> FieldSpec:
         primitive_poly=primitive_poly,
         exp_table=exp_table,
         log_table=log_table,
-        exp_list=exp_list + exp_list,
-        log_list=log_table.tolist(),
+        exp_list=tuple(exp_list + exp_list),
+        log_list=tuple(log_table.tolist()),
     )
 

@@ -71,40 +71,13 @@ def make_scenario(
     x = rng.integers(0, 2, size=stream_bits, dtype=np.uint8)
     true_row = keys[rng.integers(0, len(keys))]
     true_key = CommonKey.from_bits(true_row, balance_limit, require_admissible=False)
-    parity = encode_parity(code, _first_block_bits(code, x, true_row[None, :])[0])
+    tag = _first_block_tags(code, x, true_row[None, :])[0]
+    parity = ((tag >> np.arange(code.parity_bits - 1, -1, -1)) & 1).astype(np.uint8)
     x_seen = x.copy()
     if ber > 0.0:
         flips = rng.random(stream_bits) < ber
         x_seen ^= flips.astype(np.uint8)
     return TinyScenario(code=code, key_space=keys, x=x_seen, parity=parity), true_key
-
-
-def _first_block_bits(code: CodeSpec, x: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """Group-I bits of the first block under each key row, one row per key.
-
-    A key with w ones at positions pos[0..w-1] of its period routes its j-th
-    group-I bit from stream position
-    (j // w) * key_length + pos[j % w], so each class of keys with the same w
-    is one gather of m*k bits per key; the stream is never tiled.
-    """
-    n_bits = code.info_bits
-    count, klen = keys.shape
-    keys = keys.astype(bool)
-    ones = keys.sum(axis=1)
-    j = np.arange(n_bits)
-    out = np.empty((count, n_bits), dtype=x.dtype)
-    short = "stream too short to fill one block for every key"
-    for w in np.unique(ones):
-        if w == 0:
-            raise ValueError(short)
-        rows = np.flatnonzero(ones == w)
-        # Row-major nonzero lists each row's w one-positions in order.
-        pos = np.nonzero(keys[rows])[1].reshape(len(rows), w)
-        idx = (j // w) * klen + pos[:, j % w]
-        if idx[:, -1].max() >= len(x):
-            raise ValueError(short)
-        out[rows] = x[idx]
-    return out
 
 
 def _parity_tags(parity: np.ndarray) -> np.ndarray:
@@ -115,16 +88,65 @@ def _parity_tags(parity: np.ndarray) -> np.ndarray:
     return parity.astype(np.int64) @ (1 << np.arange(bits - 1, -1, -1, dtype=np.int64))
 
 
+def _first_block_tags(code: CodeSpec, x: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Parity tag of the first group-I block under each key row, by GF(2) linearity.
+
+    A key with w ones at columns pos routes block bit j = s*w + i from stream
+    position s*key_length + pos[i]; the tag XORs the unit tags T[j] of the set
+    block bits. So column c, holding the key's i-th one, adds slots[w, i, c] =
+    XOR_s x[s*key_length + c] * T[s*w + i]. Folding 8 columns' slots gives one
+    table per key byte, indexed by (w, ones before the byte, byte value). The
+    key's last block bit comes from its one slot (w, (m*k - 1) % w, c), which is
+    flagged with bit MAX_TAG_BITS when that bit lies past the stream's end.
+    """
+    n_bits = code.info_bits
+    count, klen = keys.shape
+    if klen > MAX_KEY_LENGTH:
+        raise ValueError(f"parity tags are listed for keys of at most {MAX_KEY_LENGTH} bits")
+    if not all_bits(x):
+        raise ValueError("stream bits must hold only 0 and 1")
+    unit_tags = _parity_tags(encode_parity(code, np.eye(n_bits, dtype=np.uint8)))
+    # One row per key byte, first column in bit 0; flat packing beats axis=1 ~10x.
+    flat = np.pad(keys, ((0, 0), (0, -klen % 8))).ravel()
+    octets = np.packbits(flat, bitorder="little").reshape(count, -(-klen // 8)).T
+    ones = _BYTE_POPCOUNT[octets]
+    weights = sum(ones, np.zeros(count, dtype=np.intp))
+    top = int(weights.max(initial=0))
+    rows = np.pad(x[: n_bits * klen].astype(np.int64), (0, max(0, n_bits * klen - len(x))))
+    rows = rows.reshape(n_bits, klen)
+    slots = np.zeros((top + 1, klen + 8, 8 * len(octets)), dtype=np.int64)
+    for w in np.flatnonzero(np.bincount(weights)[1:]) + 1:
+        periods = -(-n_bits // w)
+        per_slot = np.pad(unit_tags, (0, periods * w - n_bits)).reshape(periods, w, 1)
+        slots[w, :w, :klen] = np.bitwise_xor.reduce(rows[:periods, None] * per_slot, axis=0)
+        last, reach = (n_bits - 1) % w, (n_bits - 1) // w * klen
+        slots[w, last, :klen] |= (reach + np.arange(klen) >= len(x)).astype(np.int64) << MAX_TAG_BITS
+    tags, ones_before = np.zeros(count, dtype=np.int64), np.zeros(count, dtype=np.intp)
+    for b in range(len(octets)):
+        # Extend the byte's table one column (one higher bit) at a time.
+        span = 8 * b + 1
+        table = np.zeros((top + 1, span, 1), dtype=np.int64)
+        prefix_ones = np.zeros(1, dtype=np.intp)
+        for c in range(8 * b, 8 * b + 8):
+            step = table ^ slots[:, np.arange(span)[:, None] + prefix_ones, c]
+            table = np.concatenate([table, step], axis=-1)
+            prefix_ones = np.concatenate([prefix_ones, prefix_ones + 1])
+        tags ^= table.ravel()[(weights * span + ones_before) * 256 + octets[b]]
+        ones_before += ones[b]
+    if (weights == 0).any() or (tags >> MAX_TAG_BITS).any():
+        raise ValueError("stream too short to fill one block for every key")
+    return tags
+
+
 def partition_by_parity(scenario: TinyScenario) -> dict[int, np.ndarray]:
     """Bucket the admissible keys by the parity tag their first block induces.
 
     Buckets come in increasing tag order, and each holds its keys in
     key-space order.
     """
-    code = scenario.code
-    blocks = _first_block_bits(code, scenario.x, scenario.key_space)
-    tags = _parity_tags(encode_parity(code, blocks))
-    order = np.argsort(tags, kind="stable")
+    tags = _first_block_tags(scenario.code, scenario.x, scenario.key_space)
+    # A stable sort of 8- or 16-bit integers is a radix sort: ~6x faster here.
+    order = np.argsort(tags.astype(np.min_scalar_type(tags.max(initial=0))), kind="stable")
     tags = tags[order]
     starts = np.flatnonzero(np.diff(tags, prepend=-1))
     return dict(zip(tags[starts].tolist(), np.split(scenario.key_space[order], starts[1:])))
@@ -165,12 +187,6 @@ class CandidateSet:
     @property
     def total_candidates(self) -> int:
         return sum(len(v) for v in self.per_pattern.values())
-
-    def all_keys(self) -> np.ndarray:
-        mats = [v for v in self.per_pattern.values() if len(v)]
-        if not mats:
-            return np.zeros((0, 0), dtype=np.uint8)
-        return np.concatenate(mats, axis=0)
 
 
 def _error_patterns(code: CodeSpec, max_weight: int, unit: str):
@@ -299,6 +315,5 @@ def class_size_by_parity(scenario: TinyScenario) -> np.ndarray:
     code, bits = scenario.code, scenario.code.parity_bits
     if bits > MAX_INFO_ENUM_LOG2:
         raise ValueError(f"2^{bits} parity classes exceed the 2^{MAX_INFO_ENUM_LOG2} guard")
-    blocks = _first_block_bits(code, scenario.x, scenario.key_space)
-    tags = _parity_tags(encode_parity(code, blocks))
+    tags = _first_block_tags(code, scenario.x, scenario.key_space)
     return np.bincount(tags, minlength=1 << bits)

@@ -43,6 +43,7 @@ class CodeSpec:
     # words x m*n uint64; column m*p + b packs S_1..S_(n-k) of bit b of
     # position p alone as uint8 symbols (uint16 for m > 8), zero-padded
     syndrome_table: np.ndarray = field(repr=False)
+    chien_logs: np.ndarray = field(repr=False)  # -j mod 2^m - 1, j < n: Chien points alpha^-j
 
     @property
     def m(self) -> int:
@@ -156,6 +157,8 @@ def _make_code_cached(m: int, primitive_poly: int, n: int, k: int) -> CodeSpec:
     pmat.setflags(write=False)
     stab = _syndrome_table(fld, n, k)
     stab.setflags(write=False)
+    chien = -np.arange(n) % fld.mul_order
+    chien.setflags(write=False)
     return CodeSpec(
         field=fld,
         n=n,
@@ -166,6 +169,7 @@ def _make_code_cached(m: int, primitive_poly: int, n: int, k: int) -> CodeSpec:
         generator_poly=tuple(gen),
         parity_matrix=pmat,
         syndrome_table=stab,
+        chien_logs=chien,
     )
 
 
@@ -318,9 +322,8 @@ def decode_block(code: CodeSpec, received) -> DecodeResult:
 
     # Chien search over the n positions in use; position at degree j is in
     # error iff locator(alpha^-j) = 0.
-    degrees = np.arange(code.n)
-    vals = fld.eval_poly_at_powers(locator, (-degrees) % fld.mul_order)
-    err_degrees = degrees[vals == 0]
+    vals = fld.eval_poly_at_powers(locator, code.chien_logs)
+    err_degrees = np.flatnonzero(vals == 0)
     if len(err_degrees) != length:
         return DecodeResult(ok=False, info=None, corrected=0, reason="root count")
 
@@ -329,7 +332,7 @@ def decode_block(code: CodeSpec, received) -> DecodeResult:
     if omega is None:
         omega = _times_syndromes(fld, locator, synd)
     loc_arr = np.array(locator, dtype=np.int64)
-    inv_logs = (-err_degrees) % fld.mul_order
+    inv_logs = code.chien_logs[err_degrees]
     omega_vals = fld.eval_poly_at_powers(omega, inv_logs)
     deriv = loc_arr[1:].copy()
     deriv[1::2] = 0                       # formal derivative keeps odd terms only

@@ -6,22 +6,34 @@ explicit Toeplitz matrix,
 against the frozen reference decoder in `reference_rs`, the bit-level
 `encode_parity` against polynomial long division, the session's block
 layout against the chunk-by-chunk completion walk in `reference_layout`,
-and the exhaustive adversary's key routing and parity buckets against
-per-key `split_stream` and a plain dict loop.
+the exhaustive adversary's parity tags against the explicit first-block
+gather in `reference_oracle` (itself checked against per-key
+`split_stream`) and its parity buckets against a plain dict loop,
+`expand_seed` against `Generator.integers`, and the log-space sum against
+`scipy.special.logsumexp`.
 """
 
 import functools
+import math
 
 import numpy as np
 import pytest
+import scipy
+from scipy.special import logsumexp
 from hypothesis import assume, given, settings, strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
 from noisekey import amplify
 from noisekey.amplify import HashSeed, expand_seed, extract_key, toeplitz_matrix
 from noisekey.gf import FieldSpec, build_field
-from noisekey.grouping import CommonKey, merge_stream, split_stream, validate_key
-from noisekey.oracle import TinyScenario, _first_block_bits, admissible_keys, partition_by_parity
+from noisekey.grouping import CommonKey, log_sum_exp, merge_stream, split_stream, validate_key
+from noisekey.oracle import (
+    TinyScenario,
+    _first_block_tags,
+    _parity_tags,
+    admissible_keys,
+    partition_by_parity,
+)
 from noisekey.rs import (
     _berlekamp_massey,
     _syndromes,
@@ -36,6 +48,7 @@ from noisekey.session import _block_layout
 
 import reference_rs
 from reference_layout import completed_blocks
+from reference_oracle import SHORT, first_block_bits
 from conftest import random_codeword_with_errors
 from test_rs import remainder_parity
 
@@ -63,6 +76,17 @@ def test_windowed_rows_are_the_toeplitz_matrix():
     for n_in, n_out in [(1, 1), (9, 12), (95, 98)]:
         rows = sliding_window_view(expand_seed(seed, n_in, n_out), n_in)[:, ::-1]
         assert np.array_equal(rows, toeplitz_matrix(seed, n_in, n_out))
+
+
+@pytest.mark.parametrize("entropy", [(0,), (5, 6), (2**32, 1, 7), (2**64 + 1,)])
+def test_expand_seed_is_the_generator_bit_draw(entropy):
+    seed = HashSeed.of(*entropy)
+    rng_bits = lambda n: np.random.default_rng(np.random.SeedSequence(list(entropy))).integers(
+        0, 2, size=n, dtype=np.uint8
+    )
+    for n in [*range(1, 131), 13_865]:
+        bits = expand_seed(seed, n, 1)
+        assert bits.dtype == np.uint8 and np.array_equal(bits, rng_bits(n))
 
 
 @pytest.mark.parametrize("n_in", [1, 7, 8, 9, 95, 1000, 13360])
@@ -408,9 +432,69 @@ def rotated_case(key_length, rotation):
 def test_first_block_bits_match_split_stream(key_length, rotation):
     code, keys, x, blocks = rotated_case(key_length, rotation)
     assert blocks.shape == (len(keys), code.info_bits)
-    assert np.array_equal(_first_block_bits(code, x, keys), blocks)
-    with pytest.raises(ValueError, match="stream too short"):
-        _first_block_bits(code, x[:-1], keys)
+    assert np.array_equal(first_block_bits(code.info_bits, x, keys), blocks)
+    with pytest.raises(ValueError, match=SHORT):
+        first_block_bits(code.info_bits, x[:-1], keys)
+
+
+TAG_CODES = [(2, 3, 2), (3, 7, 5), (3, 7, 4), (4, 15, 11)]
+
+
+def reference_tags(code, x, keys):
+    return _parity_tags(encode_parity(code, first_block_bits(code.info_bits, x, keys)))
+
+
+@functools.cache
+def tag_keys(key_length):
+    """The admissible keys, or an even sample of 4001 of them: the tags are
+    per key, so a sample loses no case but the key count."""
+    keys = admissible_keys(key_length, 2.0)
+    return keys[np.linspace(0, len(keys) - 1, min(len(keys), 4001)).astype(int)]
+
+
+@pytest.mark.parametrize("rotation", ROTATIONS)
+@pytest.mark.parametrize("key_length", [12, 16, 20])
+@pytest.mark.parametrize("m, n, k", TAG_CODES)
+def test_first_block_tags_match_gathered_blocks(m, n, k, key_length, rotation):
+    code = make_code(build_field(m), n, k)
+    keys = np.roll(tag_keys(key_length), -resolve_rotation(rotation, key_length), axis=1)
+    fill = int(fill_points(keys, code.info_bits).max())
+    rng = np.random.default_rng([m, n, k, key_length])
+    # The stream that just fills every key's block, and the one make_scenario draws.
+    for length in (fill, key_length * code.info_bits):
+        x = rng.integers(0, 2, length, dtype=np.uint8)
+        assert np.array_equal(_first_block_tags(code, x, keys), reference_tags(code, x, keys))
+    for tags in (_first_block_tags, reference_tags):
+        with pytest.raises(ValueError, match=SHORT):
+            tags(code, x[: fill - 1], keys)
+
+
+@pytest.mark.parametrize("m, n, k", TAG_CODES)
+def test_first_block_tags_reject_keys_without_ones(m, n, k):
+    code = make_code(build_field(m), n, k)
+    keys = np.zeros((2, 12), dtype=np.uint8)
+    keys[1, ::2] = 1
+    x = np.ones(12 * code.info_bits, dtype=np.uint8)
+    for rows in (keys[1:], keys[:0]):
+        assert np.array_equal(_first_block_tags(code, x, rows), reference_tags(code, x, rows))
+    for tags in (_first_block_tags, reference_tags):
+        with pytest.raises(ValueError, match=SHORT):
+            tags(code, x, keys)
+        with pytest.raises(ValueError, match=SHORT):
+            tags(code, x, keys[:1])
+
+
+def test_first_block_tags_reject_non_bits_and_long_keys():
+    code = make_code(build_field(ORACLE_CODE[0]), *ORACLE_CODE[1:])
+    keys = admissible_keys(12, 2.0)[:5]
+    x = np.ones(12 * code.info_bits, dtype=np.uint8)
+    x[7] = 2
+    with pytest.raises(ValueError, match="only 0 and 1"):
+        _first_block_tags(code, x, keys)
+    # A 2496-bit key row would need a ~60 GB slot table.
+    wide = np.tile(keys[:1], (1, 208))
+    with pytest.raises(ValueError, match="at most 20 bits"):
+        _first_block_tags(code, np.ones(2496 * code.info_bits, dtype=np.uint8), wide)
 
 
 def test_first_block_bits_rejects_keys_without_ones():
@@ -418,9 +502,31 @@ def test_first_block_bits_rejects_keys_without_ones():
     keys = np.zeros((2, 12), dtype=np.uint8)
     keys[1, ::2] = 1
     x = np.ones(12 * code.info_bits, dtype=np.uint8)
-    assert np.array_equal(_first_block_bits(code, x, keys[1:]), x[None, : code.info_bits])
-    with pytest.raises(ValueError, match="stream too short"):
-        _first_block_bits(code, x, keys)
+    assert np.array_equal(first_block_bits(code.info_bits, x, keys[1:]), x[None, : code.info_bits])
+    with pytest.raises(ValueError, match=SHORT):
+        first_block_bits(code.info_bits, x, keys)
+
+
+# scipy 1.17's logsumexp takes the maximum terms out of the sum, as
+# log_sum_exp does; older versions may sum every term, a few ulp away.
+LOGSUMEXP_EXACT = tuple(int(p) for p in scipy.__version__.split(".")[:2]) >= (1, 17)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    values=st.lists(st.floats(-1e4, 1e4), min_size=1, max_size=150),
+    ties=st.integers(0, 4),
+    data=st.data(),
+)
+def test_log_sum_exp_is_scipy_logsumexp(values, ties, data):
+    # Ties at the maximum and at a drawn value.
+    pick = data.draw(st.sampled_from(values))
+    a = np.array(values + [max(values)] * ties + [pick] * ties)
+    ours, ref = log_sum_exp(a), float(logsumexp(a))
+    if LOGSUMEXP_EXACT:
+        assert ours == ref
+    else:
+        assert math.isclose(ours, ref, rel_tol=1e-13, abs_tol=1e-13)
 
 
 @pytest.mark.parametrize("rotation", ROTATIONS)

@@ -34,6 +34,15 @@ def test_reducible_polynomial_rejected():
         build_field(8, 0x101)  # x^8 + 1 factors, cycle collapses
 
 
+def test_fields_are_built_once_and_bad_polynomials_raise_every_time():
+    assert build_field(5, 0x25) is build_field(5, 0x25)
+    for _ in range(3):
+        with pytest.raises(ValueError, match="not primitive"):
+            build_field(8, 0x101)
+        with pytest.raises(ValueError, match="degree"):
+            build_field(8, 0xB)
+
+
 def test_wrong_degree_rejected():
     with pytest.raises(ValueError):
         build_field(8, 0xB)
