@@ -22,7 +22,6 @@ from .channel import ChannelConfig, Frame, bsc_transmit, decode_frame, deliver, 
 from .gf import FieldSpec, build_field
 from .grouping import (
     CommonKey,
-    merge_stream,
     outside_set_probability,
     sample_key,
     split_stream,
@@ -31,7 +30,6 @@ from .grouping import (
 from .oracle import (
     TinyScenario,
     enumerate_info_candidates,
-    enumerate_key_candidates,
     enumerate_with_errors,
     judge_candidate,
     make_scenario,

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .rs import all_bits
+
 MAGIC = b"NKY1"
 VERSION = 1
 _HEADER = struct.Struct(">4sBBBIBI")
@@ -109,7 +111,8 @@ def encode_frame(frame: Frame) -> bytes:
 
     Payload bits are packed MSB first and zero-padded to a byte boundary.
     A header field that is not an integer in its unsigned range raises
-    ValueError naming the field.
+    ValueError naming the field, and so does a payload holding anything but
+    0 and 1.
     """
     for name, value, limit in (
         ("method", frame.method, 0xFF),
@@ -119,6 +122,8 @@ def encode_frame(frame: Frame) -> bytes:
     ):
         if not isinstance(value, (int, np.integer)) or not 0 <= value <= limit:
             raise ValueError(f"frame {name} must be an integer in 0..{limit}, got {value!r}")
+    if not all_bits(np.asarray(frame.payload)):
+        raise ValueError("frame payload must hold only 0 and 1")
     payload = np.asarray(frame.payload, dtype=np.uint8)
     header = _HEADER.pack(
         MAGIC, VERSION, frame.method, frame.group, frame.index, frame.kind, len(payload)

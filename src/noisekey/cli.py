@@ -256,7 +256,7 @@ def cmd_analyze(args) -> int:
     doc = {"resolved_params": resolved, "report": report.to_dict()}
     lines = [f"params: {resolved}"] + [
         f"{name:24s} {value:.6g}" if isinstance(value, float) else f"{name:24s} {value}"
-        for name, value in report.to_dict().items()
+        for name, value in doc["report"].items()
     ]
     _emit(args, doc, lines)
     return 0

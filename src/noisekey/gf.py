@@ -61,11 +61,6 @@ class FieldSpec:
             return 0
         return int(self.exp_table[(self.log_table[a] + self.log_table[b]) % self.mul_order])
 
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("the zero element has no inverse")
-        return int(self.exp_table[(-self.log_table[a]) % self.mul_order])
-
     def pow_alpha(self, e: int) -> int:
         """alpha^e for any integer exponent (negative exponents wrap)."""
         return int(self.exp_table[e % self.mul_order])

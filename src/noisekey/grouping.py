@@ -32,10 +32,6 @@ def log_sum_exp(a: np.ndarray) -> float:
     return float(np.log1p(rest / count) + np.log(count) + top)
 
 
-class FramingError(ValueError):
-    """Group lengths cannot be merged back into one stream."""
-
-
 def validate_key(bits, balance_limit: float) -> bool:
     """True iff the 1-count deviates from length/2 by at most balance_limit sigmas."""
     bits = np.asarray(bits)
@@ -140,14 +136,15 @@ def outside_set_probability(length: int, balance_limit: float, mode: str = "exac
 
 @dataclass(frozen=True, eq=False)
 class GroupStreams:
-    """The two routed sub-streams."""
+    """The two routed sub-streams, of bits or of stream positions."""
 
     group1: np.ndarray
     group2: np.ndarray
 
-    @property
-    def consumed(self) -> int:
-        return len(self.group1) + len(self.group2)
+    def blocks(self, size: int) -> tuple[np.ndarray, np.ndarray]:
+        """Each group's entries cut into whole consecutive size-entry blocks, one
+        (blocks, size) array per group; a trailing partial block is dropped."""
+        return tuple(g[: len(g) // size * size].reshape(-1, size) for g in (self.group1, self.group2))
 
 
 def _key_mask(key: CommonKey, length: int) -> np.ndarray:
@@ -161,21 +158,6 @@ def split_stream(x, key: CommonKey) -> GroupStreams:
     x = np.asarray(x, dtype=np.uint8)
     mask = _key_mask(key, len(x))
     return GroupStreams(group1=x[mask], group2=x[~mask])
-
-
-def merge_stream(groups: GroupStreams, key: CommonKey) -> np.ndarray:
-    """Invert split_stream exactly; inconsistent lengths raise FramingError."""
-    total = groups.consumed
-    mask = _key_mask(key, total)
-    need1 = int(mask.sum())
-    if need1 != len(groups.group1):
-        raise FramingError(
-            f"group1 holds {len(groups.group1)} bits but the key pattern needs {need1}"
-        )
-    out = np.empty(total, dtype=np.uint8)
-    out[mask] = groups.group1
-    out[~mask] = groups.group2
-    return out
 
 
 def block_fits_key_period(key_length: int, balance_limit: float, m: int, k: int) -> bool:

@@ -25,6 +25,7 @@ MAX_KEY_LENGTH = 20
 MAX_INFO_ENUM_LOG2 = 24
 MAX_WORK = 1 << 26
 MAX_TAG_BITS = 62
+_SHORT = "stream too short to fill one block for every key"
 
 
 # 1-bits per byte value (np.bitwise_count needs numpy 2)
@@ -60,19 +61,22 @@ def make_scenario(
     rng: np.random.Generator,
     ber: float = 0.0,
 ) -> tuple[TinyScenario, CommonKey]:
-    """Draw a random stream and true key, leak the first group-I parity.
+    """Draw a random stream and true key; leak the parity of the true key's
+    first group-I block, as the transmitter computes it.
 
-    The stream's key_length * m*k bits let every admissible key fill one block;
-    with ber > 0 the scenario's stream carries the eavesdropper's bit errors
-    while the parity stays clean.
+    The stream's key_length * m*k bits fill that block for any key with a 1;
+    a true key without one raises ValueError. With ber > 0 the scenario's
+    stream carries the eavesdropper's bit errors while the parity stays clean.
     """
     keys = admissible_keys(key_length, balance_limit)
     stream_bits = key_length * code.info_bits
     x = rng.integers(0, 2, size=stream_bits, dtype=np.uint8)
     true_row = keys[rng.integers(0, len(keys))]
     true_key = CommonKey.from_bits(true_row, balance_limit, require_admissible=False)
-    tag = _first_block_tags(code, x, true_row[None, :])[0]
-    parity = ((tag >> np.arange(code.parity_bits - 1, -1, -1)) & 1).astype(np.uint8)
+    group1_blocks = split_stream(x, true_key).blocks(code.info_bits)[0]
+    if len(group1_blocks) == 0:
+        raise ValueError(_SHORT)
+    parity = encode_parity(code, group1_blocks[0])
     x_seen = x.copy()
     if ber > 0.0:
         flips = rng.random(stream_bits) < ber
@@ -134,7 +138,7 @@ def _first_block_tags(code: CodeSpec, x: np.ndarray, keys: np.ndarray) -> np.nda
         tags ^= table.ravel()[(weights * span + ones_before) * 256 + octets[b]]
         ones_before += ones[b]
     if (weights == 0).any() or (tags >> MAX_TAG_BITS).any():
-        raise ValueError("stream too short to fill one block for every key")
+        raise ValueError(_SHORT)
     return tags
 
 
@@ -217,11 +221,6 @@ def _error_patterns(code: CodeSpec, max_weight: int, unit: str):
         raise ValueError(f"unknown pattern unit {unit!r}")
 
 
-def enumerate_key_candidates(scenario: TinyScenario) -> CandidateSet:
-    """Error-free case: keys whose first-block parity matches the observation."""
-    return enumerate_with_errors(scenario, max_weight=0)
-
-
 def enumerate_with_errors(scenario: TinyScenario, max_weight: int, unit: str = "symbol") -> CandidateSet:
     """Candidate keys per hypothesized error pattern of weight <= max_weight.
 
@@ -267,7 +266,9 @@ def judge_candidate(
 
     parity_frames is the observed per-group parity sequence: (group, parity
     bits) pairs with group 1 or 2 and code.parity_bits bits, in transmission
-    order within each group; any other frame raises ValueError. A guess
+    order within each group; any other frame raises ValueError. A group's
+    j-th frame pairs with its j-th whole block under the guess, and judging
+    stops at the first frame whose group has no block left. A guess
     is consistent when every paired block decodes and the mean corrected
     error count stays within four standard errors of the channel's expected
     k * symbol_error_rate.
@@ -276,19 +277,15 @@ def judge_candidate(
     if any(g not in (1, 2) or np.shape(p) != (code.parity_bits,) for g, p in parity_frames):
         raise ValueError(f"a parity frame is (group 1 or 2, {code.parity_bits} bits)")
     key = CommonKey.from_bits(key_bits, 0.0, require_admissible=False)
-    groups = split_stream(np.asarray(stream, dtype=np.uint8), key)
-    per_group = {1: groups.group1, 2: groups.group2}
-    cursor = {1: 0, 2: 0}
-    n_bits = code.info_bits
+    cut = split_stream(np.asarray(stream, dtype=np.uint8), key).blocks(code.info_bits)
+    rows = {1: iter(cut[0]), 2: iter(cut[1])}
     errors: list[int] = []
     failures = 0
     for group, parity in parity_frames:
-        data = per_group[group]
-        start = cursor[group]
-        if start + n_bits > len(data):
+        info = next(rows[group], None)
+        if info is None:
             break
-        cursor[group] = start + n_bits
-        word = np.concatenate([data[start : start + n_bits], np.asarray(parity, dtype=np.uint8)])
+        word = np.concatenate([info, np.asarray(parity, dtype=np.uint8)])
         result = decode_block(code, bits_to_symbols(word, code.m))
         if not result.ok:
             failures += 1

@@ -27,10 +27,14 @@ from .channel import (
     KIND_PARITY,
     deliver,
 )
-from .grouping import CommonKey, FramingError, _key_mask, bits_to_hex, block_fits_key_period
-from .rs import CodeSpec, bits_to_symbols, decode_block, encode_parity, symbols_to_bits
+from .grouping import CommonKey, GroupStreams, _key_mask, bits_to_hex, block_fits_key_period
+from .rs import CodeSpec, all_bits, bits_to_symbols, decode_block, encode_parity, symbols_to_bits
 
 _SOURCE_STREAM = 7
+
+
+class FramingError(ValueError):
+    """The frames a receiver got do not fit the session's block plan."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,8 +164,7 @@ def _block_layout(key: CommonKey, block_bits: int, blocks: int):
     of bit values.
     """
     mask = _key_mask(key, (blocks + 1) * block_bits)
-    per_group = [np.flatnonzero(mask), np.flatnonzero(~mask)]
-    per_group = [p[: len(p) // block_bits * block_bits].reshape(-1, block_bits) for p in per_group]
+    per_group = GroupStreams(np.flatnonzero(mask), np.flatnonzero(~mask)).blocks(block_bits)
     group = np.repeat([1, 2], [len(p) for p in per_group])
     index = np.concatenate([np.arange(len(p)) for p in per_group])
     positions = np.concatenate(per_group)
@@ -227,8 +230,9 @@ def run_receiver(frames, config: SessionConfig) -> ReceiverRun:
 
     The frames must be the payload frames 0 .. C-1 that complete the
     session's `blocks_target` blocks and at most one parity frame per block,
-    each of its size; anything else raises FramingError. A block whose
-    parity frame is missing fails like an undecodable one.
+    each of its size and holding only 0 and 1; anything else raises
+    FramingError. A block whose parity frame is missing fails like an
+    undecodable one.
     """
     code = config.code
     block_bits = code.info_bits
@@ -244,10 +248,10 @@ def run_receiver(frames, config: SessionConfig) -> ReceiverRun:
         tag = (frame.group, frame.index)
         if tag in parities:
             raise FramingError(f"duplicate parity frame for group {tag[0]} block {tag[1]}")
-        if len(frame.payload) != code.parity_bits:
+        if len(frame.payload) != code.parity_bits or not all_bits(frame.payload):
             raise FramingError(
-                f"parity frame for group {tag[0]} block {tag[1]} carries "
-                f"{len(frame.payload)} bits, expected {code.parity_bits}"
+                f"parity frame for group {tag[0]} block {tag[1]} carries {len(frame.payload)} "
+                f"entries; a parity frame holds {code.parity_bits} bits of 0 or 1"
             )
         parities[tag] = frame
     for pos, frame in enumerate(info_frames):
@@ -258,6 +262,8 @@ def run_receiver(frames, config: SessionConfig) -> ReceiverRun:
                 f"payload frame {frame.index} carries {len(frame.payload)} bits, expected {block_bits}"
             )
     stream = np.concatenate([f.payload for f in info_frames]) if info_frames else np.zeros(0, np.uint8)
+    if not all_bits(stream):
+        raise FramingError("payload frames hold values other than 0 and 1")
 
     outcomes: list[BlockOutcome] = []
     corrected_bits: list[np.ndarray | None] = []
@@ -328,12 +334,3 @@ def run_session(config: SessionConfig) -> SessionReport:
         key_bits=config.key_bits,
         unit_outcomes=outcomes,
     )
-
-
-def xor_pad(message_bits, key_bits) -> np.ndarray:
-    """One-time-pad a message with a generated key (demo helper)."""
-    message_bits = np.asarray(message_bits, dtype=np.uint8)
-    key_bits = np.asarray(key_bits, dtype=np.uint8)
-    if len(message_bits) != len(key_bits):
-        raise ValueError("pad length must equal message length")
-    return message_bits ^ key_bits

@@ -3,7 +3,8 @@
 The walk as the session first wrote it: at each payload-chunk boundary it
 counts each group's routed bits and yields every block that boundary
 completes, group I before group II. It is slow on purpose and must not be
-optimised; `noisekey.session._block_layout` has to give the same sequence.
+optimised; `noisekey.session._block_layout` has to give the same sequence,
+and `GroupStreams.blocks` each group's blocks in it.
 """
 
 from __future__ import annotations

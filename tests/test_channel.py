@@ -168,6 +168,16 @@ def test_encode_frame_rejects_out_of_range_fields(field, value):
         encode_frame(frame)
 
 
+@pytest.mark.parametrize("value", [2, 0.5, -1])
+def test_encode_frame_rejects_non_bit_payloads(value):
+    # A 2 used to be packed as a 1, so the frame did not round-trip.
+    payload = np.ones(8, dtype=type(value))
+    payload[3] = value
+    frame = Frame(method=1, group=GROUP_NONE, index=0, kind=KIND_INFO, payload=payload)
+    with pytest.raises(ValueError, match="payload"):
+        encode_frame(frame)
+
+
 def test_encode_frame_accepts_field_limits():
     frame = Frame(method=255, group=255, index=2**32 - 1, kind=255, payload=np.ones(3, dtype=np.uint8))
     assert encode_frame(frame)[5:12] == b"\xff" * 7

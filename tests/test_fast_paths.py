@@ -5,7 +5,9 @@ explicit Toeplitz matrix,
 `decode_block`, its syndrome table and its early-exit Berlekamp-Massey
 against the frozen reference decoder in `reference_rs`, the bit-level
 `encode_parity` against polynomial long division, the session's block
-layout against the chunk-by-chunk completion walk in `reference_layout`,
+layout and the block cut `GroupStreams.blocks` against the chunk-by-chunk
+completion walk in `reference_layout`, `make_scenario`'s leaked parity
+against the explicit first-block gather in `reference_oracle`,
 the exhaustive adversary's parity tags against the explicit first-block
 gather in `reference_oracle` (itself checked against per-key
 `split_stream`) and its parity buckets against a plain dict loop,
@@ -26,12 +28,20 @@ from numpy.lib.stride_tricks import sliding_window_view
 from noisekey import amplify
 from noisekey.amplify import HashSeed, expand_seed, extract_key, toeplitz_matrix
 from noisekey.gf import FieldSpec, build_field
-from noisekey.grouping import CommonKey, log_sum_exp, merge_stream, split_stream, validate_key
+from noisekey.grouping import (
+    CommonKey,
+    GroupStreams,
+    _key_mask,
+    log_sum_exp,
+    split_stream,
+    validate_key,
+)
 from noisekey.oracle import (
     TinyScenario,
     _first_block_tags,
     _parity_tags,
     admissible_keys,
+    make_scenario,
     partition_by_parity,
 )
 from noisekey.rs import (
@@ -356,8 +366,12 @@ def test_split_merge_round_trip_any_key(key_bits, stream):
     key = CommonKey.from_bits(key_bits, 0.0, require_admissible=False)
     x = np.array(stream, dtype=np.uint8)
     groups = split_stream(x, key)
-    assert groups.consumed == len(x)
-    assert np.array_equal(merge_stream(groups, key), x)
+    assert len(groups.group1) + len(groups.group2) == len(x)
+    # Scattering the groups back through the key mask restores the stream.
+    mask = np.resize(key.bits, len(x)).astype(bool)
+    merged = np.empty(len(x), dtype=np.uint8)
+    merged[mask], merged[~mask] = groups.group1, groups.group2
+    assert np.array_equal(merged, x)
 
 
 @settings(max_examples=200, deadline=None)
@@ -378,6 +392,18 @@ def test_block_layout_matches_completion_walk(key_bits, balance_limit, block_bit
     group, index, positions = _block_layout(key, block_bits, blocks)
     assert positions.shape == (blocks, block_bits)
     assert list(zip(group.tolist(), index.tolist(), positions.tolist())) == walk[:blocks]
+    # The stream is whole chunks, so the walk ends with every whole block of
+    # each group: the block cut of that group, on positions and on bits.
+    mask = _key_mask(key, len(stream))
+    bits = np.random.default_rng(block_bits).integers(0, 2, len(stream), dtype=np.uint8)
+    for values, groups in (
+        (stream, GroupStreams(stream[mask], stream[~mask])),
+        (bits, split_stream(bits, key)),
+    ):
+        walk = list(completed_blocks(values, key, block_bits))
+        for g, cut in zip((1, 2), groups.blocks(block_bits)):
+            assert cut.shape[1:] == (block_bits,)
+            assert cut.tolist() == [b.tolist() for gg, _, b in walk if gg == g]
 
 
 ORACLE_CODE = (3, 7, 5)
@@ -495,6 +521,38 @@ def test_first_block_tags_reject_non_bits_and_long_keys():
     wide = np.tile(keys[:1], (1, 208))
     with pytest.raises(ValueError, match="at most 20 bits"):
         _first_block_tags(code, np.ones(2496 * code.info_bits, dtype=np.uint8), wide)
+
+
+@pytest.mark.parametrize("m, n, k", TAG_CODES)
+def test_make_scenario_leaks_the_true_keys_first_block_parity(m, n, k):
+    # The leaked parity is the transmitter's: encode_parity of the true
+    # key's first group-I block, as the explicit gather cuts it.
+    code = make_code(build_field(m), n, k)
+    for seed in range(8):
+        scenario, key = make_scenario(code, 12, 2.0, np.random.default_rng(seed))
+        block = first_block_bits(code.info_bits, scenario.x, key.bits[None, :])
+        assert np.array_equal(scenario.parity, encode_parity(code, block[0]))
+
+
+def test_make_scenario_refuses_a_true_key_without_ones():
+    # At 4 bits and 2 sigmas every key is admissible, the all-zero one too,
+    # and that key routes no bit to group I.
+    code = make_code(build_field(ORACLE_CODE[0]), *ORACLE_CODE[1:])
+    keys = admissible_keys(4, 2.0)
+    zero_draws = 0
+    for seed in range(20):
+        # Replay make_scenario's draws: the stream, then the true key's row.
+        replay = np.random.default_rng(seed)
+        replay.integers(0, 2, size=4 * code.info_bits, dtype=np.uint8)
+        if keys[replay.integers(0, len(keys))].any():
+            scenario, key = make_scenario(code, 4, 2.0, np.random.default_rng(seed))
+            block = first_block_bits(code.info_bits, scenario.x, key.bits[None, :])
+            assert np.array_equal(scenario.parity, encode_parity(code, block[0]))
+        else:
+            zero_draws += 1
+            with pytest.raises(ValueError, match=SHORT):
+                make_scenario(code, 4, 2.0, np.random.default_rng(seed))
+    assert zero_draws > 0
 
 
 def test_first_block_bits_rejects_keys_without_ones():

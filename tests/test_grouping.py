@@ -6,10 +6,8 @@ import pytest
 
 from noisekey.grouping import (
     CommonKey,
-    FramingError,
     bits_to_hex,
     block_fits_key_period,
-    merge_stream,
     outside_set_probability,
     sample_key,
     split_stream,
@@ -122,7 +120,7 @@ def test_split_first_bit_goes_to_group_one():
     x[0] = 1
     groups = split_stream(x, key)
     assert groups.group1[0] == x[0]
-    assert groups.consumed == 16
+    assert len(groups.group1) + len(groups.group2) == 16
     assert len(groups.group1) == 8  # four ones per period, two periods
 
 
@@ -135,26 +133,17 @@ def test_split_all_ones_key():
 
 
 def test_split_merge_round_trip():
+    # The split is a lossless partition: scattering the groups back through
+    # the key mask restores the stream.
     rng = np.random.default_rng(23)
     key = sample_key(32, 3.0, rng)
     for length in (0, 1, 31, 32, 33, 100, 10_000):
         x = rng.integers(0, 2, length, dtype=np.uint8)
-        assert (merge_stream(split_stream(x, key), key) == x).all()
-
-
-def test_merge_length_mismatch():
-    rng = np.random.default_rng(24)
-    key = sample_key(16, 3.0, rng)
-    groups = split_stream(rng.integers(0, 2, 64, dtype=np.uint8), key)
-    truncated = type(groups)(group1=groups.group1[:-1], group2=groups.group2)
-    with pytest.raises(FramingError):
-        merge_stream(truncated, key)
-
-
-def test_merge_empty():
-    key = CommonKey.from_bits([1, 0], 3.0, require_admissible=False)
-    groups = split_stream(np.zeros(0, dtype=np.uint8), key)
-    assert len(merge_stream(groups, key)) == 0
+        groups = split_stream(x, key)
+        mask = np.resize(key.bits, length).astype(bool)
+        merged = np.empty(length, dtype=np.uint8)
+        merged[mask], merged[~mask] = groups.group1, groups.group2
+        assert np.array_equal(merged, x)
 
 
 def test_block_gate_at_design_point():

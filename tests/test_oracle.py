@@ -11,7 +11,6 @@ from noisekey.oracle import (
     admissible_keys,
     class_size_by_parity,
     enumerate_info_candidates,
-    enumerate_key_candidates,
     enumerate_with_errors,
     judge_candidate,
     make_scenario,
@@ -103,7 +102,7 @@ def test_batch_parities_match_scalar(code_7_5):
 def test_error_free_enumeration(code_7_5):
     rng = np.random.default_rng(61)
     scenario, true_key = make_scenario(code_7_5, 12, 2.0, rng)
-    cands = enumerate_key_candidates(scenario)
+    cands = enumerate_with_errors(scenario, 0)
     found = any(np.array_equal(r, true_key.bits) for r in all_keys(cands))
     assert found
     # partition: classes over all parity values sum to the key-set size
@@ -172,7 +171,7 @@ def test_no_partial_key_derivation(code_7_5):
     # every key bit position is undetermined within the error-free candidate set
     rng = np.random.default_rng(67)
     scenario, _ = make_scenario(code_7_5, 12, 2.0, rng)
-    keys = all_keys(enumerate_key_candidates(scenario))
+    keys = all_keys(enumerate_with_errors(scenario, 0))
     assert len(keys) > 1
     column_sums = keys.sum(axis=0)
     assert (column_sums > 0).all() and (column_sums < len(keys)).all()
@@ -255,7 +254,7 @@ def test_candidate_narrowing_to_true_key(code_7_5):
         if group == 1 and index == 0:
             first_parity = parity
     scenario = TinyScenario(code=code_7_5, key_space=keys, x=stream, parity=first_parity)
-    candidates = all_keys(enumerate_key_candidates(scenario))
+    candidates = all_keys(enumerate_with_errors(scenario, 0))
     assert len(candidates) > 1
     survivors = [
         row

@@ -4,19 +4,20 @@ import math
 import numpy as np
 import pytest
 
-from noisekey.channel import ChannelConfig, Frame, KIND_INFO, KIND_PARITY
-from noisekey.grouping import CommonKey, FramingError, sample_key, split_stream
+from noisekey.channel import ChannelConfig, Frame, KIND_INFO, KIND_PARITY, read_capture, write_capture
+from noisekey.grouping import CommonKey, sample_key, split_stream
+from noisekey.oracle import judge_candidate
 from noisekey.rs import bits_to_symbols, decode_block, encode_parity, make_code
 from noisekey.gf import build_field
 from noisekey import session
 from noisekey.session import (
     BlockOutcome,
+    FramingError,
     SessionConfig,
     SessionReport,
     run_receiver,
     run_session,
     run_transmitter,
-    xor_pad,
 )
 
 from reference_layout import completed_blocks
@@ -338,6 +339,45 @@ def test_short_parity_frame_rejected(toy_code, toy_key):
         run_receiver(frames, cfg)
 
 
+@pytest.mark.parametrize(
+    "kind,value",
+    [(KIND_PARITY, 3), (KIND_PARITY, 2), (KIND_INFO, 2), (KIND_INFO, 0.5)],
+    ids=["parity-3", "parity-2", "payload-2", "payload-half"],
+)
+def test_non_bit_payload_rejected(toy_code, toy_key, kind, value):
+    # Each used to reach the decoder, which raised its symbol-range
+    # ValueError for the integers and accepted the 0.5 without a word.
+    cfg = toy_config(toy_code, toy_key, blocks=10)
+    frames = list(run_transmitter(cfg).frames)
+    pos = next(i for i, f in enumerate(frames) if f.kind == kind)
+    f = frames[pos]
+    payload = f.payload.astype(type(value))
+    payload[0] = value
+    frames[pos] = Frame(method=f.method, group=f.group, index=f.index, kind=f.kind, payload=payload)
+    with pytest.raises(FramingError, match="0 (and|or) 1"):
+        run_receiver(frames, cfg)
+
+
+def test_judge_accepts_the_session_key_on_the_tap_capture(toy_code, toy_key, tmp_path):
+    # The tap's capture, read back from disk, is what the exhaustive
+    # adversary judges: the session key explains it, a rotation does not.
+    # The judge refuses a key when any block fails to decode, and at a tap
+    # rate of 0.016 a (31,19) block exceeds t = 6 errors with p ~ 3.7e-4, so
+    # the tap here listens at 0.005 (p ~ 2e-7 per block); 5-block units keep
+    # a secure key bit at that rate.
+    cfg = toy_config(toy_code, toy_key, blocks=50, ber=0.005, bob_ber=0.016, unit_blocks=5)
+    write_capture(tmp_path / "tap.bin", run_session(cfg).eve_capture)
+    frames = read_capture(tmp_path / "tap.bin")
+    stream = np.concatenate([f.payload for f in frames if f.kind == KIND_INFO])
+    parity = [(f.group, f.payload) for f in frames if f.kind == KIND_PARITY]
+    symbol_error_rate = 1 - (1 - cfg.channel.eve_ber) ** toy_code.m
+    verdict = judge_candidate(toy_key.bits, stream, parity, toy_code, symbol_error_rate)
+    assert verdict.consistent
+    assert len(verdict.per_block_errors) == 50 and verdict.decode_failures == 0
+    rotated = judge_candidate(np.roll(toy_key.bits, 1), stream, parity, toy_code, symbol_error_rate)
+    assert not rotated.consistent
+
+
 def test_empty_session(toy_code, toy_key):
     report = run_session(toy_config(toy_code, toy_key, blocks=0))
     assert report.blocks_completed == 0
@@ -468,12 +508,3 @@ def test_multi_block_units(toy_code, toy_key):
     report = run_session(cfg)
     assert report.units_completed == 4  # 21 blocks -> 4 full units, remainder dropped
     assert len(report.keys_alice[0]) == cfg.key_bits
-
-
-def test_xor_pad_round_trip():
-    rng = np.random.default_rng(86)
-    msg = rng.integers(0, 2, 64, dtype=np.uint8)
-    pad = rng.integers(0, 2, 64, dtype=np.uint8)
-    assert (xor_pad(xor_pad(msg, pad), pad) == msg).all()
-    with pytest.raises(ValueError):
-        xor_pad(msg, pad[:-1])
