@@ -58,24 +58,24 @@ def _tail_support(q: TailQuery) -> np.ndarray:
     return np.arange(0, hi + 1)
 
 
-def log_binomial_tail(q: TailQuery, mode: str = "exact") -> float:
+def _log_binomial_pmf(trials: int, p: float, ks: np.ndarray) -> np.ndarray:
+    """Natural log of Pr{X = k} for X ~ Binomial(trials, p), 0 < p < 1."""
+    from scipy.special import gammaln
+    return (
+        gammaln(trials + 1)
+        - gammaln(ks + 1)
+        - gammaln(trials - ks + 1)
+        + ks * math.log(p)
+        + (trials - ks) * math.log1p(-p)
+    )
+
+
+def log_binomial_tail(q: TailQuery) -> float:
     """Natural log of the tail probability; -inf for an empty tail.
 
-    The exact mode sums pmf terms in log space, so it stays meaningful far
-    below the smallest positive float.
+    The pmf terms are summed in log space, so the result stays meaningful
+    far below the smallest positive float.
     """
-    from scipy.special import gammaln, ndtr
-    if mode == "normal":
-        mean = q.trials * q.p
-        sd = math.sqrt(q.trials * q.p * (1.0 - q.p))
-        if sd == 0.0:
-            hit = mean > q.threshold if q.direction == "above" else mean < q.threshold
-            return 0.0 if hit else -math.inf
-        z = (q.threshold - mean) / sd
-        p = float(ndtr(-z)) if q.direction == "above" else float(ndtr(z))
-        return math.log(p) if p > 0.0 else -math.inf
-    if mode != "exact":
-        raise ValueError(f"unknown mode {mode!r}")
     ks = _tail_support(q)
     if len(ks) == 0:
         return -math.inf
@@ -83,19 +83,12 @@ def log_binomial_tail(q: TailQuery, mode: str = "exact") -> float:
         return 0.0 if 0 in ks else -math.inf
     if q.p == 1.0:
         return 0.0 if q.trials in ks else -math.inf
-    log_pmf = (
-        gammaln(q.trials + 1)
-        - gammaln(ks + 1)
-        - gammaln(q.trials - ks + 1)
-        + ks * math.log(q.p)
-        + (q.trials - ks) * math.log1p(-q.p)
-    )
-    return log_sum_exp(log_pmf)
+    return log_sum_exp(_log_binomial_pmf(q.trials, q.p, ks))
 
 
-def binomial_tail(q: TailQuery, mode: str = "exact") -> float:
+def binomial_tail(q: TailQuery) -> float:
     """The tail probability itself (0.0 once below the float range)."""
-    lg = log_binomial_tail(q, mode)
+    lg = log_binomial_tail(q)
     return math.exp(lg) if lg > -745.0 else 0.0
 
 
@@ -129,21 +122,13 @@ class PatternEntropy:
 def error_pattern_entropy(m: int, k: int, ber: float, d: int) -> PatternEntropy:
     """-sum over correctable weights of C(mk,w) p_w log2 p_w, plus the
     m*k*h(ber) approximation it converges to when the tail is negligible."""
-    from scipy.special import gammaln
     mk = m * k
     approx = mk * binary_entropy(ber)
     if ber == 0.0:
         return PatternEntropy(truncated=0.0, approximation=0.0, tail_probability=0.0)
     t = (d - 1) // 2
     ws = np.arange(0, min(t, mk) + 1)
-    log_weights = (
-        gammaln(mk + 1)
-        - gammaln(ws + 1)
-        - gammaln(mk - ws + 1)
-        + ws * math.log(ber)
-        + (mk - ws) * math.log1p(-ber)
-    )
-    weights = np.exp(log_weights)
+    weights = np.exp(_log_binomial_pmf(mk, ber, ws))
     log2_pn = ws * math.log2(ber) + (mk - ws) * math.log2(1.0 - ber)
     truncated = float(np.sum(weights * (-log2_pn)))
     tail = max(0.0, 1.0 - float(weights.sum()))
@@ -176,7 +161,8 @@ def effective_key_length(key_length: int, m: int, n: int, k: int, ber: float, de
 
 @dataclass(frozen=True)
 class GammaBudget:
-    """The three failure/leakage probabilities whose maximum bounds gamma."""
+    """The three failure/leakage probabilities whose maximum bounds gamma, and
+    the secure key bits they leave; one reference-table column."""
 
     decode_failure: float   # any of the unit's blocks exceeds t correctable errors
     low_noise_tail: float   # unit error count falls below the guarded minimum
@@ -185,6 +171,7 @@ class GammaBudget:
     per_block_failure: float
     key_bits_real: float
     capacity_rate: float
+    key_bits_per_block: float
 
 
 def gamma_report(params: CapacityParams, bob_ber: float, method: int = 1) -> GammaBudget:
@@ -218,6 +205,7 @@ def gamma_report(params: CapacityParams, bob_ber: float, method: int = 1) -> Gam
         per_block_failure=eps,
         key_bits_real=bound.key_bits_real,
         capacity_rate=bound.rate,
+        key_bits_per_block=bound.key_bits_real / params.unit_blocks,
     )
 
 
@@ -259,7 +247,6 @@ def security_report(
     log2_cand = candidate_count_log2(key_length, code.m, code.n, code.k, delta)
     entropy = error_pattern_entropy(code.m, code.k, params.eve_ber, code.d)
     budget = gamma_report(params, bob_ber, method)
-    per_block = budget.key_bits_real / params.unit_blocks
     return SecurityReport(
         key_length=key_length,
         delta=delta,
@@ -269,10 +256,10 @@ def security_report(
         log2_attack_cost=entropy.truncated + log2_cand,
         effective_key_bits=log2_cand + entropy.approximation,
         parity_bits=code.parity_bits,
-        key_bits_per_block=per_block,
+        key_bits_per_block=budget.key_bits_per_block,
         # With more parity than key bits per block, listing candidates from
         # the leaked parity is already the eavesdropper's cheapest route.
-        margin_holds=code.parity_bits > per_block,
+        margin_holds=code.parity_bits > budget.key_bits_per_block,
         decode_failure=budget.decode_failure,
         low_noise_tail=budget.low_noise_tail,
         leakage=budget.leakage,
@@ -282,29 +269,9 @@ def security_report(
     )
 
 
-def capacity_table(code, eve_ber: float, bob_ber: float, columns, method: int = 1) -> list[dict]:
-    """One analyzer column per (unit_blocks, fluctuation_sigmas, safety_bits)."""
-    rows = []
-    for unit_blocks, sigmas, safety in columns:
-        params = CapacityParams(
-            code=code,
-            eve_ber=eve_ber,
-            unit_blocks=unit_blocks,
-            fluctuation_sigmas=sigmas,
-            safety_bits=safety,
-        )
-        budget = gamma_report(params, bob_ber, method)
-        rows.append(
-            {
-                "unit_blocks": unit_blocks,
-                "fluctuation_sigmas": sigmas,
-                "safety_bits": safety,
-                "decode_failure": budget.decode_failure,
-                "low_noise_tail": budget.low_noise_tail,
-                "leakage": budget.leakage,
-                "gamma": budget.gamma,
-                "capacity_rate": budget.capacity_rate,
-                "key_bits_per_unit": budget.key_bits_real,
-            }
-        )
-    return rows
+def capacity_table(code, eve_ber: float, bob_ber: float, columns, method: int = 1) -> list[GammaBudget]:
+    """One budget per (unit_blocks, fluctuation_sigmas, safety_bits) column."""
+    return [
+        gamma_report(CapacityParams(code, eve_ber, unit_blocks, sigmas, safety), bob_ber, method)
+        for unit_blocks, sigmas, safety in columns
+    ]

@@ -352,7 +352,7 @@ def cmd_table(args) -> int:
             raise ParameterError(f"reproduce-table2 takes no --{flag}: its grid is fixed by the paper")
     point = presets.design_point()
     code = presets.design_code()
-    rows = capacity_table(
+    budgets = capacity_table(
         code,
         eve_ber=point["eve_ber"],
         bob_ber=point["eve_ber"],
@@ -362,16 +362,10 @@ def cmd_table(args) -> int:
     table = {}
     checks = {}
     for name, ref in presets.REFERENCE_TABLE.items():
-        computed = []
-        for col in rows:
-            value = col[name] if name != "key_bits_per_block" else (
-                col["key_bits_per_unit"] / col["unit_blocks"]
-            )
-            computed.append(value)
-        table[name] = computed
+        table[name] = [getattr(budget, name) for budget in budgets]
         checks[name] = [
             presets.matches_reference(c, p, ref["upper_bound"])
-            for c, p in zip(computed, ref["values"])
+            for c, p in zip(table[name], ref["values"])
         ]
     doc = {
         "resolved_params": point,

@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grouping import CommonKey, split_stream
+from .analysis import TailQuery, binomial_tail
+from .grouping import CommonKey, balanced, split_stream
 from .rs import CodeSpec, all_bits, bits_to_symbols, decode_block, encode_parity, symbols_to_bits
 
 MAX_KEY_LENGTH = 20
@@ -26,6 +27,7 @@ MAX_INFO_ENUM_LOG2 = 24
 MAX_WORK = 1 << 26
 MAX_TAG_BITS = 62
 _SHORT = "stream too short to fill one block for every key"
+_FOUR_SIGMA = 0.5 * math.erfc(4.0 / math.sqrt(2.0))  # Pr{Z > 4}, the judge's test level
 
 
 # 1-bits per byte value (np.bitwise_count needs numpy 2)
@@ -33,14 +35,14 @@ _BYTE_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint
 
 
 def admissible_keys(key_length: int, balance_limit: float) -> np.ndarray:
-    """All admissible keys as a (count, key_length) bit matrix, MSB first."""
+    """All admissible keys as a (count, key_length) bit matrix, MSB first, in
+    increasing value order."""
     if key_length > MAX_KEY_LENGTH:
         raise ValueError(f"exhaustive key listing is capped at {MAX_KEY_LENGTH} bits")
     # Filter the values by popcount, then expand only the kept ones to bits.
     octets = np.arange(1 << key_length, dtype=np.uint32).astype(">u4").view(np.uint8).reshape(-1, 4)
     ones = sum(_BYTE_POPCOUNT[octets[:, i]] for i in range(4))
-    sigma = math.sqrt(key_length / 4.0)
-    kept = octets[np.abs(ones - key_length / 2.0) <= balance_limit * sigma]
+    kept = octets[balanced(ones, key_length, balance_limit)]
     return np.ascontiguousarray(np.unpackbits(kept, axis=1)[:, 32 - key_length :])
 
 
@@ -64,19 +66,19 @@ def make_scenario(
     """Draw a random stream and true key; leak the parity of the true key's
     first group-I block, as the transmitter computes it.
 
-    The stream's key_length * m*k bits fill that block for any key with a 1;
-    a true key without one raises ValueError. With ber > 0 the scenario's
-    stream carries the eavesdropper's bit errors while the parity stays clean.
+    The key space holds the admissible keys with at least one 1 (the zero key
+    routes nothing to group I), and the stream's key_length * m*k bits fill
+    the first block of each. With ber > 0 the scenario's stream carries the
+    eavesdropper's bit errors while the parity stays clean.
     """
     keys = admissible_keys(key_length, balance_limit)
+    if balanced(0, key_length, balance_limit):
+        keys = keys[1:]  # the all-zero key lists first
     stream_bits = key_length * code.info_bits
     x = rng.integers(0, 2, size=stream_bits, dtype=np.uint8)
     true_row = keys[rng.integers(0, len(keys))]
     true_key = CommonKey.from_bits(true_row, balance_limit, require_admissible=False)
-    group1_blocks = split_stream(x, true_key).blocks(code.info_bits)[0]
-    if len(group1_blocks) == 0:
-        raise ValueError(_SHORT)
-    parity = encode_parity(code, group1_blocks[0])
+    parity = encode_parity(code, split_stream(x, true_key).blocks(code.info_bits)[0][0])
     x_seen = x.copy()
     if ber > 0.0:
         flips = rng.random(stream_bits) < ber
@@ -268,10 +270,11 @@ def judge_candidate(
     bits) pairs with group 1 or 2 and code.parity_bits bits, in transmission
     order within each group; any other frame raises ValueError. A group's
     j-th frame pairs with its j-th whole block under the guess, and judging
-    stops at the first frame whose group has no block left. A guess
-    is consistent when every paired block decodes and the mean corrected
-    error count stays within four standard errors of the channel's expected
-    k * symbol_error_rate.
+    stops at the first frame whose group has no block left. A guess is
+    consistent when the mean corrected error count stays within four standard
+    errors of the expected k * symbol_error_rate, and the failures are as
+    likely: Pr{Binomial(blocks, p_fail) >= failures} >= Pr{Z > 4}, where
+    p_fail = Pr{Binomial(k, symbol_error_rate) > t} is a true block's.
     """
     parity_frames = list(parity_frames)
     if any(g not in (1, 2) or np.shape(p) != (code.parity_bits,) for g, p in parity_frames):
@@ -298,8 +301,10 @@ def judge_candidate(
     spread = math.sqrt(code.k * symbol_error_rate * (1.0 - symbol_error_rate) / blocks)
     threshold = expected + 4.0 * spread
     mean = sum(errors) / len(errors) if errors else math.inf
+    p_fail = binomial_tail(TailQuery(code.k, symbol_error_rate, code.t, "above"))
+    failures_likely = binomial_tail(TailQuery(blocks, p_fail, failures - 1, "above")) >= _FOUR_SIGMA
     return Judgement(
-        consistent=failures == 0 and mean <= threshold,
+        consistent=mean <= threshold and failures_likely,
         per_block_errors=errors,
         decode_failures=failures,
         mean_errors=mean,

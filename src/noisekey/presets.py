@@ -39,7 +39,8 @@ def design_code():
 # (unit_blocks, fluctuation_sigmas, safety_bits) per analyzer column.
 TABLE_COLUMNS = [(1, 3.0, 10), (10, 3.0, 10), (10, 5.0, 16)]
 
-# Published values per column; rows marked upper_bound were rounded up.
+# Published values per column, one row per analysis.GammaBudget field;
+# rows marked upper_bound were rounded up.
 REFERENCE_TABLE = {
     "decode_failure": {"values": [4.70e-10, 4.70e-9, 4.70e-9], "upper_bound": True},
     "low_noise_tail": {"values": [4.48e-4, 9.63e-4, 5.07e-8], "upper_bound": True},
@@ -47,18 +48,6 @@ REFERENCE_TABLE = {
     "gamma": {"values": [4.48e-4, 9.63e-4, 5.29e-8], "upper_bound": True},
     "capacity_rate": {"values": [0.00615, 0.0248, 0.0204], "upper_bound": False},
     "key_bits_per_block": {"values": [12.5, 50.6, 41.6], "upper_bound": False},
-}
-
-# Published design-point security constants.
-REFERENCE_CONSTANTS = {
-    "candidate_exponent": 1792,          # key_length - m(n-k)
-    "effective_key_bits": 1926,
-    "outside_set_probability_3sigma": 0.0027,
-    "mean_block_errors": 17.5,
-    "std_block_errors": 4.15,
-    "log2_mean_pattern_count": math.log2(2.8e39),
-    "pattern_entropy": 134,
-    "tap_entropy": 0.101,                # h(eve_ber)
 }
 
 

@@ -37,7 +37,6 @@ class CodeSpec:
     d: int                      # minimum distance, n - k + 1
     t: int                      # guaranteed-correctable symbol errors
     t_max: int                  # upper correction limit, n - k
-    generator_poly: tuple       # descending coefficients, leading 1
     # m*k x ceil(m*(n-k)/8) packed bits; row i is the parity of info bit i alone
     parity_matrix: np.ndarray = field(repr=False)
     # words x m*n uint64; column m*p + b packs S_1..S_(n-k) of bit b of
@@ -166,7 +165,6 @@ def _make_code_cached(m: int, primitive_poly: int, n: int, k: int) -> CodeSpec:
         d=n - k + 1,
         t=(n - k) // 2,
         t_max=n - k,
-        generator_poly=tuple(gen),
         parity_matrix=pmat,
         syndrome_table=stab,
         chien_logs=chien,

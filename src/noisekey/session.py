@@ -106,6 +106,7 @@ class TransmitterRun:
     keys: list
     blocks: list
     stream: np.ndarray
+    positions: np.ndarray   # (blocks, m*k) stream positions of each block's bits
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,10 +195,10 @@ def run_transmitter(config: SessionConfig) -> TransmitterRun:
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=config.source_seed, spawn_key=(_SOURCE_STREAM,))
     )
-    if config.blocks_target == 0:
-        return TransmitterRun(frames=[], keys=[], blocks=[], stream=np.zeros(0, dtype=np.uint8))
-
     group, index, positions = _block_layout(config.key, block_bits, config.blocks_target)
+    if config.blocks_target == 0:
+        empty = np.zeros(0, dtype=np.uint8)
+        return TransmitterRun(frames=[], keys=[], blocks=[], stream=empty, positions=positions)
     chunks = [
         rng.integers(0, 2, size=block_bits, dtype=np.uint8)
         for _ in range(int(positions[-1, -1]) // block_bits + 1)
@@ -222,7 +223,7 @@ def run_transmitter(config: SessionConfig) -> TransmitterRun:
         for b in blocks
     ]
     keys = _unit_keys(config, [b.info_bits for b in blocks])
-    return TransmitterRun(frames=frames, keys=keys, blocks=blocks, stream=stream)
+    return TransmitterRun(frames=frames, keys=keys, blocks=blocks, stream=stream, positions=positions)
 
 
 def run_receiver(frames, config: SessionConfig) -> ReceiverRun:
@@ -317,8 +318,7 @@ def run_session(config: SessionConfig) -> SessionReport:
     eve_stream = np.concatenate(
         [f.payload for f in eve_frames if f.kind == KIND_INFO]
     ) if eve_frames else np.zeros(0, dtype=np.uint8)
-    _, _, positions = _block_layout(config.key, config.code.info_bits, config.blocks_target)
-    eve_flips = (tx.stream ^ eve_stream)[positions].sum(axis=1).tolist()
+    eve_flips = (tx.stream ^ eve_stream)[tx.positions].sum(axis=1).tolist()
 
     outcomes = unit_outcomes(tx, rx, config.unit_blocks)
     units = len(tx.keys)

@@ -130,6 +130,20 @@ def test_attack_key_search_matches_row_loop(capsys, tmp_path, seed, found):
     assert doc["true_key_found"] is row_loop is found
 
 
+def test_attack_runs_where_the_zero_key_is_admissible(capsys, tmp_path):
+    # At 4 bits and 2 sigmas every 1-count is admissible; the all-zero key
+    # routes nothing to group I, so the key space leaves it out.
+    params = tmp_path / "attack.json"
+    params.write_text(json.dumps({"key_length": 4}))
+    for seed in range(1, 21):
+        code, out, _ = run_cli(
+            capsys, "attack", "--params", str(params), "--seed", str(seed), "--format", "json"
+        )
+        assert code == 0, seed
+        doc = json.loads(out)
+        assert doc["true_key_found"] is True and doc["admissible_keys"] == 15, seed
+
+
 def test_table_reproduction(capsys):
     code, out, _ = run_cli(capsys, "reproduce-table2", "--format", "json")
     assert code == 0

@@ -534,25 +534,17 @@ def test_make_scenario_leaks_the_true_keys_first_block_parity(m, n, k):
         assert np.array_equal(scenario.parity, encode_parity(code, block[0]))
 
 
-def test_make_scenario_refuses_a_true_key_without_ones():
+def test_make_scenario_leaves_the_zero_key_out_of_the_key_space():
     # At 4 bits and 2 sigmas every key is admissible, the all-zero one too,
-    # and that key routes no bit to group I.
+    # and that key routes no bit to group I: the scenario lists the other 15.
     code = make_code(build_field(ORACLE_CODE[0]), *ORACLE_CODE[1:])
     keys = admissible_keys(4, 2.0)
-    zero_draws = 0
+    assert len(keys) == 16
     for seed in range(20):
-        # Replay make_scenario's draws: the stream, then the true key's row.
-        replay = np.random.default_rng(seed)
-        replay.integers(0, 2, size=4 * code.info_bits, dtype=np.uint8)
-        if keys[replay.integers(0, len(keys))].any():
-            scenario, key = make_scenario(code, 4, 2.0, np.random.default_rng(seed))
-            block = first_block_bits(code.info_bits, scenario.x, key.bits[None, :])
-            assert np.array_equal(scenario.parity, encode_parity(code, block[0]))
-        else:
-            zero_draws += 1
-            with pytest.raises(ValueError, match=SHORT):
-                make_scenario(code, 4, 2.0, np.random.default_rng(seed))
-    assert zero_draws > 0
+        scenario, key = make_scenario(code, 4, 2.0, np.random.default_rng(seed))
+        assert np.array_equal(scenario.key_space, keys[keys.any(axis=1)])
+        block = first_block_bits(code.info_bits, scenario.x, key.bits[None, :])
+        assert np.array_equal(scenario.parity, encode_parity(code, block[0]))
 
 
 def test_first_block_bits_rejects_keys_without_ones():

@@ -13,6 +13,7 @@ from noisekey.grouping import (
     split_stream,
     validate_key,
 )
+from noisekey.oracle import admissible_keys
 
 
 def make_bits(length, ones, rng):
@@ -71,6 +72,12 @@ def test_outside_probability_exact_toy():
     expected = 1 - (math.comb(8, 3) + math.comb(8, 4) + math.comb(8, 5)) / 256
     assert outside_set_probability(8, 1.0, "exact") == pytest.approx(expected, abs=1e-12)
     assert expected == pytest.approx(74 / 256)
+    # The same window, counted over the exhaustive adversary's key listing.
+    for length in range(2, 17):
+        for balance_limit in (1.0, 2.0, 3.5):
+            listed = 1 - len(admissible_keys(length, balance_limit)) / 2**length
+            got = outside_set_probability(length, balance_limit, "exact")
+            assert got == pytest.approx(listed, rel=1e-12, abs=1e-15), (length, balance_limit)
 
 
 def _outside_fraction(length, balance_limit):
