@@ -131,8 +131,8 @@ def encode_frame(frame: Frame) -> bytes:
     return header + np.packbits(payload, bitorder="big").tobytes()
 
 
-def decode_frame(data: bytes, info_bits: int | None = None, parity_bits: int | None = None) -> Frame:
-    """Parse one frame; optionally enforce the expected per-kind payload size."""
+def decode_frame(data: bytes) -> Frame:
+    """Parse one frame; the receiver checks its payload size against the session."""
     if len(data) < _HEADER.size:
         raise FrameParseError("truncated header")
     magic, version, method, group, index, kind, bitlen = _HEADER.unpack_from(data)
@@ -149,9 +149,6 @@ def decode_frame(data: bytes, info_bits: int | None = None, parity_bits: int | N
     nbytes = -(-bitlen // 8)
     if len(data) != _HEADER.size + nbytes:
         raise FrameParseError(f"payload size mismatch: {len(data) - _HEADER.size} bytes for {bitlen} bits")
-    expected = info_bits if kind == KIND_INFO else parity_bits
-    if expected is not None and bitlen != expected:
-        raise FrameParseError(f"kind {kind} expects {expected} payload bits, header says {bitlen}")
     payload = np.unpackbits(
         np.frombuffer(data, dtype=np.uint8, offset=_HEADER.size), bitorder="big"
     )[:bitlen]

@@ -58,8 +58,8 @@ class CommonKey:
     @classmethod
     def from_bits(cls, bits, balance_limit: float, require_admissible: bool = True) -> "CommonKey":
         arr = np.asarray(bits)
-        if not all_bits(arr):
-            raise ValueError("key bits must hold only 0 and 1")
+        if arr.ndim != 1 or not all_bits(arr):
+            raise ValueError("key bits must be a 1-d array holding only 0 and 1")
         arr = arr.astype(np.uint8)
         if require_admissible and not validate_key(arr, balance_limit):
             raise ValueError("key is outside the admissible balance window")
@@ -92,17 +92,22 @@ def bits_to_hex(bits) -> str:
     return f"{value:0{-(-len(bits) // 4)}x}"
 
 
+def require_window(length: int, balance_limit: float) -> None:
+    """Raise ValueError unless the balance window admits some `length`-bit key."""
+    if length < 2:
+        raise ValueError("key must have at least 2 bits")
+    # length // 2 ones lies nearest length/2: if it is refused, every count is.
+    if not balanced(length // 2, length, balance_limit):
+        raise ValueError(f"no {length}-bit key fits a balance limit of {balance_limit} sigmas")
+
+
 def sample_key(length: int, balance_limit: float, rng: np.random.Generator) -> CommonKey:
     """Uniform draw over the admissible set by rejection from all bitstrings.
 
     Raises ValueError, before drawing, when the balance window admits no
     1-count at all.
     """
-    if length < 2:
-        raise ValueError("key must have at least 2 bits")
-    # length // 2 ones lies nearest length/2: if it is refused, every count is.
-    if not balanced(length // 2, length, balance_limit):
-        raise ValueError(f"no {length}-bit key fits a balance limit of {balance_limit} sigmas")
+    require_window(length, balance_limit)
     while True:
         bits = rng.integers(0, 2, size=length, dtype=np.uint8)
         if validate_key(bits, balance_limit):

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analysis import TailQuery, binomial_tail
-from .grouping import CommonKey, balanced, split_stream
+from .grouping import CommonKey, balanced, require_window, split_stream
 from .rs import CodeSpec, all_bits, bits_to_symbols, decode_block, encode_parity, symbols_to_bits
 
 MAX_KEY_LENGTH = 20
@@ -71,6 +71,7 @@ def make_scenario(
     the first block of each. With ber > 0 the scenario's stream carries the
     eavesdropper's bit errors while the parity stays clean.
     """
+    require_window(key_length, balance_limit)
     keys = admissible_keys(key_length, balance_limit)
     if balanced(0, key_length, balance_limit):
         keys = keys[1:]  # the all-zero key lists first
@@ -268,19 +269,23 @@ def judge_candidate(
 
     parity_frames is the observed per-group parity sequence: (group, parity
     bits) pairs with group 1 or 2 and code.parity_bits bits, in transmission
-    order within each group; any other frame raises ValueError. A group's
-    j-th frame pairs with its j-th whole block under the guess, and judging
-    stops at the first frame whose group has no block left. A guess is
-    consistent when the mean corrected error count stays within four standard
-    errors of the expected k * symbol_error_rate, and the failures are as
-    likely: Pr{Binomial(blocks, p_fail) >= failures} >= Pr{Z > 4}, where
+    order within each group; any other frame, or a stream or parity value
+    other than 0 and 1, raises ValueError. A group's j-th frame pairs with
+    its j-th whole block under the guess, and judging stops at the first
+    frame whose group has no block left. A guess is consistent when the mean
+    corrected error count stays within four standard errors of the expected
+    k * symbol_error_rate, and the failures are as likely:
+    Pr{Binomial(blocks, p_fail) >= failures} >= Pr{Z > 4}, where
     p_fail = Pr{Binomial(k, symbol_error_rate) > t} is a true block's.
     """
     parity_frames = list(parity_frames)
     if any(g not in (1, 2) or np.shape(p) != (code.parity_bits,) for g, p in parity_frames):
         raise ValueError(f"a parity frame is (group 1 or 2, {code.parity_bits} bits)")
+    stream = np.asarray(stream)
+    if not all_bits(stream) or not all(all_bits(np.asarray(p)) for _, p in parity_frames):
+        raise ValueError("stream and parity bits must hold only 0 and 1")
     key = CommonKey.from_bits(key_bits, 0.0, require_admissible=False)
-    cut = split_stream(np.asarray(stream, dtype=np.uint8), key).blocks(code.info_bits)
+    cut = split_stream(stream, key).blocks(code.info_bits)
     rows = {1: iter(cut[0]), 2: iter(cut[1])}
     errors: list[int] = []
     failures = 0

@@ -196,18 +196,15 @@ def run_transmitter(config: SessionConfig) -> TransmitterRun:
         np.random.SeedSequence(entropy=config.source_seed, spawn_key=(_SOURCE_STREAM,))
     )
     group, index, positions = _block_layout(config.key, block_bits, config.blocks_target)
-    if config.blocks_target == 0:
-        empty = np.zeros(0, dtype=np.uint8)
-        return TransmitterRun(frames=[], keys=[], blocks=[], stream=empty, positions=positions)
     chunks = [
         rng.integers(0, 2, size=block_bits, dtype=np.uint8)
-        for _ in range(int(positions[-1, -1]) // block_bits + 1)
+        for _ in range(int(positions[-1, -1]) // block_bits + 1 if len(positions) else 0)
     ]
     frames = [
         Frame(method=config.channel.method, group=GROUP_NONE, index=i, kind=KIND_INFO, payload=c)
         for i, c in enumerate(chunks)
     ]
-    stream = np.concatenate(chunks)
+    stream = np.concatenate(chunks or [np.zeros(0, np.uint8)])
     blocks = [
         BlockRecord(group=g, index=j, info_bits=stream[pos])
         for g, j, pos in zip(group.tolist(), index.tolist(), positions)
@@ -226,71 +223,67 @@ def run_transmitter(config: SessionConfig) -> TransmitterRun:
     return TransmitterRun(frames=frames, keys=keys, blocks=blocks, stream=stream, positions=positions)
 
 
+def _refused(frame: Frame, why: str) -> FramingError:
+    name = f"method {frame.method}, kind {frame.kind}, group {frame.group}, index {frame.index}"
+    return FramingError(f"frame ({name}) refused: {why}")
+
+
 def run_receiver(frames, config: SessionConfig) -> ReceiverRun:
     """Regroup, decode, and hash the delivered frames into secret keys.
 
-    The frames must be the payload frames 0 .. C-1 that complete the
-    session's `blocks_target` blocks and at most one parity frame per block,
-    each of its size and holding only 0 and 1; anything else raises
-    FramingError. A block whose parity frame is missing fails like an
-    undecodable one.
+    Each frame must carry the session's method and be the next payload frame
+    or the first parity frame of a planned block, with a 1-d payload of its
+    kind's size holding only 0 and 1, and exactly the plan's payload frames
+    must arrive; else FramingError. A block without its parity frame fails.
     """
     code = config.code
     block_bits = code.info_bits
     groups, indices, positions = _block_layout(config.key, block_bits, config.blocks_target)
     chunks = int(positions[-1, -1]) // block_bits + 1 if len(positions) else 0
-    info_frames = [f for f in frames if f.kind == KIND_INFO]
-    if len(info_frames) != chunks:
-        raise FramingError(f"{len(info_frames)} payload frames arrived; the session's blocks take {chunks}")
-    parities: dict[tuple[int, int], Frame] = {}
+    payloads: list[Frame] = []
+    parities: dict[tuple, Frame | None] = dict.fromkeys(zip(groups.tolist(), indices.tolist()))
     for frame in frames:
-        if frame.kind != KIND_PARITY:
-            continue
         tag = (frame.group, frame.index)
-        if tag in parities:
-            raise FramingError(f"duplicate parity frame for group {tag[0]} block {tag[1]}")
-        if len(frame.payload) != code.parity_bits or not all_bits(frame.payload):
-            raise FramingError(
-                f"parity frame for group {tag[0]} block {tag[1]} carries {len(frame.payload)} "
-                f"entries; a parity frame holds {code.parity_bits} bits of 0 or 1"
-            )
-        parities[tag] = frame
-    for pos, frame in enumerate(info_frames):
-        if frame.index != pos:
-            raise FramingError(f"payload frame {frame.index} arrived at position {pos}")
-        if len(frame.payload) != block_bits:
-            raise FramingError(
-                f"payload frame {frame.index} carries {len(frame.payload)} bits, expected {block_bits}"
-            )
-    stream = np.concatenate([f.payload for f in info_frames]) if info_frames else np.zeros(0, np.uint8)
-    if not all_bits(stream):
-        raise FramingError("payload frames hold values other than 0 and 1")
+        size = block_bits if frame.kind == KIND_INFO else code.parity_bits
+        if frame.method != config.channel.method:
+            why = f"the session runs method {config.channel.method}"
+        elif frame.kind == KIND_INFO and tag != (GROUP_NONE, len(payloads)):
+            why = f"payload frame {len(payloads)} of group {GROUP_NONE} is due"
+        elif frame.kind != KIND_INFO and (frame.kind != KIND_PARITY or tag not in parities):
+            why = "it is neither a payload frame nor a planned block's parity frame"
+        elif frame.kind == KIND_PARITY and parities[tag] is not None:
+            why = "its block already has a parity frame"
+        elif np.shape(frame.payload) != (size,):
+            why = f"its payload has shape {np.shape(frame.payload)}, not ({size},)"
+        elif frame.kind == KIND_INFO:
+            payloads.append(frame)
+            continue
+        else:
+            parities[tag] = frame
+            continue
+        raise _refused(frame, why)
+    if len(payloads) != chunks:
+        raise FramingError(f"{len(payloads)} payload frames arrived; the session's blocks take {chunks}")
+    stream = np.concatenate([f.payload for f in payloads] or [np.zeros(0, np.uint8)])
+    received = [f for f in parities.values() if f is not None]
+    if not all_bits(stream) or received and not all_bits(np.concatenate([f.payload for f in received])):
+        bad = next(f for f in payloads + received if not all_bits(f.payload))
+        raise _refused(bad, "its payload holds values other than 0 and 1")
 
     outcomes: list[BlockOutcome] = []
     corrected_bits: list[np.ndarray | None] = []
-    for group, index, pos in zip(groups.tolist(), indices.tolist(), positions):
-        frame = parities.pop((group, index), None)
+    for ((group, index), frame), pos in zip(parities.items(), positions):
         if frame is None:
-            outcomes.append(
-                BlockOutcome(group=group, index=index, ok=False, corrected=0, reason="missing parity")
-            )
-            corrected_bits.append(None)
-            continue
-        word = np.concatenate([stream[pos], frame.payload])
-        result = decode_block(code, bits_to_symbols(word, code.m))
-        outcomes.append(
-            BlockOutcome(
-                group=group, index=index, ok=result.ok, corrected=result.corrected, reason=result.reason
-            )
-        )
-        corrected_bits.append(
-            symbols_to_bits(result.info, code.m).astype(np.uint8) if result.ok else None
-        )
-    if parities:
-        raise FramingError(f"{len(parities)} parity frame(s) name no block of the session")
+            ok, corrected, reason, bits = False, 0, "missing parity", None
+        else:
+            word = np.concatenate([stream[pos], frame.payload])
+            result = decode_block(code, bits_to_symbols(word, code.m))
+            ok, corrected, reason = result.ok, result.corrected, result.reason
+            bits = symbols_to_bits(result.info, code.m).astype(np.uint8) if ok else None
+        outcomes.append(BlockOutcome(group=group, index=index, ok=ok, corrected=corrected, reason=reason))
+        corrected_bits.append(bits)
 
-    keys = _unit_keys(config, corrected_bits)
-    return ReceiverRun(keys=keys, outcomes=outcomes, bits=corrected_bits)
+    return ReceiverRun(keys=_unit_keys(config, corrected_bits), outcomes=outcomes, bits=corrected_bits)
 
 
 def unit_outcomes(tx: TransmitterRun, rx: ReceiverRun, unit_blocks: int) -> tuple:

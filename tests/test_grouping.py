@@ -187,3 +187,11 @@ def test_counts():
 def test_from_bits_rejects_non_bits(bits):
     with pytest.raises(ValueError, match="only 0 and 1"):
         CommonKey.from_bits(bits, 99.0, require_admissible=False)
+
+
+# A (2, 2) array used to become a key of shape (2, 2), and a 0-d one raised
+# TypeError from len().
+@pytest.mark.parametrize("bits", [np.ones((2, 2), dtype=np.uint8), np.uint8(1)], ids=["2-d", "0-d"])
+def test_from_bits_rejects_a_key_that_is_not_one_row(bits):
+    with pytest.raises(ValueError, match="1-d"):
+        CommonKey.from_bits(bits, 99.0, require_admissible=False)

@@ -320,3 +320,38 @@ def test_judge_rejects_malformed_frames(code_7_5, frame):
     key, stream, _, parity_frames = _judge_fixture(code_7_5, rng, 0.0, blocks=4)
     with pytest.raises(ValueError, match="parity frame"):
         judge_candidate(key.bits, stream, parity_frames + [frame], code_7_5, 0.01)
+
+
+def test_make_scenario_refuses_an_empty_window_before_drawing(code_7_5):
+    # |ones - 1.5| <= 0.5 * sqrt(3/4) holds for no 1-count; this used to fail
+    # inside rng.integers with numpy's "high <= 0".
+    rng = np.random.default_rng(73)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="no 3-bit key fits a balance limit of 0.5 sigmas"):
+        make_scenario(code_7_5, 3, 0.5, rng)
+    assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("where", ["stream", "parity"])
+@pytest.mark.parametrize("value", [0.5, 1.5, 2])
+def test_judge_rejects_non_bit_values(code_7_5, where, value):
+    # The stream used to be cast to uint8 (0.5 -> 0, 1.5 -> 1) and judged
+    # without a word; a parity 2 reached the decoder's symbol-range error.
+    rng = np.random.default_rng(74)
+    key, stream, _, parity_frames = _judge_fixture(code_7_5, rng, 0.0, blocks=4)
+    if where == "stream":
+        stream = stream.astype(float)
+        stream[: 4 * code_7_5.info_bits : 3] = value
+    else:
+        group, parity = parity_frames[1]
+        parity_frames[1] = (group, np.where(np.arange(len(parity)) == 2, value, parity))
+    with pytest.raises(ValueError, match="only 0 and 1"):
+        judge_candidate(key.bits, stream, parity_frames, code_7_5, 0.01)
+
+
+def test_judge_rejects_a_guess_that_is_not_one_row(code_7_5):
+    # A 2-d guess used to reach split_stream and raise IndexError.
+    rng = np.random.default_rng(75)
+    key, stream, _, parity_frames = _judge_fixture(code_7_5, rng, 0.0, blocks=4)
+    with pytest.raises(ValueError, match="1-d"):
+        judge_candidate(key.bits.reshape(2, -1), stream, parity_frames, code_7_5, 0.01)

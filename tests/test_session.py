@@ -1,10 +1,24 @@
 import itertools
 import math
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from noisekey.channel import ChannelConfig, Frame, KIND_INFO, KIND_PARITY, read_capture, write_capture
+from noisekey.channel import (
+    GROUP_II,
+    ChannelConfig,
+    Frame,
+    FrameParseError,
+    KIND_INFO,
+    KIND_PARITY,
+    decode_frame,
+    encode_frame,
+    read_capture,
+    write_capture,
+)
 from noisekey.grouping import CommonKey, sample_key, split_stream
 from noisekey.oracle import judge_candidate
 from noisekey.rs import bits_to_symbols, decode_block, encode_parity, make_code
@@ -356,6 +370,101 @@ def test_non_bit_payload_rejected(toy_code, toy_key, kind, value):
     frames[pos] = Frame(method=f.method, group=f.group, index=f.index, kind=f.kind, payload=payload)
     with pytest.raises(FramingError, match="0 (and|or) 1"):
         run_receiver(frames, cfg)
+
+
+# One bad frame each: (kind of the frame it starts from, appended rather
+# than replacing it, the change). The first six used to pass unnoticed or
+# fail inside np.concatenate with numpy's bare ValueError.
+FRAME_FAULTS = {
+    "payload-group-2": (KIND_INFO, False, lambda f: replace(f, group=GROUP_II)),
+    "payload-method-2": (KIND_INFO, False, lambda f: replace(f, method=2)),
+    "parity-method-2": (KIND_PARITY, False, lambda f: replace(f, method=2)),
+    "extra-kind-7": (KIND_INFO, True, lambda f: replace(f, kind=7)),
+    "payload-column": (KIND_INFO, False, lambda f: replace(f, payload=f.payload[:, None])),
+    "parity-column": (KIND_PARITY, False, lambda f: replace(f, payload=f.payload[:, None])),
+    "orphan-parity": (KIND_PARITY, True, lambda f: replace(f, index=f.index + 100)),
+    "duplicate-parity": (KIND_PARITY, True, lambda f: f),
+}
+
+
+@pytest.mark.parametrize("fault", FRAME_FAULTS)
+def test_receiver_refuses_a_bad_frame_by_name(toy_code, toy_key, fault):
+    kind, append, change = FRAME_FAULTS[fault]
+    cfg = toy_config(toy_code, toy_key, blocks=10)
+    frames = list(run_transmitter(cfg).frames)
+    pos = next(i for i, f in enumerate(frames) if f.kind == kind)
+    bad = change(frames[pos])
+    if append:
+        frames.append(bad)
+    else:
+        frames[pos] = bad
+    name = f"method {bad.method}, kind {bad.kind}, group {bad.group}, index {bad.index}"
+    with pytest.raises(FramingError, match=re.escape(f"frame ({name}) refused")):
+        run_receiver(frames, cfg)
+
+
+@pytest.fixture(scope="module")
+def small_session(toy_code, toy_key):
+    cfg = toy_config(toy_code, toy_key, blocks=4)
+    return cfg, run_transmitter(cfg).frames
+
+
+OPS = ["drop", "duplicate", "swap", "method", "group", "kind", "index", "resize", "revalue"]
+frame_edits = st.lists(
+    st.tuples(st.sampled_from(OPS), st.integers(0, 999), st.integers(0, 999),
+              st.sampled_from([0, 1, 2, 3, 7, -1, 0.5])),
+    max_size=4,
+)
+
+
+def _edited(frames, edits, wire):
+    """The frames after each edit in turn; on the wire path every value is
+    one `encode_frame` accepts (tags in range, payload bits 0 or 1)."""
+    frames = list(frames)
+    for op, i, j, value in edits:
+        if not frames:
+            break
+        i, j = i % len(frames), j % len(frames)
+        f = frames[i]
+        if op == "drop":
+            del frames[i]
+        elif op == "duplicate":
+            frames.insert(j, f)
+        elif op == "swap":
+            frames[i], frames[j] = frames[j], f
+        elif op in ("method", "group", "kind", "index"):
+            frames[i] = replace(f, **{op: int(abs(value)) if wire else value})
+        elif op == "resize":
+            frames[i] = replace(f, payload=[f.payload[:-1], np.append(f.payload, 0), f.payload[:, None]][j % 3])
+        elif len(f.payload):
+            payload = f.payload.ravel().copy() if wire else f.payload.astype(type(value)).ravel()
+            k = j % len(payload)
+            payload[k] = 1 - payload[k] if wire else value
+            frames[i] = replace(f, payload=payload.reshape(np.shape(f.payload)))
+    return frames
+
+
+@settings(max_examples=300, deadline=None)
+@given(frame_edits, st.booleans(), st.integers(0, 999), st.integers(0, 999), st.integers(0, 255))
+def test_receiver_gives_every_planned_outcome_or_a_framing_error(small_session, edits, wire, which, at, byte):
+    # Dropped, duplicated, reordered, retagged, resized or re-valued frames,
+    # directly or through encode_frame, one byte flip and decode_frame.
+    cfg, frames = small_session
+    frames = _edited(frames, edits, wire)
+    if wire and frames:
+        blobs = [encode_frame(f) for f in frames]
+        blob = blobs[which % len(blobs)]
+        k = at % len(blob)
+        blobs[which % len(blobs)] = blob[:k] + bytes([byte]) + blob[k + 1 :]
+        try:
+            frames = [decode_frame(b) for b in blobs]
+        except FrameParseError:
+            return
+    try:
+        rx = run_receiver(frames, cfg)
+    except FramingError:
+        return
+    assert len(rx.outcomes) == cfg.blocks_target
 
 
 def test_judge_accepts_the_session_key_on_the_tap_capture(toy_code, toy_key, tmp_path):
