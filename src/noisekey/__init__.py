@@ -10,23 +10,17 @@ from .amplify import (
     leakage_bound,
 )
 from .analysis import (
-    TailQuery,
     binomial_tail,
     candidate_count_log2,
     effective_key_length,
     error_pattern_entropy,
     gamma_report,
+    outside_set_probability,
     security_report,
 )
 from .channel import ChannelConfig, Frame, bsc_transmit, decode_frame, deliver, encode_frame
 from .gf import FieldSpec, build_field
-from .grouping import (
-    CommonKey,
-    outside_set_probability,
-    sample_key,
-    split_stream,
-    validate_key,
-)
+from .grouping import CommonKey, sample_key, split_stream, validate_key
 from .oracle import (
     TinyScenario,
     enumerate_info_candidates,

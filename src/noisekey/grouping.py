@@ -16,22 +16,6 @@ import numpy as np
 
 from .rs import all_bits
 
-# scipy.special is imported inside the functions that use it: it costs
-# ~25 MB and ~0.2 s to import, and a protocol session never calls them.
-
-
-def log_sum_exp(a: np.ndarray) -> float:
-    """log(sum(exp(a))) of a non-empty array of finite floats, by the arithmetic
-    of scipy 1.17's logsumexp without its array-API dispatch (~8 against ~135 us
-    at 120 terms): log1p(rest / count) + log(count) + max, where count terms
-    equal the maximum and rest sums exp(a - max) over the others."""
-    top = a.max()
-    at_top = a == top
-    count = np.count_nonzero(at_top)
-    rest = np.exp(np.where(at_top, -np.inf, a) - top).sum()
-    return float(np.log1p(rest / count) + np.log(count) + top)
-
-
 def balanced(ones, length: int, balance_limit: float):
     """The balance window: |ones - length/2| <= balance_limit * sqrt(length/4),
     for one 1-count or elementwise over an array of them."""
@@ -112,36 +96,6 @@ def sample_key(length: int, balance_limit: float, rng: np.random.Generator) -> C
         bits = rng.integers(0, 2, size=length, dtype=np.uint8)
         if validate_key(bits, balance_limit):
             return CommonKey.from_bits(bits, balance_limit)
-
-
-def outside_set_probability(length: int, balance_limit: float, mode: str = "exact") -> float:
-    """Probability that a uniform bitstring falls outside the admissible set.
-
-    exact: sums the binomial distribution of the 1-count over the counts
-           outside the `balanced` window, in log space (1 - P(inside)
-           would cancel).
-    normal: the Gaussian approximation, 2 * Phi(-balance_limit).
-    """
-    from scipy.special import gammaln, ndtr
-    if length < 2:
-        raise ValueError("key must have at least 2 bits")
-    if mode == "normal":
-        return float(2.0 * ndtr(-balance_limit))
-    if mode != "exact":
-        raise ValueError(f"unknown mode {mode!r}")
-    counts = np.arange(length + 1)
-    outside = counts[~balanced(counts, length, balance_limit)]
-    if len(outside) == 0:
-        return 0.0
-    if len(outside) == len(counts):
-        return 1.0
-    log_pmf = (
-        gammaln(length + 1)
-        - gammaln(outside + 1)
-        - gammaln(length - outside + 1)
-        - length * math.log(2.0)
-    )
-    return math.exp(log_sum_exp(log_pmf))
 
 
 @dataclass(frozen=True, eq=False)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analysis import TailQuery, binomial_tail
+from .analysis import binomial_tail
 from .grouping import CommonKey, balanced, require_window, split_stream
 from .rs import CodeSpec, all_bits, bits_to_symbols, decode_block, encode_parity, symbols_to_bits
 
@@ -92,7 +92,7 @@ def _parity_tags(parity: np.ndarray) -> np.ndarray:
     bits = parity.shape[-1]
     if bits > MAX_TAG_BITS:
         raise ValueError(f"{bits} parity bits exceed the {MAX_TAG_BITS}-bit tag")
-    return parity.astype(np.int64) @ (1 << np.arange(bits - 1, -1, -1, dtype=np.int64))
+    return bits_to_symbols(parity, bits)[..., 0]
 
 
 def _first_block_tags(code: CodeSpec, x: np.ndarray, keys: np.ndarray) -> np.ndarray:
@@ -171,12 +171,11 @@ def enumerate_info_candidates(code: CodeSpec, parity) -> np.ndarray:
     if parity.shape != (code.parity_bits,):
         raise ValueError(f"parity must be {code.parity_bits} bits, got shape {parity.shape}")
     total = 1 << code.info_bits
-    shifts = np.arange(code.info_bits - 1, -1, -1)
     hits = []
     chunk = 1 << 16
     for start in range(0, total, chunk):
         values = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        bits = ((values[:, None] >> shifts) & 1).astype(np.uint8)
+        bits = symbols_to_bits(values[:, None], code.info_bits).astype(np.uint8)
         hits.append(bits[(encode_parity(code, bits) == parity).all(axis=1)])
     return np.concatenate(hits, axis=0)
 
@@ -242,7 +241,7 @@ def enumerate_with_errors(scenario: TinyScenario, max_weight: int, unit: str = "
         raise ValueError("scenario exceeds the enumeration work guard")
     buckets = partition_by_parity(scenario)
     empty = scenario.key_space[:0]
-    pattern_bits = symbols_to_bits(np.array(patterns).ravel(), code.m).reshape(len(patterns), -1)
+    pattern_bits = symbols_to_bits(np.array(patterns), code.m)
     targets = _parity_tags(encode_parity(code, pattern_bits) ^ parity.astype(np.uint8)).tolist()
     return CandidateSet(per_pattern={p: buckets.get(t, empty) for p, t in zip(patterns, targets)})
 
@@ -269,12 +268,13 @@ def judge_candidate(
 
     parity_frames is the observed per-group parity sequence: (group, parity
     bits) pairs with group 1 or 2 and code.parity_bits bits, in transmission
-    order within each group; any other frame, or a stream or parity value
-    other than 0 and 1, raises ValueError. A group's j-th frame pairs with
-    its j-th whole block under the guess, and judging stops at the first
-    frame whose group has no block left. A guess is consistent when the mean
-    corrected error count stays within four standard errors of the expected
-    k * symbol_error_rate, and the failures are as likely:
+    order within each group; any other frame, a stream that is not 1-d, or a
+    stream or parity value other than 0 and 1, raises ValueError. A group's
+    j-th frame pairs with its j-th whole block under the guess, and judging
+    stops at the first frame whose group has no block left. A guess is
+    consistent when the mean corrected error count stays within four
+    standard errors of the expected k * symbol_error_rate, and the failures
+    are as likely:
     Pr{Binomial(blocks, p_fail) >= failures} >= Pr{Z > 4}, where
     p_fail = Pr{Binomial(k, symbol_error_rate) > t} is a true block's.
     """
@@ -282,6 +282,8 @@ def judge_candidate(
     if any(g not in (1, 2) or np.shape(p) != (code.parity_bits,) for g, p in parity_frames):
         raise ValueError(f"a parity frame is (group 1 or 2, {code.parity_bits} bits)")
     stream = np.asarray(stream)
+    if stream.ndim != 1:
+        raise ValueError(f"the stream must be a 1-d bit array, got shape {stream.shape}")
     if not all_bits(stream) or not all(all_bits(np.asarray(p)) for _, p in parity_frames):
         raise ValueError("stream and parity bits must hold only 0 and 1")
     key = CommonKey.from_bits(key_bits, 0.0, require_admissible=False)
@@ -306,8 +308,8 @@ def judge_candidate(
     spread = math.sqrt(code.k * symbol_error_rate * (1.0 - symbol_error_rate) / blocks)
     threshold = expected + 4.0 * spread
     mean = sum(errors) / len(errors) if errors else math.inf
-    p_fail = binomial_tail(TailQuery(code.k, symbol_error_rate, code.t, "above"))
-    failures_likely = binomial_tail(TailQuery(blocks, p_fail, failures - 1, "above")) >= _FOUR_SIGMA
+    p_fail = binomial_tail(code.k, symbol_error_rate, code.t)
+    failures_likely = binomial_tail(blocks, p_fail, failures - 1) >= _FOUR_SIGMA
     return Judgement(
         consistent=mean <= threshold and failures_likely,
         per_block_errors=errors,

@@ -51,32 +51,18 @@ REFERENCE_TABLE = {
 }
 
 
-def round_up_3sig(x: float) -> float:
-    """Round a positive value up in its third significant digit."""
-    if x <= 0.0:
-        return x
-    scale = 10.0 ** (math.floor(math.log10(x)) - 2)
-    return math.ceil(x / scale - 1e-9) * scale
-
-
-def round_3sig(x: float) -> float:
-    """Round a positive value to three significant digits."""
-    if x <= 0.0:
-        return x
-    scale = 10.0 ** (math.floor(math.log10(x)) - 2)
-    return round(x / scale) * scale
-
-
 def matches_reference(computed: float, published: float, upper_bound: bool) -> bool:
     """Exact three-significant-figure reproduction of the published figure.
 
     Upper-bound rows were published rounded up in the third digit, and the
-    computed value must additionally not exceed them.
+    computed value must additionally not exceed them; the other rows are
+    rounded to nearest.
     """
-    if upper_bound:
-        if computed > published * (1.0 + 1e-9):
-            return False
-        rounded = round_up_3sig(computed)
-    else:
-        rounded = round_3sig(computed)
+    if upper_bound and computed > published * (1.0 + 1e-9):
+        return False
+    rounded = computed
+    if computed > 0.0:
+        scale = 10.0 ** (math.floor(math.log10(computed)) - 2)
+        steps = computed / scale
+        rounded = (math.ceil(steps - 1e-9) if upper_bound else round(steps)) * scale
     return abs(rounded - published) <= abs(published) * 1e-9

@@ -6,7 +6,9 @@ with implicit leading zeros.
 
 Encoding works on bits: the parity is a GF(2)-linear map of the m*k
 information bits, applied as the XOR of the rows of a packed binary parity
-matrix. Blocks travel as bits everywhere outside the decoder.
+matrix. Blocks travel as bits everywhere outside the decoder, and
+`bits_to_symbols` / `symbols_to_bits` hold the one symbol bit order, MSB
+first.
 
 The decoder is hard-decision, errors-only: syndromes, Berlekamp-Massey
 locator synthesis, Chien search over the n used positions, Forney values,
@@ -103,20 +105,25 @@ def _parity_rows(fld: FieldSpec, gen: list[int], n: int, k: int) -> np.ndarray:
     return out
 
 
+def _bit_planes(fld: FieldSpec, plane: np.ndarray):
+    # Bit b (MSB first) of a symbol is the value alpha^(m-1-b), so the symbols
+    # a bit alone contributes are the given ones times alpha^(m-1-b). Yield
+    # (b, plane) for b = m-1 (times 1) down to 0, multiplying by alpha = x each
+    # step; rebinding `plane` frees each plane once the walk has moved on.
+    for b in range(fld.m - 1, -1, -1):
+        yield b, plane
+        plane = (plane << 1) ^ ((plane >> (fld.m - 1)) & 1) * fld.primitive_poly
+
+
 def _parity_matrix(fld: FieldSpec, rows: np.ndarray) -> np.ndarray:
-    # Row m*i + b is the parity of bit b (MSB first) of info symbol i alone,
-    # the symbol value alpha^(m-1-b): parity row i times alpha^(m-1-b). Walk
-    # b down from m-1 (the value 1), multiplying the plane by alpha = x each
-    # step; a plane's symbols unpack from the top m bits of big-endian uint16s.
+    # Row m*i + b is the parity of bit b of info symbol i alone: parity row i's
+    # plane b, packed.
     k, nsym = rows.shape
     m = fld.m
     out = np.empty((k, m, -(-m * nsym // 8)), dtype=np.uint8)
-    plane = rows.astype(np.uint32)
-    for b in range(m - 1, -1, -1):
-        top = (plane << (16 - m)).astype(">u2").view(np.uint8).reshape(k, nsym, 2)
-        bits = np.unpackbits(top, axis=-1, count=m)
-        out[:, b] = np.packbits(bits.reshape(k, m * nsym), axis=-1)
-        plane = (plane << 1) ^ ((plane >> (m - 1)) & 1) * fld.primitive_poly
+    for b, plane in _bit_planes(fld, rows):
+        # packbits takes ~15x longer on the int64 bits than on uint8 ones.
+        out[:, b] = np.packbits(symbols_to_bits(plane, m).astype(np.uint8), axis=-1)
     return out.reshape(k * m, -1)
 
 
@@ -125,20 +132,18 @@ def _symbol_dtype(m: int):
 
 
 def _syndrome_table(fld: FieldSpec, n: int, k: int) -> np.ndarray:
-    # Bit b (MSB first) of the symbol at position p is the value 2^(m-1-b) at
-    # degree n-1-p, so its syndromes are alpha^(j*(n-1-p)) times 2^(m-1-b):
-    # walk b down from m-1 (the value 1), multiplying by alpha = x each step.
-    # Each column's n-k symbols are then packed into whole 64-bit words and
-    # the table is stored word-major, so a word's syndromes are one take and
-    # one XOR reduce along contiguous rows.
+    # The symbol at position p sits at degree n-1-p, so its syndromes are
+    # alpha^(j*(n-1-p)); column m*p + b is plane b of those. Each column's n-k
+    # symbols are then packed into whole 64-bit words and the table is stored
+    # word-major, so a word's syndromes are one take and one XOR reduce along
+    # contiguous rows.
     m, nsym = fld.m, n - k
     dtype = _symbol_dtype(m)
     per_word = 8 // np.dtype(dtype).itemsize
-    plane = fld.exp_table[((n - 1 - np.arange(n))[:, None] * np.arange(1, nsym + 1)) % fld.mul_order]
     out = np.zeros((n, m, -(-nsym // per_word) * per_word), dtype=dtype)
-    for b in range(m - 1, -1, -1):
+    plane = fld.exp_table[((n - 1 - np.arange(n))[:, None] * np.arange(1, nsym + 1)) % fld.mul_order]
+    for b, plane in _bit_planes(fld, plane):
         out[:, b, :nsym] = plane
-        plane = (plane << 1) ^ ((plane >> (m - 1)) & 1) * fld.primitive_poly
     return np.ascontiguousarray(out.reshape(n * m, -1).view(np.uint64).T)
 
 
@@ -220,11 +225,9 @@ def codeword(code: CodeSpec, info) -> np.ndarray:
 
 def _syndromes(code: CodeSpec, word: np.ndarray) -> np.ndarray:
     # S_1..S_(n-k): the XOR of the syndrome table columns of the word's set bits.
-    m = code.m
-    top = (word << (16 - m)).astype(">u2").view(np.uint8).reshape(-1, 2)
-    bits = np.unpackbits(top, axis=1, count=m)
-    words = np.bitwise_xor.reduce(code.syndrome_table.take(np.flatnonzero(bits), axis=1), axis=1)
-    return words.view(_symbol_dtype(m))[: code.n - code.k]
+    set_bits = np.flatnonzero(symbols_to_bits(word, code.m))
+    words = np.bitwise_xor.reduce(code.syndrome_table.take(set_bits, axis=1), axis=1)
+    return words.view(_symbol_dtype(code.m))[: code.n - code.k]
 
 
 def _times_syndromes(fld: FieldSpec, poly, synd: np.ndarray) -> np.ndarray:
@@ -238,13 +241,14 @@ def _times_syndromes(fld: FieldSpec, poly, synd: np.ndarray) -> np.ndarray:
     return np.bitwise_xor.reduce(fld.mul_vec(shifted, coeffs[nz, None]), axis=0)
 
 
-def _berlekamp_massey(fld: FieldSpec, synd: np.ndarray) -> tuple[list[int], int, np.ndarray | None]:
-    """Massey's locator synthesis with an exact early exit.
+def _berlekamp_massey(fld: FieldSpec, synd: np.ndarray) -> tuple[list[int], int, np.ndarray]:
+    """Massey's locator synthesis with an exact early exit; returns the
+    locator, its length L and Forney's omega = locator(x) * S(x) mod x^(n-k).
 
     At a zero discrepancy with 2L <= i, one product locator(x) * S(x) gives
     every remaining discrepancy of the current locator: if all are zero the
-    locator is final and the product is omega (returned third, else None);
-    otherwise the steps up to the first nonzero one only lengthen the shift.
+    locator is final and the product is omega; otherwise the steps up to the
+    first nonzero one only lengthen the shift.
     """
     exp, log, qm1 = fld.exp_list, fld.log_list, fld.mul_order
     synd_list = synd.tolist()
@@ -292,6 +296,8 @@ def _berlekamp_massey(fld: FieldSpec, synd: np.ndarray) -> tuple[list[int], int,
         i += 1
     while len(cur) > 1 and cur[-1] == 0:
         cur.pop()
+    if omega is None:
+        omega = _times_syndromes(fld, cur, synd)
     return cur, length, omega
 
 
@@ -325,10 +331,8 @@ def decode_block(code: CodeSpec, received) -> DecodeResult:
     if len(err_degrees) != length:
         return DecodeResult(ok=False, info=None, corrected=0, reason="root count")
 
-    # Forney: omega = synd(x) * locator(x) mod x^nsym, error value at X_l is
-    # omega(X_l^-1) / locator'(X_l^-1) for first root alpha^1.
-    if omega is None:
-        omega = _times_syndromes(fld, locator, synd)
+    # Forney: the error value at X_l is omega(X_l^-1) / locator'(X_l^-1) for
+    # first root alpha^1.
     loc_arr = np.array(locator, dtype=np.int64)
     inv_logs = code.chien_logs[err_degrees]
     omega_vals = fld.eval_poly_at_powers(omega, inv_logs)
@@ -354,16 +358,18 @@ def decode_block(code: CodeSpec, received) -> DecodeResult:
 
 
 def bits_to_symbols(bits, m: int) -> np.ndarray:
-    """Pack a bit array (MSB first within each symbol) into m-bit symbols."""
+    """Pack bits into m-bit symbols, MSB first, along the last axis: (..., L*m)
+    bits give (..., L) int64 symbols."""
     bits = np.asarray(bits, dtype=np.int64)
-    if len(bits) % m != 0:
-        raise ValueError(f"bit count {len(bits)} is not a multiple of {m}")
-    weights = 1 << np.arange(m - 1, -1, -1)
-    return bits.reshape(-1, m) @ weights
+    if bits.shape[-1] % m != 0:
+        raise ValueError(f"bit count {bits.shape[-1]} is not a multiple of {m}")
+    weights = np.int64(1) << np.arange(m - 1, -1, -1, dtype=np.int64)
+    return bits.reshape(*bits.shape[:-1], bits.shape[-1] // m, m) @ weights
 
 
 def symbols_to_bits(symbols, m: int) -> np.ndarray:
-    """Unpack m-bit symbols into a flat bit array, MSB first."""
+    """Unpack m-bit symbols into bits, MSB first, along the last axis: (..., L)
+    symbols give (..., L*m) int64 bits."""
     symbols = np.asarray(symbols, dtype=np.int64)
     shifts = np.arange(m - 1, -1, -1)
-    return ((symbols[:, None] >> shifts) & 1).reshape(-1)
+    return ((symbols[..., None] >> shifts) & 1).reshape(*symbols.shape[:-1], symbols.shape[-1] * m)

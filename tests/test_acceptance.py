@@ -15,18 +15,18 @@ import pytest
 from noisekey import presets
 from noisekey.amplify import CapacityParams, binary_entropy, fluctuation_adjusted_ber
 from noisekey.analysis import (
-    TailQuery,
     average_pattern_count_log2,
     binomial_tail,
     candidate_count_log2,
     capacity_table,
     effective_key_length,
     error_pattern_entropy,
+    outside_set_probability,
     symbol_error_rate,
 )
 from noisekey.channel import ChannelConfig
 from noisekey.gf import build_field
-from noisekey.grouping import outside_set_probability, sample_key
+from noisekey.grouping import sample_key
 from noisekey.oracle import (
     TinyScenario,
     admissible_keys,
@@ -167,7 +167,7 @@ def test_criterion_08_protocol_round_trip():
     ber = 0.019
     units = 10_000
     p_eff = symbol_error_rate(ber, code.m)
-    per_unit = binomial_tail(TailQuery(code.k, p_eff, code.t, "above"))
+    per_unit = binomial_tail(code.k, p_eff, code.t, "above")
     assert 3e-4 <= per_unit <= 3e-3  # target operating point ~1e-3
 
     key = sample_key(160, 2.0, np.random.default_rng(94))

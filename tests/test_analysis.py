@@ -6,7 +6,6 @@ import pytest
 
 from noisekey.amplify import CapacityParams, binary_entropy
 from noisekey.analysis import (
-    TailQuery,
     average_pattern_count_log2,
     binomial_tail,
     candidate_count_log2,
@@ -40,26 +39,25 @@ def test_exact_tail_against_direct_sum():
         (1336, EVE_BER, 5.02, "below"),
         (50, 0.5, 25, "below"),
     ]:
-        mine = binomial_tail(TailQuery(trials, p, thr, d))
+        mine = binomial_tail(trials, p, thr, d)
         assert mine == pytest.approx(direct_tail(trials, p, thr, d), rel=1e-9)
 
 
 def test_decode_failure_reference_value():
-    tail = binomial_tail(TailQuery(167, 0.1, 44, "above"))
+    tail = binomial_tail(167, 0.1, 44, "above")
     assert tail == pytest.approx(4.6976e-10, rel=1e-3)
     assert tail <= 4.70e-10
 
 
 def test_tail_edge_cases():
-    assert binomial_tail(TailQuery(10, 0.3, 10, "above")) == 0.0
-    assert binomial_tail(TailQuery(10, 0.0, 0, "above")) == 0.0
-    assert binomial_tail(TailQuery(10, 0.0, 1, "below")) == 1.0
-    assert log_binomial_tail(TailQuery(10, 0.3, 10, "above")) == -math.inf
+    assert binomial_tail(10, 0.3, 10, "above") == 0.0
+    assert binomial_tail(10, 0.0, 0, "above") == 0.0
+    assert binomial_tail(10, 0.0, 1, "below") == 1.0
+    assert log_binomial_tail(10, 0.3, 10, "above") == -math.inf
 
 
 def test_tail_no_underflow_deep():
-    q = TailQuery(10_000, 1e-4, 500, "above")
-    lg = log_binomial_tail(q)
+    lg = log_binomial_tail(10_000, 1e-4, 500, "above")
     assert -2000 < lg / math.log(10) < -700  # representable only in log space
     # Successive pmf terms shrink by (n-k)/(k+1) * p/(1-p) < 0.002, so the
     # tail lies between its first term and that term / (1 - 0.002).
@@ -72,15 +70,15 @@ def test_tail_no_underflow_deep():
 
 def test_tail_query_validation():
     with pytest.raises(ValueError):
-        TailQuery(10, 1.5, 3)
+        binomial_tail(10, 1.5, 3)
     with pytest.raises(ValueError):
-        TailQuery(10, 0.5, 11)
+        binomial_tail(10, 0.5, 11)
     with pytest.raises(ValueError):
-        TailQuery(10, 0.5, 3, "sideways")
+        binomial_tail(10, 0.5, 3, "sideways")
 
 
 def test_exact_tail_against_monte_carlo():
-    exact = binomial_tail(TailQuery(20, 0.3, 10, "above"))
+    exact = binomial_tail(20, 0.3, 10, "above")
     rng = np.random.default_rng(50)
     n = 10_000_000
     hits = 0

@@ -27,12 +27,12 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from noisekey import amplify
 from noisekey.amplify import HashSeed, expand_seed, extract_key, toeplitz_matrix
+from noisekey.analysis import log_sum_exp
 from noisekey.gf import FieldSpec, build_field
 from noisekey.grouping import (
     CommonKey,
     GroupStreams,
     _key_mask,
-    log_sum_exp,
     split_stream,
     validate_key,
 )

@@ -4,11 +4,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from noisekey.analysis import outside_set_probability
 from noisekey.grouping import (
     CommonKey,
     bits_to_hex,
     block_fits_key_period,
-    outside_set_probability,
     sample_key,
     split_stream,
     validate_key,

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -355,3 +356,14 @@ def test_judge_rejects_a_guess_that_is_not_one_row(code_7_5):
     key, stream, _, parity_frames = _judge_fixture(code_7_5, rng, 0.0, blocks=4)
     with pytest.raises(ValueError, match="1-d"):
         judge_candidate(key.bits.reshape(2, -1), stream, parity_frames, code_7_5, 0.01)
+
+
+@pytest.mark.parametrize("shape", ["two-rows", "scalar"])
+def test_judge_rejects_a_stream_that_is_not_one_row(code_7_5, shape):
+    # Two rows used to be routed whole by split_stream and end in "no complete
+    # blocks to judge"; a 0-d stream raised TypeError from len().
+    rng = np.random.default_rng(76)
+    key, stream, _, parity_frames = _judge_fixture(code_7_5, rng, 0.0, blocks=12)
+    bad = stream.reshape(2, -1) if shape == "two-rows" else np.uint8(1)
+    with pytest.raises(ValueError, match=rf"1-d bit array, got shape {re.escape(str(bad.shape))}"):
+        judge_candidate(key.bits, bad, parity_frames, code_7_5, 0.01)

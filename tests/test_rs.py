@@ -229,3 +229,23 @@ def test_bits_symbols_round_trip():
         assert (bits_to_symbols(bits, m) == symbols).all()
     with pytest.raises(ValueError):
         bits_to_symbols(np.zeros(7, dtype=np.int64), 2)
+
+
+@pytest.mark.parametrize("m", [1, 3, 8, 10, 62])
+def test_bits_symbols_work_row_by_row_along_the_last_axis(m):
+    rng = np.random.default_rng(19 + m)
+    symbols = rng.integers(0, 1 << m, size=(4, 6), dtype=np.int64)
+    bits = symbols_to_bits(symbols, m)
+    assert bits.shape == (4, 6 * m) and bits.dtype == np.int64
+    assert (bits == np.stack([symbols_to_bits(row, m) for row in symbols])).all()
+    packed = bits_to_symbols(bits, m)
+    assert packed.shape == (4, 6) and packed.dtype == np.int64
+    assert (packed == np.stack([bits_to_symbols(row, m) for row in bits])).all()
+    assert (packed == symbols).all()
+    # A 1-d call gives a flat int64 array, MSB first within each symbol.
+    flat = symbols_to_bits(symbols[0], m)
+    assert flat.shape == (6 * m,) and flat.dtype == np.int64
+    assert flat[:m].tolist() == [int(c) for c in format(int(symbols[0, 0]), f"0{m}b")]
+    assert bits_to_symbols(flat.astype(np.uint8), m).dtype == np.int64
+    assert symbols_to_bits(np.zeros((0, 6), dtype=np.int64), m).shape == (0, 6 * m)
+    assert bits_to_symbols(np.zeros((0, 6 * m), dtype=np.uint8), m).shape == (0, 6)
