@@ -32,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .channel import entropy_words
 from .rs import CodeSpec, all_bits
 
 
@@ -151,7 +152,7 @@ def expand_seed(seed: HashSeed, n_in: int, n_out: int) -> np.ndarray:
     default_rng(SeedSequence(entropy)).integers(0, 2, n, uint8), which by Lemire's
     method are the top bits of the bytes of PCG64's 64-bit outputs, low byte first."""
     n = n_in + n_out - 1
-    raw = np.random.PCG64(np.random.SeedSequence(list(seed.entropy))).random_raw(-(-n // 8))
+    raw = np.random.PCG64(entropy_words(seed.entropy)).random_raw(-(-n // 8))
     return raw.astype("<u8").view(np.uint8)[:n] >> 7
 
 

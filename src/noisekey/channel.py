@@ -75,16 +75,48 @@ def bsc_transmit(bits, p: float, rng: np.random.Generator) -> np.ndarray:
     if not 0.0 <= p <= 1.0:
         raise ValueError("flip probability must lie in [0, 1]")
     bits = np.asarray(bits, dtype=np.uint8)
-    flips = rng.random(len(bits)) < p
-    return bits ^ flips.astype(np.uint8)
+    return bits ^ (rng.random(len(bits)) < p)
+
+
+def _append_words(words: list, values) -> None:
+    # Each value as its little-endian 32-bit words, one word for 0.
+    for value in values:
+        if type(value) is not int:
+            if not isinstance(value, (int, np.integer)):
+                raise TypeError(f"seed must be integer, got {value!r}")
+            value = int(value)
+        if value < 0:
+            raise ValueError(f"expected non-negative integer, got {value}")
+        words.append(value & 0xFFFFFFFF)
+        while value > 0xFFFFFFFF:
+            value >>= 32
+            words.append(value & 0xFFFFFFFF)
+
+
+def entropy_words(entropy, spawn_key=()) -> np.ndarray:
+    """The uint32 words numpy's SeedSequence(entropy, spawn_key=spawn_key)
+    assembles and mixes, so that np.random.PCG64(entropy_words(e, key)) is
+    the generator of SeedSequence(e, spawn_key=key) without building it.
+
+    `entropy` is an int or a sequence of ints. Every int becomes its
+    little-endian 32-bit words, 0 one word; with a spawn key the run entropy
+    is zero-padded to the 4-word pool before the spawn key's words. A
+    negative value raises ValueError and a non-integer TypeError, as numpy
+    does.
+    """
+    words: list[int] = []
+    _append_words(words, (entropy,) if isinstance(entropy, (int, np.integer)) else entropy)
+    if spawn_key:
+        words += [0] * (4 - len(words))
+        _append_words(words, spawn_key)
+    return np.array(words, dtype=np.uint32)
 
 
 def _frame_rng(config: ChannelConfig, recipient: str, frame: Frame) -> np.random.Generator:
-    seq = np.random.SeedSequence(
-        entropy=config.seed,
-        spawn_key=(_RECIPIENT_STREAM[recipient], frame.kind, frame.index, frame.group),
+    words = entropy_words(
+        config.seed, (_RECIPIENT_STREAM[recipient], frame.kind, frame.index, frame.group)
     )
-    return np.random.default_rng(seq)
+    return np.random.Generator(np.random.PCG64(words))
 
 
 def deliver(frame: Frame, config: ChannelConfig, recipient: str) -> Frame:

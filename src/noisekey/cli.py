@@ -86,9 +86,10 @@ class Field:
 # tail sums to tens of MB; balance_limit >= 1 guarantees every key length an
 # admissible key, so rejection sampling ends. A session lays out
 # (blocks_target + 1) * m * k stream positions as int64 before it sends
-# anything: at blocks_target = 100000 that peaks at ~240 MB for the (31, 19)
-# default and ~3.4 GB at the (255, 167) design point, where an unbounded
-# target fails with a MemoryError.
+# anything: at blocks_target = 100000 that peaks at ~156 MB for the (31, 19)
+# default and ~2.1 GB at the (255, 167) design point (tracemalloc, ~2.05
+# times the final positions array), where an unbounded target fails with a
+# MemoryError.
 FIELDS = {
     "name": Field(str),
     "m": Field(int, 2, 16),

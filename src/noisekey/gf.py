@@ -3,6 +3,12 @@
 Tables are generated from a primitive polynomial by repeated multiplication
 with the generator element alpha = x. Construction fails if the polynomial
 does not generate the full multiplicative cycle of 2^m - 1 elements.
+
+Each field also carries sentinel tables for products without branches or
+modulo: the log of 0 is the sentinel 2(2^m - 1), and the exp table runs
+twice round the cycle and then reads 0 up to twice the sentinel. So
+exp_ext[log_ext[a] + log_ext[b]] is a * b for any a, b, and so is
+exp_ext[log_ext[a] - log_ext[b] + (2^m - 1)] for a quotient a / b, b != 0.
 """
 
 from __future__ import annotations
@@ -41,8 +47,10 @@ class FieldSpec:
     primitive_poly: int
     exp_table: np.ndarray = field(repr=False)
     log_table: np.ndarray = field(repr=False)
-    # The tables as tuples for scalar loops, shared by every build_field caller;
-    # exp_list is doubled (2 * (2^m - 1) long) so a sum of two logs needs no modulo.
+    # The sentinel tables (see the module docstring), as arrays and as tuples
+    # for scalar loops, shared by every build_field caller.
+    exp_ext: np.ndarray = field(repr=False)
+    log_ext: np.ndarray = field(repr=False)
     exp_list: tuple = field(repr=False)
     log_list: tuple = field(repr=False)
 
@@ -77,15 +85,13 @@ class FieldSpec:
 
         Returns one field element per entry of power_logs. Vectorized over the
         evaluation points; the polynomial is assumed short next to the point set.
+        Zero coefficients read the sentinel, so their terms are 0.
         """
-        coeffs = np.asarray(coeffs)
+        coeffs = np.asarray(coeffs, dtype=np.int64)
         power_logs = np.asarray(power_logs)
-        nz = np.nonzero(coeffs)[0]
-        if len(nz) == 0:
-            return np.zeros(len(power_logs), dtype=np.int64)
-        coeff_logs = self.log_table[coeffs[nz]]
-        expo = (coeff_logs[:, None] + nz[:, None] * power_logs[None, :]) % self.mul_order
-        return np.bitwise_xor.reduce(self.exp_table[expo], axis=0)
+        degrees = np.arange(len(coeffs))[:, None]
+        expo = self.log_ext[coeffs][:, None] + degrees * power_logs % self.mul_order
+        return np.bitwise_xor.reduce(self.exp_ext[expo], axis=0)
 
 
 @lru_cache(maxsize=32)
@@ -121,15 +127,20 @@ def build_field(m: int, primitive_poly: int | None = None) -> FieldSpec:
             x ^= primitive_poly
     if x != 1:
         raise ValueError(f"0x{primitive_poly:X} is not primitive: cycle does not close")
-    exp_table.setflags(write=False)
-    log_table.setflags(write=False)
-    exp_list = exp_table.tolist()
+    sentinel = 2 * (q - 1)
+    exp_ext = np.concatenate([exp_table, exp_table, np.zeros(sentinel + 1, dtype=np.int64)])
+    log_ext = log_table.copy()
+    log_ext[0] = sentinel
+    for table in (exp_table, log_table, exp_ext, log_ext):
+        table.setflags(write=False)
     return FieldSpec(
         m=m,
         primitive_poly=primitive_poly,
         exp_table=exp_table,
         log_table=log_table,
-        exp_list=tuple(exp_list + exp_list),
-        log_list=tuple(log_table.tolist()),
+        exp_ext=exp_ext,
+        log_ext=log_ext,
+        exp_list=tuple(exp_ext.tolist()),
+        log_list=tuple(log_ext.tolist()),
     )
 

@@ -45,6 +45,9 @@ class CodeSpec:
     # position p alone as uint8 symbols (uint16 for m > 8), zero-padded
     syndrome_table: np.ndarray = field(repr=False)
     chien_logs: np.ndarray = field(repr=False)  # -j mod 2^m - 1, j < n: Chien points alpha^-j
+    # (t+1) x n, row d is d * chien_logs mod 2^m - 1 in the narrowest dtype:
+    # the log of the Chien point's d-th power
+    chien_table: np.ndarray = field(repr=False)
 
     @property
     def m(self) -> int:
@@ -163,16 +166,21 @@ def _make_code_cached(m: int, primitive_poly: int, n: int, k: int) -> CodeSpec:
     stab.setflags(write=False)
     chien = -np.arange(n) % fld.mul_order
     chien.setflags(write=False)
+    t = (n - k) // 2
+    dtype = np.uint8 if fld.mul_order <= 0xFF else np.uint16
+    chien_table = (np.arange(t + 1)[:, None] * chien % fld.mul_order).astype(dtype)
+    chien_table.setflags(write=False)
     return CodeSpec(
         field=fld,
         n=n,
         k=k,
         d=n - k + 1,
-        t=(n - k) // 2,
+        t=t,
         t_max=n - k,
         parity_matrix=pmat,
         syndrome_table=stab,
         chien_logs=chien,
+        chien_table=chien_table,
     )
 
 
@@ -223,22 +231,27 @@ def codeword(code: CodeSpec, info) -> np.ndarray:
     return np.concatenate([info, bits_to_symbols(parity, code.m)])
 
 
-def _syndromes(code: CodeSpec, word: np.ndarray) -> np.ndarray:
-    # S_1..S_(n-k): the XOR of the syndrome table columns of the word's set bits.
-    set_bits = np.flatnonzero(symbols_to_bits(word, code.m))
-    words = np.bitwise_xor.reduce(code.syndrome_table.take(set_bits, axis=1), axis=1)
+def _column_syndromes(code: CodeSpec, columns: np.ndarray) -> np.ndarray:
+    # S_1..S_(n-k) of the bits at these syndrome table columns: their XOR.
+    words = np.bitwise_xor.reduce(code.syndrome_table.take(columns, axis=1), axis=1)
     return words.view(_symbol_dtype(code.m))[: code.n - code.k]
+
+
+def _syndromes(code: CodeSpec, word: np.ndarray) -> np.ndarray:
+    return _column_syndromes(code, np.flatnonzero(symbols_to_bits(word, code.m)))
 
 
 def _times_syndromes(fld: FieldSpec, poly, synd: np.ndarray) -> np.ndarray:
     # Coefficients 0..n-k-1 of poly(x) * S(x), with S(x) = sum S_(i+1) x^i:
     # coefficient i is Berlekamp-Massey's discrepancy at step i for this
-    # locator, and the whole vector is Forney's omega.
-    coeffs = np.asarray(poly)
-    nz = np.flatnonzero(coeffs)
-    idx = np.arange(len(synd)) - nz[:, None]
-    shifted = np.where(idx >= 0, synd[idx], 0)
-    return np.bitwise_xor.reduce(fld.mul_vec(shifted, coeffs[nz, None]), axis=0)
+    # locator, and the whole vector is Forney's omega. Term (j, i) is
+    # poly_j * S_(i-j+1), read from sentinel logs; the len(poly) - 1 leading
+    # sentinels stand for the S_(i-j+1) with i < j.
+    coeff_logs = fld.log_ext[np.asarray(poly)]
+    top = len(coeff_logs) - 1
+    synd_logs = np.concatenate([np.full(top, fld.log_ext[0]), fld.log_ext[synd]])
+    rows = np.arange(top, top + len(synd)) - np.arange(top + 1)[:, None]
+    return np.bitwise_xor.reduce(fld.exp_ext[synd_logs[rows] + coeff_logs[:, None]], axis=0)
 
 
 def _berlekamp_massey(fld: FieldSpec, synd: np.ndarray) -> tuple[list[int], int, np.ndarray]:
@@ -264,8 +277,7 @@ def _berlekamp_massey(fld: FieldSpec, synd: np.ndarray) -> tuple[list[int], int,
         disc = synd_list[i]
         top = min(length, len(cur) - 1)
         for cj, sij in zip(cur[1 : top + 1], reversed(synd_list[i - top : i])):
-            if cj and sij:
-                disc ^= exp[log[cj] + log[sij]]
+            disc ^= exp[log[cj] + log[sij]]
         if disc == 0:
             if 2 * length > i:
                 shift += 1
@@ -284,8 +296,7 @@ def _berlekamp_massey(fld: FieldSpec, synd: np.ndarray) -> tuple[list[int], int,
         saved = list(cur) if 2 * length <= i else None
         cur += [0] * (shift + len(prev) - len(cur))
         for idx, b in enumerate(prev, shift):
-            if b:
-                cur[idx] ^= exp[coef_log + log[b]]
+            cur[idx] ^= exp[coef_log + log[b]]
         if saved is not None:
             length = i + 1 - length
             prev = saved
@@ -326,35 +337,40 @@ def decode_block(code: CodeSpec, received) -> DecodeResult:
 
     # Chien search over the n positions in use; position at degree j is in
     # error iff locator(alpha^-j) = 0.
-    vals = fld.eval_poly_at_powers(locator, code.chien_logs)
-    err_degrees = np.flatnonzero(vals == 0)
+    err_degrees = np.flatnonzero(_chien_values(code, locator) == 0)
     if len(err_degrees) != length:
         return DecodeResult(ok=False, info=None, corrected=0, reason="root count")
 
     # Forney: the error value at X_l is omega(X_l^-1) / locator'(X_l^-1) for
     # first root alpha^1.
-    loc_arr = np.array(locator, dtype=np.int64)
     inv_logs = code.chien_logs[err_degrees]
     omega_vals = fld.eval_poly_at_powers(omega, inv_logs)
-    deriv = loc_arr[1:].copy()
+    deriv = np.array(locator[1:], dtype=np.int64)
     deriv[1::2] = 0                       # formal derivative keeps odd terms only
     deriv_vals = fld.eval_poly_at_powers(deriv, inv_logs)
-    if (deriv_vals == 0).any():
+    if not deriv_vals.all():
         return DecodeResult(ok=False, info=None, corrected=0, reason="zero derivative")
-    magnitudes = np.where(
-        omega_vals == 0,
-        0,
-        fld.exp_table[(fld.log_table[omega_vals] - fld.log_table[deriv_vals]) % fld.mul_order],
-    )
-    if (magnitudes == 0).any():
+    magnitudes = fld.exp_ext[fld.log_ext[omega_vals] - fld.log_ext[deriv_vals] + fld.mul_order]
+    if not magnitudes.all():
         return DecodeResult(ok=False, info=None, corrected=0, reason="zero magnitude")
 
-    # The corrected word's syndromes are S(received) ^ S(error) by linearity.
-    error = np.zeros(code.n, dtype=np.int64)
-    error[code.n - 1 - err_degrees] = magnitudes
-    if not np.array_equal(_syndromes(code, error), synd):
+    # The corrected word's syndromes are S(received) ^ S(error) by linearity,
+    # and S(error) is the XOR of the table columns of the error's set bits.
+    positions = code.n - 1 - err_degrees
+    rows, bits = np.nonzero(symbols_to_bits(magnitudes[:, None], code.m))
+    if (_column_syndromes(code, code.m * positions[rows] + bits) != synd).any():
         return DecodeResult(ok=False, info=None, corrected=0, reason="reverify")
-    return DecodeResult(ok=True, info=received[: code.k] ^ error[: code.k], corrected=int(length))
+    info = received[: code.k].copy()
+    in_info = positions < code.k
+    info[positions[in_info]] ^= magnitudes[in_info]
+    return DecodeResult(ok=True, info=info, corrected=int(length))
+
+
+def _chien_values(code: CodeSpec, locator) -> np.ndarray:
+    """locator(alpha^chien_logs[j]) for every j < n, from the code's Chien table."""
+    fld = code.field
+    logs = fld.log_ext[np.asarray(locator)]
+    return np.bitwise_xor.reduce(fld.exp_ext[code.chien_table[: len(logs)] + logs[:, None]], axis=0)
 
 
 def bits_to_symbols(bits, m: int) -> np.ndarray:

@@ -26,11 +26,24 @@ from .channel import (
     KIND_INFO,
     KIND_PARITY,
     deliver,
+    entropy_words,
 )
 from .grouping import CommonKey, GroupStreams, _key_mask, bits_to_hex, block_fits_key_period
 from .rs import CodeSpec, all_bits, bits_to_symbols, decode_block, encode_parity, symbols_to_bits
 
 _SOURCE_STREAM = 7
+
+# Both ends encode, convert and unpack blocks in batches of at most this
+# many bytes, the way amplify._BLOCK_WORDS bounds the hash kernel: a batched
+# encode_parity holds m*k x ceil(m*(n-k)/8) bytes per block (~115 KiB at
+# (255, 167)), and a batch of word bits 8*m*n as int64 (~16 KiB).
+# Unbounded, the CLI's largest session would take ~11.7 GB at once.
+_BATCH_BYTES = 1 << 20
+
+
+def _batch_rows(code: CodeSpec) -> int:
+    """Blocks per batch for this code: one at least, else within _BATCH_BYTES."""
+    return max(1, _BATCH_BYTES // max(code.parity_matrix.nbytes, 8 * code.m * code.n))
 
 
 class FramingError(ValueError):
@@ -166,11 +179,19 @@ def _block_layout(key: CommonKey, block_bits: int, blocks: int):
     """
     mask = _key_mask(key, (blocks + 1) * block_bits)
     per_group = GroupStreams(np.flatnonzero(mask), np.flatnonzero(~mask)).blocks(block_bits)
+    del mask  # so that the peak is the groups' positions plus the output only
     group = np.repeat([1, 2], [len(p) for p in per_group])
     index = np.concatenate([np.arange(len(p)) for p in per_group])
-    positions = np.concatenate(per_group)
-    order = np.lexsort((index, group, positions[:, -1] // block_bits))[:blocks]
-    return group[order], index[order], positions[order]
+    ends = np.concatenate([p[:, -1] for p in per_group])
+    order = np.lexsort((index, group, ends // block_bits))[:blocks]
+    group, index = group[order], index[order]
+    # A group's blocks complete in index order, so its rows take its first
+    # blocks as they are, with no reordered copy.
+    positions = np.empty((len(order), block_bits), dtype=np.int64)
+    for g, p in zip((1, 2), per_group):
+        rows = group == g
+        positions[rows] = p[: np.count_nonzero(rows)]
+    return group, index, positions
 
 
 def _unit_keys(config: SessionConfig, blocks: list) -> list:
@@ -192,9 +213,7 @@ def run_transmitter(config: SessionConfig) -> TransmitterRun:
     """Produce the frame stream and the transmitter-side secret keys."""
     code = config.code
     block_bits = code.info_bits
-    rng = np.random.default_rng(
-        np.random.SeedSequence(entropy=config.source_seed, spawn_key=(_SOURCE_STREAM,))
-    )
+    rng = np.random.Generator(np.random.PCG64(entropy_words(config.source_seed, (_SOURCE_STREAM,))))
     group, index, positions = _block_layout(config.key, block_bits, config.blocks_target)
     chunks = [
         rng.integers(0, 2, size=block_bits, dtype=np.uint8)
@@ -205,21 +224,20 @@ def run_transmitter(config: SessionConfig) -> TransmitterRun:
         for i, c in enumerate(chunks)
     ]
     stream = np.concatenate(chunks or [np.zeros(0, np.uint8)])
+    info = stream[positions]
+    rows = _batch_rows(code)
+    parity = np.empty((len(info), code.parity_bits), dtype=np.uint8)
+    for start in range(0, len(info), rows):
+        parity[start : start + rows] = encode_parity(code, info[start : start + rows])
     blocks = [
-        BlockRecord(group=g, index=j, info_bits=stream[pos])
-        for g, j, pos in zip(group.tolist(), index.tolist(), positions)
+        BlockRecord(group=g, index=j, info_bits=bits)
+        for g, j, bits in zip(group.tolist(), index.tolist(), info)
     ]
     frames += [
-        Frame(
-            method=config.channel.method,
-            group=b.group,
-            index=b.index,
-            kind=KIND_PARITY,
-            payload=encode_parity(code, b.info_bits),
-        )
-        for b in blocks
+        Frame(method=config.channel.method, group=b.group, index=b.index, kind=KIND_PARITY, payload=p)
+        for b, p in zip(blocks, parity)
     ]
-    keys = _unit_keys(config, [b.info_bits for b in blocks])
+    keys = _unit_keys(config, list(info))
     return TransmitterRun(frames=frames, keys=keys, blocks=blocks, stream=stream, positions=positions)
 
 
@@ -270,18 +288,33 @@ def run_receiver(frames, config: SessionConfig) -> ReceiverRun:
         bad = next(f for f in payloads + received if not all_bits(f.payload))
         raise _refused(bad, "its payload holds values other than 0 and 1")
 
+    # Each batch of planned blocks is converted to symbols in one call, and
+    # its decoded infos back to bits in one; a block without parity is not
+    # decoded.
     outcomes: list[BlockOutcome] = []
     corrected_bits: list[np.ndarray | None] = []
-    for ((group, index), frame), pos in zip(parities.items(), positions):
-        if frame is None:
-            ok, corrected, reason, bits = False, 0, "missing parity", None
-        else:
-            word = np.concatenate([stream[pos], frame.payload])
-            result = decode_block(code, bits_to_symbols(word, code.m))
-            ok, corrected, reason = result.ok, result.corrected, result.reason
-            bits = symbols_to_bits(result.info, code.m).astype(np.uint8) if ok else None
-        outcomes.append(BlockOutcome(group=group, index=index, ok=ok, corrected=corrected, reason=reason))
-        corrected_bits.append(bits)
+    planned = list(parities.items())
+    rows = _batch_rows(code)
+    for start in range(0, len(planned), rows):
+        batch = planned[start : start + rows]
+        words = np.zeros((len(batch), code.m * code.n), dtype=np.uint8)
+        words[:, :block_bits] = stream[positions[start : start + rows]]
+        for word, (_, frame) in zip(words, batch):
+            if frame is not None:
+                word[block_bits:] = frame.payload
+        results = [
+            None if frame is None else decode_block(code, symbols)
+            for symbols, (_, frame) in zip(bits_to_symbols(words, code.m), batch)
+        ]
+        decoded = [r.info for r in results if r is not None and r.ok]
+        bits = iter(symbols_to_bits(np.reshape(decoded, (-1, code.k)), code.m).astype(np.uint8))
+        for ((group, index), _), result in zip(batch, results):
+            if result is None:
+                ok, corrected, reason = False, 0, "missing parity"
+            else:
+                ok, corrected, reason = result.ok, result.corrected, result.reason
+            outcomes.append(BlockOutcome(group=group, index=index, ok=ok, corrected=corrected, reason=reason))
+            corrected_bits.append(next(bits) if ok else None)
 
     return ReceiverRun(keys=_unit_keys(config, corrected_bits), outcomes=outcomes, bits=corrected_bits)
 

@@ -18,6 +18,7 @@ from noisekey.channel import (
     decode_frame,
     deliver,
     encode_frame,
+    entropy_words,
     read_capture,
     write_capture,
 )
@@ -89,6 +90,60 @@ def test_delivery_deterministic_and_recipient_independent():
     eve = deliver(frame, cfg, "eve")
     assert bob1 == bob2
     assert bob1 != eve  # independent noise draws
+
+
+def assert_seeds_like_numpy(entropy, spawn_key=()):
+    """entropy_words(entropy, spawn_key) gives numpy's pool, state and generator."""
+    words = entropy_words(entropy, spawn_key)
+    assert words.dtype == np.uint32
+    seq = np.random.SeedSequence(entropy, spawn_key=spawn_key)
+    mixed = np.random.SeedSequence(words)
+    assert np.array_equal(mixed.pool, seq.pool)
+    assert np.array_equal(mixed.generate_state(4, np.uint64), seq.generate_state(4, np.uint64))
+    assert np.array_equal(np.random.default_rng(words).random(8), np.random.default_rng(seq).random(8))
+
+
+EDGE_ENTROPIES = [0, 2**32 - 1, 2**32, 2**64 + 1]
+
+
+@pytest.mark.parametrize("entropy", EDGE_ENTROPIES)
+@pytest.mark.parametrize("spawn_key", [(), (0,), (1, 1, 7, 2), (2**32, 2**64 + 1, 0)])
+def test_entropy_words_at_the_word_edges(entropy, spawn_key):
+    assert_seeds_like_numpy(entropy, spawn_key)
+    assert_seeds_like_numpy([entropy, 5, entropy], spawn_key)
+
+
+def test_entropy_words_take_numpy_integers_and_bools():
+    assert_seeds_like_numpy(np.uint64(2**63 + 5), (np.int8(3), np.uint32(2**32 - 1), True))
+    assert_seeds_like_numpy((np.int64(7), False), ())
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    entropy=st.one_of(
+        st.integers(0, 2**130),
+        st.lists(st.integers(0, 2**100), max_size=5),
+    ),
+    spawn_key=st.lists(st.integers(0, 2**100), max_size=5),
+)
+def test_entropy_words_are_numpys_assembled_entropy(entropy, spawn_key):
+    assert_seeds_like_numpy(entropy, tuple(spawn_key))
+
+
+@pytest.mark.parametrize("entropy,spawn_key,error", [
+    (-1, (), ValueError),
+    (5, (1, -2), ValueError),
+    ([3, -1], (), ValueError),
+    (1.5, (), TypeError),
+    (5, (1, 2.0), TypeError),
+    ([3, 1.0], (), TypeError),
+    (np.float64(2), (), TypeError),
+])
+def test_entropy_words_refuse_what_numpy_refuses(entropy, spawn_key, error):
+    with pytest.raises(error):
+        np.random.SeedSequence(entropy, spawn_key=spawn_key).generate_state(1)
+    with pytest.raises(error):
+        entropy_words(entropy, spawn_key)
 
 
 def test_frame_round_trip():

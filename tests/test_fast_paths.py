@@ -17,6 +17,7 @@ gather in `reference_oracle` (itself checked against per-key
 
 import functools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from scipy.special import logsumexp
 from hypothesis import assume, given, settings, strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
-from noisekey import amplify
+from noisekey import amplify, rs
 from noisekey.amplify import HashSeed, expand_seed, extract_key, toeplitz_matrix
 from noisekey.analysis import log_sum_exp
 from noisekey.gf import FieldSpec, build_field
@@ -46,7 +47,9 @@ from noisekey.oracle import (
 )
 from noisekey.rs import (
     _berlekamp_massey,
+    _chien_values,
     _syndromes,
+    _times_syndromes as times_syndromes,
     bits_to_symbols,
     codeword,
     decode_block,
@@ -249,6 +252,26 @@ def test_syndrome_table_matches_reference(m, n, k):
         assert np.array_equal(_syndromes(code, word), reference_rs.syndromes(code, word))
 
 
+@pytest.mark.parametrize("m,n,k", CODES + [(10, 100, 80)])  # and a uint16 table
+def test_chien_table_evaluates_every_locator_degree(m, n, k):
+    code = make_code(build_field(m), n, k)
+    fld = code.field
+    table = code.chien_table
+    assert table.shape == (code.t + 1, n)
+    assert table.dtype == (np.uint8 if m <= 8 else np.uint16)
+    rng = np.random.default_rng(11 * m)
+    for degree in range(1, code.t + 1):
+        for trial in range(5):
+            locator = rng.integers(0, fld.order, degree + 1)
+            locator[0] = 1
+            locator[degree] = rng.integers(1, fld.order)
+            if trial == 0:
+                locator[1:degree] = 0  # zero inner terms read the sentinel
+            expected = fld.eval_poly_at_powers(locator, code.chien_logs)
+            assert np.array_equal(_chien_values(code, locator), expected)
+            assert np.array_equal(_chien_values(code, locator.tolist()), expected)
+
+
 def poly_times_syndromes(fld, poly, synd):
     """Coefficients 0..len(synd)-1 of poly(x) * S(x), one scalar product at a time."""
     out = [0] * len(synd)
@@ -259,20 +282,36 @@ def poly_times_syndromes(fld, poly, synd):
 
 
 @pytest.mark.parametrize("m,n,k", CODES)
-def test_early_exit_berlekamp_massey_matches_reference(m, n, k):
+def test_early_exit_berlekamp_massey_matches_reference(m, n, k, monkeypatch):
+    # Each product records the step Massey's loop stood at: below n-k it is
+    # the in-loop early exit or its probe, at n-k the fall-through after the
+    # last syndrome. The last product is omega either way.
     code = make_code(build_field(m), n, k)
+    nsym = n - k
+    steps = []
+
+    def recording(fld, poly, synd):
+        steps.append(sys._getframe(1).f_locals["i"])
+        return times_syndromes(fld, poly, synd)
+
+    monkeypatch.setattr(rs, "_times_syndromes", recording)
     rng = np.random.default_rng(7 * m)
-    exits = 0
+    ends = {"exit": 0, "exit before the last syndrome": 0, "fall-through": 0}
     for weight in range(code.t + 8):
         for _ in range(10):
             _, word, _ = random_codeword_with_errors(rng, code, min(weight, n))
             synd = _syndromes(code, word)
+            steps.clear()
             locator, length, omega = _berlekamp_massey(code.field, synd)
             assert (locator, length) == reference_rs.berlekamp_massey(code.field, synd.tolist())
-            if omega is not None:
-                exits += 1
-                assert omega.tolist() == poly_times_syndromes(code.field, locator, synd)
-    assert exits
+            assert omega.tolist() == poly_times_syndromes(code.field, locator, synd)
+            assert steps and all(i < nsym for i in steps[:-1])
+            if steps[-1] == nsym:
+                ends["fall-through"] += 1
+            else:
+                ends["exit"] += 1
+                ends["exit before the last syndrome"] += steps[-1] < nsym - 1
+    assert all(ends.values()), ends
 
 
 REASONS = {"locator degree", "root count", "zero derivative", "zero magnitude", "reverify"}

@@ -125,14 +125,35 @@ def test_add_self_inverse():
         assert (a ^ b) ^ b == a
 
 
-def test_poly_eval_vectorized_matches_horner(gf8):
-    rng = np.random.default_rng(5)
-    coeffs = [int(v) for v in rng.integers(0, 8, size=5)]
-    logs = np.arange(7)
-    vec = gf8.eval_poly_at_powers(coeffs, logs)
-    for i, lg in enumerate(logs):
-        x = gf8.pow_alpha(int(lg))
-        acc = 0
-        for c in reversed(coeffs):
-            acc = gf8.mul(acc, x) ^ c
-        assert vec[i] == acc
+def test_poly_eval_vectorized_matches_horner():
+    for m in (3, 5, 8):
+        fld = build_field(m)
+        rng = np.random.default_rng(5 * m)
+        logs = np.arange(fld.mul_order)
+        polys = [[], [0], [0, 0, 0], [1], [0, 3]]
+        polys += [[int(v) for v in rng.integers(0, fld.order, size=size)] for size in (2, 5, 12)]
+        polys += [[int(v) if i % 3 else 0 for i, v in enumerate(rng.integers(1, fld.order, size=9))]]
+        for coeffs in polys:
+            vec = fld.eval_poly_at_powers(coeffs, logs)
+            assert vec.shape == logs.shape
+            for i, lg in enumerate(logs):
+                x = fld.pow_alpha(int(lg))
+                acc = 0
+                for c in reversed(coeffs):
+                    acc = shift_reduce_mul(acc, x, fld.primitive_poly, m) ^ c
+                assert vec[i] == acc
+
+
+@pytest.mark.parametrize("m", [2, 4, 8])
+def test_sentinel_tables_multiply_and_divide_every_pair(m):
+    fld = build_field(m)
+    a = np.arange(fld.order)[:, None]
+    b = np.arange(fld.order)[None, :]
+    product = np.array([[shift_reduce_mul(x, y, fld.primitive_poly, m) for y in range(fld.order)]
+                        for x in range(fld.order)])
+    assert np.array_equal(fld.exp_ext[fld.log_ext[a] + fld.log_ext[b]], product)
+    # a / b for b != 0: the q with q * b = a.
+    quotient = fld.exp_ext[fld.log_ext[a] - fld.log_ext[b[:, 1:]] + fld.mul_order]
+    assert np.array_equal(product[quotient, b[:, 1:]], np.broadcast_to(a, quotient.shape))
+    assert len(fld.exp_ext) == 4 * fld.mul_order + 1 and fld.log_ext[0] == 2 * fld.mul_order
+    assert fld.exp_list == tuple(fld.exp_ext.tolist()) and fld.log_list == tuple(fld.log_ext.tolist())

@@ -1,12 +1,14 @@
 import itertools
 import math
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from noisekey.amplify import HashSeed, extract_key
 from noisekey.channel import (
     GROUP_II,
     ChannelConfig,
@@ -14,14 +16,16 @@ from noisekey.channel import (
     FrameParseError,
     KIND_INFO,
     KIND_PARITY,
+    bsc_transmit,
     decode_frame,
+    deliver,
     encode_frame,
     read_capture,
     write_capture,
 )
 from noisekey.grouping import CommonKey, sample_key, split_stream
 from noisekey.oracle import judge_candidate
-from noisekey.rs import bits_to_symbols, decode_block, encode_parity, make_code
+from noisekey.rs import bits_to_symbols, decode_block, encode_parity, make_code, symbols_to_bits
 from noisekey.gf import build_field
 from noisekey import session
 from noisekey.session import (
@@ -34,6 +38,7 @@ from noisekey.session import (
     run_transmitter,
 )
 
+import reference_rs
 from reference_layout import completed_blocks
 
 EVE_BER = 1.0 - 0.9 ** 0.125
@@ -609,3 +614,121 @@ def test_multi_block_units(toy_code, toy_key):
     report = run_session(cfg)
     assert report.units_completed == 4  # 21 blocks -> 4 full units, remainder dropped
     assert len(report.keys_alice[0]) == cfg.key_bits
+
+
+def test_every_sub_stream_is_numpys_seed_sequence(toy_code, toy_key):
+    # The channel noise of every frame for each recipient, the source stream
+    # and every unit's hash seed, drawn from numpy's own SeedSequence.
+    cfg = toy_config(toy_code, toy_key, blocks=40, ber=0.05, method=2, unit_blocks=2)
+    tx = run_transmitter(cfg)
+    chan = cfg.channel
+    for recipient, stream_id, ber in (("bob", 1, chan.bob_ber), ("eve", 2, chan.eve_ber)):
+        for frame in tx.frames:
+            seq = np.random.SeedSequence(chan.seed, spawn_key=(stream_id, frame.kind, frame.index, frame.group))
+            noisy = bsc_transmit(frame.payload, ber, np.random.default_rng(seq))
+            assert np.array_equal(deliver(frame, chan, recipient).payload, noisy)
+    source = np.random.default_rng(np.random.SeedSequence(cfg.source_seed, spawn_key=(7,)))
+    chunks = len(tx.stream) // toy_code.info_bits
+    assert np.array_equal(
+        tx.stream,
+        np.concatenate([source.integers(0, 2, toy_code.info_bits, dtype=np.uint8) for _ in range(chunks)]),
+    )
+    for unit, key in enumerate(tx.keys):
+        x = np.concatenate([tx.blocks[2 * unit + i].info_bits for i in range(2)])
+        diag = np.random.default_rng(np.random.SeedSequence([cfg.hash_seed, unit])).integers(
+            0, 2, len(x) + cfg.key_bits - 1, dtype=np.uint8
+        )
+        rows = np.lib.stride_tricks.sliding_window_view(diag, len(x))[:, ::-1]
+        assert np.array_equal(key, (rows @ x.astype(np.int64)) % 2)
+
+
+def per_block_receiver(frames, cfg, tx):
+    """The receiver one block at a time, decoded by the reference decoder."""
+    code = cfg.code
+    stream = np.concatenate([f.payload for f in frames if f.kind == KIND_INFO])
+    parity = {(f.group, f.index): f.payload for f in frames if f.kind == KIND_PARITY}
+    outcomes, bits = [], []
+    for block, pos in zip(tx.blocks, tx.positions):
+        tag = (block.group, block.index)
+        if tag not in parity:
+            outcomes.append(BlockOutcome(*tag, ok=False, corrected=0, reason="missing parity"))
+            bits.append(None)
+            continue
+        word = bits_to_symbols(np.concatenate([stream[pos], parity[tag]]), code.m)
+        result = reference_rs.decode_block(code, word)
+        outcomes.append(BlockOutcome(*tag, ok=result.ok, corrected=result.corrected, reason=result.reason))
+        bits.append(symbols_to_bits(result.info, code.m) if result.ok else None)
+    size = cfg.unit_blocks
+    keys = []
+    for unit in range(len(bits) // size):
+        members = bits[unit * size : (unit + 1) * size]
+        keys.append(None if any(b is None for b in members) else extract_key(
+            np.concatenate(members), cfg.key_bits, HashSeed.of(cfg.hash_seed, unit)
+        ))
+    return outcomes, bits, keys
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+@pytest.mark.parametrize("scale", ["toy", "design"])
+def test_batched_receiver_matches_the_per_block_path_at_the_batch_edges(
+    toy_code, toy_key, code_255_167, scale, offset
+):
+    # Blocks one short of, at and one past a whole batch of the real batch
+    # size, with one parity frame dropped: the same outcomes, bits and keys
+    # as decoding block by block.
+    if scale == "toy":
+        code, key, ber, method = toy_code, toy_key, 0.03, 2
+    else:
+        code, key, ber, method = code_255_167, sample_key(2496, 3.5, np.random.default_rng(82)), EVE_BER, 1
+    blocks = session._batch_rows(code) + offset
+    cfg = SessionConfig(
+        key=key, code=code, channel=ChannelConfig(ber, ber, method=method, seed=9),
+        blocks_target=blocks, unit_blocks=2, fluctuation_sigmas=0.5, safety_bits=1,
+        source_seed=10, hash_seed=11,
+    )
+    tx = run_transmitter(cfg)
+    frames = [deliver(f, cfg.channel, "bob") for f in tx.frames]
+    dropped = next(i for i, f in enumerate(frames) if f.kind == KIND_PARITY and f.index == blocks // 4)
+    del frames[dropped]
+    rx = run_receiver(frames, cfg)
+    outcomes, bits, keys = per_block_receiver(frames, cfg, tx)
+    assert rx.outcomes == outcomes
+    assert sum(o.reason == "missing parity" for o in outcomes) == 1
+    for got, want in ((rx.bits, bits), (rx.keys, keys)):
+        assert len(got) == len(want)
+        assert all(a is b is None or np.array_equal(a, b) for a, b in zip(got, want))
+    if scale == "toy":
+        assert any(o.reason not in (None, "missing parity") for o in outcomes)  # decoder failures too
+
+
+# tracemalloc's peak for this session before the session batched its blocks
+# and _block_layout filled one output array: 99.36 MB (numpy 2.4, Python 3.11).
+UNBATCHED_PEAK_MB = 99.36
+
+
+def test_a_large_session_peaks_no_higher_than_block_by_block(code_255_167):
+    key = sample_key(2496, 3.5, np.random.default_rng(1))
+    ber = 1.0 - 0.9 ** (1.0 / 8.0)
+    cfg = SessionConfig(
+        key=key, code=code_255_167, channel=ChannelConfig(ber, ber, method=1, seed=5),
+        blocks_target=2000, unit_blocks=10, source_seed=6, hash_seed=7,
+    )
+    tracemalloc.start()
+    try:
+        tx = run_transmitter(cfg)
+        rx = run_receiver(tx.frames, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(rx.outcomes) == 2000 and all(o.ok for o in rx.outcomes)
+    assert peak <= 1.05 * UNBATCHED_PEAK_MB * 1e6
+
+
+def test_block_layout_peaks_near_twice_its_positions(toy_key):
+    tracemalloc.start()
+    try:
+        _, _, positions = session._block_layout(toy_key, 95, 5000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.1 * positions.nbytes
