@@ -127,6 +127,15 @@ def symbol_error_rate(ber: float, m: int) -> float:
     return 1.0 - (1.0 - ber) ** m
 
 
+def noisy_symbols(code, method: int) -> int:
+    """Symbols per block that reach a listener through the noisy channel: in
+    method 1 the parity arrives error-free, so only the k information
+    symbols; method 2 exposes all n. Raises ValueError for another method."""
+    if method not in (1, 2):
+        raise ValueError(f"method must be 1 or 2, got {method!r}")
+    return code.k if method == 1 else code.n
+
+
 def candidate_count_log2(key_length: int, m: int, n: int, k: int, delta: float) -> float:
     """log2 of the average number of admissible grouping keys consistent with
     one observed parity vector: key_length - m(n-k) + log2(1 - delta)."""
@@ -207,14 +216,12 @@ class GammaBudget:
 def gamma_report(params: CapacityParams, bob_ber: float, method: int = 1) -> GammaBudget:
     """Evaluate the three budget components for one operating point.
 
-    Reliability uses the symbol-error rate at the receiver: in method 1 the
-    parity symbols arrive error-free, so only the k information symbols count
-    as trials; method 2 exposes all n symbols.
+    Reliability uses the symbol-error rate at the receiver over the block's
+    `noisy_symbols` as trials.
     """
     code = params.code
     p_eff_bob = symbol_error_rate(bob_ber, code.m)
-    trials = code.k if method == 1 else code.n
-    eps = binomial_tail(trials, p_eff_bob, code.t)
+    eps = binomial_tail(noisy_symbols(code, method), p_eff_bob, code.t)
     decode_failure = 1.0 - (1.0 - eps) ** params.unit_blocks
 
     bound = capacity_lower_bound(params)

@@ -23,6 +23,7 @@ import functools
 import io
 import json
 import sys
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -317,9 +318,7 @@ def cmd_attack(args) -> int:
     )
     candidates = enumerate_with_errors(scenario, resolved["max_weight"], resolved["pattern_unit"])
     sizes = {str(p): len(candidates.per_pattern[p]) for p in candidates.patterns}
-    histogram: dict[int, int] = {}
-    for count in sizes.values():
-        histogram[count] = histogram.get(count, 0) + 1
+    histogram = Counter(sizes.values())
     doc = {
         "resolved_params": {**resolved, "seed": args.seed},
         "admissible_keys": len(scenario.key_space),

@@ -1,14 +1,14 @@
-"""GF(2^m) arithmetic via exponent/logarithm tables.
+"""GF(2^m) arithmetic via one pair of exponent/logarithm tables.
 
 Tables are generated from a primitive polynomial by repeated multiplication
 with the generator element alpha = x. Construction fails if the polynomial
 does not generate the full multiplicative cycle of 2^m - 1 elements.
 
-Each field also carries sentinel tables for products without branches or
-modulo: the log of 0 is the sentinel 2(2^m - 1), and the exp table runs
-twice round the cycle and then reads 0 up to twice the sentinel. So
-exp_ext[log_ext[a] + log_ext[b]] is a * b for any a, b, and so is
-exp_ext[log_ext[a] - log_ext[b] + (2^m - 1)] for a quotient a / b, b != 0.
+The tables take products without branches or modulo: the log of 0 is the
+sentinel 2(2^m - 1), and the exp table runs twice round the cycle and then
+reads 0 up to twice the sentinel. So exp_ext[log_ext[a] + log_ext[b]] is
+a * b for any a, b, and so is exp_ext[log_ext[a] - log_ext[b] + (2^m - 1)]
+for a quotient a / b, b != 0.
 """
 
 from __future__ import annotations
@@ -45,8 +45,6 @@ class FieldSpec:
 
     m: int
     primitive_poly: int
-    exp_table: np.ndarray = field(repr=False)
-    log_table: np.ndarray = field(repr=False)
     # The sentinel tables (see the module docstring), as arrays and as tuples
     # for scalar loops, shared by every build_field caller.
     exp_ext: np.ndarray = field(repr=False)
@@ -65,33 +63,25 @@ class FieldSpec:
         return (1 << self.m) - 1
 
     def mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        return int(self.exp_table[(self.log_table[a] + self.log_table[b]) % self.mul_order])
+        return self.exp_list[self.log_list[a] + self.log_list[b]]
 
     def pow_alpha(self, e: int) -> int:
         """alpha^e for any integer exponent (negative exponents wrap)."""
-        return int(self.exp_table[e % self.mul_order])
+        return self.exp_list[e % self.mul_order]
 
     def mul_vec(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Elementwise product of two symbol arrays (broadcasting allowed)."""
-        a = np.asarray(a)
-        b = np.asarray(b)
-        out = self.exp_table[(self.log_table[a] + self.log_table[b]) % self.mul_order]
-        return np.where((a == 0) | (b == 0), 0, out)
+        return self.exp_ext[self.log_ext[a] + self.log_ext[b]]
 
-    def eval_poly_at_powers(self, coeffs, power_logs: np.ndarray) -> np.ndarray:
-        """Evaluate a polynomial (ascending coefficients) at alpha^power_logs[i].
+    def eval_poly_at_powers(self, coeffs, power_table: np.ndarray) -> np.ndarray:
+        """Evaluate a polynomial (ascending coefficients) at points x_j.
 
-        Returns one field element per entry of power_logs. Vectorized over the
-        evaluation points; the polynomial is assumed short next to the point set.
-        Zero coefficients read the sentinel, so their terms are 0.
+        power_table[d, j] is log(x_j^d) in [0, 2^m - 1), with at least one
+        row per coefficient; returns one field element per column. Zero
+        coefficients read the sentinel, so their terms are 0.
         """
-        coeffs = np.asarray(coeffs, dtype=np.int64)
-        power_logs = np.asarray(power_logs)
-        degrees = np.arange(len(coeffs))[:, None]
-        expo = self.log_ext[coeffs][:, None] + degrees * power_logs % self.mul_order
-        return np.bitwise_xor.reduce(self.exp_ext[expo], axis=0)
+        logs = self.log_ext[np.asarray(coeffs, dtype=np.int64)]
+        return np.bitwise_xor.reduce(self.exp_ext[power_table[: len(logs)] + logs[:, None]], axis=0)
 
 
 @lru_cache(maxsize=32)
@@ -110,34 +100,27 @@ def build_field(m: int, primitive_poly: int | None = None) -> FieldSpec:
             f"polynomial 0x{primitive_poly:X} does not have degree {m}"
         )
     q = 1 << m
-    exp_table = np.zeros(q - 1, dtype=np.int64)
-    log_table = np.zeros(q, dtype=np.int64)
-    seen = bytearray(q)
+    sentinel = 2 * (q - 1)
+    exp_ext = np.zeros(2 * sentinel + 1, dtype=np.int64)
+    log_ext = np.full(q, sentinel, dtype=np.int64)
     x = 1
     for i in range(q - 1):
-        if seen[x]:
+        if log_ext[x] != sentinel:
             raise ValueError(
                 f"0x{primitive_poly:X} is not primitive: cycle shorter than {q - 1}"
             )
-        seen[x] = 1
-        exp_table[i] = x
-        log_table[x] = i
+        exp_ext[i] = exp_ext[i + q - 1] = x
+        log_ext[x] = i
         x <<= 1
         if x & q:
             x ^= primitive_poly
     if x != 1:
         raise ValueError(f"0x{primitive_poly:X} is not primitive: cycle does not close")
-    sentinel = 2 * (q - 1)
-    exp_ext = np.concatenate([exp_table, exp_table, np.zeros(sentinel + 1, dtype=np.int64)])
-    log_ext = log_table.copy()
-    log_ext[0] = sentinel
-    for table in (exp_table, log_table, exp_ext, log_ext):
+    for table in (exp_ext, log_ext):
         table.setflags(write=False)
     return FieldSpec(
         m=m,
         primitive_poly=primitive_poly,
-        exp_table=exp_table,
-        log_table=log_table,
         exp_ext=exp_ext,
         log_ext=log_ext,
         exp_list=tuple(exp_ext.tolist()),

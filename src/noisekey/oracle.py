@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analysis import binomial_tail
+from .analysis import binomial_tail, noisy_symbols
 from .grouping import CommonKey, balanced, require_window, split_stream
 from .rs import CodeSpec, all_bits, bits_to_symbols, decode_block, encode_parity, symbols_to_bits
 
@@ -263,21 +263,24 @@ def judge_candidate(
     parity_frames,
     code: CodeSpec,
     symbol_error_rate: float,
+    method: int,
 ) -> Judgement:
     """Regroup the stream under a key guess and score the decode statistics.
 
     parity_frames is the observed per-group parity sequence: (group, parity
     bits) pairs with group 1 or 2 and code.parity_bits bits, in transmission
-    order within each group; any other frame, a stream that is not 1-d, or a
-    stream or parity value other than 0 and 1, raises ValueError. A group's
-    j-th frame pairs with its j-th whole block under the guess, and judging
-    stops at the first frame whose group has no block left. A guess is
-    consistent when the mean corrected error count stays within four
-    standard errors of the expected k * symbol_error_rate, and the failures
-    are as likely:
+    order within each group; any other frame, a stream that is not 1-d, a
+    stream or parity value other than 0 and 1, or a method other than 1 or 2
+    raises ValueError. A group's j-th frame pairs with its j-th whole block
+    under the guess, and judging stops at the first frame whose group has no
+    block left. A guess is consistent when the mean corrected error count
+    stays within four standard errors of the expected s * symbol_error_rate,
+    with s = `noisy_symbols(code, method)` (k, or n when method 2 leaves the
+    parity noisy), and the failures are as likely:
     Pr{Binomial(blocks, p_fail) >= failures} >= Pr{Z > 4}, where
-    p_fail = Pr{Binomial(k, symbol_error_rate) > t} is a true block's.
+    p_fail = Pr{Binomial(s, symbol_error_rate) > t} is a true block's.
     """
+    trials = noisy_symbols(code, method)
     parity_frames = list(parity_frames)
     if any(g not in (1, 2) or np.shape(p) != (code.parity_bits,) for g, p in parity_frames):
         raise ValueError(f"a parity frame is (group 1 or 2, {code.parity_bits} bits)")
@@ -304,11 +307,11 @@ def judge_candidate(
     blocks = failures + len(errors)
     if blocks == 0:
         raise ValueError("no complete blocks to judge")
-    expected = code.k * symbol_error_rate
-    spread = math.sqrt(code.k * symbol_error_rate * (1.0 - symbol_error_rate) / blocks)
+    expected = trials * symbol_error_rate
+    spread = math.sqrt(trials * symbol_error_rate * (1.0 - symbol_error_rate) / blocks)
     threshold = expected + 4.0 * spread
     mean = sum(errors) / len(errors) if errors else math.inf
-    p_fail = binomial_tail(code.k, symbol_error_rate, code.t)
+    p_fail = binomial_tail(trials, symbol_error_rate, code.t)
     failures_likely = binomial_tail(blocks, p_fail, failures - 1) >= _FOUR_SIGMA
     return Judgement(
         consistent=mean <= threshold and failures_likely,

@@ -44,9 +44,9 @@ class CodeSpec:
     # words x m*n uint64; column m*p + b packs S_1..S_(n-k) of bit b of
     # position p alone as uint8 symbols (uint16 for m > 8), zero-padded
     syndrome_table: np.ndarray = field(repr=False)
-    chien_logs: np.ndarray = field(repr=False)  # -j mod 2^m - 1, j < n: Chien points alpha^-j
-    # (t+1) x n, row d is d * chien_logs mod 2^m - 1 in the narrowest dtype:
-    # the log of the Chien point's d-th power
+    # (n-k) x n, entry [d, j] is d * -j mod 2^m - 1 in the symbol dtype: the
+    # log of the d-th power of the point alpha^-j, where Chien evaluates the
+    # locator and Forney evaluates omega and the locator's derivative
     chien_table: np.ndarray = field(repr=False)
 
     @property
@@ -92,18 +92,14 @@ def _parity_rows(fld: FieldSpec, gen: list[int], n: int, k: int) -> np.ndarray:
     # multiply-by-x from x^nsym mod g. Stored with the wire symbol order
     # (entry j = coefficient of degree nsym-1-j).
     nsym = n - k
-    gd = np.array(gen, dtype=np.int64)
-    rem = gd[1:][::-1].copy()       # ascending coefficients of x^nsym mod g
-    reduction = gd[1:][::-1]
-    red_nz = np.nonzero(reduction)[0]
-    red_logs = fld.log_table[reduction[red_nz]]
+    rem = np.array(gen[1:][::-1], dtype=np.int64)  # ascending coefficients of x^nsym mod g
+    red_logs = fld.log_ext[rem]
     out = np.empty((k, nsym), dtype=np.int64)
     out[k - 1] = rem[::-1]
     for deg in range(nsym + 1, n):
         top = rem[-1]
         rem = np.concatenate(([0], rem[:-1]))
-        if top:
-            rem[red_nz] ^= fld.exp_table[(fld.log_table[top] + red_logs) % fld.mul_order]
+        rem ^= fld.exp_ext[fld.log_ext[top] + red_logs]
         out[n - 1 - deg] = rem[::-1]
     return out
 
@@ -144,7 +140,7 @@ def _syndrome_table(fld: FieldSpec, n: int, k: int) -> np.ndarray:
     dtype = _symbol_dtype(m)
     per_word = 8 // np.dtype(dtype).itemsize
     out = np.zeros((n, m, -(-nsym // per_word) * per_word), dtype=dtype)
-    plane = fld.exp_table[((n - 1 - np.arange(n))[:, None] * np.arange(1, nsym + 1)) % fld.mul_order]
+    plane = fld.exp_ext[((n - 1 - np.arange(n))[:, None] * np.arange(1, nsym + 1)) % fld.mul_order]
     for b, plane in _bit_planes(fld, plane):
         out[:, b, :nsym] = plane
     return np.ascontiguousarray(out.reshape(n * m, -1).view(np.uint64).T)
@@ -164,22 +160,17 @@ def _make_code_cached(m: int, primitive_poly: int, n: int, k: int) -> CodeSpec:
     pmat.setflags(write=False)
     stab = _syndrome_table(fld, n, k)
     stab.setflags(write=False)
-    chien = -np.arange(n) % fld.mul_order
-    chien.setflags(write=False)
-    t = (n - k) // 2
-    dtype = np.uint8 if fld.mul_order <= 0xFF else np.uint16
-    chien_table = (np.arange(t + 1)[:, None] * chien % fld.mul_order).astype(dtype)
+    chien_table = (-np.arange(n - k)[:, None] * np.arange(n) % fld.mul_order).astype(_symbol_dtype(m))
     chien_table.setflags(write=False)
     return CodeSpec(
         field=fld,
         n=n,
         k=k,
         d=n - k + 1,
-        t=t,
+        t=(n - k) // 2,
         t_max=n - k,
         parity_matrix=pmat,
         syndrome_table=stab,
-        chien_logs=chien,
         chien_table=chien_table,
     )
 
@@ -337,17 +328,17 @@ def decode_block(code: CodeSpec, received) -> DecodeResult:
 
     # Chien search over the n positions in use; position at degree j is in
     # error iff locator(alpha^-j) = 0.
-    err_degrees = np.flatnonzero(_chien_values(code, locator) == 0)
+    err_degrees = np.flatnonzero(fld.eval_poly_at_powers(locator, code.chien_table) == 0)
     if len(err_degrees) != length:
         return DecodeResult(ok=False, info=None, corrected=0, reason="root count")
 
     # Forney: the error value at X_l is omega(X_l^-1) / locator'(X_l^-1) for
-    # first root alpha^1.
-    inv_logs = code.chien_logs[err_degrees]
-    omega_vals = fld.eval_poly_at_powers(omega, inv_logs)
+    # first root alpha^1, with the X_l^-1 the Chien points of the roots.
+    roots = code.chien_table[:, err_degrees]
+    omega_vals = fld.eval_poly_at_powers(omega, roots)
     deriv = np.array(locator[1:], dtype=np.int64)
     deriv[1::2] = 0                       # formal derivative keeps odd terms only
-    deriv_vals = fld.eval_poly_at_powers(deriv, inv_logs)
+    deriv_vals = fld.eval_poly_at_powers(deriv, roots)
     if not deriv_vals.all():
         return DecodeResult(ok=False, info=None, corrected=0, reason="zero derivative")
     magnitudes = fld.exp_ext[fld.log_ext[omega_vals] - fld.log_ext[deriv_vals] + fld.mul_order]
@@ -364,13 +355,6 @@ def decode_block(code: CodeSpec, received) -> DecodeResult:
     in_info = positions < code.k
     info[positions[in_info]] ^= magnitudes[in_info]
     return DecodeResult(ok=True, info=info, corrected=int(length))
-
-
-def _chien_values(code: CodeSpec, locator) -> np.ndarray:
-    """locator(alpha^chien_logs[j]) for every j < n, from the code's Chien table."""
-    fld = code.field
-    logs = fld.log_ext[np.asarray(locator)]
-    return np.bitwise_xor.reduce(fld.exp_ext[code.chien_table[: len(logs)] + logs[:, None]], axis=0)
 
 
 def bits_to_symbols(bits, m: int) -> np.ndarray:

@@ -29,7 +29,7 @@ from .channel import (
     entropy_words,
 )
 from .grouping import CommonKey, GroupStreams, _key_mask, bits_to_hex, block_fits_key_period
-from .rs import CodeSpec, all_bits, bits_to_symbols, decode_block, encode_parity, symbols_to_bits
+from .rs import CodeSpec, DecodeResult, all_bits, bits_to_symbols, decode_block, encode_parity, symbols_to_bits
 
 _SOURCE_STREAM = 7
 
@@ -126,7 +126,7 @@ class TransmitterRun:
 class ReceiverRun:
     keys: list          # one entry per unit; None marks a failed unit
     outcomes: list
-    bits: list          # corrected info bits per outcome; None where the block failed
+    bits: np.ndarray    # (blocks, m*k) corrected info bits; a zero row where the block failed
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,19 +194,17 @@ def _block_layout(key: CommonKey, block_bits: int, blocks: int):
     return group, index, positions
 
 
-def _unit_keys(config: SessionConfig, blocks: list) -> list:
-    """One key per whole unit of `unit_blocks` consecutive blocks' bits; None
-    for a unit that holds a failed (None) block."""
+def _unit_keys(config: SessionConfig, info: np.ndarray, ok: np.ndarray) -> list:
+    """One key per whole unit of `unit_blocks` consecutive rows of the
+    (blocks, m*k) info bits; None for a unit that holds a row not `ok`."""
     size = config.unit_blocks
-    keys = []
-    for unit in range(len(blocks) // size):
-        members = blocks[unit * size : (unit + 1) * size]
-        if any(m is None for m in members):
-            keys.append(None)
-            continue
-        seed = HashSeed.of(config.hash_seed, unit)
-        keys.append(extract_key(np.concatenate(members), config.key_bits, seed))
-    return keys
+    units = len(info) // size
+    rows = info[: units * size].reshape(units, size * info.shape[1])
+    whole = ok[: units * size].reshape(units, size).all(axis=1)
+    return [
+        extract_key(bits, config.key_bits, HashSeed.of(config.hash_seed, unit)) if fine else None
+        for unit, (bits, fine) in enumerate(zip(rows, whole))
+    ]
 
 
 def run_transmitter(config: SessionConfig) -> TransmitterRun:
@@ -237,8 +235,11 @@ def run_transmitter(config: SessionConfig) -> TransmitterRun:
         Frame(method=config.channel.method, group=b.group, index=b.index, kind=KIND_PARITY, payload=p)
         for b, p in zip(blocks, parity)
     ]
-    keys = _unit_keys(config, list(info))
+    keys = _unit_keys(config, info, np.ones(len(info), dtype=bool))
     return TransmitterRun(frames=frames, keys=keys, blocks=blocks, stream=stream, positions=positions)
+
+
+_MISSING_PARITY = DecodeResult(ok=False, info=None, corrected=0, reason="missing parity")
 
 
 def _refused(frame: Frame, why: str) -> FramingError:
@@ -292,8 +293,9 @@ def run_receiver(frames, config: SessionConfig) -> ReceiverRun:
     # its decoded infos back to bits in one; a block without parity is not
     # decoded.
     outcomes: list[BlockOutcome] = []
-    corrected_bits: list[np.ndarray | None] = []
     planned = list(parities.items())
+    bits = np.zeros((len(planned), block_bits), dtype=np.uint8)
+    ok = np.zeros(len(planned), dtype=bool)
     rows = _batch_rows(code)
     for start in range(0, len(planned), rows):
         batch = planned[start : start + rows]
@@ -303,31 +305,28 @@ def run_receiver(frames, config: SessionConfig) -> ReceiverRun:
             if frame is not None:
                 word[block_bits:] = frame.payload
         results = [
-            None if frame is None else decode_block(code, symbols)
+            _MISSING_PARITY if frame is None else decode_block(code, symbols)
             for symbols, (_, frame) in zip(bits_to_symbols(words, code.m), batch)
         ]
-        decoded = [r.info for r in results if r is not None and r.ok]
-        bits = iter(symbols_to_bits(np.reshape(decoded, (-1, code.k)), code.m).astype(np.uint8))
-        for ((group, index), _), result in zip(batch, results):
-            if result is None:
-                ok, corrected, reason = False, 0, "missing parity"
-            else:
-                ok, corrected, reason = result.ok, result.corrected, result.reason
-            outcomes.append(BlockOutcome(group=group, index=index, ok=ok, corrected=corrected, reason=reason))
-            corrected_bits.append(next(bits) if ok else None)
+        ok[start : start + rows] = [r.ok for r in results]
+        decoded = symbols_to_bits(np.reshape([r.info for r in results if r.ok], (-1, code.k)), code.m)
+        bits[start : start + rows][ok[start : start + rows]] = decoded
+        outcomes += [
+            BlockOutcome(g, j, r.ok, r.corrected, r.reason) for ((g, j), _), r in zip(batch, results)
+        ]
 
-    return ReceiverRun(keys=_unit_keys(config, corrected_bits), outcomes=outcomes, bits=corrected_bits)
+    return ReceiverRun(keys=_unit_keys(config, bits, ok), outcomes=outcomes, bits=bits)
 
 
 def unit_outcomes(tx: TransmitterRun, rx: ReceiverRun, unit_blocks: int) -> tuple:
     """Per unit: "failed" (Bob has no key), "miscorrected" (every block
     decoded but Bob's corrected info bits differ from Alice's) or "agreed"."""
+    same = (rx.bits == tx.stream[tx.positions]).all(axis=1)
     out = []
     for unit, bob_key in enumerate(rx.keys):
-        members = range(unit * unit_blocks, (unit + 1) * unit_blocks)
         if bob_key is None:
             out.append("failed")
-        elif all(np.array_equal(rx.bits[i], tx.blocks[i].info_bits) for i in members):
+        elif same[unit * unit_blocks : (unit + 1) * unit_blocks].all():
             out.append("agreed")
         else:
             out.append("miscorrected")

@@ -5,9 +5,16 @@ numpy exp/log tables one scalar at a time with a modulo per product, and
 Forney builds omega by looping over all nsym syndromes. It is slow on
 purpose and must not be optimised; `noisekey.rs.decode_block` has to return
 identical `DecodeResult`s.
+
+It shares no arithmetic with the package: its exp/log tables are built here
+by shift-and-reduce from the field's m and primitive polynomial, and its
+evaluator takes one point log per point, with a modulo per term and a mask
+for zero coefficients. Of a `FieldSpec` it reads only m and primitive_poly.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -15,21 +22,50 @@ from noisekey.gf import FieldSpec
 from noisekey.rs import CodeSpec, DecodeResult
 
 
+@lru_cache(maxsize=None)
+def tables(fld: FieldSpec) -> tuple[np.ndarray, np.ndarray, int]:
+    """exp (2^m - 1 entries), log (2^m entries, log 0 unused) and 2^m - 1."""
+    m, primitive_poly = fld.m, fld.primitive_poly
+    qm1 = (1 << m) - 1
+    exp = np.zeros(qm1, dtype=np.int64)
+    log = np.zeros(qm1 + 1, dtype=np.int64)
+    x = 1
+    for i in range(qm1):
+        exp[i] = x
+        log[x] = i
+        x <<= 1
+        if x >> m:
+            x ^= primitive_poly
+    assert x == 1 and sorted(exp.tolist()) == list(range(1, qm1 + 1))
+    return exp, log, qm1
+
+
+def eval_poly_at_powers(fld: FieldSpec, coeffs, power_logs) -> np.ndarray:
+    """The polynomial (ascending coefficients) at alpha^power_logs[i], one
+    field element per entry of power_logs."""
+    exp, log, qm1 = tables(fld)
+    coeffs = np.asarray(coeffs, dtype=np.int64)
+    power_logs = np.asarray(power_logs)
+    degrees = np.arange(len(coeffs))[:, None]
+    terms = exp[(log[coeffs][:, None] + degrees * power_logs) % qm1]
+    return np.bitwise_xor.reduce(np.where(coeffs[:, None] != 0, terms, 0), axis=0)
+
+
 def syndromes(code: CodeSpec, word: np.ndarray) -> np.ndarray:
-    fld = code.field
+    exp, log, qm1 = tables(code.field)
     nsym = code.n - code.k
     nz = np.nonzero(word)[0]
     if len(nz) == 0:
         return np.zeros(nsym, dtype=np.int64)
-    degs = (code.n - 1 - nz) % fld.mul_order
-    coeff_logs = fld.log_table[word[nz]]
+    degs = (code.n - 1 - nz) % qm1
+    coeff_logs = log[word[nz]]
     js = np.arange(1, nsym + 1)
-    expo = (coeff_logs[None, :] + js[:, None] * degs[None, :]) % fld.mul_order
-    return np.bitwise_xor.reduce(fld.exp_table[expo], axis=1)
+    expo = (coeff_logs[None, :] + js[:, None] * degs[None, :]) % qm1
+    return np.bitwise_xor.reduce(exp[expo], axis=1)
 
 
 def berlekamp_massey(fld: FieldSpec, synd: list[int]) -> tuple[list[int], int]:
-    exp, log, qm1 = fld.exp_table, fld.log_table, fld.mul_order
+    exp, log, qm1 = tables(fld)
     cur = [1]
     prev = [1]
     length = 0
@@ -75,6 +111,7 @@ def decode_block(code: CodeSpec, received) -> DecodeResult:
     if received.shape != (code.n,):
         raise ValueError(f"received length must be {code.n}, got {received.shape}")
     fld = code.field
+    exp, log, qm1 = tables(fld)
     nsym = code.n - code.k
     synd = syndromes(code, received)
     if not synd.any():
@@ -85,7 +122,7 @@ def decode_block(code: CodeSpec, received) -> DecodeResult:
         return DecodeResult(ok=False, info=None, corrected=0, reason="locator degree")
 
     degrees = np.arange(code.n)
-    vals = fld.eval_poly_at_powers(locator, (-degrees) % fld.mul_order)
+    vals = eval_poly_at_powers(fld, locator, (-degrees) % qm1)
     err_degrees = degrees[vals == 0]
     if len(err_degrees) != length:
         return DecodeResult(ok=False, info=None, corrected=0, reason="root count")
@@ -97,18 +134,18 @@ def decode_block(code: CodeSpec, received) -> DecodeResult:
             continue
         seg = loc_arr[: nsym - i]
         nzc = np.nonzero(seg)[0]
-        omega[i + nzc] ^= fld.exp_table[(fld.log_table[s] + fld.log_table[seg[nzc]]) % fld.mul_order]
-    inv_logs = (-err_degrees) % fld.mul_order
-    omega_vals = fld.eval_poly_at_powers(omega, inv_logs)
+        omega[i + nzc] ^= exp[(log[s] + log[seg[nzc]]) % qm1]
+    inv_logs = (-err_degrees) % qm1
+    omega_vals = eval_poly_at_powers(fld, omega, inv_logs)
     deriv = loc_arr[1:].copy()
     deriv[1::2] = 0
-    deriv_vals = fld.eval_poly_at_powers(deriv, inv_logs)
+    deriv_vals = eval_poly_at_powers(fld, deriv, inv_logs)
     if (deriv_vals == 0).any():
         return DecodeResult(ok=False, info=None, corrected=0, reason="zero derivative")
     magnitudes = np.where(
         omega_vals == 0,
         0,
-        fld.exp_table[(fld.log_table[omega_vals] - fld.log_table[deriv_vals]) % fld.mul_order],
+        exp[(log[omega_vals] - log[deriv_vals]) % qm1],
     )
     if (magnitudes == 0).any():
         return DecodeResult(ok=False, info=None, corrected=0, reason="zero magnitude")

@@ -2,9 +2,10 @@
 
 `extract_key` and both of its hashing kernels are checked against the
 explicit Toeplitz matrix,
-`decode_block`, its syndrome table and its early-exit Berlekamp-Massey
-against the frozen reference decoder in `reference_rs`, the bit-level
-`encode_parity` against polynomial long division, the session's block
+`decode_block`, its syndrome table, its early-exit Berlekamp-Massey and the
+one polynomial evaluator on the Chien power table against the frozen
+reference decoder in `reference_rs`, which builds its own field tables, the
+bit-level `encode_parity` against polynomial long division, the session's block
 layout and the block cut `GroupStreams.blocks` against the chunk-by-chunk
 completion walk in `reference_layout`, `make_scenario`'s leaked parity
 against the explicit first-block gather in `reference_oracle`,
@@ -47,7 +48,6 @@ from noisekey.oracle import (
 )
 from noisekey.rs import (
     _berlekamp_massey,
-    _chien_values,
     _syndromes,
     _times_syndromes as times_syndromes,
     bits_to_symbols,
@@ -230,7 +230,7 @@ def test_reverify_rejects_wrong_error_values(monkeypatch):
     rng = np.random.default_rng(31)
     for weight in range(1, code.t + 1):
         _, word, _ = random_codeword_with_errors(rng, code, weight)
-        assert_same_decode(code, word)
+        assert reference_rs.decode_block(code, word).ok   # shares no evaluator with the package
         assert decode_block(code, word).reason == "reverify"
 
 
@@ -254,22 +254,24 @@ def test_syndrome_table_matches_reference(m, n, k):
 
 @pytest.mark.parametrize("m,n,k", CODES + [(10, 100, 80)])  # and a uint16 table
 def test_chien_table_evaluates_every_locator_degree(m, n, k):
+    # Every degree Chien (up to t) and Forney (omega, up to n-k-1) reads.
     code = make_code(build_field(m), n, k)
     fld = code.field
     table = code.chien_table
-    assert table.shape == (code.t + 1, n)
+    assert table.shape == (n - k, n)
     assert table.dtype == (np.uint8 if m <= 8 else np.uint16)
+    points = -np.arange(n) % fld.mul_order     # alpha^-j, j < n
     rng = np.random.default_rng(11 * m)
-    for degree in range(1, code.t + 1):
+    for degree in range(1, n - k):
         for trial in range(5):
-            locator = rng.integers(0, fld.order, degree + 1)
-            locator[0] = 1
-            locator[degree] = rng.integers(1, fld.order)
+            poly = rng.integers(0, fld.order, degree + 1)
+            poly[0] = 1
+            poly[degree] = rng.integers(1, fld.order)
             if trial == 0:
-                locator[1:degree] = 0  # zero inner terms read the sentinel
-            expected = fld.eval_poly_at_powers(locator, code.chien_logs)
-            assert np.array_equal(_chien_values(code, locator), expected)
-            assert np.array_equal(_chien_values(code, locator.tolist()), expected)
+                poly[1:degree] = 0  # zero inner terms read the sentinel
+            expected = reference_rs.eval_poly_at_powers(fld, poly, points)
+            assert np.array_equal(fld.eval_poly_at_powers(poly, table), expected)
+            assert np.array_equal(fld.eval_poly_at_powers(poly.tolist(), table), expected)
 
 
 def poly_times_syndromes(fld, poly, synd):

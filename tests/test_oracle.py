@@ -197,7 +197,7 @@ def test_judge_accepts_true_key(code_7_5):
     p = 0.002
     key, _, noisy, parity_frames = _judge_fixture(code_7_5, rng, p)
     p_eff = 1 - (1 - p) ** code_7_5.m
-    verdict = judge_candidate(key.bits, noisy, parity_frames, code_7_5, p_eff)
+    verdict = judge_candidate(key.bits, noisy, parity_frames, code_7_5, p_eff, method=1)
     assert verdict.consistent
     assert verdict.mean_errors <= verdict.threshold
     assert verdict.mean_errors == pytest.approx(code_7_5.k * p_eff, abs=4 * math.sqrt(code_7_5.k * p_eff / 50))
@@ -210,7 +210,7 @@ def test_judge_rejects_wrong_key(code_7_5):
     wrong = np.roll(wrong, 3)
     assert not np.array_equal(wrong, key.bits)
     p_eff = 1 - (1 - 0.002) ** code_7_5.m
-    verdict = judge_candidate(wrong, noisy, parity_frames, code_7_5, p_eff)
+    verdict = judge_candidate(wrong, noisy, parity_frames, code_7_5, p_eff, method=1)
     assert not verdict.consistent
     assert verdict.decode_failures > 0
 
@@ -218,7 +218,7 @@ def test_judge_rejects_wrong_key(code_7_5):
 def test_judge_zero_noise_zero_histogram(code_7_5):
     rng = np.random.default_rng(70)
     key, stream, _, parity_frames = _judge_fixture(code_7_5, rng, 0.0)
-    verdict = judge_candidate(key.bits, stream, parity_frames, code_7_5, 0.01)
+    verdict = judge_candidate(key.bits, stream, parity_frames, code_7_5, 0.01, method=1)
     assert verdict.consistent
     assert all(e == 0 for e in verdict.per_block_errors)
 
@@ -260,7 +260,7 @@ def test_candidate_narrowing_to_true_key(code_7_5):
     survivors = [
         row
         for row in candidates
-        if judge_candidate(row, stream, parity_frames, code_7_5, 0.01).consistent
+        if judge_candidate(row, stream, parity_frames, code_7_5, 0.01, method=1).consistent
     ]
     assert len(survivors) == 1
     assert np.array_equal(survivors[0], true_row)
@@ -320,7 +320,15 @@ def test_judge_rejects_malformed_frames(code_7_5, frame):
     rng = np.random.default_rng(72)
     key, stream, _, parity_frames = _judge_fixture(code_7_5, rng, 0.0, blocks=4)
     with pytest.raises(ValueError, match="parity frame"):
-        judge_candidate(key.bits, stream, parity_frames + [frame], code_7_5, 0.01)
+        judge_candidate(key.bits, stream, parity_frames + [frame], code_7_5, 0.01, method=1)
+
+
+@pytest.mark.parametrize("method", [0, 3, None])
+def test_judge_refuses_a_method_other_than_1_or_2(code_7_5, method):
+    rng = np.random.default_rng(72)
+    key, stream, _, parity_frames = _judge_fixture(code_7_5, rng, 0.0, blocks=4)
+    with pytest.raises(ValueError, match="method must be 1 or 2"):
+        judge_candidate(key.bits, stream, parity_frames, code_7_5, 0.01, method=method)
 
 
 def test_make_scenario_refuses_an_empty_window_before_drawing(code_7_5):
@@ -347,7 +355,7 @@ def test_judge_rejects_non_bit_values(code_7_5, where, value):
         group, parity = parity_frames[1]
         parity_frames[1] = (group, np.where(np.arange(len(parity)) == 2, value, parity))
     with pytest.raises(ValueError, match="only 0 and 1"):
-        judge_candidate(key.bits, stream, parity_frames, code_7_5, 0.01)
+        judge_candidate(key.bits, stream, parity_frames, code_7_5, 0.01, method=1)
 
 
 def test_judge_rejects_a_guess_that_is_not_one_row(code_7_5):
@@ -355,7 +363,7 @@ def test_judge_rejects_a_guess_that_is_not_one_row(code_7_5):
     rng = np.random.default_rng(75)
     key, stream, _, parity_frames = _judge_fixture(code_7_5, rng, 0.0, blocks=4)
     with pytest.raises(ValueError, match="1-d"):
-        judge_candidate(key.bits.reshape(2, -1), stream, parity_frames, code_7_5, 0.01)
+        judge_candidate(key.bits.reshape(2, -1), stream, parity_frames, code_7_5, 0.01, method=1)
 
 
 @pytest.mark.parametrize("shape", ["two-rows", "scalar"])
@@ -366,4 +374,4 @@ def test_judge_rejects_a_stream_that_is_not_one_row(code_7_5, shape):
     key, stream, _, parity_frames = _judge_fixture(code_7_5, rng, 0.0, blocks=12)
     bad = stream.reshape(2, -1) if shape == "two-rows" else np.uint8(1)
     with pytest.raises(ValueError, match=rf"1-d bit array, got shape {re.escape(str(bad.shape))}"):
-        judge_candidate(key.bits, bad, parity_frames, code_7_5, 0.01)
+        judge_candidate(key.bits, bad, parity_frames, code_7_5, 0.01, method=1)

@@ -458,12 +458,11 @@ def test_judge_accepts_the_session_key_on_the_tap_capture(toy_code, toy_key, tmp
     frames = read_capture(tmp_path / "tap.bin")
     stream = np.concatenate([f.payload for f in frames if f.kind == KIND_INFO])
     parity = [(f.group, f.payload) for f in frames if f.kind == KIND_PARITY]
-    symbol_error_rate = 1 - (1 - cfg.channel.eve_ber) ** toy_code.m
-    verdict = judge_candidate(toy_key.bits, stream, parity, toy_code, symbol_error_rate)
+    observed = (stream, parity, toy_code, 1 - (1 - cfg.channel.eve_ber) ** toy_code.m, cfg.channel.method)
+    verdict = judge_candidate(toy_key.bits, *observed)
     assert verdict.consistent
     assert len(verdict.per_block_errors) == 50 and verdict.decode_failures == 0
-    rotated = judge_candidate(np.roll(toy_key.bits, 1), stream, parity, toy_code, symbol_error_rate)
-    assert not rotated.consistent
+    assert not judge_candidate(np.roll(toy_key.bits, 1), *observed).consistent
 
 
 def test_judge_accepts_the_session_key_despite_one_expected_decode_failure(toy_code, toy_key):
@@ -475,13 +474,29 @@ def test_judge_accepts_the_session_key_despite_one_expected_decode_failure(toy_c
     frames = run_session(cfg).eve_capture
     stream = np.concatenate([f.payload for f in frames if f.kind == KIND_INFO])
     parity = [(f.group, f.payload) for f in frames if f.kind == KIND_PARITY]
-    symbol_error_rate = 1 - (1 - cfg.channel.eve_ber) ** toy_code.m
-    verdict = judge_candidate(toy_key.bits, stream, parity, toy_code, symbol_error_rate)
+    observed = (stream, parity, toy_code, 1 - (1 - cfg.channel.eve_ber) ** toy_code.m, cfg.channel.method)
+    verdict = judge_candidate(toy_key.bits, *observed)
     assert verdict.decode_failures == 1 and len(verdict.per_block_errors) == 49
     assert verdict.mean_errors <= verdict.threshold
     assert verdict.consistent
-    rotated = judge_candidate(np.roll(toy_key.bits, 1), stream, parity, toy_code, symbol_error_rate)
+    rotated = judge_candidate(np.roll(toy_key.bits, 1), *observed)
     assert rotated.decode_failures == 50 and not rotated.consistent
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_judge_accepts_the_session_key_on_method_2_captures(toy_code, seed):
+    # In method 2 the tap hears the parity through noise too, so a true
+    # block carries errors in all n = 31 symbols: ~2.4 on average at 0.016,
+    # above the 2.13 a k-symbol count allows over 50 blocks. Judged with
+    # n trials, the session key is consistent and a rotation is not.
+    key = sample_key(160, 2.0, np.random.default_rng(seed))
+    cfg = toy_config(toy_code, key, blocks=50, method=2, seed=seed, source_seed=seed, hash_seed=seed)
+    frames = run_session(cfg).eve_capture
+    stream = np.concatenate([f.payload for f in frames if f.kind == KIND_INFO])
+    parity = [(f.group, f.payload) for f in frames if f.kind == KIND_PARITY]
+    observed = (stream, parity, toy_code, 1 - (1 - cfg.channel.eve_ber) ** toy_code.m)
+    assert judge_candidate(key.bits, *observed, method=2).consistent
+    assert not judge_candidate(np.roll(key.bits, 1), *observed, method=2).consistent
 
 
 def test_empty_session(toy_code, toy_key):
@@ -643,29 +658,31 @@ def test_every_sub_stream_is_numpys_seed_sequence(toy_code, toy_key):
 
 
 def per_block_receiver(frames, cfg, tx):
-    """The receiver one block at a time, decoded by the reference decoder."""
+    """The receiver one block at a time, decoded by the reference decoder;
+    a failed block's bits are a zero row."""
     code = cfg.code
     stream = np.concatenate([f.payload for f in frames if f.kind == KIND_INFO])
     parity = {(f.group, f.index): f.payload for f in frames if f.kind == KIND_PARITY}
     outcomes, bits = [], []
     for block, pos in zip(tx.blocks, tx.positions):
         tag = (block.group, block.index)
+        bits.append(np.zeros(code.info_bits, dtype=np.uint8))
         if tag not in parity:
             outcomes.append(BlockOutcome(*tag, ok=False, corrected=0, reason="missing parity"))
-            bits.append(None)
             continue
         word = bits_to_symbols(np.concatenate([stream[pos], parity[tag]]), code.m)
         result = reference_rs.decode_block(code, word)
         outcomes.append(BlockOutcome(*tag, ok=result.ok, corrected=result.corrected, reason=result.reason))
-        bits.append(symbols_to_bits(result.info, code.m) if result.ok else None)
+        if result.ok:
+            bits[-1][:] = symbols_to_bits(result.info, code.m)
     size = cfg.unit_blocks
     keys = []
     for unit in range(len(bits) // size):
-        members = bits[unit * size : (unit + 1) * size]
-        keys.append(None if any(b is None for b in members) else extract_key(
-            np.concatenate(members), cfg.key_bits, HashSeed.of(cfg.hash_seed, unit)
+        members = range(unit * size, (unit + 1) * size)
+        keys.append(None if not all(outcomes[i].ok for i in members) else extract_key(
+            np.concatenate([bits[i] for i in members]), cfg.key_bits, HashSeed.of(cfg.hash_seed, unit)
         ))
-    return outcomes, bits, keys
+    return outcomes, np.array(bits), keys
 
 
 @pytest.mark.parametrize("offset", [-1, 0, 1])
@@ -694,9 +711,10 @@ def test_batched_receiver_matches_the_per_block_path_at_the_batch_edges(
     outcomes, bits, keys = per_block_receiver(frames, cfg, tx)
     assert rx.outcomes == outcomes
     assert sum(o.reason == "missing parity" for o in outcomes) == 1
-    for got, want in ((rx.bits, bits), (rx.keys, keys)):
-        assert len(got) == len(want)
-        assert all(a is b is None or np.array_equal(a, b) for a, b in zip(got, want))
+    assert rx.bits.dtype == np.uint8 and rx.bits.shape == (blocks, code.info_bits)
+    assert np.array_equal(rx.bits, bits)
+    assert len(rx.keys) == len(keys)
+    assert all(a is b is None or np.array_equal(a, b) for a, b in zip(rx.keys, keys))
     if scale == "toy":
         assert any(o.reason not in (None, "missing parity") for o in outcomes)  # decoder failures too
 
