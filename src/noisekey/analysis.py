@@ -92,21 +92,13 @@ def binomial_tail(trials: int, p: float, threshold: float, direction: str = "abo
     return math.exp(lg) if lg > -745.0 else 0.0
 
 
-def outside_set_probability(length: int, balance_limit: float, mode: str = "exact") -> float:
-    """Probability that a uniform bitstring falls outside the admissible set.
-
-    exact: sums the binomial distribution of the 1-count over the counts
-           outside the `balanced` window, in log space (1 - P(inside)
-           would cancel).
-    normal: the Gaussian approximation, 2 * Phi(-balance_limit).
-    """
-    from scipy.special import gammaln, ndtr
+def outside_set_probability(length: int, balance_limit: float) -> float:
+    """Probability that a uniform bitstring falls outside the admissible set:
+    the binomial distribution of the 1-count summed over the counts outside
+    the `balanced` window, in log space (1 - P(inside) would cancel)."""
+    from scipy.special import gammaln
     if length < 2:
         raise ValueError("key must have at least 2 bits")
-    if mode == "normal":
-        return float(2.0 * ndtr(-balance_limit))
-    if mode != "exact":
-        raise ValueError(f"unknown mode {mode!r}")
     counts = np.arange(length + 1)
     outside = counts[~balanced(counts, length, balance_limit)]
     if len(outside) == 0:
@@ -272,10 +264,9 @@ def security_report(
     params: CapacityParams,
     bob_ber: float,
     method: int = 1,
-    delta_mode: str = "exact",
 ) -> SecurityReport:
     code = params.code
-    delta = outside_set_probability(key_length, balance_limit, delta_mode)
+    delta = outside_set_probability(key_length, balance_limit)
     log2_cand = candidate_count_log2(key_length, code.m, code.n, code.k, delta)
     entropy = error_pattern_entropy(code.m, code.k, params.eve_ber, code.d)
     budget = gamma_report(params, bob_ber, method)

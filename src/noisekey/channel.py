@@ -69,6 +69,9 @@ class Frame:
             and np.array_equal(self.payload, other.payload)
         )
 
+    def __str__(self):
+        return f"frame (method {self.method}, kind {self.kind}, group {self.group}, index {self.index})"
+
 
 def bsc_transmit(bits, p: float, rng: np.random.Generator) -> np.ndarray:
     """Flip each bit independently with probability p."""
@@ -136,6 +139,12 @@ def deliver(frame: Frame, config: ChannelConfig, recipient: str) -> Frame:
         return frame
     noisy = bsc_transmit(frame.payload, p, _frame_rng(config, recipient, frame))
     return Frame(method=frame.method, group=frame.group, index=frame.index, kind=frame.kind, payload=noisy)
+
+
+def payload_stream(frames) -> np.ndarray:
+    """The bits of the payload frames among `frames`, in their order."""
+    payloads = [f.payload for f in frames if f.kind == KIND_INFO]
+    return np.concatenate(payloads or [np.zeros(0, dtype=np.uint8)])
 
 
 def encode_frame(frame: Frame) -> bytes:

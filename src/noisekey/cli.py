@@ -106,7 +106,6 @@ FIELDS = {
     "unit_blocks": Field(int, 1, 1000, flag_in=("capacity", "analyze")),
     "fluctuation_sigmas": Field(float, 0.0, 100.0, flag_in=("capacity", "analyze")),
     "safety_bits": Field(int, 1, 1000, flag_in=("capacity", "analyze")),
-    "delta_mode": Field(str, choices=("exact", "normal"), flag_in=("analyze",)),
     "key_bits": Field(int, 1, optional=True),
     "blocks_target": Field(int, 0, 100_000, flag_in=("simulate",)),
     "trials": Field(int, 1, flag_in=("simulate",)),
@@ -129,7 +128,7 @@ DEFAULTS = {
         "m": None, "primitive_poly": None, "n": None, "k": None,
         "eve_ber": None, "bob_ber": None, "key_length": None,
         "balance_limit": 3.0, "unit_blocks": 1, "fluctuation_sigmas": 3.0,
-        "safety_bits": 10, "method": 1, "delta_mode": "exact",
+        "safety_bits": 10, "method": 1,
     },
     "simulate": {
         "m": 5, "primitive_poly": 0x25, "n": 31, "k": 19,
@@ -253,7 +252,6 @@ def cmd_analyze(args) -> int:
         params=_capacity_params(resolved),
         bob_ber=resolved["bob_ber"],
         method=resolved["method"],
-        delta_mode=resolved["delta_mode"],
     )
     doc = {"resolved_params": resolved, "report": report.to_dict()}
     lines = [f"params: {resolved}"] + [

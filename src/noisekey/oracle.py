@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analysis import binomial_tail, noisy_symbols
+from .analysis import binomial_tail, noisy_symbols, symbol_error_rate
+from .channel import GROUP_I, GROUP_II, GROUP_NONE, KIND_INFO, KIND_PARITY, payload_stream
 from .grouping import CommonKey, balanced, require_window, split_stream
 from .rs import CodeSpec, all_bits, bits_to_symbols, decode_block, encode_parity, symbols_to_bits
 
@@ -257,61 +258,61 @@ class Judgement:
     threshold: float
 
 
-def judge_candidate(
-    key_bits,
-    stream,
-    parity_frames,
-    code: CodeSpec,
-    symbol_error_rate: float,
-    method: int,
-) -> Judgement:
-    """Regroup the stream under a key guess and score the decode statistics.
+def judge_candidate(key_bits, frames, code: CodeSpec, eve_ber: float) -> Judgement:
+    """Regroup a tapped capture under a key guess and score the decode statistics.
 
-    parity_frames is the observed per-group parity sequence: (group, parity
-    bits) pairs with group 1 or 2 and code.parity_bits bits, in transmission
-    order within each group; any other frame, a stream that is not 1-d, a
-    stream or parity value other than 0 and 1, or a method other than 1 or 2
-    raises ValueError. A group's j-th frame pairs with its j-th whole block
-    under the guess, and judging stops at the first frame whose group has no
-    block left. A guess is consistent when the mean corrected error count
-    stays within four standard errors of the expected s * symbol_error_rate,
-    with s = `noisy_symbols(code, method)` (k, or n when method 2 leaves the
-    parity noisy), and the failures are as likely:
-    Pr{Binomial(blocks, p_fail) >= failures} >= Pr{Z > 4}, where
-    p_fail = Pr{Binomial(s, symbol_error_rate) > t} is a true block's.
+    frames is the capture as `run_session(...).eve_capture` or `read_capture`
+    gives it: all of one method, payload frames of group 0 numbered 0, 1, ...
+    with 1-d payloads, and per group 1 or 2 parity frames numbered 0, 1, ...
+    of code.parity_bits bits, every payload holding only 0 and 1; anything
+    else raises ValueError naming the frame, as does an eve_ber outside
+    [0, 1/2]. Parity frame (g, j) pairs with block j of group g cut from the
+    payload stream under the guess, and judging stops at the first parity
+    frame whose block the guess does not cut. A guess is consistent when the
+    mean corrected error count stays within four standard errors of the
+    expected s * p, with p = `symbol_error_rate(eve_ber, m)` and s =
+    `noisy_symbols(code, method)` (k, or n when method 2 leaves the parity
+    noisy), and the failures are as likely: Pr{Binomial(blocks, p_fail) >=
+    failures} >= Pr{Z > 4}, where p_fail = Pr{Binomial(s, p) > t} is a true
+    block's.
     """
-    trials = noisy_symbols(code, method)
-    parity_frames = list(parity_frames)
-    if any(g not in (1, 2) or np.shape(p) != (code.parity_bits,) for g, p in parity_frames):
-        raise ValueError(f"a parity frame is (group 1 or 2, {code.parity_bits} bits)")
-    stream = np.asarray(stream)
-    if stream.ndim != 1:
-        raise ValueError(f"the stream must be a 1-d bit array, got shape {stream.shape}")
-    if not all_bits(stream) or not all(all_bits(np.asarray(p)) for _, p in parity_frames):
-        raise ValueError("stream and parity bits must hold only 0 and 1")
+    if not 0.0 <= eve_ber <= 0.5:
+        raise ValueError(f"eve_ber must lie in [0, 1/2], got {eve_ber!r}")
+    frames = list(frames)
+    methods = sorted({f.method for f in frames}, key=str)
+    if len(methods) > 1:
+        raise ValueError(f"the capture mixes methods {methods}")
+    trials = noisy_symbols(code, methods[0]) if frames else 0  # no frames, no blocks
+    due = {KIND_INFO: {GROUP_NONE: 0}, KIND_PARITY: {GROUP_I: 0, GROUP_II: 0}}
+    for frame in frames:
+        count, shape = due.get(frame.kind, {}), np.shape(frame.payload)
+        if count.get(frame.group) != frame.index:
+            raise ValueError(f"{frame} is neither the next payload frame nor its group's next parity frame")
+        if len(shape) != 1 or frame.kind == KIND_PARITY and shape != (code.parity_bits,):
+            raise ValueError(f"{frame}: payload shape {shape}, not 1-d or, for parity, ({code.parity_bits},)")
+        if not all_bits(np.asarray(frame.payload)):
+            raise ValueError(f"{frame} has payload values other than 0 and 1")
+        count[frame.group] += 1
     key = CommonKey.from_bits(key_bits, 0.0, require_admissible=False)
-    cut = split_stream(stream, key).blocks(code.info_bits)
-    rows = {1: iter(cut[0]), 2: iter(cut[1])}
-    errors: list[int] = []
-    failures = 0
-    for group, parity in parity_frames:
-        info = next(rows[group], None)
-        if info is None:
+    cut = split_stream(payload_stream(frames), key).blocks(code.info_bits)
+    words = []
+    for frame in (f for f in frames if f.kind == KIND_PARITY):
+        rows = cut[frame.group - GROUP_I]
+        if frame.index >= len(rows):
             break
-        word = np.concatenate([info, np.asarray(parity, dtype=np.uint8)])
-        result = decode_block(code, bits_to_symbols(word, code.m))
-        if not result.ok:
-            failures += 1
-        else:
-            errors.append(result.corrected)
-    blocks = failures + len(errors)
-    if blocks == 0:
+        words.append(np.concatenate([rows[frame.index], frame.payload]))
+    if not words:
         raise ValueError("no complete blocks to judge")
-    expected = trials * symbol_error_rate
-    spread = math.sqrt(trials * symbol_error_rate * (1.0 - symbol_error_rate) / blocks)
+    symbols = bits_to_symbols(np.array(words, dtype=np.uint8), code.m)
+    results = [decode_block(code, row) for row in symbols]
+    errors = [r.corrected for r in results if r.ok]
+    blocks, failures = len(results), len(results) - len(errors)
+    p = symbol_error_rate(eve_ber, code.m)
+    expected = trials * p
+    spread = math.sqrt(trials * p * (1.0 - p) / blocks)
     threshold = expected + 4.0 * spread
     mean = sum(errors) / len(errors) if errors else math.inf
-    p_fail = binomial_tail(trials, symbol_error_rate, code.t)
+    p_fail = binomial_tail(trials, p, code.t)
     failures_likely = binomial_tail(blocks, p_fail, failures - 1) >= _FOUR_SIGMA
     return Judgement(
         consistent=mean <= threshold and failures_likely,

@@ -178,11 +178,11 @@ def _make_code_cached(m: int, primitive_poly: int, n: int, k: int) -> CodeSpec:
 def make_code(fld: FieldSpec, n: int, k: int) -> CodeSpec:
     """Construct the code, its derived limits, and its encoding and decoding tables.
 
-    Raises ValueError, before building any table, unless k < n <= 2^m - 1
+    Raises ValueError, before building any table, unless 1 <= k < n <= 2^m - 1
     and n <= MAX_N.
     """
-    if not k < n:
-        raise ValueError(f"need k < n, got ({n}, {k})")
+    if not 1 <= k < n:
+        raise ValueError(f"need 1 <= k < n, got ({n}, {k})")
     if n > fld.mul_order:
         raise ValueError(f"code length {n} exceeds 2^{fld.m} - 1 = {fld.mul_order}")
     if n > MAX_N:

@@ -27,6 +27,7 @@ from .channel import (
     KIND_PARITY,
     deliver,
     entropy_words,
+    payload_stream,
 )
 from .grouping import CommonKey, GroupStreams, _key_mask, bits_to_hex, block_fits_key_period
 from .rs import CodeSpec, DecodeResult, all_bits, bits_to_symbols, decode_block, encode_parity, symbols_to_bits
@@ -242,11 +243,6 @@ def run_transmitter(config: SessionConfig) -> TransmitterRun:
 _MISSING_PARITY = DecodeResult(ok=False, info=None, corrected=0, reason="missing parity")
 
 
-def _refused(frame: Frame, why: str) -> FramingError:
-    name = f"method {frame.method}, kind {frame.kind}, group {frame.group}, index {frame.index}"
-    return FramingError(f"frame ({name}) refused: {why}")
-
-
 def run_receiver(frames, config: SessionConfig) -> ReceiverRun:
     """Regroup, decode, and hash the delivered frames into secret keys.
 
@@ -280,14 +276,14 @@ def run_receiver(frames, config: SessionConfig) -> ReceiverRun:
         else:
             parities[tag] = frame
             continue
-        raise _refused(frame, why)
+        raise FramingError(f"{frame} refused: {why}")
     if len(payloads) != chunks:
         raise FramingError(f"{len(payloads)} payload frames arrived; the session's blocks take {chunks}")
-    stream = np.concatenate([f.payload for f in payloads] or [np.zeros(0, np.uint8)])
+    stream = payload_stream(payloads)
     received = [f for f in parities.values() if f is not None]
     if not all_bits(stream) or received and not all_bits(np.concatenate([f.payload for f in received])):
         bad = next(f for f in payloads + received if not all_bits(f.payload))
-        raise _refused(bad, "its payload holds values other than 0 and 1")
+        raise FramingError(f"{bad} refused: its payload holds values other than 0 and 1")
 
     # Each batch of planned blocks is converted to symbols in one call, and
     # its decoded infos back to bits in one; a block without parity is not
@@ -340,10 +336,7 @@ def run_session(config: SessionConfig) -> SessionReport:
     eve_frames = [deliver(f, config.channel, "eve") for f in tx.frames]
     rx = run_receiver(bob_frames, config)
 
-    eve_stream = np.concatenate(
-        [f.payload for f in eve_frames if f.kind == KIND_INFO]
-    ) if eve_frames else np.zeros(0, dtype=np.uint8)
-    eve_flips = (tx.stream ^ eve_stream)[tx.positions].sum(axis=1).tolist()
+    eve_flips = (tx.stream ^ payload_stream(eve_frames))[tx.positions].sum(axis=1).tolist()
 
     outcomes = unit_outcomes(tx, rx, config.unit_blocks)
     units = len(tx.keys)

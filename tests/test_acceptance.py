@@ -103,7 +103,7 @@ def test_criterion_03_error_pattern_combinatorics():
 
 
 def test_criterion_04_design_point_constants():
-    delta = outside_set_probability(100_000, 3.0, "normal")
+    delta = outside_set_probability(100_000, 3.0)
     assert abs(delta - 0.0027) / 0.0027 <= 0.05
     exponent = candidate_count_log2(2496, 8, 255, 167, 0.0)
     assert exponent == 1792

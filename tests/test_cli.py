@@ -297,7 +297,7 @@ EXPECTED_FLAGS = {
     "capacity": {"--unit-blocks", "--fluctuation-sigmas", "--safety-bits", "--eve-ber"},
     "analyze": {
         "--unit-blocks", "--fluctuation-sigmas", "--safety-bits", "--eve-ber", "--bob-ber",
-        "--method", "--delta-mode",
+        "--method",
     },
     "simulate": {"--blocks-target", "--trials", "--method", "--capture"},
     "attack": {"--max-weight", "--pattern-unit", "--eve-ber"},

@@ -62,21 +62,16 @@ def test_sample_key_statistics():
     assert (np.abs(freq - 0.5) <= 4.5 * sigma).all()
 
 
-def test_outside_probability_normal_limit():
-    assert outside_set_probability(10_000, 3.0, "normal") == pytest.approx(0.0027, rel=0.01)
-    assert outside_set_probability(10_000, 8.0, "normal") < 1e-14
-
-
 def test_outside_probability_exact_toy():
     # length 8, one sigma: admissible 1-counts are {3, 4, 5}
     expected = 1 - (math.comb(8, 3) + math.comb(8, 4) + math.comb(8, 5)) / 256
-    assert outside_set_probability(8, 1.0, "exact") == pytest.approx(expected, abs=1e-12)
+    assert outside_set_probability(8, 1.0) == pytest.approx(expected, abs=1e-12)
     assert expected == pytest.approx(74 / 256)
     # The same window, counted over the exhaustive adversary's key listing.
     for length in range(2, 17):
         for balance_limit in (1.0, 2.0, 3.5):
             listed = 1 - len(admissible_keys(length, balance_limit)) / 2**length
-            got = outside_set_probability(length, balance_limit, "exact")
+            got = outside_set_probability(length, balance_limit)
             assert got == pytest.approx(listed, rel=1e-12, abs=1e-15), (length, balance_limit)
 
 
@@ -100,21 +95,21 @@ def test_outside_probability_exact_deep_tail(length, balance_limit):
     # (100, 20 sigma), where no count lies outside. Log-gamma near 65537 is
     # ~6.6e5, whose ulp of ~1e-10 sets the tolerance.
     expected = _outside_fraction(length, balance_limit)
-    got = outside_set_probability(length, balance_limit, "exact")
+    got = outside_set_probability(length, balance_limit)
     assert got == pytest.approx(expected, rel=1e-10, abs=0.0)
 
 
 def test_outside_probability_exact_empty_window():
     # length 3 at half a sigma: |count - 1.5| <= 0.43 admits no count
-    assert outside_set_probability(3, 0.5, "exact") == 1.0
+    assert outside_set_probability(3, 0.5) == 1.0
 
 
 def test_exact_converges_to_normal():
     # Discreteness keeps the small sizes off the Gaussian value; the gap
     # shrinks monotonically and is inside 10% once the key passes ~4k bits.
-    normal = outside_set_probability(64, 3.0, "normal")
+    normal = math.erfc(3.0 / math.sqrt(2.0))  # 2 * Phi(-3)
     rel = [
-        abs(outside_set_probability(n, 3.0, "exact") - normal) / normal
+        abs(outside_set_probability(n, 3.0) - normal) / normal
         for n in (64, 256, 1024, 4096)
     ]
     assert rel == sorted(rel, reverse=True)
@@ -151,6 +146,16 @@ def test_split_merge_round_trip():
         merged = np.empty(length, dtype=np.uint8)
         merged[mask], merged[~mask] = groups.group1, groups.group2
         assert np.array_equal(merged, x)
+
+
+def test_split_refuses_non_bit_values():
+    # 0.5 used to be routed as a 0 and 2 as a 2.
+    key = CommonKey.from_bits([1, 0], 3.0, require_admissible=False)
+    with pytest.raises(ValueError, match="only 0 and 1"):
+        split_stream([0.5, 2, 1, 3], key)
+    groups = split_stream([0.0, 1.0, 1, 0], key)
+    assert groups.group1.tolist() == [0, 1] and groups.group2.tolist() == [1, 0]
+    assert groups.group1.dtype == np.uint8
 
 
 def test_block_gate_at_design_point():

@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,8 +19,9 @@ from noisekey.oracle import (
     partition_by_parity,
 )
 from noisekey.grouping import split_stream
+from noisekey.analysis import symbol_error_rate
 from noisekey.rs import bits_to_symbols, encode_parity, make_code, symbols_to_bits
-from noisekey.channel import bsc_transmit
+from noisekey.channel import GROUP_NONE, KIND_INFO, KIND_PARITY, Frame, bsc_transmit
 from noisekey.gf import build_field
 
 from reference_layout import completed_blocks
@@ -178,26 +180,34 @@ def test_no_partial_key_derivation(code_7_5):
     assert (column_sums > 0).all() and (column_sums < len(keys)).all()
 
 
-def _judge_fixture(code, rng, p_bob, blocks=50, key_length=12):
+def _capture(code, stream, key, blocks=None, method=1):
+    """A transmitter's frames for `stream`: its m*k-bit payload frames, then
+    the parity frames of the first `blocks` blocks the key completes."""
+    chunks = stream.reshape(-1, code.info_bits)
+    done = itertools.islice(completed_blocks(stream, key, code.info_bits), blocks)
+    return [Frame(method, GROUP_NONE, i, KIND_INFO, c) for i, c in enumerate(chunks)] + [
+        Frame(method, group, index, KIND_PARITY, encode_parity(code, bits)) for group, index, bits in done
+    ]
+
+
+def _judge_fixture(code, rng, p_bob, blocks=50, key_length=12, method=1):
+    """A key, the clean capture of its first `blocks` blocks, and the same
+    capture with its payload frames through a BSC(p_bob)."""
     scenario_keys = admissible_keys(key_length, 2.0)
     true_row = scenario_keys[rng.integers(0, len(scenario_keys))]
     key = CommonKey.from_bits(true_row, 2.0, require_admissible=False)
     stream = rng.integers(0, 2, size=code.info_bits * blocks * 3, dtype=np.uint8)
-    parity_frames = []
-    for group, _idx, bits in completed_blocks(stream, key, code.info_bits):
-        parity_frames.append((group, encode_parity(code, bits)))
-        if len(parity_frames) >= blocks:
-            break
-    noisy = bsc_transmit(stream, p_bob, rng)
-    return key, stream, noisy, parity_frames
+    clean = _capture(code, stream, key, blocks, method)
+    noisy = bsc_transmit(stream, p_bob, rng).reshape(-1, code.info_bits)
+    return key, clean, [replace(f, payload=noisy[f.index]) if f.kind == KIND_INFO else f for f in clean]
 
 
 def test_judge_accepts_true_key(code_7_5):
     rng = np.random.default_rng(68)
     p = 0.002
-    key, _, noisy, parity_frames = _judge_fixture(code_7_5, rng, p)
-    p_eff = 1 - (1 - p) ** code_7_5.m
-    verdict = judge_candidate(key.bits, noisy, parity_frames, code_7_5, p_eff, method=1)
+    key, _, noisy = _judge_fixture(code_7_5, rng, p)
+    p_eff = symbol_error_rate(p, code_7_5.m)
+    verdict = judge_candidate(key.bits, noisy, code_7_5, p)
     assert verdict.consistent
     assert verdict.mean_errors <= verdict.threshold
     assert verdict.mean_errors == pytest.approx(code_7_5.k * p_eff, abs=4 * math.sqrt(code_7_5.k * p_eff / 50))
@@ -205,20 +215,19 @@ def test_judge_accepts_true_key(code_7_5):
 
 def test_judge_rejects_wrong_key(code_7_5):
     rng = np.random.default_rng(69)
-    key, _, noisy, parity_frames = _judge_fixture(code_7_5, rng, 0.002)
+    key, _, noisy = _judge_fixture(code_7_5, rng, 0.002)
     wrong = key.bits.copy()
     wrong = np.roll(wrong, 3)
     assert not np.array_equal(wrong, key.bits)
-    p_eff = 1 - (1 - 0.002) ** code_7_5.m
-    verdict = judge_candidate(wrong, noisy, parity_frames, code_7_5, p_eff, method=1)
+    verdict = judge_candidate(wrong, noisy, code_7_5, 0.002)
     assert not verdict.consistent
     assert verdict.decode_failures > 0
 
 
 def test_judge_zero_noise_zero_histogram(code_7_5):
     rng = np.random.default_rng(70)
-    key, stream, _, parity_frames = _judge_fixture(code_7_5, rng, 0.0)
-    verdict = judge_candidate(key.bits, stream, parity_frames, code_7_5, 0.01, method=1)
+    key, frames, _ = _judge_fixture(code_7_5, rng, 0.0)
+    verdict = judge_candidate(key.bits, frames, code_7_5, 0.003)
     assert verdict.consistent
     assert all(e == 0 for e in verdict.per_block_errors)
 
@@ -247,20 +256,15 @@ def test_candidate_narrowing_to_true_key(code_7_5):
     true_row = keys[rng.integers(0, len(keys))]
     key = CommonKey.from_bits(true_row, 2.0, require_admissible=False)
     stream = rng.integers(0, 2, size=code_7_5.info_bits * 60, dtype=np.uint8)
-    parity_frames = []
-    first_parity = None
-    for group, index, bits in completed_blocks(stream, key, code_7_5.info_bits):
-        parity = encode_parity(code_7_5, bits)
-        parity_frames.append((group, parity))
-        if group == 1 and index == 0:
-            first_parity = parity
+    frames = _capture(code_7_5, stream, key)
+    first_parity = next(f.payload for f in frames if (f.kind, f.group, f.index) == (KIND_PARITY, 1, 0))
     scenario = TinyScenario(code=code_7_5, key_space=keys, x=stream, parity=first_parity)
     candidates = all_keys(enumerate_with_errors(scenario, 0))
     assert len(candidates) > 1
     survivors = [
         row
         for row in candidates
-        if judge_candidate(row, stream, parity_frames, code_7_5, 0.01, method=1).consistent
+        if judge_candidate(row, frames, code_7_5, 0.003).consistent
     ]
     assert len(survivors) == 1
     assert np.array_equal(survivors[0], true_row)
@@ -311,24 +315,75 @@ def test_parity_tags_stop_at_62_bits():
 
 
 @pytest.mark.parametrize(
-    "frame",
-    [(0, np.zeros(6, dtype=np.uint8)), (3, np.zeros(6, dtype=np.uint8)),
-     (1, np.zeros(5, dtype=np.uint8)), (2, np.zeros(7, dtype=np.uint8))],
+    "group, bits, match",
+    [(0, 6, "next parity frame"), (3, 6, "next parity frame"),
+     (1, 5, r"payload shape \(5,\)"), (2, 7, r"payload shape \(7,\)")],
     ids=["group-0", "group-3", "five-bits", "seven-bits"],
 )
-def test_judge_rejects_malformed_frames(code_7_5, frame):
+def test_judge_rejects_malformed_frames(code_7_5, group, bits, match):
     rng = np.random.default_rng(72)
-    key, stream, _, parity_frames = _judge_fixture(code_7_5, rng, 0.0, blocks=4)
-    with pytest.raises(ValueError, match="parity frame"):
-        judge_candidate(key.bits, stream, parity_frames + [frame], code_7_5, 0.01, method=1)
+    key, frames, _ = _judge_fixture(code_7_5, rng, 0.0, blocks=4)
+    index = sum(f.kind == KIND_PARITY and f.group == group for f in frames)
+    frame = Frame(1, group, index, KIND_PARITY, np.zeros(bits, dtype=np.uint8))
+    with pytest.raises(ValueError, match=rf"frame \(method 1, kind 1, group {group}, index {index}\).*{match}"):
+        judge_candidate(key.bits, frames + [frame], code_7_5, 0.003)
+
+
+def _first(frames, kind, group=None):
+    return next(i for i, f in enumerate(frames) if f.kind == kind and group in (None, f.group))
+
+
+# Each edit turns a transmitter's capture into one the judge refuses.
+CAPTURE_EDITS = {
+    "mixed-methods": (
+        lambda fs: fs[:-1] + [replace(fs[-1], method=2)], r"mixes methods \[1, 2\]"),
+    "skipped-parity": (
+        lambda fs: fs[: _first(fs, KIND_PARITY, 1)] + fs[_first(fs, KIND_PARITY, 1) + 1 :],
+        r"group 1, index 1\) is neither"),
+    "repeated-parity": (
+        lambda fs: fs[: _first(fs, KIND_PARITY, 2) + 1] + fs[_first(fs, KIND_PARITY, 2) :],
+        r"group 2, index 0\) is neither"),
+    "payload-out-of-order": (lambda fs: [fs[1], fs[0]] + fs[2:], r"kind 0, group 0, index 1\) is neither"),
+    "unknown-kind": (lambda fs: fs + [replace(fs[0], kind=2)], r"kind 2, group 0, index 0\) is neither"),
+}
+
+
+@pytest.mark.parametrize("edit", CAPTURE_EDITS)
+def test_judge_refuses_a_malformed_capture(code_7_5, edit):
+    # Parity frame (g, j) pairs with block j of group g, so the frames'
+    # numbering has to be the transmitter's: no gap, repeat or reordering.
+    rng = np.random.default_rng(72)
+    key, frames, _ = _judge_fixture(code_7_5, rng, 0.0, blocks=4)
+    assert judge_candidate(key.bits, frames, code_7_5, 0.003).consistent
+    change, match = CAPTURE_EDITS[edit]
+    with pytest.raises(ValueError, match=match):
+        judge_candidate(key.bits, change(frames), code_7_5, 0.003)
+
+
+@pytest.mark.parametrize("kinds", [(), (KIND_INFO,)], ids=["empty", "payload-only"])
+def test_judge_refuses_a_capture_without_parity(code_7_5, kinds):
+    rng = np.random.default_rng(72)
+    key, frames, _ = _judge_fixture(code_7_5, rng, 0.0, blocks=4)
+    with pytest.raises(ValueError, match="no complete blocks to judge"):
+        judge_candidate(key.bits, [f for f in frames if f.kind in kinds], code_7_5, 0.003)
+
+
+@pytest.mark.parametrize("eve_ber", [-0.1, 0.7, math.nan])
+def test_judge_refuses_an_eve_ber_outside_0_to_one_half(code_7_5, eve_ber):
+    # -0.1 raised "math domain error" from the spread's square root, and 0.7
+    # was judged as if a tap could hear the channel worse than a coin flip.
+    rng = np.random.default_rng(72)
+    key, frames, _ = _judge_fixture(code_7_5, rng, 0.0, blocks=4)
+    with pytest.raises(ValueError, match=r"eve_ber must lie in \[0, 1/2\]"):
+        judge_candidate(key.bits, frames, code_7_5, eve_ber)
 
 
 @pytest.mark.parametrize("method", [0, 3, None])
 def test_judge_refuses_a_method_other_than_1_or_2(code_7_5, method):
     rng = np.random.default_rng(72)
-    key, stream, _, parity_frames = _judge_fixture(code_7_5, rng, 0.0, blocks=4)
+    key, frames, _ = _judge_fixture(code_7_5, rng, 0.0, blocks=4, method=method)
     with pytest.raises(ValueError, match="method must be 1 or 2"):
-        judge_candidate(key.bits, stream, parity_frames, code_7_5, 0.01, method=method)
+        judge_candidate(key.bits, frames, code_7_5, 0.003)
 
 
 def test_make_scenario_refuses_an_empty_window_before_drawing(code_7_5):
@@ -347,31 +402,31 @@ def test_judge_rejects_non_bit_values(code_7_5, where, value):
     # The stream used to be cast to uint8 (0.5 -> 0, 1.5 -> 1) and judged
     # without a word; a parity 2 reached the decoder's symbol-range error.
     rng = np.random.default_rng(74)
-    key, stream, _, parity_frames = _judge_fixture(code_7_5, rng, 0.0, blocks=4)
-    if where == "stream":
-        stream = stream.astype(float)
-        stream[: 4 * code_7_5.info_bits : 3] = value
-    else:
-        group, parity = parity_frames[1]
-        parity_frames[1] = (group, np.where(np.arange(len(parity)) == 2, value, parity))
-    with pytest.raises(ValueError, match="only 0 and 1"):
-        judge_candidate(key.bits, stream, parity_frames, code_7_5, 0.01, method=1)
+    key, frames, _ = _judge_fixture(code_7_5, rng, 0.0, blocks=4)
+    at = _first(frames, KIND_INFO) if where == "stream" else _first(frames, KIND_PARITY) + 1
+    payload = frames[at].payload.astype(float)
+    payload[2] = value
+    frames[at] = replace(frames[at], payload=payload)
+    with pytest.raises(ValueError, match="other than 0 and 1"):
+        judge_candidate(key.bits, frames, code_7_5, 0.003)
 
 
 def test_judge_rejects_a_guess_that_is_not_one_row(code_7_5):
     # A 2-d guess used to reach split_stream and raise IndexError.
     rng = np.random.default_rng(75)
-    key, stream, _, parity_frames = _judge_fixture(code_7_5, rng, 0.0, blocks=4)
+    key, frames, _ = _judge_fixture(code_7_5, rng, 0.0, blocks=4)
     with pytest.raises(ValueError, match="1-d"):
-        judge_candidate(key.bits.reshape(2, -1), stream, parity_frames, code_7_5, 0.01, method=1)
+        judge_candidate(key.bits.reshape(2, -1), frames, code_7_5, 0.003)
 
 
 @pytest.mark.parametrize("shape", ["two-rows", "scalar"])
-def test_judge_rejects_a_stream_that_is_not_one_row(code_7_5, shape):
-    # Two rows used to be routed whole by split_stream and end in "no complete
-    # blocks to judge"; a 0-d stream raised TypeError from len().
+def test_judge_rejects_a_payload_that_is_not_one_row(code_7_5, shape):
+    # Only a 1-d payload joins the stream: two rows or a scalar are refused
+    # before split_stream sees them.
     rng = np.random.default_rng(76)
-    key, stream, _, parity_frames = _judge_fixture(code_7_5, rng, 0.0, blocks=12)
-    bad = stream.reshape(2, -1) if shape == "two-rows" else np.uint8(1)
-    with pytest.raises(ValueError, match=rf"1-d bit array, got shape {re.escape(str(bad.shape))}"):
-        judge_candidate(key.bits, bad, parity_frames, code_7_5, 0.01, method=1)
+    key, frames, _ = _judge_fixture(code_7_5, rng, 0.0, blocks=12)
+    payload = frames[0].payload
+    bad = np.stack([payload, payload]) if shape == "two-rows" else np.uint8(1)
+    frames[0] = replace(frames[0], payload=bad)
+    with pytest.raises(ValueError, match=rf"index 0\): payload shape {re.escape(str(bad.shape))}, not 1-d"):
+        judge_candidate(key.bits, frames, code_7_5, 0.003)

@@ -51,6 +51,14 @@ def test_bad_parameters(gf256):
         make_code(gf256, 256, 100)
 
 
+@pytest.mark.parametrize("k", [0, -1])
+def test_make_code_refuses_k_below_one(gf8, k):
+    # k = 0 used to raise IndexError while building the tables, and k = -1
+    # numpy's "negative dimensions are not allowed".
+    with pytest.raises(ValueError, match=rf"need 1 <= k < n, got \(5, {k}\)"):
+        make_code(gf8, 5, k)
+
+
 def test_make_code_refuses_long_codes_before_building_tables():
     fld = build_field(11, 0x805)
     tracemalloc.start()

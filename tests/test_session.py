@@ -20,6 +20,7 @@ from noisekey.channel import (
     decode_frame,
     deliver,
     encode_frame,
+    payload_stream,
     read_capture,
     write_capture,
 )
@@ -125,8 +126,7 @@ def test_parity_frames_recomputable_from_capture(toy_code, toy_key):
     # an observer holding the frames and the key can re-derive every parity
     cfg = toy_config(toy_code, toy_key, blocks=100)
     tx = run_transmitter(cfg)
-    stream = np.concatenate([f.payload for f in tx.frames if f.kind == KIND_INFO])
-    groups = split_stream(stream, toy_key)
+    groups = split_stream(payload_stream(tx.frames), toy_key)
     per_group = {1: groups.group1, 2: groups.group2}
     nb = toy_code.info_bits
     for frame in tx.frames:
@@ -455,10 +455,7 @@ def test_judge_accepts_the_session_key_on_the_tap_capture(toy_code, toy_key, tmp
     # bit at that rate.
     cfg = toy_config(toy_code, toy_key, blocks=50, ber=0.005, bob_ber=0.016, unit_blocks=5)
     write_capture(tmp_path / "tap.bin", run_session(cfg).eve_capture)
-    frames = read_capture(tmp_path / "tap.bin")
-    stream = np.concatenate([f.payload for f in frames if f.kind == KIND_INFO])
-    parity = [(f.group, f.payload) for f in frames if f.kind == KIND_PARITY]
-    observed = (stream, parity, toy_code, 1 - (1 - cfg.channel.eve_ber) ** toy_code.m, cfg.channel.method)
+    observed = (read_capture(tmp_path / "tap.bin"), toy_code, cfg.channel.eve_ber)
     verdict = judge_candidate(toy_key.bits, *observed)
     assert verdict.consistent
     assert len(verdict.per_block_errors) == 50 and verdict.decode_failures == 0
@@ -471,10 +468,7 @@ def test_judge_accepts_the_session_key_despite_one_expected_decode_failure(toy_c
     # one failure in 50 blocks has probability ~0.018, well above the
     # judge's four-sigma level, while a rotated key fails every block.
     cfg = toy_config(toy_code, toy_key, blocks=50)
-    frames = run_session(cfg).eve_capture
-    stream = np.concatenate([f.payload for f in frames if f.kind == KIND_INFO])
-    parity = [(f.group, f.payload) for f in frames if f.kind == KIND_PARITY]
-    observed = (stream, parity, toy_code, 1 - (1 - cfg.channel.eve_ber) ** toy_code.m, cfg.channel.method)
+    observed = (run_session(cfg).eve_capture, toy_code, cfg.channel.eve_ber)
     verdict = judge_candidate(toy_key.bits, *observed)
     assert verdict.decode_failures == 1 and len(verdict.per_block_errors) == 49
     assert verdict.mean_errors <= verdict.threshold
@@ -487,16 +481,14 @@ def test_judge_accepts_the_session_key_despite_one_expected_decode_failure(toy_c
 def test_judge_accepts_the_session_key_on_method_2_captures(toy_code, seed):
     # In method 2 the tap hears the parity through noise too, so a true
     # block carries errors in all n = 31 symbols: ~2.4 on average at 0.016,
-    # above the 2.13 a k-symbol count allows over 50 blocks. Judged with
-    # n trials, the session key is consistent and a rotation is not.
+    # above the 2.13 a k-symbol count allows over 50 blocks. The judge reads
+    # the method off the frames and counts n symbols: the session key is
+    # consistent and a rotation is not.
     key = sample_key(160, 2.0, np.random.default_rng(seed))
     cfg = toy_config(toy_code, key, blocks=50, method=2, seed=seed, source_seed=seed, hash_seed=seed)
-    frames = run_session(cfg).eve_capture
-    stream = np.concatenate([f.payload for f in frames if f.kind == KIND_INFO])
-    parity = [(f.group, f.payload) for f in frames if f.kind == KIND_PARITY]
-    observed = (stream, parity, toy_code, 1 - (1 - cfg.channel.eve_ber) ** toy_code.m)
-    assert judge_candidate(key.bits, *observed, method=2).consistent
-    assert not judge_candidate(np.roll(key.bits, 1), *observed, method=2).consistent
+    observed = (run_session(cfg).eve_capture, toy_code, cfg.channel.eve_ber)
+    assert judge_candidate(key.bits, *observed).consistent
+    assert not judge_candidate(np.roll(key.bits, 1), *observed).consistent
 
 
 def test_empty_session(toy_code, toy_key):
