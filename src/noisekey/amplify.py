@@ -56,10 +56,9 @@ class CapacityParams:
     safety_bits: int = 10           # hashing bits sacrificed to suppress leakage
 
     def __post_init__(self):
-        if self.unit_blocks < 1:
-            raise ValueError("unit_blocks must be >= 1")
-        if self.safety_bits < 1:
-            raise ValueError("safety_bits must be >= 1")
+        for name in ("unit_blocks", "safety_bits"):
+            if not isinstance(getattr(self, name), (int, np.integer)) or getattr(self, name) < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {getattr(self, name)!r}")
         if not 0.0 < self.eve_ber <= 0.5:
             raise ValueError("eve_ber must lie in (0, 1/2]")
         if self.fluctuation_sigmas < 0.0:
@@ -242,15 +241,16 @@ def extract_key(info_bits, key_bits: int, seed: HashSeed, key_bits_max: int | No
 
     Refuses to exceed key_bits_max when given; that cap must come from
     capacity_lower_bound for the extraction to be rate-safe. Raises
-    ValueError for an empty input or a value outside {0, 1}.
+    ValueError for an empty input, a value outside {0, 1} or a non-integer
+    key_bits.
     """
     info_bits = np.asarray(info_bits)
     if info_bits.ndim != 1 or len(info_bits) == 0:
         raise ValueError("info_bits must be a non-empty 1-d bit array")
     if not all_bits(info_bits):
         raise ValueError("info_bits must hold only 0 and 1")
-    if key_bits < 1:
-        raise ValueError("key_bits must be >= 1")
+    if not isinstance(key_bits, (int, np.integer)) or key_bits < 1:
+        raise ValueError(f"key_bits must be an integer >= 1, got {key_bits!r}")
     if key_bits_max is not None and key_bits > key_bits_max:
         raise ValueError(f"requested {key_bits} key bits but the rate bound allows {key_bits_max}")
     n_in = len(info_bits)

@@ -34,6 +34,10 @@ class FrameParseError(ValueError):
     """Raised when bytes cannot be decoded into a frame."""
 
 
+class FramingError(ValueError):
+    """A frame stream that does not fit what a transmitter sends."""
+
+
 @dataclass(frozen=True, eq=False)
 class ChannelConfig:
     eve_ber: float
@@ -147,13 +151,50 @@ def payload_stream(frames) -> np.ndarray:
     return np.concatenate(payloads or [np.zeros(0, dtype=np.uint8)])
 
 
+def read_frames(frames, payload_bits: int, parity_bits: int, method=None):
+    """(method, payload stream, parity) of a frame stream as a transmitter
+    sends it: each frame carries `method` (default: the first frame's) and is
+    the next payload frame of group 0, of payload_bits bits, or a group I or
+    II parity frame of a new tag, of parity_bits bits, all holding only 0 and
+    1; else FramingError naming a frame that is not. `parity` maps (group,
+    index) to each parity frame in arrival order."""
+    frames = list(frames)
+    method = frames[0].method if method is None and frames else method
+    payloads, parity = 0, {}
+    for frame in frames:
+        tag = (frame.group, frame.index)
+        size = payload_bits if frame.kind == KIND_INFO else parity_bits
+        if frame.method != method:
+            why = f"the stream runs method {method}"
+        elif frame.kind == KIND_INFO and tag != (GROUP_NONE, payloads):
+            why = f"payload frame {payloads} of group {GROUP_NONE} is due"
+        elif frame.kind != KIND_INFO and (frame.kind != KIND_PARITY or frame.group not in (GROUP_I, GROUP_II)):
+            why = "it is neither a payload frame nor a group I or II parity frame"
+        elif tag in parity:
+            why = "its block already has a parity frame"
+        elif np.shape(frame.payload) != (size,):
+            why = f"its payload has shape {np.shape(frame.payload)}, not ({size},)"
+        elif frame.kind == KIND_INFO:
+            payloads += 1
+            continue
+        else:
+            parity[tag] = frame
+            continue
+        raise FramingError(f"{frame} refused: {why}")
+    stream = payload_stream(frames)
+    if not all_bits(stream) or parity and not all_bits(np.concatenate([f.payload for f in parity.values()])):
+        bad = next(f for f in frames if not all_bits(np.asarray(f.payload)))
+        raise FramingError(f"{bad} refused: its payload holds values other than 0 and 1")
+    return method, stream, parity
+
+
 def encode_frame(frame: Frame) -> bytes:
     """Serialize: magic, version, method, group, index, kind, bit length, payload.
 
     Payload bits are packed MSB first and zero-padded to a byte boundary.
     A header field that is not an integer in its unsigned range raises
-    ValueError naming the field, and so does a payload holding anything but
-    0 and 1.
+    ValueError naming the field, and so does a payload that is not 1-d or
+    holds anything but 0 and 1.
     """
     for name, value, limit in (
         ("method", frame.method, 0xFF),
@@ -163,17 +204,17 @@ def encode_frame(frame: Frame) -> bytes:
     ):
         if not isinstance(value, (int, np.integer)) or not 0 <= value <= limit:
             raise ValueError(f"frame {name} must be an integer in 0..{limit}, got {value!r}")
-    if not all_bits(np.asarray(frame.payload)):
-        raise ValueError("frame payload must hold only 0 and 1")
-    payload = np.asarray(frame.payload, dtype=np.uint8)
+    payload = np.asarray(frame.payload)
+    if payload.ndim != 1 or not all_bits(payload):
+        raise ValueError("frame payload must be a 1-d array holding only 0 and 1")
     header = _HEADER.pack(
         MAGIC, VERSION, frame.method, frame.group, frame.index, frame.kind, len(payload)
     )
-    return header + np.packbits(payload, bitorder="big").tobytes()
+    return header + np.packbits(payload.astype(np.uint8), bitorder="big").tobytes()
 
 
 def decode_frame(data: bytes) -> Frame:
-    """Parse one frame; the receiver checks its payload size against the session."""
+    """Parse one frame; `read_frames` checks its payload size against the code."""
     if len(data) < _HEADER.size:
         raise FrameParseError("truncated header")
     magic, version, method, group, index, kind, bitlen = _HEADER.unpack_from(data)

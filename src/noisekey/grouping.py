@@ -42,8 +42,8 @@ class CommonKey:
     @classmethod
     def from_bits(cls, bits, balance_limit: float, require_admissible: bool = True) -> "CommonKey":
         arr = np.asarray(bits)
-        if arr.ndim != 1 or not all_bits(arr):
-            raise ValueError("key bits must be a 1-d array holding only 0 and 1")
+        if arr.ndim != 1 or len(arr) < 2 or not all_bits(arr):
+            raise ValueError("key bits must be a 1-d array of at least 2 bits holding only 0 and 1")
         arr = arr.astype(np.uint8)
         if require_admissible and not validate_key(arr, balance_limit):
             raise ValueError("key is outside the admissible balance window")

@@ -19,9 +19,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analysis import binomial_tail, noisy_symbols, symbol_error_rate
-from .channel import GROUP_I, GROUP_II, GROUP_NONE, KIND_INFO, KIND_PARITY, payload_stream
+from .channel import GROUP_I, GROUP_II, FramingError, read_frames
 from .grouping import CommonKey, balanced, require_window, split_stream
-from .rs import CodeSpec, all_bits, bits_to_symbols, decode_block, encode_parity, symbols_to_bits
+from .rs import CodeSpec, all_bits, bits_to_symbols, encode_parity, symbols_to_bits
+from .session import decode_rows
 
 MAX_KEY_LENGTH = 20
 MAX_INFO_ENUM_LOG2 = 24
@@ -262,55 +263,37 @@ def judge_candidate(key_bits, frames, code: CodeSpec, eve_ber: float) -> Judgeme
     """Regroup a tapped capture under a key guess and score the decode statistics.
 
     frames is the capture as `run_session(...).eve_capture` or `read_capture`
-    gives it: all of one method, payload frames of group 0 numbered 0, 1, ...
-    with 1-d payloads, and per group 1 or 2 parity frames numbered 0, 1, ...
-    of code.parity_bits bits, every payload holding only 0 and 1; anything
-    else raises ValueError naming the frame, as does an eve_ber outside
-    [0, 1/2]. Parity frame (g, j) pairs with block j of group g cut from the
-    payload stream under the guess, and judging stops at the first parity
-    frame whose block the guess does not cut. A guess is consistent when the
+    gives it; it must pass `channel.read_frames` with each group's parity
+    frames numbered 0, 1, ..., else FramingError. Parity frame (g, j) pairs
+    with block j of group g cut from the payload stream under the guess, up
+    to the first block the guess does not cut. A guess is consistent when the
     mean corrected error count stays within four standard errors of the
     expected s * p, with p = `symbol_error_rate(eve_ber, m)` and s =
     `noisy_symbols(code, method)` (k, or n when method 2 leaves the parity
     noisy), and the failures are as likely: Pr{Binomial(blocks, p_fail) >=
     failures} >= Pr{Z > 4}, where p_fail = Pr{Binomial(s, p) > t} is a true
-    block's.
+    block's. An eve_ber outside [0, 1/2] raises ValueError.
     """
     if not 0.0 <= eve_ber <= 0.5:
         raise ValueError(f"eve_ber must lie in [0, 1/2], got {eve_ber!r}")
-    frames = list(frames)
-    methods = sorted({f.method for f in frames}, key=str)
-    if len(methods) > 1:
-        raise ValueError(f"the capture mixes methods {methods}")
-    trials = noisy_symbols(code, methods[0]) if frames else 0  # no frames, no blocks
-    due = {KIND_INFO: {GROUP_NONE: 0}, KIND_PARITY: {GROUP_I: 0, GROUP_II: 0}}
-    for frame in frames:
-        count, shape = due.get(frame.kind, {}), np.shape(frame.payload)
-        if count.get(frame.group) != frame.index:
-            raise ValueError(f"{frame} is neither the next payload frame nor its group's next parity frame")
-        if len(shape) != 1 or frame.kind == KIND_PARITY and shape != (code.parity_bits,):
-            raise ValueError(f"{frame}: payload shape {shape}, not 1-d or, for parity, ({code.parity_bits},)")
-        if not all_bits(np.asarray(frame.payload)):
-            raise ValueError(f"{frame} has payload values other than 0 and 1")
-        count[frame.group] += 1
+    method, stream, parity = read_frames(frames, code.info_bits, code.parity_bits)
+    due = {GROUP_I: 0, GROUP_II: 0}
+    for (group, index), frame in parity.items():
+        if index != due[group]:
+            raise FramingError(f"{frame} refused: parity frame {due[group]} of group {group} is due")
+        due[group] += 1
     key = CommonKey.from_bits(key_bits, 0.0, require_admissible=False)
-    cut = split_stream(payload_stream(frames), key).blocks(code.info_bits)
-    words = []
-    for frame in (f for f in frames if f.kind == KIND_PARITY):
-        rows = cut[frame.group - GROUP_I]
-        if frame.index >= len(rows):
-            break
-        words.append(np.concatenate([rows[frame.index], frame.payload]))
-    if not words:
+    cut = split_stream(stream, key).blocks(code.info_bits)
+    tags = list(itertools.takewhile(lambda tag: tag[1] < len(cut[tag[0] - GROUP_I]), parity))
+    if not tags:
         raise ValueError("no complete blocks to judge")
-    symbols = bits_to_symbols(np.array(words, dtype=np.uint8), code.m)
-    results = [decode_block(code, row) for row in symbols]
+    trials = noisy_symbols(code, method)
+    info = np.array([cut[group - GROUP_I][index] for group, index in tags])
+    results, _ = decode_rows(code, info, [parity[tag].payload for tag in tags])
     errors = [r.corrected for r in results if r.ok]
     blocks, failures = len(results), len(results) - len(errors)
     p = symbol_error_rate(eve_ber, code.m)
-    expected = trials * p
-    spread = math.sqrt(trials * p * (1.0 - p) / blocks)
-    threshold = expected + 4.0 * spread
+    threshold = trials * p + 4.0 * math.sqrt(trials * p * (1.0 - p) / blocks)
     mean = sum(errors) / len(errors) if errors else math.inf
     p_fail = binomial_tail(trials, p, code.t)
     failures_likely = binomial_tail(blocks, p_fail, failures - 1) >= _FOUR_SIGMA

@@ -22,15 +22,17 @@ from .amplify import CapacityParams, HashSeed, capacity_lower_bound, extract_key
 from .channel import (
     ChannelConfig,
     Frame,
+    FramingError,
     GROUP_NONE,
     KIND_INFO,
     KIND_PARITY,
     deliver,
     entropy_words,
     payload_stream,
+    read_frames,
 )
 from .grouping import CommonKey, GroupStreams, _key_mask, bits_to_hex, block_fits_key_period
-from .rs import CodeSpec, DecodeResult, all_bits, bits_to_symbols, decode_block, encode_parity, symbols_to_bits
+from .rs import CodeSpec, DecodeResult, bits_to_symbols, decode_block, encode_parity, symbols_to_bits
 
 _SOURCE_STREAM = 7
 
@@ -45,10 +47,6 @@ _BATCH_BYTES = 1 << 20
 def _batch_rows(code: CodeSpec) -> int:
     """Blocks per batch for this code: one at least, else within _BATCH_BYTES."""
     return max(1, _BATCH_BYTES // max(code.parity_matrix.nbytes, 8 * code.m * code.n))
-
-
-class FramingError(ValueError):
-    """The frames a receiver got do not fit the session's block plan."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,11 +72,13 @@ class SessionConfig:
                 "one block does not span a full key period; enlarge the block "
                 "or shorten the key"
             )
-        if self.blocks_target < 0:
-            raise ValueError("blocks_target must be >= 0")
+        if not isinstance(self.blocks_target, (int, np.integer)) or self.blocks_target < 0:
+            raise ValueError(f"blocks_target must be an integer >= 0, got {self.blocks_target!r}")
         bound = capacity_lower_bound(self.capacity_params)
         if self.key_bits is None:
             object.__setattr__(self, "key_bits", bound.key_bits_max)
+        if not isinstance(self.key_bits, (int, np.integer)):
+            raise ValueError(f"key_bits must be an integer, got {self.key_bits!r}")
         if self.key_bits > bound.key_bits_max:
             raise ValueError(
                 f"{self.key_bits} key bits per unit exceeds the rate bound "
@@ -195,13 +195,13 @@ def _block_layout(key: CommonKey, block_bits: int, blocks: int):
     return group, index, positions
 
 
-def _unit_keys(config: SessionConfig, info: np.ndarray, ok: np.ndarray) -> list:
+def _unit_keys(config: SessionConfig, info: np.ndarray, ok: list) -> list:
     """One key per whole unit of `unit_blocks` consecutive rows of the
     (blocks, m*k) info bits; None for a unit that holds a row not `ok`."""
     size = config.unit_blocks
     units = len(info) // size
     rows = info[: units * size].reshape(units, size * info.shape[1])
-    whole = ok[: units * size].reshape(units, size).all(axis=1)
+    whole = np.reshape(ok[: units * size], (units, size)).all(axis=1)
     return [
         extract_key(bits, config.key_bits, HashSeed.of(config.hash_seed, unit)) if fine else None
         for unit, (bits, fine) in enumerate(zip(rows, whole))
@@ -236,82 +236,57 @@ def run_transmitter(config: SessionConfig) -> TransmitterRun:
         Frame(method=config.channel.method, group=b.group, index=b.index, kind=KIND_PARITY, payload=p)
         for b, p in zip(blocks, parity)
     ]
-    keys = _unit_keys(config, info, np.ones(len(info), dtype=bool))
+    keys = _unit_keys(config, info, [True] * len(info))
     return TransmitterRun(frames=frames, keys=keys, blocks=blocks, stream=stream, positions=positions)
 
 
 _MISSING_PARITY = DecodeResult(ok=False, info=None, corrected=0, reason="missing parity")
 
 
-def run_receiver(frames, config: SessionConfig) -> ReceiverRun:
-    """Regroup, decode, and hash the delivered frames into secret keys.
-
-    Each frame must carry the session's method and be the next payload frame
-    or the first parity frame of a planned block, with a 1-d payload of its
-    kind's size holding only 0 and 1, and exactly the plan's payload frames
-    must arrive; else FramingError. A block without its parity frame fails.
-    """
-    code = config.code
-    block_bits = code.info_bits
-    groups, indices, positions = _block_layout(config.key, block_bits, config.blocks_target)
-    chunks = int(positions[-1, -1]) // block_bits + 1 if len(positions) else 0
-    payloads: list[Frame] = []
-    parities: dict[tuple, Frame | None] = dict.fromkeys(zip(groups.tolist(), indices.tolist()))
-    for frame in frames:
-        tag = (frame.group, frame.index)
-        size = block_bits if frame.kind == KIND_INFO else code.parity_bits
-        if frame.method != config.channel.method:
-            why = f"the session runs method {config.channel.method}"
-        elif frame.kind == KIND_INFO and tag != (GROUP_NONE, len(payloads)):
-            why = f"payload frame {len(payloads)} of group {GROUP_NONE} is due"
-        elif frame.kind != KIND_INFO and (frame.kind != KIND_PARITY or tag not in parities):
-            why = "it is neither a payload frame nor a planned block's parity frame"
-        elif frame.kind == KIND_PARITY and parities[tag] is not None:
-            why = "its block already has a parity frame"
-        elif np.shape(frame.payload) != (size,):
-            why = f"its payload has shape {np.shape(frame.payload)}, not ({size},)"
-        elif frame.kind == KIND_INFO:
-            payloads.append(frame)
-            continue
-        else:
-            parities[tag] = frame
-            continue
-        raise FramingError(f"{frame} refused: {why}")
-    if len(payloads) != chunks:
-        raise FramingError(f"{len(payloads)} payload frames arrived; the session's blocks take {chunks}")
-    stream = payload_stream(payloads)
-    received = [f for f in parities.values() if f is not None]
-    if not all_bits(stream) or received and not all_bits(np.concatenate([f.payload for f in received])):
-        bad = next(f for f in payloads + received if not all_bits(f.payload))
-        raise FramingError(f"{bad} refused: its payload holds values other than 0 and 1")
-
-    # Each batch of planned blocks is converted to symbols in one call, and
-    # its decoded infos back to bits in one; a block without parity is not
-    # decoded.
-    outcomes: list[BlockOutcome] = []
-    planned = list(parities.items())
-    bits = np.zeros((len(planned), block_bits), dtype=np.uint8)
-    ok = np.zeros(len(planned), dtype=bool)
+def decode_rows(code: CodeSpec, info: np.ndarray, parity: list) -> tuple[list, np.ndarray]:
+    """(DecodeResults, (B, m*k) corrected bits, a zero row where a block
+    failed) of the (B, m*k) `info` rows against their parity rows, a None
+    one failing as "missing parity". Each batch takes one symbol conversion
+    each way; decode_block runs once per row with parity."""
+    results: list[DecodeResult] = []
+    bits = np.zeros((len(info), code.info_bits), dtype=np.uint8)
     rows = _batch_rows(code)
-    for start in range(0, len(planned), rows):
-        batch = planned[start : start + rows]
+    for start in range(0, len(info), rows):
+        batch = parity[start : start + rows]
         words = np.zeros((len(batch), code.m * code.n), dtype=np.uint8)
-        words[:, :block_bits] = stream[positions[start : start + rows]]
-        for word, (_, frame) in zip(words, batch):
-            if frame is not None:
-                word[block_bits:] = frame.payload
-        results = [
-            _MISSING_PARITY if frame is None else decode_block(code, symbols)
-            for symbols, (_, frame) in zip(bits_to_symbols(words, code.m), batch)
+        words[:, : code.info_bits] = info[start : start + rows]
+        for word, row in zip(words, batch):
+            if row is not None:
+                word[code.info_bits :] = row
+        done = [
+            _MISSING_PARITY if row is None else decode_block(code, symbols)
+            for symbols, row in zip(bits_to_symbols(words, code.m), batch)
         ]
-        ok[start : start + rows] = [r.ok for r in results]
-        decoded = symbols_to_bits(np.reshape([r.info for r in results if r.ok], (-1, code.k)), code.m)
-        bits[start : start + rows][ok[start : start + rows]] = decoded
-        outcomes += [
-            BlockOutcome(g, j, r.ok, r.corrected, r.reason) for ((g, j), _), r in zip(batch, results)
-        ]
+        decoded = np.reshape([r.info for r in done if r.ok], (-1, code.k))
+        bits[start : start + rows][[r.ok for r in done]] = symbols_to_bits(decoded, code.m)
+        results += done
+    return results, bits
 
-    return ReceiverRun(keys=_unit_keys(config, bits, ok), outcomes=outcomes, bits=bits)
+
+def run_receiver(frames, config: SessionConfig) -> ReceiverRun:
+    """Regroup, decode, and hash the delivered frames into secret keys. The
+    frames must pass `read_frames` at the session's method, name only planned
+    blocks and hold exactly the plan's payload frames, else FramingError; a
+    block without its parity frame fails."""
+    code = config.code
+    groups, indices, positions = _block_layout(config.key, code.info_bits, config.blocks_target)
+    _, stream, parity = read_frames(frames, code.info_bits, code.parity_bits, config.channel.method)
+    plan = dict.fromkeys(zip(groups.tolist(), indices.tolist()))
+    for tag, frame in parity.items():
+        if tag not in plan:
+            raise FramingError(f"{frame} refused: it names no planned block")
+    chunks = int(positions[-1, -1]) // code.info_bits + 1 if len(positions) else 0
+    if len(stream) != chunks * code.info_bits:
+        raise FramingError(f"{len(stream) // code.info_bits} payload frames arrived, not the plan's {chunks}")
+    row_parity = [parity[tag].payload if tag in parity else None for tag in plan]
+    results, bits = decode_rows(code, stream[positions], row_parity)
+    outcomes = [BlockOutcome(g, j, r.ok, r.corrected, r.reason) for (g, j), r in zip(plan, results)]
+    return ReceiverRun(keys=_unit_keys(config, bits, [r.ok for r in results]), outcomes=outcomes, bits=bits)
 
 
 def unit_outcomes(tx: TransmitterRun, rx: ReceiverRun, unit_blocks: int) -> tuple:

@@ -138,6 +138,14 @@ def test_extract_rate_refusal():
     extract_key(bits, 5, HashSeed.of(1), key_bits_max=5)
 
 
+def test_extract_refuses_a_non_integer_key_size():
+    # numpy used to refuse 2.5 with "expected a sequence of integers".
+    bits = np.ones(13, dtype=np.uint8)
+    with pytest.raises(ValueError, match="key_bits must be an integer >= 1, got 2.5"):
+        extract_key(bits, 2.5, HashSeed.of(1))
+    assert len(extract_key(bits, np.int64(2), HashSeed.of(1))) == 2
+
+
 def test_avalanche():
     rng = np.random.default_rng(42)
     n_in, n_out, seeds = 64, 32, 1000

@@ -229,6 +229,15 @@ def test_encode_frame_rejects_non_bit_payloads(value):
         encode_frame(frame)
 
 
+# A (2, 12) payload used to get a 2-bit header over 3 bytes, which
+# read_capture then refused, and a 0-d one raised TypeError from len().
+@pytest.mark.parametrize("payload", [np.ones((2, 12), dtype=np.uint8), np.uint8(1)], ids=["2-d", "0-d"])
+def test_encode_frame_rejects_a_payload_that_is_not_1d(payload):
+    frame = Frame(method=1, group=GROUP_NONE, index=0, kind=KIND_INFO, payload=payload)
+    with pytest.raises(ValueError, match="payload must be a 1-d array"):
+        encode_frame(frame)
+
+
 def test_encode_frame_accepts_field_limits():
     frame = Frame(method=255, group=255, index=2**32 - 1, kind=255, payload=np.ones(3, dtype=np.uint8))
     assert encode_frame(frame)[5:12] == b"\xff" * 7

@@ -194,6 +194,14 @@ def test_from_bits_rejects_non_bits(bits):
         CommonKey.from_bits(bits, 99.0, require_admissible=False)
 
 
+# A 1-bit or empty key used to pass, and the judge then divided by zero
+# cutting a stream under it.
+@pytest.mark.parametrize("bits", [[], [1]], ids=["empty", "one-bit"])
+def test_from_bits_rejects_fewer_than_2_bits(bits):
+    with pytest.raises(ValueError, match="at least 2 bits"):
+        CommonKey.from_bits(bits, 99.0, require_admissible=False)
+
+
 # A (2, 2) array used to become a key of shape (2, 2), and a 0-d one raised
 # TypeError from len().
 @pytest.mark.parametrize("bits", [np.ones((2, 2), dtype=np.uint8), np.uint8(1)], ids=["2-d", "0-d"])

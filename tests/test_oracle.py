@@ -21,7 +21,7 @@ from noisekey.oracle import (
 from noisekey.grouping import split_stream
 from noisekey.analysis import symbol_error_rate
 from noisekey.rs import bits_to_symbols, encode_parity, make_code, symbols_to_bits
-from noisekey.channel import GROUP_NONE, KIND_INFO, KIND_PARITY, Frame, bsc_transmit
+from noisekey.channel import GROUP_NONE, KIND_INFO, KIND_PARITY, Frame, FramingError, bsc_transmit
 from noisekey.gf import build_field
 
 from reference_layout import completed_blocks
@@ -316,8 +316,9 @@ def test_parity_tags_stop_at_62_bits():
 
 @pytest.mark.parametrize(
     "group, bits, match",
-    [(0, 6, "next parity frame"), (3, 6, "next parity frame"),
-     (1, 5, r"payload shape \(5,\)"), (2, 7, r"payload shape \(7,\)")],
+    [(0, 6, "neither a payload frame nor a group I or II parity frame"),
+     (3, 6, "neither a payload frame nor a group I or II parity frame"),
+     (1, 5, r"payload has shape \(5,\), not \(6,\)"), (2, 7, r"payload has shape \(7,\), not \(6,\)")],
     ids=["group-0", "group-3", "five-bits", "seven-bits"],
 )
 def test_judge_rejects_malformed_frames(code_7_5, group, bits, match):
@@ -336,15 +337,19 @@ def _first(frames, kind, group=None):
 # Each edit turns a transmitter's capture into one the judge refuses.
 CAPTURE_EDITS = {
     "mixed-methods": (
-        lambda fs: fs[:-1] + [replace(fs[-1], method=2)], r"mixes methods \[1, 2\]"),
+        lambda fs: fs[:-1] + [replace(fs[-1], method=2)],
+        r"frame \(method 2, .*\) refused: the stream runs method 1"),
     "skipped-parity": (
         lambda fs: fs[: _first(fs, KIND_PARITY, 1)] + fs[_first(fs, KIND_PARITY, 1) + 1 :],
-        r"group 1, index 1\) is neither"),
+        r"group 1, index 1\) refused: parity frame 0 of group 1 is due"),
     "repeated-parity": (
         lambda fs: fs[: _first(fs, KIND_PARITY, 2) + 1] + fs[_first(fs, KIND_PARITY, 2) :],
-        r"group 2, index 0\) is neither"),
-    "payload-out-of-order": (lambda fs: [fs[1], fs[0]] + fs[2:], r"kind 0, group 0, index 1\) is neither"),
-    "unknown-kind": (lambda fs: fs + [replace(fs[0], kind=2)], r"kind 2, group 0, index 0\) is neither"),
+        r"group 2, index 0\) refused: its block already has a parity frame"),
+    "payload-out-of-order": (
+        lambda fs: [fs[1], fs[0]] + fs[2:],
+        r"kind 0, group 0, index 1\) refused: payload frame 0 of group 0 is due"),
+    "unknown-kind": (
+        lambda fs: fs + [replace(fs[0], kind=2)], r"kind 2, group 0, index 0\) refused: it is neither"),
 }
 
 
@@ -383,6 +388,17 @@ def test_judge_refuses_a_method_other_than_1_or_2(code_7_5, method):
     rng = np.random.default_rng(72)
     key, frames, _ = _judge_fixture(code_7_5, rng, 0.0, blocks=4, method=method)
     with pytest.raises(ValueError, match="method must be 1 or 2"):
+        judge_candidate(key.bits, frames, code_7_5, 0.003)
+
+
+def test_judge_refuses_a_payload_frame_of_another_size(code_7_5):
+    # The transmitter sends m*k-bit payload frames only; a 7-bit one used to
+    # join the stream.
+    rng = np.random.default_rng(72)
+    key, frames, _ = _judge_fixture(code_7_5, rng, 0.0, blocks=4)
+    index = sum(f.kind == KIND_INFO for f in frames)
+    frames.append(Frame(1, GROUP_NONE, index, KIND_INFO, np.zeros(7, dtype=np.uint8)))
+    with pytest.raises(FramingError, match=rf"index {index}\) refused: its payload has shape \(7,\)"):
         judge_candidate(key.bits, frames, code_7_5, 0.003)
 
 
@@ -428,5 +444,6 @@ def test_judge_rejects_a_payload_that_is_not_one_row(code_7_5, shape):
     payload = frames[0].payload
     bad = np.stack([payload, payload]) if shape == "two-rows" else np.uint8(1)
     frames[0] = replace(frames[0], payload=bad)
-    with pytest.raises(ValueError, match=rf"index 0\): payload shape {re.escape(str(bad.shape))}, not 1-d"):
+    refusal = f"index 0) refused: its payload has shape {bad.shape}, not ({code_7_5.info_bits},)"
+    with pytest.raises(ValueError, match=re.escape(refusal)):
         judge_candidate(key.bits, frames, code_7_5, 0.003)

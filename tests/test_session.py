@@ -89,6 +89,16 @@ def test_config_enforces_rate_gate(toy_code, toy_key):
         toy_config(toy_code, toy_key, key_bits=1000)
 
 
+@pytest.mark.parametrize("field", ["blocks_target", "unit_blocks", "safety_bits", "key_bits"])
+def test_config_refuses_a_non_integer_count(toy_code, toy_key, field):
+    # blocks_target=2.5 used to fail in numpy, and unit_blocks=1.5 passed the
+    # config only for run_session to fail slicing with it. numpy integers pass.
+    one = np.int64(1)
+    cfg = toy_config(toy_code, toy_key, blocks=np.int64(10), unit_blocks=one, safety_bits=one, key_bits=one)
+    with pytest.raises(ValueError, match=rf"{field} must be an integer( >= [01])?, got 1.5"):
+        replace(cfg, **{field: 1.5})
+
+
 def test_one_unit_one_key(toy_code, toy_key):
     cfg = toy_config(toy_code, toy_key, blocks=1)
     tx = run_transmitter(cfg)
@@ -415,7 +425,9 @@ def _edited(frames, edits, wire):
         elif op in ("method", "group", "kind", "index"):
             frames[i] = replace(f, **{op: int(abs(value)) if wire else value})
         elif op == "resize":
-            frames[i] = replace(f, payload=[f.payload[:-1], np.append(f.payload, 0), f.payload[:, None]][j % 3])
+            # encode_frame refuses a payload that is not 1-d, so no column on the wire.
+            sizes = [f.payload[:-1], np.append(f.payload, 0)] + ([] if wire else [f.payload[:, None]])
+            frames[i] = replace(f, payload=sizes[j % len(sizes)])
         elif len(f.payload):
             payload = f.payload.ravel().copy() if wire else f.payload.astype(type(value)).ravel()
             k = j % len(payload)
@@ -489,6 +501,19 @@ def test_judge_accepts_the_session_key_on_method_2_captures(toy_code, seed):
     observed = (run_session(cfg).eve_capture, toy_code, cfg.channel.eve_ber)
     assert judge_candidate(key.bits, *observed).consistent
     assert not judge_candidate(np.roll(key.bits, 1), *observed).consistent
+
+
+def test_judge_verdict_does_not_depend_on_the_batch_size(toy_code, toy_key, monkeypatch):
+    # 16 blocks per batch split the 50 blocks of a method-2 capture into 4
+    # batches; the true key and a rotation get the same verdicts as in one.
+    cfg = toy_config(toy_code, toy_key, blocks=50, method=2)
+    observed = (run_session(cfg).eve_capture, toy_code, cfg.channel.eve_ber)
+    guesses = [toy_key.bits, np.roll(toy_key.bits, 1)]
+    whole = [judge_candidate(guess, *observed) for guess in guesses]
+    monkeypatch.setattr(session, "_BATCH_BYTES", 16 * 8 * toy_code.m * toy_code.n)
+    assert session._batch_rows(toy_code) == 16
+    assert [judge_candidate(guess, *observed) for guess in guesses] == whole
+    assert whole[0].consistent and not whole[1].consistent
 
 
 def test_empty_session(toy_code, toy_key):
