@@ -20,7 +20,7 @@ from .analysis import (
 )
 from .channel import ChannelConfig, Frame, bsc_transmit, decode_frame, deliver, encode_frame
 from .gf import FieldSpec, build_field
-from .grouping import CommonKey, sample_key, split_stream, validate_key
+from .grouping import CommonKey, sample_key, split_stream
 from .oracle import (
     TinyScenario,
     enumerate_info_candidates,

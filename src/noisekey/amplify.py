@@ -143,7 +143,7 @@ class HashSeed:
 
     @classmethod
     def of(cls, *parts: int) -> "HashSeed":
-        return cls(entropy=tuple(int(p) for p in parts))
+        return cls(entropy=parts)
 
 
 def expand_seed(seed: HashSeed, n_in: int, n_out: int) -> np.ndarray:

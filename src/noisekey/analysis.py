@@ -29,7 +29,7 @@ from .amplify import (
     capacity_lower_bound,
     leakage_bound,
 )
-from .grouping import balanced
+from .grouping import balanced, require_key_length, require_window
 
 
 def log_sum_exp(a: np.ndarray) -> float:
@@ -97,8 +97,7 @@ def outside_set_probability(length: int, balance_limit: float) -> float:
     the binomial distribution of the 1-count summed over the counts outside
     the `balanced` window, in log space (1 - P(inside) would cancel)."""
     from scipy.special import gammaln
-    if length < 2:
-        raise ValueError("key must have at least 2 bits")
+    require_key_length(length)
     counts = np.arange(length + 1)
     outside = counts[~balanced(counts, length, balance_limit)]
     if len(outside) == 0:
@@ -265,6 +264,7 @@ def security_report(
     bob_ber: float,
     method: int = 1,
 ) -> SecurityReport:
+    require_window(key_length, balance_limit)
     code = params.code
     delta = outside_set_probability(key_length, balance_limit)
     log2_cand = candidate_count_log2(key_length, code.m, code.n, code.k, delta)

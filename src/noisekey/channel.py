@@ -112,7 +112,7 @@ def entropy_words(entropy, spawn_key=()) -> np.ndarray:
     does.
     """
     words: list[int] = []
-    _append_words(words, (entropy,) if isinstance(entropy, (int, np.integer)) else entropy)
+    _append_words(words, entropy if hasattr(entropy, "__iter__") else (entropy,))
     if spawn_key:
         words += [0] * (4 - len(words))
         _append_words(words, spawn_key)

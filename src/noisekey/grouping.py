@@ -24,12 +24,10 @@ def balanced(ones, length: int, balance_limit: float):
     return np.abs(ones - length / 2.0) <= balance_limit * math.sqrt(length / 4.0)
 
 
-def validate_key(bits, balance_limit: float) -> bool:
-    """True iff the 1-count deviates from length/2 by at most balance_limit sigmas."""
-    bits = np.asarray(bits)
-    if len(bits) < 2:
+def require_key_length(length: int) -> None:
+    """Raise ValueError unless `length` reaches 2, the shortest key."""
+    if length < 2:
         raise ValueError("key must have at least 2 bits")
-    return bool(balanced(int(bits.sum()), len(bits), balance_limit))
 
 
 @dataclass(frozen=True, eq=False)
@@ -40,13 +38,12 @@ class CommonKey:
     balance_limit: float
 
     @classmethod
-    def from_bits(cls, bits, balance_limit: float, require_admissible: bool = True) -> "CommonKey":
+    def from_bits(cls, bits, balance_limit: float) -> "CommonKey":
         arr = np.asarray(bits)
-        if arr.ndim != 1 or len(arr) < 2 or not all_bits(arr):
-            raise ValueError("key bits must be a 1-d array of at least 2 bits holding only 0 and 1")
+        if arr.ndim != 1 or not all_bits(arr):
+            raise ValueError("key bits must be a 1-d array holding only 0 and 1")
+        require_key_length(len(arr))
         arr = arr.astype(np.uint8)
-        if require_admissible and not validate_key(arr, balance_limit):
-            raise ValueError("key is outside the admissible balance window")
         arr.setflags(write=False)
         return cls(bits=arr, balance_limit=balance_limit)
 
@@ -64,7 +61,7 @@ class CommonKey:
 
     @property
     def admissible(self) -> bool:
-        return validate_key(self.bits, self.balance_limit)
+        return bool(balanced(self.ones, self.length, self.balance_limit))
 
     def to_hex(self) -> str:
         return bits_to_hex(self.bits)
@@ -78,8 +75,7 @@ def bits_to_hex(bits) -> str:
 
 def require_window(length: int, balance_limit: float) -> None:
     """Raise ValueError unless the balance window admits some `length`-bit key."""
-    if length < 2:
-        raise ValueError("key must have at least 2 bits")
+    require_key_length(length)
     # length // 2 ones lies nearest length/2: if it is refused, every count is.
     if not balanced(length // 2, length, balance_limit):
         raise ValueError(f"no {length}-bit key fits a balance limit of {balance_limit} sigmas")
@@ -94,7 +90,7 @@ def sample_key(length: int, balance_limit: float, rng: np.random.Generator) -> C
     require_window(length, balance_limit)
     while True:
         bits = rng.integers(0, 2, size=length, dtype=np.uint8)
-        if validate_key(bits, balance_limit):
+        if balanced(int(bits.sum()), length, balance_limit):
             return CommonKey.from_bits(bits, balance_limit)
 
 
@@ -133,7 +129,7 @@ def block_fits_key_period(key_length: int, balance_limit: float, m: int, k: int)
 
     The largest group an admissible key can produce per key period is
     length/2 + ceil(balance_limit * sigma) bits; requiring that to be at most
-    m*k means a single block always consumes the full key.
+    m*k means a single block always consumes the full key. It is tested as
+    balance_limit * sigma <= floor(m*k - length/2), False for inf and NaN.
     """
-    sigma = math.sqrt(key_length / 4.0)
-    return key_length / 2.0 + math.ceil(balance_limit * sigma) <= m * k
+    return balance_limit * math.sqrt(key_length / 4.0) <= math.floor(m * k - key_length / 2.0)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analysis import binomial_tail, noisy_symbols, symbol_error_rate
-from .channel import GROUP_I, GROUP_II, FramingError, read_frames
+from .channel import GROUP_I, GROUP_II, FramingError, bsc_transmit, read_frames
 from .grouping import CommonKey, balanced, require_window, split_stream
 from .rs import CodeSpec, all_bits, bits_to_symbols, encode_parity, symbols_to_bits
 from .session import decode_rows
@@ -80,12 +80,9 @@ def make_scenario(
     stream_bits = key_length * code.info_bits
     x = rng.integers(0, 2, size=stream_bits, dtype=np.uint8)
     true_row = keys[rng.integers(0, len(keys))]
-    true_key = CommonKey.from_bits(true_row, balance_limit, require_admissible=False)
+    true_key = CommonKey.from_bits(true_row, balance_limit)
     parity = encode_parity(code, split_stream(x, true_key).blocks(code.info_bits)[0][0])
-    x_seen = x.copy()
-    if ber > 0.0:
-        flips = rng.random(stream_bits) < ber
-        x_seen ^= flips.astype(np.uint8)
+    x_seen = bsc_transmit(x, ber, rng) if ber > 0.0 else x
     return TinyScenario(code=code, key_space=keys, x=x_seen, parity=parity), true_key
 
 
@@ -114,7 +111,8 @@ def _first_block_tags(code: CodeSpec, x: np.ndarray, keys: np.ndarray) -> np.nda
         raise ValueError(f"parity tags are listed for keys of at most {MAX_KEY_LENGTH} bits")
     if not all_bits(x):
         raise ValueError("stream bits must hold only 0 and 1")
-    unit_tags = _parity_tags(encode_parity(code, np.eye(n_bits, dtype=np.uint8)))
+    # The parity matrix's row j is unit bit j's parity: no m*k x m*k encode (~160 MB at (255,167)).
+    unit_tags = _parity_tags(np.unpackbits(code.parity_matrix, axis=-1, count=code.parity_bits))
     # One row per key byte, first column in bit 0; flat packing beats axis=1 ~10x.
     flat = np.pad(keys, ((0, 0), (0, -klen % 8))).ravel()
     octets = np.packbits(flat, bitorder="little").reshape(count, -(-klen // 8)).T
@@ -282,7 +280,7 @@ def judge_candidate(key_bits, frames, code: CodeSpec, eve_ber: float) -> Judgeme
         if index != due[group]:
             raise FramingError(f"{frame} refused: parity frame {due[group]} of group {group} is due")
         due[group] += 1
-    key = CommonKey.from_bits(key_bits, 0.0, require_admissible=False)
+    key = CommonKey.from_bits(key_bits, 0.0)
     cut = split_stream(stream, key).blocks(code.info_bits)
     tags = list(itertools.takewhile(lambda tag: tag[1] < len(cut[tag[0] - GROUP_I]), parity))
     if not tags:

@@ -195,6 +195,11 @@ def _block_layout(key: CommonKey, block_bits: int, blocks: int):
     return group, index, positions
 
 
+def _payload_frames(positions: np.ndarray, block_bits: int) -> int:
+    """Payload frames a plan sends: through the one holding its last block's last bit."""
+    return int(positions[-1, -1]) // block_bits + 1 if len(positions) else 0
+
+
 def _unit_keys(config: SessionConfig, info: np.ndarray, ok: list) -> list:
     """One key per whole unit of `unit_blocks` consecutive rows of the
     (blocks, m*k) info bits; None for a unit that holds a row not `ok`."""
@@ -216,7 +221,7 @@ def run_transmitter(config: SessionConfig) -> TransmitterRun:
     group, index, positions = _block_layout(config.key, block_bits, config.blocks_target)
     chunks = [
         rng.integers(0, 2, size=block_bits, dtype=np.uint8)
-        for _ in range(int(positions[-1, -1]) // block_bits + 1 if len(positions) else 0)
+        for _ in range(_payload_frames(positions, block_bits))
     ]
     frames = [
         Frame(method=config.channel.method, group=GROUP_NONE, index=i, kind=KIND_INFO, payload=c)
@@ -280,7 +285,7 @@ def run_receiver(frames, config: SessionConfig) -> ReceiverRun:
     for tag, frame in parity.items():
         if tag not in plan:
             raise FramingError(f"{frame} refused: it names no planned block")
-    chunks = int(positions[-1, -1]) // code.info_bits + 1 if len(positions) else 0
+    chunks = _payload_frames(positions, code.info_bits)
     if len(stream) != chunks * code.info_bits:
         raise FramingError(f"{len(stream) // code.info_bits} payload frames arrived, not the plan's {chunks}")
     row_parity = [parity[tag].payload if tag in parity else None for tag in plan]

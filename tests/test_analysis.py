@@ -226,6 +226,14 @@ def test_security_report_warns_once_per_cause(code_7_5):
     assert len(messages) == 3
 
 
+def test_security_report_refuses_an_empty_window(code_7_5):
+    # No 1-count of 3 bits lies within 0.5 * sqrt(3/4) of 1.5: delta was 1,
+    # and log2(1 - delta) ended in "math domain error".
+    params = CapacityParams(code=code_7_5, eve_ber=0.05, unit_blocks=1, fluctuation_sigmas=3.0, safety_bits=1)
+    with pytest.raises(ValueError, match="no 3-bit key fits a balance limit of 0.5 sigmas"):
+        security_report(3, 0.5, params, bob_ber=0.05)
+
+
 def test_security_report_coherent(code_255_167):
     report = security_report(
         key_length=2496,

@@ -146,6 +146,13 @@ def test_entropy_words_refuse_what_numpy_refuses(entropy, spawn_key, error):
         entropy_words(entropy, spawn_key)
 
 
+@pytest.mark.parametrize("entropy", [1.5, np.float64(2)])
+def test_entropy_words_name_a_float_seed(entropy):
+    # A float used to be iterated: "'float' object is not iterable".
+    with pytest.raises(TypeError, match="seed must be integer, got"):
+        entropy_words(entropy)
+
+
 def test_frame_round_trip():
     rng = np.random.default_rng(32)
     for kind, group in ((KIND_INFO, GROUP_NONE), (KIND_PARITY, GROUP_I), (KIND_PARITY, GROUP_II)):

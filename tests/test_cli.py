@@ -6,6 +6,7 @@ import os
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import jsonschema
@@ -142,6 +143,24 @@ def test_attack_runs_where_the_zero_key_is_admissible(capsys, tmp_path):
         assert code == 0, seed
         doc = json.loads(out)
         assert doc["true_key_found"] is True and doc["admissible_keys"] == 15, seed
+
+
+def test_attack_refuses_a_wide_tag_before_encoding(capsys, tmp_path):
+    # (255, 167) leaves 704 parity bits, past the 62-bit tag. The refusal used
+    # to come after encoding the m*k unit rows, at a 161.6 MB tracemalloc peak.
+    params = tmp_path / "wide.json"
+    params.write_text(json.dumps(
+        {"m": 8, "primitive_poly": 285, "n": 255, "k": 167, "key_length": 8, "max_weight": 0}
+    ))
+    tracemalloc.start()
+    try:
+        code, _, err = run_cli(capsys, "attack", "--params", str(params), "--format", "json")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert json.loads(err) == {"error": "704 parity bits exceed the 62-bit tag"}
+    assert peak < 5e6, peak
 
 
 def test_table_reproduction(capsys):

@@ -36,7 +36,6 @@ from noisekey.grouping import (
     GroupStreams,
     _key_mask,
     split_stream,
-    validate_key,
 )
 from noisekey.oracle import (
     TinyScenario,
@@ -404,7 +403,7 @@ def test_encode_is_linear(params, data):
     st.lists(st.integers(0, 1), max_size=200),
 )
 def test_split_merge_round_trip_any_key(key_bits, stream):
-    key = CommonKey.from_bits(key_bits, 0.0, require_admissible=False)
+    key = CommonKey.from_bits(key_bits, 0.0)
     x = np.array(stream, dtype=np.uint8)
     groups = split_stream(x, key)
     assert len(groups.group1) + len(groups.group2) == len(x)
@@ -424,8 +423,8 @@ def test_split_merge_round_trip_any_key(key_bits, stream):
 )
 def test_block_layout_matches_completion_walk(key_bits, balance_limit, block_bits, blocks):
     # The layout of B blocks is the walk's first B blocks over B + 1 chunks.
-    assume(validate_key(key_bits, balance_limit))
     key = CommonKey.from_bits(key_bits, balance_limit)
+    assume(key.admissible)
     # On the stream 0, 1, 2, ... the walk's routed bits are the positions.
     stream = np.arange((blocks + 1) * block_bits)
     walk = [(g, j, bits.tolist()) for g, j, bits in completed_blocks(stream, key, block_bits)]
@@ -474,7 +473,7 @@ def routing_case(key_length):
     length = int(fill_points(keys, code.info_bits).max())
     x = np.random.default_rng(key_length * 100).integers(0, 2, length, dtype=np.uint8)
     blocks = np.array([
-        split_stream(x, CommonKey.from_bits(row, 2.0, require_admissible=False))
+        split_stream(x, CommonKey.from_bits(row, 2.0))
         .group1[: code.info_bits]
         for row in keys
     ])

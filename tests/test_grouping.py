@@ -11,7 +11,6 @@ from noisekey.grouping import (
     block_fits_key_period,
     sample_key,
     split_stream,
-    validate_key,
 )
 from noisekey.oracle import admissible_keys
 
@@ -22,13 +21,13 @@ def make_bits(length, ones, rng):
     return bits
 
 
-def test_validate_key_examples():
+def test_admissible_examples():
     rng = np.random.default_rng(20)
-    assert validate_key(make_bits(2496, 1248, rng), 3.5)
+    assert CommonKey.from_bits(make_bits(2496, 1248, rng), 3.5).admissible
     # deviation 88 exceeds 3.5 * sqrt(2496/4) = 87.43
-    assert not validate_key(make_bits(2496, 1336, rng), 3.5)
+    assert not CommonKey.from_bits(make_bits(2496, 1336, rng), 3.5).admissible
     n = 64
-    assert not validate_key(np.zeros(n, dtype=np.uint8), math.sqrt(n) - 1e-9)
+    assert not CommonKey.from_bits(np.zeros(n, dtype=np.uint8), math.sqrt(n) - 1e-9).admissible
 
 
 def test_sample_key_deterministic():
@@ -56,7 +55,7 @@ def test_sample_key_refuses_an_empty_window_before_drawing():
 def test_sample_key_statistics():
     rng = np.random.default_rng(21)
     samples = np.stack([sample_key(64, 3.5, rng).bits for _ in range(10_000)])
-    assert all(validate_key(row, 3.5) for row in samples)
+    assert all(CommonKey.from_bits(row, 3.5).admissible for row in samples)
     freq = samples.mean(axis=0)
     sigma = math.sqrt(0.25 / 10_000)
     assert (np.abs(freq - 0.5) <= 4.5 * sigma).all()
@@ -117,7 +116,7 @@ def test_exact_converges_to_normal():
 
 
 def test_split_first_bit_goes_to_group_one():
-    key = CommonKey.from_bits([1, 0, 1, 1, 0, 1, 0, 0], 3.0, require_admissible=False)
+    key = CommonKey.from_bits([1, 0, 1, 1, 0, 1, 0, 0], 3.0)
     x = np.arange(16) % 2  # arbitrary recognizable bits
     x[0] = 1
     groups = split_stream(x, key)
@@ -127,7 +126,7 @@ def test_split_first_bit_goes_to_group_one():
 
 
 def test_split_all_ones_key():
-    key = CommonKey.from_bits(np.ones(8, dtype=np.uint8), 99.0, require_admissible=False)
+    key = CommonKey.from_bits(np.ones(8, dtype=np.uint8), 99.0)
     x = np.random.default_rng(22).integers(0, 2, 50, dtype=np.uint8)
     groups = split_stream(x, key)
     assert (groups.group1 == x).all()
@@ -150,7 +149,7 @@ def test_split_merge_round_trip():
 
 def test_split_refuses_non_bit_values():
     # 0.5 used to be routed as a 0 and 2 as a 2.
-    key = CommonKey.from_bits([1, 0], 3.0, require_admissible=False)
+    key = CommonKey.from_bits([1, 0], 3.0)
     with pytest.raises(ValueError, match="only 0 and 1"):
         split_stream([0.5, 2, 1, 3], key)
     groups = split_stream([0.0, 1.0, 1, 0], key)
@@ -163,6 +162,12 @@ def test_block_gate_at_design_point():
     assert not block_fits_key_period(2496, 3.5, 8, 166)
 
 
+@pytest.mark.parametrize("balance_limit", [math.inf, math.nan], ids=["inf", "nan"])
+def test_block_gate_refuses_a_non_finite_limit(balance_limit):
+    # math.ceil used to raise OverflowError for inf and ValueError for NaN.
+    assert block_fits_key_period(160, balance_limit, 5, 19) is False
+
+
 @pytest.mark.parametrize("length,balance_limit", [(30, 3.0), (2496, 3.5)])
 def test_hex_is_lowercase_and_padded_to_a_nibble(length, balance_limit):
     key = sample_key(length, balance_limit, np.random.default_rng(length))
@@ -173,16 +178,14 @@ def test_hex_is_lowercase_and_padded_to_a_nibble(length, balance_limit):
     assert [(value >> (length - 1 - i)) & 1 for i in range(length)] == key.bits.tolist()
 
 
-def test_inadmissible_key_needs_the_raw_constructor():
-    zeros = np.zeros(16, dtype=np.uint8)
-    with pytest.raises(ValueError):
-        CommonKey.from_bits(zeros, 3.0)
-    key = CommonKey.from_bits(zeros, 3.0, require_admissible=False)
+def test_from_bits_builds_an_inadmissible_key_that_says_so():
+    # from_bits checks only what every key needs; the session refuses this one.
+    key = CommonKey.from_bits(np.zeros(16, dtype=np.uint8), 3.0)
     assert key.ones == 0 and not key.admissible
 
 
 def test_counts():
-    key = CommonKey.from_bits([1, 0, 1, 1], 99.0, require_admissible=False)
+    key = CommonKey.from_bits([1, 0, 1, 1], 99.0)
     assert key.ones == 3 and key.zeros == 1 and key.length == 4
 
 
@@ -191,7 +194,7 @@ def test_counts():
 @pytest.mark.parametrize("bits", [[0, 2, 1, 0], [0.5, 1, 1, 0], [-1, 1, 0, 1]])
 def test_from_bits_rejects_non_bits(bits):
     with pytest.raises(ValueError, match="only 0 and 1"):
-        CommonKey.from_bits(bits, 99.0, require_admissible=False)
+        CommonKey.from_bits(bits, 99.0)
 
 
 # A 1-bit or empty key used to pass, and the judge then divided by zero
@@ -199,7 +202,7 @@ def test_from_bits_rejects_non_bits(bits):
 @pytest.mark.parametrize("bits", [[], [1]], ids=["empty", "one-bit"])
 def test_from_bits_rejects_fewer_than_2_bits(bits):
     with pytest.raises(ValueError, match="at least 2 bits"):
-        CommonKey.from_bits(bits, 99.0, require_admissible=False)
+        CommonKey.from_bits(bits, 99.0)
 
 
 # A (2, 2) array used to become a key of shape (2, 2), and a 0-d one raised
@@ -207,4 +210,4 @@ def test_from_bits_rejects_fewer_than_2_bits(bits):
 @pytest.mark.parametrize("bits", [np.ones((2, 2), dtype=np.uint8), np.uint8(1)], ids=["2-d", "0-d"])
 def test_from_bits_rejects_a_key_that_is_not_one_row(bits):
     with pytest.raises(ValueError, match="1-d"):
-        CommonKey.from_bits(bits, 99.0, require_admissible=False)
+        CommonKey.from_bits(bits, 99.0)

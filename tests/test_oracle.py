@@ -94,7 +94,7 @@ def test_batch_parities_match_scalar(code_7_5):
     buckets = partition_by_parity(scenario)
     # spot-check a few keys through split_stream and a one-block encode
     for row in scenario.key_space[::500]:
-        key = CommonKey.from_bits(row, 2.0, require_admissible=False)
+        key = CommonKey.from_bits(row, 2.0)
         block = split_stream(scenario.x, key).group1[: code_7_5.info_bits]
         parity = int("".join(str(b) for b in encode_parity(code_7_5, block)), 2)
         assert any(
@@ -195,7 +195,7 @@ def _judge_fixture(code, rng, p_bob, blocks=50, key_length=12, method=1):
     capture with its payload frames through a BSC(p_bob)."""
     scenario_keys = admissible_keys(key_length, 2.0)
     true_row = scenario_keys[rng.integers(0, len(scenario_keys))]
-    key = CommonKey.from_bits(true_row, 2.0, require_admissible=False)
+    key = CommonKey.from_bits(true_row, 2.0)
     stream = rng.integers(0, 2, size=code.info_bits * blocks * 3, dtype=np.uint8)
     clean = _capture(code, stream, key, blocks, method)
     noisy = bsc_transmit(stream, p_bob, rng).reshape(-1, code.info_bits)
@@ -254,7 +254,7 @@ def test_candidate_narrowing_to_true_key(code_7_5):
     rng = np.random.default_rng(71)
     keys = admissible_keys(12, 2.0)
     true_row = keys[rng.integers(0, len(keys))]
-    key = CommonKey.from_bits(true_row, 2.0, require_admissible=False)
+    key = CommonKey.from_bits(true_row, 2.0)
     stream = rng.integers(0, 2, size=code_7_5.info_bits * 60, dtype=np.uint8)
     frames = _capture(code_7_5, stream, key)
     first_parity = next(f.payload for f in frames if (f.kind, f.group, f.index) == (KIND_PARITY, 1, 0))

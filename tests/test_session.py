@@ -72,7 +72,7 @@ def toy_config(toy_code, toy_key, blocks=40, ber=0.016, method=1, seed=5, **kw):
 
 
 def test_config_rejects_inadmissible_key(toy_code):
-    bad = CommonKey.from_bits(np.zeros(160, dtype=np.uint8), 2.0, require_admissible=False)
+    bad = CommonKey.from_bits(np.zeros(160, dtype=np.uint8), 2.0)
     with pytest.raises(ValueError):
         toy_config(toy_code, bad)
 
@@ -81,6 +81,14 @@ def test_config_enforces_key_period_gate(toy_code):
     # a 256-bit key cannot be consumed by one 95-bit block
     key = sample_key(256, 2.0, np.random.default_rng(81))
     with pytest.raises(ValueError):
+        toy_config(toy_code, key)
+
+
+def test_config_refuses_a_key_sampled_under_an_infinite_limit(toy_code):
+    # Every key fits an infinite limit, so no block spans the period of all
+    # of them; the gate used to end in OverflowError from math.ceil.
+    key = sample_key(160, math.inf, np.random.default_rng(83))
+    with pytest.raises(ValueError, match="full key period"):
         toy_config(toy_code, key)
 
 
@@ -97,6 +105,16 @@ def test_config_refuses_a_non_integer_count(toy_code, toy_key, field):
     cfg = toy_config(toy_code, toy_key, blocks=np.int64(10), unit_blocks=one, safety_bits=one, key_bits=one)
     with pytest.raises(ValueError, match=rf"{field} must be an integer( >= [01])?, got 1.5"):
         replace(cfg, **{field: 1.5})
+
+
+@pytest.mark.parametrize(
+    "seed", [{"source_seed": 1.5}, {"hash_seed": 1.5}, {"seed": 1.5}], ids=["source", "hash", "channel"]
+)
+def test_session_refuses_a_non_integer_seed(toy_code, toy_key, seed):
+    # A float source or channel seed used to end in "'float' object is not
+    # iterable", and a float hash seed was truncated to an integer.
+    with pytest.raises(TypeError, match=r"seed must be integer, got 1\.5"):
+        run_session(toy_config(toy_code, toy_key, blocks=2, **seed))
 
 
 def test_one_unit_one_key(toy_code, toy_key):
