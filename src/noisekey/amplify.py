@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .channel import entropy_words
+from .channel import bit_chunks, entropy_words
 from .rs import CodeSpec, all_bits
 
 
@@ -148,11 +148,8 @@ class HashSeed:
 
 def expand_seed(seed: HashSeed, n_in: int, n_out: int) -> np.ndarray:
     """Expand the seed into the n_in + n_out - 1 Toeplitz diagonal bits: those of
-    default_rng(SeedSequence(entropy)).integers(0, 2, n, uint8), which by Lemire's
-    method are the top bits of the bytes of PCG64's 64-bit outputs, low byte first."""
-    n = n_in + n_out - 1
-    raw = np.random.PCG64(entropy_words(seed.entropy)).random_raw(-(-n // 8))
-    return raw.astype("<u8").view(np.uint8)[:n] >> 7
+    default_rng(SeedSequence(entropy)).integers(0, 2, n, uint8)."""
+    return bit_chunks(entropy_words(seed.entropy), 1, n_in + n_out - 1)[0]
 
 
 def toeplitz_matrix(seed: HashSeed, n_in: int, n_out: int) -> np.ndarray:

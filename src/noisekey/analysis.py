@@ -129,7 +129,10 @@ def noisy_symbols(code, method: int) -> int:
 
 def candidate_count_log2(key_length: int, m: int, n: int, k: int, delta: float) -> float:
     """log2 of the average number of admissible grouping keys consistent with
-    one observed parity vector: key_length - m(n-k) + log2(1 - delta)."""
+    one observed parity vector: key_length - m(n-k) + log2(1 - delta).
+    Raises ValueError unless 0 <= delta < 1."""
+    if not 0.0 <= delta < 1.0:
+        raise ValueError(f"delta must lie in [0, 1), got {delta!r}")
     exponent = key_length - m * (n - k)
     if exponent <= 0:
         warnings.warn(
@@ -185,7 +188,8 @@ def average_pattern_count_log2(m: int, k: int, ber: float) -> float:
 
 def effective_key_length(key_length: int, m: int, n: int, k: int, ber: float, delta: float) -> float:
     """log2 of the exhaustive-search workload over key candidates and error
-    patterns; equals candidate_count_log2 plus the m*k*h(ber) equivocation."""
+    patterns; equals candidate_count_log2 plus the m*k*h(ber) equivocation,
+    and refuses delta outside [0, 1) through it."""
     return candidate_count_log2(key_length, m, n, k, delta) + m * k * binary_entropy(ber)
 
 

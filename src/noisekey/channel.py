@@ -119,6 +119,21 @@ def entropy_words(entropy, spawn_key=()) -> np.ndarray:
     return np.array(words, dtype=np.uint32)
 
 
+def bit_chunks(words: np.ndarray, chunks: int, size: int) -> np.ndarray:
+    """(chunks, size) uint8 bits, row i the i-th of `chunks` successive
+    Generator(PCG64(words)).integers(0, 2, size, uint8) draws, in one raw read.
+
+    By Lemire's method each draw takes ceil(size/4) 32-bit words, the low
+    half of each 64-bit output first, and each bit is the top bit of a byte,
+    low byte first; the unused bytes of a draw's last word are dropped, as
+    numpy's per-call byte buffer drops them.
+    """
+    per_chunk = -(-size // 4)
+    raw = np.random.PCG64(words).random_raw(-(-chunks * per_chunk // 2))
+    halves = raw.astype("<u8").view("<u4")[: chunks * per_chunk]
+    return halves.view(np.uint8).reshape(chunks, 4 * per_chunk)[:, :size] >> 7
+
+
 def _frame_rng(config: ChannelConfig, recipient: str, frame: Frame) -> np.random.Generator:
     words = entropy_words(
         config.seed, (_RECIPIENT_STREAM[recipient], frame.kind, frame.index, frame.group)

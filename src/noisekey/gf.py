@@ -74,11 +74,14 @@ class FieldSpec:
         return self.exp_ext[self.log_ext[a] + self.log_ext[b]]
 
     def eval_poly_at_powers(self, coeffs, power_table: np.ndarray) -> np.ndarray:
-        """Evaluate a polynomial (ascending coefficients) at points x_j.
+        """Evaluate a polynomial at points x_j: sum over i of coeffs[i] * x_j^(d_i).
 
-        power_table[d, j] is log(x_j^d) in [0, 2^m - 1), with at least one
-        row per coefficient; returns one field element per column. Zero
-        coefficients read the sentinel, so their terms are 0.
+        Row i of power_table is log(x_j^(d_i)) in [0, 2^m - 1) for each column
+        j: one coefficient at its own degree d_i, so the rows may come in any
+        order (ascending degrees for the Chien table, a word's positions for
+        the syndrome table). Rows past len(coeffs) are ignored; returns one
+        field element per column. Zero coefficients read the sentinel, so
+        their terms are 0.
         """
         logs = self.log_ext[np.asarray(coeffs, dtype=np.int64)]
         return np.bitwise_xor.reduce(self.exp_ext[power_table[: len(logs)] + logs[:, None]], axis=0)

@@ -14,9 +14,9 @@ The decoder is hard-decision, errors-only: syndromes, Berlekamp-Massey
 locator synthesis, Chien search over the n used positions, Forney values,
 then a syndrome re-check of the corrected word so miscorrected words that
 fail the parity check are reported as failures rather than silent wrong
-answers. Syndromes are GF(2)-linear in the word's bits too: they are the XOR
-of the entries of a per-(position, bit) syndrome table that the set bits
-select.
+answers. Every stage evaluates a polynomial with `FieldSpec.eval_poly_at_powers`
+against one of two per-code exponent tables: the syndromes and the re-check
+against `syndrome_table`, Chien and Forney against `chien_table`.
 """
 
 from __future__ import annotations
@@ -41,8 +41,9 @@ class CodeSpec:
     t_max: int                  # upper correction limit, n - k
     # m*k x ceil(m*(n-k)/8) packed bits; row i is the parity of info bit i alone
     parity_matrix: np.ndarray = field(repr=False)
-    # words x m*n uint64; column m*p + b packs S_1..S_(n-k) of bit b of
-    # position p alone as uint8 symbols (uint16 for m > 8), zero-padded
+    # n x (n-k), entry [p, d] is (d+1) * (n-1-p) mod 2^m - 1 in the symbol
+    # dtype: the log of alpha^(d+1) to the degree n-1 of position p, so row p
+    # weighs the symbol at p in each syndrome S_1..S_(n-k)
     syndrome_table: np.ndarray = field(repr=False)
     # (n-k) x n, entry [d, j] is d * -j mod 2^m - 1 in the symbol dtype: the
     # log of the d-th power of the point alpha^-j, where Chien evaluates the
@@ -104,25 +105,19 @@ def _parity_rows(fld: FieldSpec, gen: list[int], n: int, k: int) -> np.ndarray:
     return out
 
 
-def _bit_planes(fld: FieldSpec, plane: np.ndarray):
-    # Bit b (MSB first) of a symbol is the value alpha^(m-1-b), so the symbols
-    # a bit alone contributes are the given ones times alpha^(m-1-b). Yield
-    # (b, plane) for b = m-1 (times 1) down to 0, multiplying by alpha = x each
-    # step; rebinding `plane` frees each plane once the walk has moved on.
-    for b in range(fld.m - 1, -1, -1):
-        yield b, plane
-        plane = (plane << 1) ^ ((plane >> (fld.m - 1)) & 1) * fld.primitive_poly
-
-
 def _parity_matrix(fld: FieldSpec, rows: np.ndarray) -> np.ndarray:
-    # Row m*i + b is the parity of bit b of info symbol i alone: parity row i's
-    # plane b, packed.
+    # Row m*i + b is the parity of bit b of info symbol i alone. Bit b (MSB
+    # first) is the value alpha^(m-1-b), so that parity is parity row i times
+    # alpha^(m-1-b): walk b from m-1 (times 1) down to 0, multiplying by
+    # alpha = x each step, one plane alive at a time.
     k, nsym = rows.shape
     m = fld.m
     out = np.empty((k, m, -(-m * nsym // 8)), dtype=np.uint8)
-    for b, plane in _bit_planes(fld, rows):
+    plane = rows
+    for b in range(m - 1, -1, -1):
         # packbits takes ~15x longer on the int64 bits than on uint8 ones.
         out[:, b] = np.packbits(symbols_to_bits(plane, m).astype(np.uint8), axis=-1)
+        plane = (plane << 1) ^ ((plane >> (m - 1)) & 1) * fld.primitive_poly
     return out.reshape(k * m, -1)
 
 
@@ -130,25 +125,10 @@ def _symbol_dtype(m: int):
     return np.uint8 if m <= 8 else np.uint16
 
 
-def _syndrome_table(fld: FieldSpec, n: int, k: int) -> np.ndarray:
-    # The symbol at position p sits at degree n-1-p, so its syndromes are
-    # alpha^(j*(n-1-p)); column m*p + b is plane b of those. Each column's n-k
-    # symbols are then packed into whole 64-bit words and the table is stored
-    # word-major, so a word's syndromes are one take and one XOR reduce along
-    # contiguous rows.
-    m, nsym = fld.m, n - k
-    dtype = _symbol_dtype(m)
-    per_word = 8 // np.dtype(dtype).itemsize
-    out = np.zeros((n, m, -(-nsym // per_word) * per_word), dtype=dtype)
-    plane = fld.exp_ext[((n - 1 - np.arange(n))[:, None] * np.arange(1, nsym + 1)) % fld.mul_order]
-    for b, plane in _bit_planes(fld, plane):
-        out[:, b, :nsym] = plane
-    return np.ascontiguousarray(out.reshape(n * m, -1).view(np.uint64).T)
-
-
-# Longest code make_code builds. The syndrome table and parity matrix grow
-# as m * n^2: (1023, 1) over GF(2^10) peaks at ~108 MB, and a (65535, k)
-# code over GF(2^16) would need ~34 GB.
+# Longest code make_code builds. The two exponent tables grow as n^2 and the
+# parity matrix as m * k * (n-k): (1023, 1) over GF(2^10) holds ~4.2 MB and
+# peaks at ~19 MB while it is built, and a (65535, 1) code over GF(2^16)
+# would hold ~17 GB.
 MAX_N = 1023
 
 
@@ -158,9 +138,10 @@ def _make_code_cached(m: int, primitive_poly: int, n: int, k: int) -> CodeSpec:
     gen = _generator_poly(fld, n - k)
     pmat = _parity_matrix(fld, _parity_rows(fld, gen, n, k))
     pmat.setflags(write=False)
-    stab = _syndrome_table(fld, n, k)
-    stab.setflags(write=False)
-    chien_table = (-np.arange(n - k)[:, None] * np.arange(n) % fld.mul_order).astype(_symbol_dtype(m))
+    dtype = _symbol_dtype(m)
+    syndrome_table = ((n - 1 - np.arange(n))[:, None] * np.arange(1, n - k + 1) % fld.mul_order).astype(dtype)
+    syndrome_table.setflags(write=False)
+    chien_table = (-np.arange(n - k)[:, None] * np.arange(n) % fld.mul_order).astype(dtype)
     chien_table.setflags(write=False)
     return CodeSpec(
         field=fld,
@@ -170,7 +151,7 @@ def _make_code_cached(m: int, primitive_poly: int, n: int, k: int) -> CodeSpec:
         t=(n - k) // 2,
         t_max=n - k,
         parity_matrix=pmat,
-        syndrome_table=stab,
+        syndrome_table=syndrome_table,
         chien_table=chien_table,
     )
 
@@ -220,16 +201,6 @@ def codeword(code: CodeSpec, info) -> np.ndarray:
         raise ValueError(f"info symbols must lie in [0, {code.field.order})")
     parity = encode_parity(code, symbols_to_bits(info, code.m))
     return np.concatenate([info, bits_to_symbols(parity, code.m)])
-
-
-def _column_syndromes(code: CodeSpec, columns: np.ndarray) -> np.ndarray:
-    # S_1..S_(n-k) of the bits at these syndrome table columns: their XOR.
-    words = np.bitwise_xor.reduce(code.syndrome_table.take(columns, axis=1), axis=1)
-    return words.view(_symbol_dtype(code.m))[: code.n - code.k]
-
-
-def _syndromes(code: CodeSpec, word: np.ndarray) -> np.ndarray:
-    return _column_syndromes(code, np.flatnonzero(symbols_to_bits(word, code.m)))
 
 
 def _times_syndromes(fld: FieldSpec, poly, synd: np.ndarray) -> np.ndarray:
@@ -318,7 +289,7 @@ def decode_block(code: CodeSpec, received) -> DecodeResult:
     if (received >> code.m).any():
         raise ValueError(f"received symbols must lie in [0, {code.field.order})")
     fld = code.field
-    synd = _syndromes(code, received)
+    synd = fld.eval_poly_at_powers(received, code.syndrome_table)
     if not synd.any():
         return DecodeResult(ok=True, info=received[: code.k].copy(), corrected=0)
 
@@ -333,9 +304,11 @@ def decode_block(code: CodeSpec, received) -> DecodeResult:
         return DecodeResult(ok=False, info=None, corrected=0, reason="root count")
 
     # Forney: the error value at X_l is omega(X_l^-1) / locator'(X_l^-1) for
-    # first root alpha^1, with the X_l^-1 the Chien points of the roots.
+    # first root alpha^1, with the X_l^-1 the Chien points of the roots. The
+    # length-L locator generates every syndrome, so omega's coefficients from
+    # L on are zero (Massey 1969) and are not evaluated.
     roots = code.chien_table[:, err_degrees]
-    omega_vals = fld.eval_poly_at_powers(omega, roots)
+    omega_vals = fld.eval_poly_at_powers(omega[:length], roots)
     deriv = np.array(locator[1:], dtype=np.int64)
     deriv[1::2] = 0                       # formal derivative keeps odd terms only
     deriv_vals = fld.eval_poly_at_powers(deriv, roots)
@@ -346,10 +319,10 @@ def decode_block(code: CodeSpec, received) -> DecodeResult:
         return DecodeResult(ok=False, info=None, corrected=0, reason="zero magnitude")
 
     # The corrected word's syndromes are S(received) ^ S(error) by linearity,
-    # and S(error) is the XOR of the table columns of the error's set bits.
+    # so it is a codeword iff the error alone, read at its positions' table
+    # rows, has the received word's syndromes.
     positions = code.n - 1 - err_degrees
-    rows, bits = np.nonzero(symbols_to_bits(magnitudes[:, None], code.m))
-    if (_column_syndromes(code, code.m * positions[rows] + bits) != synd).any():
+    if (fld.eval_poly_at_powers(magnitudes, code.syndrome_table[positions]) != synd).any():
         return DecodeResult(ok=False, info=None, corrected=0, reason="reverify")
     info = received[: code.k].copy()
     in_info = positions < code.k

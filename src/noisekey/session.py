@@ -13,6 +13,7 @@ unit with any failed block yields no key rather than a partial one.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 
@@ -26,6 +27,7 @@ from .channel import (
     GROUP_NONE,
     KIND_INFO,
     KIND_PARITY,
+    bit_chunks,
     deliver,
     entropy_words,
     payload_stream,
@@ -69,7 +71,10 @@ class SessionConfig:
             self.key.length, self.key.balance_limit, self.code.m, self.code.k
         ):
             raise ValueError(
-                "one block does not span a full key period; enlarge the block "
+                "no block spans a full key period of every key an infinite balance "
+                "limit admits; sample the key under a finite limit"
+                if math.isinf(self.key.balance_limit)
+                else "one block does not span a full key period; enlarge the block "
                 "or shorten the key"
             )
         if not isinstance(self.blocks_target, (int, np.integer)) or self.blocks_target < 0:
@@ -217,17 +222,19 @@ def run_transmitter(config: SessionConfig) -> TransmitterRun:
     """Produce the frame stream and the transmitter-side secret keys."""
     code = config.code
     block_bits = code.info_bits
-    rng = np.random.Generator(np.random.PCG64(entropy_words(config.source_seed, (_SOURCE_STREAM,))))
     group, index, positions = _block_layout(config.key, block_bits, config.blocks_target)
-    chunks = [
-        rng.integers(0, 2, size=block_bits, dtype=np.uint8)
-        for _ in range(_payload_frames(positions, block_bits))
-    ]
+    # Frame payloads and the stream are views of one read-only chunk array.
+    chunks = bit_chunks(
+        entropy_words(config.source_seed, (_SOURCE_STREAM,)),
+        _payload_frames(positions, block_bits),
+        block_bits,
+    )
+    chunks.setflags(write=False)
     frames = [
         Frame(method=config.channel.method, group=GROUP_NONE, index=i, kind=KIND_INFO, payload=c)
         for i, c in enumerate(chunks)
     ]
-    stream = np.concatenate(chunks or [np.zeros(0, np.uint8)])
+    stream = chunks.reshape(-1)
     info = stream[positions]
     rows = _batch_rows(code)
     parity = np.empty((len(info), code.parity_bits), dtype=np.uint8)

@@ -158,6 +158,16 @@ def test_effective_key_length_reference():
     )
 
 
+@pytest.mark.parametrize("delta", [1.0, 1.5, -0.1, math.nan])
+def test_candidate_counts_refuse_delta_outside_the_unit_interval(delta):
+    # 1.0 and 1.5 used to end in "math domain error"; -0.1 and NaN returned
+    # 58.14 and nan.
+    with pytest.raises(ValueError, match=r"delta must lie in \[0, 1\)"):
+        candidate_count_log2(64, 3, 7, 5, delta)
+    with pytest.raises(ValueError, match=r"delta must lie in \[0, 1\)"):
+        effective_key_length(64, 3, 7, 5, 0.01, delta)
+
+
 def _design_params(code, u, r, ns):
     return CapacityParams(code=code, eve_ber=EVE_BER, unit_blocks=u, fluctuation_sigmas=r, safety_bits=ns)
 

@@ -2,9 +2,9 @@
 
 `extract_key` and both of its hashing kernels are checked against the
 explicit Toeplitz matrix,
-`decode_block`, its syndrome table, its early-exit Berlekamp-Massey and the
-one polynomial evaluator on the Chien power table against the frozen
-reference decoder in `reference_rs`, which builds its own field tables, the
+`decode_block`, its early-exit Berlekamp-Massey and the one polynomial
+evaluator on both exponent tables (syndromes and Chien points) against the
+frozen reference decoder in `reference_rs`, which builds its own field tables, the
 bit-level `encode_parity` against polynomial long division, the session's block
 layout and the block cut `GroupStreams.blocks` against the chunk-by-chunk
 completion walk in `reference_layout`, `make_scenario`'s leaked parity
@@ -12,7 +12,8 @@ against the explicit first-block gather in `reference_oracle`,
 the exhaustive adversary's parity tags against the explicit first-block
 gather in `reference_oracle` (itself checked against per-key
 `split_stream`) and its parity buckets against a plain dict loop,
-`expand_seed` against `Generator.integers`, and the log-space sum against
+`expand_seed` and the one-read source draw `channel.bit_chunks` against
+`Generator.integers`, and the log-space sum against
 `scipy.special.logsumexp`.
 """
 
@@ -30,7 +31,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from noisekey import amplify, rs
 from noisekey.amplify import HashSeed, expand_seed, extract_key, toeplitz_matrix
 from noisekey.analysis import log_sum_exp
-from noisekey.gf import FieldSpec, build_field
+from noisekey.channel import bit_chunks, entropy_words
+from noisekey.gf import build_field
 from noisekey.grouping import (
     CommonKey,
     GroupStreams,
@@ -47,7 +49,6 @@ from noisekey.oracle import (
 )
 from noisekey.rs import (
     _berlekamp_massey,
-    _syndromes,
     _times_syndromes as times_syndromes,
     bits_to_symbols,
     codeword,
@@ -99,6 +100,18 @@ def test_expand_seed_is_the_generator_bit_draw(entropy):
     for n in [*range(1, 131), 13_865]:
         bits = expand_seed(seed, n, 1)
         assert bits.dtype == np.uint8 and np.array_equal(bits, rng_bits(n))
+
+
+# Sizes around the 4-byte word, odd word counts, the toy and design chunks.
+@pytest.mark.parametrize("size", [3, 4, 5, 7, 8, 9, 13, 95, 100, 1001, 1336])
+def test_bit_chunks_are_successive_generator_bit_draws(size):
+    words = entropy_words(size, (7,))
+    for chunks in (0, 1, 2, 5, 37):
+        rng = np.random.Generator(np.random.PCG64(words))
+        expected = [rng.integers(0, 2, size, dtype=np.uint8) for _ in range(chunks)]
+        got = bit_chunks(words, chunks, size)
+        assert got.dtype == np.uint8 and got.shape == (chunks, size)
+        assert np.array_equal(got, np.reshape(expected, (chunks, size)))
 
 
 @pytest.mark.parametrize("n_in", [1, 7, 8, 9, 95, 1000, 13360])
@@ -215,17 +228,16 @@ def test_decode_matches_reference(m, n, k):
 
 
 def test_reverify_rejects_wrong_error_values(monkeypatch):
-    # Scaling every Forney error value by alpha leaves (1 + alpha) * e, a
-    # nonzero error of weight <= t, in the corrected word: never a codeword.
+    # Scaling omega, and so every Forney error value, by alpha leaves
+    # (1 + alpha) * e, a nonzero error of weight <= t, in the corrected word:
+    # never a codeword.
     code = make_code(build_field(5), 31, 19)
-    evaluate = FieldSpec.eval_poly_at_powers
 
-    def skewed(fld, coeffs, power_logs):
-        values = evaluate(fld, coeffs, power_logs)
-        is_omega = len(coeffs) == code.n - code.k
-        return fld.mul_vec(values, 2) if is_omega else values
+    def skewed(fld, synd):
+        locator, length, omega = _berlekamp_massey(fld, synd)
+        return locator, length, fld.mul_vec(omega, 2)
 
-    monkeypatch.setattr(FieldSpec, "eval_poly_at_powers", skewed)
+    monkeypatch.setattr(rs, "_berlekamp_massey", skewed)
     rng = np.random.default_rng(31)
     for weight in range(1, code.t + 1):
         _, word, _ = random_codeword_with_errors(rng, code, weight)
@@ -234,21 +246,24 @@ def test_reverify_rejects_wrong_error_values(monkeypatch):
 
 
 def one_hot_words(code):
-    """One word per syndrome table column: bit b of the symbol at position p."""
+    """One word per (position p, bit b): bit b of the symbol at p alone."""
     words = np.zeros((code.n * code.m, code.n), dtype=np.int64)
     for col in range(code.n * code.m):
         words[col, col // code.m] = 1 << (code.m - 1 - col % code.m)
     return words
 
 
-@pytest.mark.parametrize("m,n,k", CODES)
+@pytest.mark.parametrize("m,n,k", CODES + [(10, 100, 80)])  # and a uint16 table
 def test_syndrome_table_matches_reference(m, n, k):
     code = make_code(build_field(m), n, k)
+    assert code.syndrome_table.shape == (n, n - k)
+    assert code.syndrome_table.dtype == (np.uint8 if m <= 8 else np.uint16)
     rng = np.random.default_rng(m)
     words = [np.zeros(n, dtype=np.int64), *one_hot_words(code)]
     words += [rng.integers(0, code.field.order, size=n) for _ in range(50)]
     for word in words:
-        assert np.array_equal(_syndromes(code, word), reference_rs.syndromes(code, word))
+        synd = code.field.eval_poly_at_powers(word, code.syndrome_table)
+        assert np.array_equal(synd, reference_rs.syndromes(code, word))
 
 
 @pytest.mark.parametrize("m,n,k", CODES + [(10, 100, 80)])  # and a uint16 table
@@ -301,11 +316,14 @@ def test_early_exit_berlekamp_massey_matches_reference(m, n, k, monkeypatch):
     for weight in range(code.t + 8):
         for _ in range(10):
             _, word, _ = random_codeword_with_errors(rng, code, min(weight, n))
-            synd = _syndromes(code, word)
+            synd = code.field.eval_poly_at_powers(word, code.syndrome_table)
             steps.clear()
             locator, length, omega = _berlekamp_massey(code.field, synd)
             assert (locator, length) == reference_rs.berlekamp_massey(code.field, synd.tolist())
             assert omega.tolist() == poly_times_syndromes(code.field, locator, synd)
+            # Forney reads omega[:length] only: the length-L register
+            # generates every syndrome, so the rest is zero (Massey 1969).
+            assert not omega[length:].any()
             assert steps and all(i < nsym for i in steps[:-1])
             if steps[-1] == nsym:
                 ends["fall-through"] += 1

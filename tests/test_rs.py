@@ -78,7 +78,22 @@ def test_make_code_builds_the_longest_supported_code():
         info = np.array([5])
         assert (codeword(code, info) == 5).all()  # the repetition code
     finally:
-        _make_code_cached.cache_clear()  # ~100 MB of tables
+        _make_code_cached.cache_clear()  # ~4 MB of tables
+
+
+def test_the_longest_supported_code_holds_a_few_megabytes_of_tables():
+    # Two 1023 x 1022 uint16 exponent tables of ~2 MB each and a small parity
+    # matrix; a packed bit-plane syndrome table alone used to hold 21 MB.
+    fld = build_field(10, 0x409)
+    _make_code_cached.cache_clear()
+    tracemalloc.start()
+    try:
+        code = make_code(fld, MAX_N, 1)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+        _make_code_cached.cache_clear()
+    assert code.n == MAX_N and held <= 8 << 20
 
 
 def test_zero_info_zero_parity(code_7_5):

@@ -88,8 +88,9 @@ def test_config_refuses_a_key_sampled_under_an_infinite_limit(toy_code):
     # Every key fits an infinite limit, so no block spans the period of all
     # of them; the gate used to end in OverflowError from math.ceil.
     key = sample_key(160, math.inf, np.random.default_rng(83))
-    with pytest.raises(ValueError, match="full key period"):
+    with pytest.raises(ValueError, match="full key period") as refusal:
         toy_config(toy_code, key)
+    assert "finite limit" in str(refusal.value) and "enlarge" not in str(refusal.value)
 
 
 def test_config_enforces_rate_gate(toy_code, toy_key):
