@@ -61,7 +61,7 @@ class CapacityParams:
                 raise ValueError(f"{name} must be an integer >= 1, got {getattr(self, name)!r}")
         if not 0.0 < self.eve_ber <= 0.5:
             raise ValueError("eve_ber must lie in (0, 1/2]")
-        if self.fluctuation_sigmas < 0.0:
+        if not self.fluctuation_sigmas >= 0.0:  # NaN included
             raise ValueError("fluctuation_sigmas must be >= 0")
 
     @property

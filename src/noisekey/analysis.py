@@ -56,16 +56,16 @@ def _tail_support(trials: int, p: float, threshold: float, direction: str) -> np
     raise ValueError("direction must be 'above' or 'below'")
 
 
+def _log_choose(n, k):
+    """Natural log of the binomial coefficient C(n, k), via log-gamma; k may
+    be an array or real-valued."""
+    from scipy.special import gammaln
+    return gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
+
+
 def _log_binomial_pmf(trials: int, p: float, ks: np.ndarray) -> np.ndarray:
     """Natural log of Pr{X = k} for X ~ Binomial(trials, p), 0 < p < 1."""
-    from scipy.special import gammaln
-    return (
-        gammaln(trials + 1)
-        - gammaln(ks + 1)
-        - gammaln(trials - ks + 1)
-        + ks * math.log(p)
-        + (trials - ks) * math.log1p(-p)
-    )
+    return _log_choose(trials, ks) + ks * math.log(p) + (trials - ks) * math.log1p(-p)
 
 
 def log_binomial_tail(trials: int, p: float, threshold: float, direction: str = "above") -> float:
@@ -96,7 +96,6 @@ def outside_set_probability(length: int, balance_limit: float) -> float:
     """Probability that a uniform bitstring falls outside the admissible set:
     the binomial distribution of the 1-count summed over the counts outside
     the `balanced` window, in log space (1 - P(inside) would cancel)."""
-    from scipy.special import gammaln
     require_key_length(length)
     counts = np.arange(length + 1)
     outside = counts[~balanced(counts, length, balance_limit)]
@@ -104,13 +103,7 @@ def outside_set_probability(length: int, balance_limit: float) -> float:
         return 0.0
     if len(outside) == len(counts):
         return 1.0
-    log_pmf = (
-        gammaln(length + 1)
-        - gammaln(outside + 1)
-        - gammaln(length - outside + 1)
-        - length * math.log(2.0)
-    )
-    return math.exp(log_sum_exp(log_pmf))
+    return math.exp(log_sum_exp(_log_choose(length, outside) - length * math.log(2.0)))
 
 
 def symbol_error_rate(ber: float, m: int) -> float:
@@ -176,14 +169,10 @@ def error_pattern_entropy(m: int, k: int, ber: float, d: int) -> PatternEntropy:
 
 def average_pattern_count_log2(m: int, k: int, ber: float) -> float:
     """log2 C(mk, mean_errors) at the real-valued mean weight, via log-gamma."""
-    from scipy.special import gammaln
     if not 0.0 <= ber < 1.0:
         raise ValueError("ber must lie in [0, 1)")
     mk = m * k
-    mean = ber * mk
-    return float(
-        (gammaln(mk + 1) - gammaln(mean + 1) - gammaln(mk - mean + 1)) / math.log(2.0)
-    )
+    return float(_log_choose(mk, ber * mk) / math.log(2.0))
 
 
 def effective_key_length(key_length: int, m: int, n: int, k: int, ber: float, delta: float) -> float:

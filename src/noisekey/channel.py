@@ -262,17 +262,17 @@ def write_capture(path, frames) -> None:
 
 
 def read_capture(path) -> list[Frame]:
-    frames = []
+    """The frames of a `write_capture` file; FrameParseError for a bad one or a short file."""
     with open(path, "rb") as fh:
-        while True:
-            head = fh.read(4)
-            if not head:
-                break
-            if len(head) != 4:
-                raise FrameParseError("truncated length prefix")
-            (size,) = struct.unpack(">I", head)
-            blob = fh.read(size)
-            if len(blob) != size:
-                raise FrameParseError("truncated frame body")
-            frames.append(decode_frame(blob))
+        data = fh.read()
+    frames, pos = [], 0
+    while pos < len(data):
+        if len(data) - pos < 4:
+            raise FrameParseError("truncated length prefix")
+        (size,) = struct.unpack_from(">I", data, pos)
+        pos += 4
+        if size > len(data) - pos:
+            raise FrameParseError("truncated frame body")
+        frames.append(decode_frame(data[pos : pos + size]))
+        pos += size
     return frames

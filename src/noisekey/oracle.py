@@ -71,8 +71,11 @@ def make_scenario(
     The key space holds the admissible keys with at least one 1 (the zero key
     routes nothing to group I), and the stream's key_length * m*k bits fill
     the first block of each. With ber > 0 the scenario's stream carries the
-    eavesdropper's bit errors while the parity stays clean.
+    eavesdropper's bit errors while the parity stays clean. A ber outside
+    [0, 1/2], NaN included, raises ValueError before anything is drawn.
     """
+    if not 0.0 <= ber <= 0.5:
+        raise ValueError(f"ber must lie in [0, 1/2], got {ber!r}")
     require_window(key_length, balance_limit)
     keys = admissible_keys(key_length, balance_limit)
     if balanced(0, key_length, balance_limit):

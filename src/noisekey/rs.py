@@ -108,27 +108,31 @@ def _parity_rows(fld: FieldSpec, gen: list[int], n: int, k: int) -> np.ndarray:
 def _parity_matrix(fld: FieldSpec, rows: np.ndarray) -> np.ndarray:
     # Row m*i + b is the parity of bit b of info symbol i alone. Bit b (MSB
     # first) is the value alpha^(m-1-b), so that parity is parity row i times
-    # alpha^(m-1-b): walk b from m-1 (times 1) down to 0, multiplying by
-    # alpha = x each step, one plane alive at a time.
+    # alpha^(m-1-b), read from the sentinel tables one plane at a time.
     k, nsym = rows.shape
     m = fld.m
     out = np.empty((k, m, -(-m * nsym // 8)), dtype=np.uint8)
-    plane = rows
-    for b in range(m - 1, -1, -1):
+    for b in range(m):
+        plane = fld.exp_ext[fld.log_ext[rows] + (m - 1 - b)]
         # packbits takes ~15x longer on the int64 bits than on uint8 ones.
         out[:, b] = np.packbits(symbols_to_bits(plane, m).astype(np.uint8), axis=-1)
-        plane = (plane << 1) ^ ((plane >> (m - 1)) & 1) * fld.primitive_poly
     return out.reshape(k * m, -1)
 
 
-def _symbol_dtype(m: int):
-    return np.uint8 if m <= 8 else np.uint16
+def _exponent_table(fld: FieldSpec, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    # rows[:, None] * cols mod 2^m - 1, read-only in the symbol dtype. The
+    # products are exact in int32, taken in place: each is below MAX_N^2 < 2^31.
+    table = np.multiply.outer(rows.astype(np.int32), cols.astype(np.int32))
+    table %= fld.mul_order
+    table = table.astype(np.uint8 if fld.m <= 8 else np.uint16)
+    table.setflags(write=False)
+    return table
 
 
-# Longest code make_code builds. The two exponent tables grow as n^2 and the
-# parity matrix as m * k * (n-k): (1023, 1) over GF(2^10) holds ~4.2 MB and
-# peaks at ~19 MB while it is built, and a (65535, 1) code over GF(2^16)
-# would hold ~17 GB.
+# Longest code make_code builds. The exponent tables grow as n^2 and the parity
+# matrix as m * k * (n-k): (1023, 1) over GF(2^10) holds ~4.2 MB and peaks at
+# ~8.4 MB in the build, (1023, 512) at ~31 MB, where the parity planes' int64
+# bits dominate; a (65535, 1) code over GF(2^16) would hold ~17 GB.
 MAX_N = 1023
 
 
@@ -138,11 +142,6 @@ def _make_code_cached(m: int, primitive_poly: int, n: int, k: int) -> CodeSpec:
     gen = _generator_poly(fld, n - k)
     pmat = _parity_matrix(fld, _parity_rows(fld, gen, n, k))
     pmat.setflags(write=False)
-    dtype = _symbol_dtype(m)
-    syndrome_table = ((n - 1 - np.arange(n))[:, None] * np.arange(1, n - k + 1) % fld.mul_order).astype(dtype)
-    syndrome_table.setflags(write=False)
-    chien_table = (-np.arange(n - k)[:, None] * np.arange(n) % fld.mul_order).astype(dtype)
-    chien_table.setflags(write=False)
     return CodeSpec(
         field=fld,
         n=n,
@@ -151,8 +150,8 @@ def _make_code_cached(m: int, primitive_poly: int, n: int, k: int) -> CodeSpec:
         t=(n - k) // 2,
         t_max=n - k,
         parity_matrix=pmat,
-        syndrome_table=syndrome_table,
-        chien_table=chien_table,
+        syndrome_table=_exponent_table(fld, n - 1 - np.arange(n), np.arange(1, n - k + 1)),
+        chien_table=_exponent_table(fld, np.arange(n - k), -np.arange(n)),
     )
 
 
@@ -194,11 +193,22 @@ def encode_parity(code: CodeSpec, info_bits) -> np.ndarray:
     return np.unpackbits(np.bitwise_xor.reduce(rows, axis=-2), axis=-1, count=code.parity_bits)
 
 
+def _symbols(code: CodeSpec, word, name: str, length: int) -> np.ndarray:
+    """The word as int64 symbols; ValueError unless it is `length` integers in [0, 2^m)."""
+    word = np.asarray(word)
+    if word.shape != (length,):
+        raise ValueError(f"{name} length must be {length}, got {word.shape}")
+    # The range test is False for NaN and inf, so neither meets the remainder or the cast.
+    if word.dtype.kind in "biu" or (((word >= 0) & (word < code.field.order)).all() and not (word % 1).any()):
+        word = word.astype(np.int64, copy=False)
+        if not (word >> code.m).any():
+            return word
+    raise ValueError(f"{name} symbols must be integers in [0, {code.field.order})")
+
+
 def codeword(code: CodeSpec, info) -> np.ndarray:
-    """Information symbols followed by their parity symbols."""
-    info = np.asarray(info, dtype=np.int64)
-    if ((info < 0) | (info >= code.field.order)).any():
-        raise ValueError(f"info symbols must lie in [0, {code.field.order})")
+    """Information symbols followed by their parity symbols; info must be k integers in [0, 2^m)."""
+    info = _symbols(code, info, "info", code.k)
     parity = encode_parity(code, symbols_to_bits(info, code.m))
     return np.concatenate([info, bits_to_symbols(parity, code.m)])
 
@@ -281,13 +291,9 @@ def decode_block(code: CodeSpec, received) -> DecodeResult:
     exception. Note that a received word landing within distance t of a
     *different* codeword decodes to that codeword; such miscorrections are
     indistinguishable from success at this layer. Raises ValueError for a
-    wrong length or a symbol outside [0, 2^m).
+    wrong length or a symbol that is not an integer in [0, 2^m).
     """
-    received = np.asarray(received, dtype=np.int64)
-    if received.shape != (code.n,):
-        raise ValueError(f"received length must be {code.n}, got {received.shape}")
-    if (received >> code.m).any():
-        raise ValueError(f"received symbols must lie in [0, {code.field.order})")
+    received = _symbols(code, received, "received", code.n)
     fld = code.field
     synd = fld.eval_poly_at_powers(received, code.syndrome_table)
     if not synd.any():

@@ -204,3 +204,7 @@ def test_params_validation(code_255_167):
         CapacityParams(code=code_255_167, eve_ber=0.01, unit_blocks=0)
     with pytest.raises(ValueError):
         CapacityParams(code=code_255_167, eve_ber=0.01, safety_bits=0)
+    # A NaN used to pass and end later in binary_entropy's "probability out of range".
+    for sigmas in (-1.0, math.nan):
+        with pytest.raises(ValueError, match="fluctuation_sigmas must be >= 0"):
+            CapacityParams(code=code_255_167, eve_ber=0.01, fluctuation_sigmas=sigmas)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -14,10 +15,13 @@ from noisekey.analysis import (
     error_pattern_entropy,
     gamma_report,
     log_binomial_tail,
+    log_sum_exp,
+    outside_set_probability,
     security_report,
     symbol_error_rate,
 )
 from noisekey.gf import build_field
+from noisekey.grouping import balanced
 from noisekey.rs import make_code
 
 EVE_BER = 1.0 - 0.9 ** 0.125
@@ -136,6 +140,42 @@ def test_average_pattern_count():
     )
     assert value == pytest.approx(stirling, abs=0.01)
     assert average_pattern_count_log2(8, 167, 0.0) == pytest.approx(0.0, abs=1e-9)
+
+
+def test_log_binomial_coefficients_match_each_written_out_expression():
+    # Each caller's log C(n, k) written out in that caller's operand order:
+    # sharing one helper must leave every float identical.
+    from scipy.special import gammaln
+
+    for length in (4, 9, 33, 257, 2496):
+        for balance_limit in (0.5, 1.0, 2.0, 3.5):
+            counts = np.arange(length + 1)
+            outside = counts[~balanced(counts, length, balance_limit)]
+            if 0 < len(outside) < len(counts):
+                log_pmf = (
+                    gammaln(length + 1) - gammaln(outside + 1) - gammaln(length - outside + 1)
+                    - length * math.log(2.0)
+                )
+                assert outside_set_probability(length, balance_limit) == math.exp(log_sum_exp(log_pmf))
+    for trials in (5, 167, 1336, 13360):
+        for p in (1e-9, 0.0131, 0.1, 0.5, 0.9):
+            for threshold in (0.01 * trials, 0.5 * trials, 0.99 * trials):
+                for ks, direction in (
+                    (np.arange(math.floor(threshold) + 1, trials + 1), "above"),
+                    (np.arange(0, math.ceil(threshold)), "below"),
+                ):
+                    log_pmf = (
+                        gammaln(trials + 1) - gammaln(ks + 1) - gammaln(trials - ks + 1)
+                        + ks * math.log(p) + (trials - ks) * math.log1p(-p)
+                    )
+                    expected = log_sum_exp(log_pmf) if len(ks) else -math.inf
+                    assert log_binomial_tail(trials, p, threshold, direction) == expected
+    for m, k in itertools.product((3, 8, 10), (1, 19, 167)):
+        for ber in (0.0, 1e-6, 0.0131, EVE_BER, 0.1, 0.49):
+            mk = m * k
+            mean = ber * mk
+            expected = float((gammaln(mk + 1) - gammaln(mean + 1) - gammaln(mk - mean + 1)) / math.log(2.0))
+            assert average_pattern_count_log2(m, k, ber) == expected
 
 
 def test_mean_pattern_count_consistent_with_entropy():

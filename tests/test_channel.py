@@ -1,5 +1,6 @@
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -203,6 +204,24 @@ def test_capture_round_trip(tmp_path):
         data = path.read_bytes()
         path.write_bytes(data[:-1])
         read_capture(path)
+
+
+def test_read_capture_refuses_a_length_prefix_past_the_end_before_reading(tmp_path):
+    # A 4-byte file whose prefix claims 16 MiB used to reserve the 16 MiB
+    # before it found the body missing.
+    frame = encode_frame(_frame(KIND_INFO, np.ones(8, dtype=np.uint8)))
+    claim = struct.pack(">I", 1 << 24)
+    for data in (claim, struct.pack(">I", len(frame)) + frame + claim + frame):
+        path = tmp_path / "tap.bin"
+        path.write_bytes(data)
+        tracemalloc.start()
+        try:
+            with pytest.raises(FrameParseError, match="truncated frame body"):
+                read_capture(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 @pytest.mark.parametrize(

@@ -412,6 +412,16 @@ def test_make_scenario_refuses_an_empty_window_before_drawing(code_7_5):
     assert rng.bit_generator.state == state
 
 
+@pytest.mark.parametrize("ber", [-0.1, 0.7, math.nan])
+def test_make_scenario_refuses_a_ber_outside_half_before_drawing(code_7_5, ber):
+    # -0.1 and NaN used to give a noise-free stream, and 0.7 flipped 82 of 120 bits.
+    rng = np.random.default_rng(1)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match=r"ber must lie in \[0, 1/2\], got"):
+        make_scenario(code_7_5, 8, 2.0, rng, ber=ber)
+    assert rng.bit_generator.state == state
+
+
 @pytest.mark.parametrize("where", ["stream", "parity"])
 @pytest.mark.parametrize("value", [0.5, 1.5, 2])
 def test_judge_rejects_non_bit_values(code_7_5, where, value):

@@ -1,5 +1,6 @@
 import itertools
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from noisekey.rs import (
     MAX_N,
     _generator_poly,
     _make_code_cached,
+    _parity_rows,
     bits_to_symbols,
     codeword,
     decode_block,
@@ -83,17 +85,48 @@ def test_make_code_builds_the_longest_supported_code():
 
 def test_the_longest_supported_code_holds_a_few_megabytes_of_tables():
     # Two 1023 x 1022 uint16 exponent tables of ~2 MB each and a small parity
-    # matrix; a packed bit-plane syndrome table alone used to hold 21 MB.
+    # matrix; a packed bit-plane syndrome table alone used to hold 21 MB. The
+    # tables' int64 products and remainders used to peak at 18.8 MB.
     fld = build_field(10, 0x409)
     _make_code_cached.cache_clear()
     tracemalloc.start()
     try:
         code = make_code(fld, MAX_N, 1)
-        held = tracemalloc.get_traced_memory()[0]
+        held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
         _make_code_cached.cache_clear()
-    assert code.n == MAX_N and held <= 8 << 20
+    assert code.n == MAX_N and held <= 8 << 20 and peak <= 10 << 20
+
+
+def walked_parity_matrix(fld, rows):
+    """Parity planes by multiplying each row by alpha = x, m - 1 times, with
+    the shift-and-reduce walk: plane b is the row times alpha^(m-1-b)."""
+    k, nsym = rows.shape
+    m = fld.m
+    out = np.empty((k, m, -(-m * nsym // 8)), dtype=np.uint8)
+    plane = rows
+    for b in range(m - 1, -1, -1):
+        out[:, b] = np.packbits(symbols_to_bits(plane, m).astype(np.uint8), axis=-1)
+        plane = (plane << 1) ^ ((plane >> (m - 1)) & 1) * fld.primitive_poly
+    return out.reshape(k * m, -1)
+
+
+@pytest.mark.parametrize(
+    "m,n,k",
+    [(3, 7, 5), (4, 15, 9), (5, 31, 19), (8, 255, 167), (10, 1023, 1), (10, 1023, 512), (16, 1023, 1000)],
+)
+def test_code_tables_match_the_walk_and_the_int64_products(m, n, k):
+    fld = build_field(m)
+    code = _make_code_cached.__wrapped__(m, fld.primitive_poly, n, k)   # kept out of the cache
+    rows = _parity_rows(fld, _generator_poly(fld, n - k), n, k)
+    assert np.array_equal(code.parity_matrix, walked_parity_matrix(fld, rows))
+    dtype = np.uint8 if m <= 8 else np.uint16
+    syndrome = ((n - 1 - np.arange(n))[:, None] * np.arange(1, n - k + 1) % fld.mul_order).astype(dtype)
+    chien = (-np.arange(n - k)[:, None] * np.arange(n) % fld.mul_order).astype(dtype)
+    for table, expected in ((code.syndrome_table, syndrome), (code.chien_table, chien)):
+        assert table.dtype == dtype and np.array_equal(table, expected)
+        assert not table.flags.writeable
 
 
 def test_zero_info_zero_parity(code_7_5):
@@ -187,22 +220,43 @@ def test_beyond_limit_never_silently_original(code_7_5):
 def test_wrong_lengths(code_7_5):
     with pytest.raises(ValueError):
         encode_parity(code_7_5, np.zeros(4, dtype=np.int64))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="received length must be 7"):
         decode_block(code_7_5, np.zeros(6, dtype=np.int64))
+    for length in (4, 6):
+        with pytest.raises(ValueError, match="info length must be 5"):
+            codeword(code_7_5, np.zeros(length, dtype=np.int64))
 
 
-@pytest.mark.parametrize("bad", [-1, 8])
+# A float symbol used to be truncated: 0.5 and 1.9 read as 0 and 1, and NaN
+# reached the int64 cast.
+NOT_SYMBOLS = [-1, 8, 0.5, 1.9, np.nan, np.inf, -np.inf]
+
+
+@pytest.mark.parametrize("bad", NOT_SYMBOLS)
 def test_codeword_rejects_symbols_outside_field(code_7_5, bad):
-    with pytest.raises(ValueError):
-        codeword(code_7_5, np.array([0, 1, bad, 3, 4]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match=r"info symbols must be integers in \[0, 8\)"):
+            codeword(code_7_5, np.array([0, 1, bad, 3, 4]))
 
 
-@pytest.mark.parametrize("bad", [-1, 8, 1 << 20])
+@pytest.mark.parametrize("bad", NOT_SYMBOLS + [1 << 20])
 def test_decode_rejects_symbols_outside_field(code_7_5, bad):
-    word = codeword(code_7_5, np.array([0, 1, 2, 3, 4]))
+    word = codeword(code_7_5, np.array([0, 1, 2, 3, 4])).astype(type(bad))
     word[2] = bad
-    with pytest.raises(ValueError):
-        decode_block(code_7_5, word)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match=r"received symbols must be integers in \[0, 8\)"):
+            decode_block(code_7_5, word)
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.int16, np.uint64, np.float32, np.float64, object])
+def test_integer_valued_symbols_of_any_dtype_decode_alike(code_7_5, dtype):
+    rng = np.random.default_rng(20)
+    _, word, info = random_codeword_with_errors(rng, code_7_5, 1)
+    assert np.array_equal(codeword(code_7_5, info.astype(dtype)), codeword(code_7_5, info))
+    result = decode_block(code_7_5, word.astype(dtype))
+    assert result.ok and result.info.dtype == np.int64 and np.array_equal(result.info, info)
 
 
 def test_shortened_code_round_trip(gf8):
