@@ -128,9 +128,9 @@ def capacity_lower_bound(params: CapacityParams) -> CapacityBound:
 
 def leakage_bound(safety_bits: int, key_bits: float) -> float:
     """Upper bound on Eve's per-bit information about an extracted key."""
-    if safety_bits < 1:
+    if not safety_bits >= 1:  # NaN included
         raise ValueError("safety_bits must be >= 1")
-    if key_bits <= 0:
+    if not key_bits > 0:
         raise ValueError("key_bits must be positive")
     return 2.0 ** (-safety_bits) / (key_bits * math.log(2.0))
 

@@ -47,7 +47,7 @@ def log_sum_exp(a: np.ndarray) -> float:
 def _tail_support(trials: int, p: float, threshold: float, direction: str) -> np.ndarray:
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
-    if trials < 0 or threshold > trials:
+    if trials < 0 or not threshold <= trials:  # NaN included
         raise ValueError("need 0 <= threshold <= trials")
     if direction == "above":
         return np.arange(math.floor(threshold) + 1, trials + 1)
@@ -120,6 +120,12 @@ def noisy_symbols(code, method: int) -> int:
     return code.k if method == 1 else code.n
 
 
+def block_failure_probability(code, ber: float, method: int) -> float:
+    """Probability that one block fails to decode: more than t of its
+    `noisy_symbols` are hit, each with probability `symbol_error_rate(ber, m)`."""
+    return binomial_tail(noisy_symbols(code, method), symbol_error_rate(ber, code.m), code.t)
+
+
 def candidate_count_log2(key_length: int, m: int, n: int, k: int, delta: float) -> float:
     """log2 of the average number of admissible grouping keys consistent with
     one observed parity vector: key_length - m(n-k) + log2(1 - delta).
@@ -142,29 +148,32 @@ class PatternEntropy:
 
     truncated: float        # sum restricted to weights <= (d-1)/2
     approximation: float    # m*k*h(ber), the full-range value
-    tail_probability: float # Pr{weight > (d-1)/2}, should be << 1
 
 
 def error_pattern_entropy(m: int, k: int, ber: float, d: int) -> PatternEntropy:
     """-sum over correctable weights of C(mk,w) p_w log2 p_w, plus the
-    m*k*h(ber) approximation it converges to when the tail is negligible."""
+    m*k*h(ber) approximation it converges to when the tail is negligible.
+    Raises ValueError unless 0 <= ber < 1, as average_pattern_count_log2 does."""
+    if not 0.0 <= ber < 1.0:
+        raise ValueError("ber must lie in [0, 1)")
     mk = m * k
     approx = mk * binary_entropy(ber)
     if ber == 0.0:
-        return PatternEntropy(truncated=0.0, approximation=0.0, tail_probability=0.0)
+        return PatternEntropy(truncated=0.0, approximation=0.0)
     t = (d - 1) // 2
     ws = np.arange(0, min(t, mk) + 1)
     weights = np.exp(_log_binomial_pmf(mk, ber, ws))
     log2_pn = ws * math.log2(ber) + (mk - ws) * math.log2(1.0 - ber)
     truncated = float(np.sum(weights * (-log2_pn)))
-    tail = max(0.0, 1.0 - float(weights.sum()))
+    # 1 - sum cancels for a small tail, but it is exact enough to test 1%.
+    tail = 1.0 - float(weights.sum())
     if tail > 0.01:
         warnings.warn(
             f"{tail:.3f} of the error-pattern mass lies beyond the correctable range; "
             "the truncated entropy undercounts it",
             stacklevel=2,
         )
-    return PatternEntropy(truncated=truncated, approximation=approx, tail_probability=tail)
+    return PatternEntropy(truncated=truncated, approximation=approx)
 
 
 def average_pattern_count_log2(m: int, k: int, ber: float) -> float:
@@ -200,12 +209,9 @@ class GammaBudget:
 def gamma_report(params: CapacityParams, bob_ber: float, method: int = 1) -> GammaBudget:
     """Evaluate the three budget components for one operating point.
 
-    Reliability uses the symbol-error rate at the receiver over the block's
-    `noisy_symbols` as trials.
+    Reliability is `block_failure_probability` at the receiver's BER.
     """
-    code = params.code
-    p_eff_bob = symbol_error_rate(bob_ber, code.m)
-    eps = binomial_tail(noisy_symbols(code, method), p_eff_bob, code.t)
+    eps = block_failure_probability(params.code, bob_ber, method)
     decode_failure = 1.0 - (1.0 - eps) ** params.unit_blocks
 
     bound = capacity_lower_bound(params)

@@ -39,15 +39,15 @@ from .rs import MAX_N, make_code
 from .session import SessionConfig, run_session
 
 
-def _emit(args, doc: dict, text_lines: list[str]) -> None:
+def _emit(args, doc: dict, text_lines: list[str], csv_text: str = "") -> None:
+    """`doc` as JSON, or its resolved parameters, then the text lines or the CSV text."""
+    params = doc["resolved_params"]
     if args.format == "json":
-        public = {k: v for k, v in doc.items() if not k.startswith("_")}
-        out = json.dumps(public, indent=2, sort_keys=True)
+        out = json.dumps(doc, indent=2, sort_keys=True)
     elif args.format == "csv":
-        params = json.dumps(doc.get("resolved_params", {}), sort_keys=True)
-        out = f"# params: {params}\n" + doc["_csv"]
+        out = f"# params: {json.dumps(params, sort_keys=True)}\n" + csv_text
     else:
-        out = "\n".join(text_lines)
+        out = "\n".join([f"params: {params}", *text_lines])
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(out + "\n")
@@ -214,7 +214,7 @@ def cmd_keygen(args) -> int:
         "ones": key.ones,
         "zeros": key.zeros,
     }
-    _emit(args, doc, [f"params: {doc['resolved_params']}", key.to_hex()])
+    _emit(args, doc, [key.to_hex()])
     return 0
 
 
@@ -234,7 +234,6 @@ def cmd_capacity(args) -> int:
         args,
         doc,
         [
-            f"params: {resolved}",
             f"capacity_rate      {bound.rate:.6g}",
             f"adjusted_ber       {bound.adjusted_ber:.6g}",
             f"key_bits_per_unit  {bound.key_bits_real:.6g} (floor {bound.key_bits_max})",
@@ -254,7 +253,7 @@ def cmd_analyze(args) -> int:
         method=resolved["method"],
     )
     doc = {"resolved_params": resolved, "report": report.to_dict()}
-    lines = [f"params: {resolved}"] + [
+    lines = [
         f"{name:24s} {value:.6g}" if isinstance(value, float) else f"{name:24s} {value}"
         for name, value in doc["report"].items()
     ]
@@ -297,12 +296,11 @@ def cmd_simulate(args) -> int:
         "resolved_params": {**resolved, "seed": args.seed, "key_hex": key.to_hex()},
         "trials": reports,
     }
-    lines = [f"params: {doc['resolved_params']}"]
-    for i, rep in enumerate(reports):
-        lines.append(
-            f"trial {i}: blocks={rep['blocks_completed']} units={rep['units_completed']} "
-            f"agreement={rep['agreement_rate']}"
-        )
+    lines = [
+        f"trial {i}: blocks={rep['blocks_completed']} units={rep['units_completed']} "
+        f"agreement={rep['agreement_rate']}"
+        for i, rep in enumerate(reports)
+    ]
     _emit(args, doc, lines)
     return 0
 
@@ -333,7 +331,6 @@ def cmd_attack(args) -> int:
         args,
         doc,
         [
-            f"params: {doc['resolved_params']}",
             f"admissible keys    {doc['admissible_keys']}",
             f"patterns examined  {doc['patterns']}",
             f"total candidates   {doc['total_candidates']}",
@@ -384,16 +381,15 @@ def cmd_table(args) -> int:
     for name in presets.REFERENCE_TABLE:
         writer.writerow([name] + [f"{v:.3g}" for v in table[name]])
         writer.writerow([f"{name} (published)"] + [f"{v:.3g}" for v in doc["published"][name]])
-    doc["_csv"] = buf.getvalue().rstrip("\n")
 
-    lines = [f"params: {point}", "", f"{'row':26s}" + "".join(f"{h:>16s}" for h in header[1:])]
+    lines = ["", f"{'row':26s}" + "".join(f"{h:>16s}" for h in header[1:])]
     for name in presets.REFERENCE_TABLE:
         lines.append(f"{name:26s}" + "".join(f"{v:>16.4g}" for v in table[name]))
         lines.append(f"{'  published':26s}" + "".join(f"{v:>16.4g}" for v in doc["published"][name]))
         lines.append(f"{'  match':26s}" + "".join(f"{str(ok):>16s}" for ok in checks[name]))
     lines.append("")
     lines.append(f"all cells match: {doc['all_pass']}")
-    _emit(args, doc, lines)
+    _emit(args, doc, lines, buf.getvalue().rstrip("\n"))
     return 0 if doc["all_pass"] else 1
 
 

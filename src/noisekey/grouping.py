@@ -115,10 +115,10 @@ def _key_mask(key: CommonKey, length: int) -> np.ndarray:
 def split_stream(x, key: CommonKey) -> GroupStreams:
     """Route bit x[i] to group1 iff key bit i mod key.length is 1; a key
     shifted by o positions is the key rotated left, np.roll(key.bits, -o).
-    Raises ValueError if x holds a value other than 0 and 1."""
+    Raises ValueError unless x is a 1-d array of 0s and 1s."""
     x = np.asarray(x)
-    if not all_bits(x):
-        raise ValueError("stream bits must hold only 0 and 1")
+    if x.ndim != 1 or not all_bits(x):
+        raise ValueError("stream bits must be a 1-d array holding only 0 and 1")
     x = x.astype(np.uint8, copy=False)
     mask = _key_mask(key, len(x))
     return GroupStreams(group1=x[mask], group2=x[~mask])

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analysis import binomial_tail, noisy_symbols, symbol_error_rate
+from .analysis import binomial_tail, block_failure_probability, noisy_symbols, symbol_error_rate
 from .channel import GROUP_I, GROUP_II, FramingError, bsc_transmit, read_frames
 from .grouping import CommonKey, balanced, require_window, split_stream
 from .rs import CodeSpec, all_bits, bits_to_symbols, encode_parity, symbols_to_bits
@@ -272,8 +272,8 @@ def judge_candidate(key_bits, frames, code: CodeSpec, eve_ber: float) -> Judgeme
     expected s * p, with p = `symbol_error_rate(eve_ber, m)` and s =
     `noisy_symbols(code, method)` (k, or n when method 2 leaves the parity
     noisy), and the failures are as likely: Pr{Binomial(blocks, p_fail) >=
-    failures} >= Pr{Z > 4}, where p_fail = Pr{Binomial(s, p) > t} is a true
-    block's. An eve_ber outside [0, 1/2] raises ValueError.
+    failures} >= Pr{Z > 4}, where p_fail is a true block's
+    `block_failure_probability`. An eve_ber outside [0, 1/2] raises ValueError.
     """
     if not 0.0 <= eve_ber <= 0.5:
         raise ValueError(f"eve_ber must lie in [0, 1/2], got {eve_ber!r}")
@@ -296,7 +296,7 @@ def judge_candidate(key_bits, frames, code: CodeSpec, eve_ber: float) -> Judgeme
     p = symbol_error_rate(eve_ber, code.m)
     threshold = trials * p + 4.0 * math.sqrt(trials * p * (1.0 - p) / blocks)
     mean = sum(errors) / len(errors) if errors else math.inf
-    p_fail = binomial_tail(trials, p, code.t)
+    p_fail = block_failure_probability(code, eve_ber, method)
     failures_likely = binomial_tail(blocks, p_fail, failures - 1) >= _FOUR_SIGMA
     return Judgement(
         consistent=mean <= threshold and failures_likely,

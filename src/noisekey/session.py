@@ -155,11 +155,7 @@ class SessionReport:
             "keys_alice": [bits_to_hex(k) for k in self.keys_alice],
             "keys_bob": [None if k is None else bits_to_hex(k) for k in self.keys_bob],
             "agreement_rate": self.agreement_rate,
-            "bob_blocks": [
-                {"group": o.group, "index": o.index, "ok": o.ok, "corrected": o.corrected,
-                 "reason": o.reason}
-                for o in self.bob_outcomes
-            ],
+            "bob_blocks": [dict(vars(o)) for o in self.bob_outcomes],
             "eve_block_flips": list(map(int, self.eve_block_flips)),
             "blocks_completed": self.blocks_completed,
             "units_completed": self.units_completed,
@@ -305,15 +301,12 @@ def unit_outcomes(tx: TransmitterRun, rx: ReceiverRun, unit_blocks: int) -> tupl
     """Per unit: "failed" (Bob has no key), "miscorrected" (every block
     decoded but Bob's corrected info bits differ from Alice's) or "agreed"."""
     same = (rx.bits == tx.stream[tx.positions]).all(axis=1)
-    out = []
-    for unit, bob_key in enumerate(rx.keys):
-        if bob_key is None:
-            out.append("failed")
-        elif same[unit * unit_blocks : (unit + 1) * unit_blocks].all():
-            out.append("agreed")
-        else:
-            out.append("miscorrected")
-    return tuple(out)
+    units = len(rx.keys)
+    agreed = same[: units * unit_blocks].reshape(units, unit_blocks).all(axis=1)
+    return tuple(
+        "failed" if key is None else "agreed" if fine else "miscorrected"
+        for key, fine in zip(rx.keys, agreed)
+    )
 
 
 def run_session(config: SessionConfig) -> SessionReport:

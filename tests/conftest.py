@@ -3,6 +3,9 @@ import pytest
 from noisekey.gf import build_field
 from noisekey.rs import make_code
 
+# (m, n, k) of the codes the equivalence tests sweep, on each field's default polynomial.
+CODES = [(3, 7, 5), (4, 15, 9), (5, 31, 19), (8, 255, 167)]
+
 
 @pytest.fixture(scope="session")
 def gf256():

@@ -1,10 +1,12 @@
-"""Reference Reed-Solomon decoder for the equivalence tests.
+"""Reference Reed-Solomon encoder and decoder for the equivalence tests.
 
 A frozen copy of the decoder as first written: Berlekamp-Massey indexes the
 numpy exp/log tables one scalar at a time with a modulo per product, and
 Forney builds omega by looping over all nsym syndromes. It is slow on
 purpose and must not be optimised; `noisekey.rs.decode_block` has to return
-identical `DecodeResult`s.
+identical `DecodeResult`s. The encoder is polynomial long division by the
+generator, one symbol at a time; `noisekey.rs.encode_parity` has to give the
+same parity.
 
 It shares no arithmetic with the package: its exp/log tables are built here
 by shift-and-reduce from the field's m and primitive polynomial, and its
@@ -49,6 +51,35 @@ def eval_poly_at_powers(fld: FieldSpec, coeffs, power_logs) -> np.ndarray:
     degrees = np.arange(len(coeffs))[:, None]
     terms = exp[(log[coeffs][:, None] + degrees * power_logs) % qm1]
     return np.bitwise_xor.reduce(np.where(coeffs[:, None] != 0, terms, 0), axis=0)
+
+
+def mul(fld: FieldSpec, a: int, b: int) -> int:
+    exp, log, qm1 = tables(fld)
+    return int(exp[(log[a] + log[b]) % qm1]) if a and b else 0
+
+
+def generator_poly(fld: FieldSpec, nsym: int) -> list[int]:
+    """g(x) = prod_{i=1..nsym} (x - alpha^i), highest degree first."""
+    exp, _, qm1 = tables(fld)
+    g = [1]
+    for i in range(1, nsym + 1):
+        root = int(exp[i % qm1])
+        g = [a ^ mul(fld, b, root) for a, b in zip(g + [0], [0] + g)]
+    return g
+
+
+def remainder_parity(code: CodeSpec, info) -> list[int]:
+    """Parity symbols, highest degree first: info(x) * x^(n-k) mod g(x) by
+    long division, one info symbol at a time."""
+    nsym = code.n - code.k
+    gen = generator_poly(code.field, nsym)
+    rem = [0] * nsym
+    for sym in info:
+        feedback = int(sym) ^ rem[0]
+        rem = rem[1:] + [0]
+        for i in range(nsym):
+            rem[i] ^= mul(code.field, gen[i + 1], feedback)
+    return rem
 
 
 def syndromes(code: CodeSpec, word: np.ndarray) -> np.ndarray:

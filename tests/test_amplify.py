@@ -112,6 +112,14 @@ def test_leakage_bound_values():
         leakage_bound(10, 0)
 
 
+def test_leakage_bound_refuses_nan():
+    # Both used to return NaN.
+    with pytest.raises(ValueError, match="key_bits must be positive"):
+        leakage_bound(10, math.nan)
+    with pytest.raises(ValueError, match="safety_bits must be >= 1"):
+        leakage_bound(math.nan, 10)
+
+
 def test_extract_deterministic():
     rng = np.random.default_rng(40)
     bits = rng.integers(0, 2, 96, dtype=np.uint8)

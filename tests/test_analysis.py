@@ -81,6 +81,15 @@ def test_tail_query_validation():
         binomial_tail(10, 0.5, 3, "sideways")
 
 
+@pytest.mark.parametrize("direction", ["above", "below"])
+def test_tail_refuses_a_nan_threshold(direction):
+    # NaN used to end in "cannot convert float NaN to integer".
+    with pytest.raises(ValueError, match="need 0 <= threshold <= trials"):
+        binomial_tail(10, 0.1, math.nan, direction)
+    # The judge asks for Pr{X > failures - 1}, which is -1 with no failure.
+    assert binomial_tail(10, 0.1, -1) == pytest.approx(1.0, abs=1e-12)
+
+
 def test_exact_tail_against_monte_carlo():
     exact = binomial_tail(20, 0.3, 10, "above")
     rng = np.random.default_rng(50)
@@ -112,7 +121,6 @@ def test_pattern_entropy_reference():
     assert ent.truncated == pytest.approx(134.4, abs=0.05)
     assert ent.approximation == pytest.approx(8 * 167 * binary_entropy(EVE_BER), abs=1e-9)
     assert ent.truncated <= ent.approximation
-    assert ent.tail_probability < 1e-7
 
 
 def test_pattern_entropy_edges():
@@ -120,6 +128,14 @@ def test_pattern_entropy_edges():
     mk = 3 * 5
     full = error_pattern_entropy(3, 5, 0.5, 2 * mk + 1)
     assert full.truncated == pytest.approx(mk, abs=1e-9)
+
+
+@pytest.mark.parametrize("ber", [1.0, 1.5, -0.1, math.nan])
+def test_pattern_entropy_refuses_ber_outside_the_unit_interval(ber):
+    # 1.0 used to end in "math domain error", the others in binary_entropy's
+    # "probability out of range".
+    with pytest.raises(ValueError, match=r"ber must lie in \[0, 1\)"):
+        error_pattern_entropy(8, 167, ber, 89)
 
 
 def test_pattern_entropy_warns_on_heavy_tail():

@@ -62,10 +62,8 @@ from noisekey.session import _block_layout
 import reference_rs
 from reference_layout import completed_blocks
 from reference_oracle import SHORT, first_block_bits
-from conftest import random_codeword_with_errors
-from test_rs import remainder_parity
-
-CODES = [(3, 7, 5), (4, 15, 9), (5, 31, 19), (8, 255, 167)]
+from conftest import CODES, random_codeword_with_errors
+from reference_rs import remainder_parity
 
 # Above this many matrix entries the oracle builds the rows from the diagonal
 # directly instead of through toeplitz_matrix's int64 index array.

@@ -157,6 +157,14 @@ def test_split_refuses_non_bit_values():
     assert groups.group1.dtype == np.uint8
 
 
+@pytest.mark.parametrize("shape", [(3, 4), (2, 1), ()])
+def test_split_refuses_a_stream_that_is_not_1d(shape):
+    # A (3, 4) stream used to be routed by whole rows: group1 got shape (2, 4).
+    key = CommonKey.from_bits([1, 0], 3.0)
+    with pytest.raises(ValueError, match="1-d array holding only 0 and 1"):
+        split_stream(np.ones(shape, dtype=np.uint8), key)
+
+
 def test_block_gate_at_design_point():
     assert block_fits_key_period(2496, 3.5, 8, 167)
     assert not block_fits_key_period(2496, 3.5, 8, 166)

@@ -1,11 +1,13 @@
 """Pinned outputs: the bytes the CLI prints for fixed seeds, and a session's imports.
 
 A change that should leave behaviour alone (a refactor, a speed-up) must
-leave these digests alone. `analyze` and `reproduce-table2` are not pinned
-here: their floats come from numpy and scipy transcendentals whose last
-digits may vary with CPU dispatch and library version, and the acceptance
-suite pins them to three figures instead. To re-pin after a deliberate
-output change, print `hashlib.sha256(out.encode()).hexdigest()` for each case.
+leave these digests alone. `analyze` and `reproduce-table2`'s JSON are not
+pinned here: their floats come from numpy and scipy transcendentals whose
+last digits may vary with CPU dispatch and library version, and the
+acceptance suite pins them to three figures instead. `reproduce-table2`'s
+CSV and text print 3 and 4 significant figures, so they are pinned. To
+re-pin after a deliberate output change, print
+`hashlib.sha256(out.encode()).hexdigest()` for each case.
 """
 
 import hashlib
@@ -41,9 +43,27 @@ ATTACK_DIGESTS = {
     5: "6a5bc6857658f1d17b692cc77e57bdd176ccbdb6fc38b9f73425f1cb9855ffea",
 }
 
+TEXT_DIGESTS = {
+    ("keygen", "--key-length", "64", "--seed", "3"): "ba5839c1456883b8566fcdf96568cf9a1037677df2f1d56e8c79f1e9a6e73eae",
+    ("capacity", "--preset", "paper-255-167"): "9cbc4c3cdca9fc826322c1505bbe5cb986ad9c58a96f85a62a4b68bd6a8cd9ff",
+    ("simulate", "--seed", "1"): "6a611a61e659e7ed4834011aabf579d1a844951952e717aab544256d3d331983",
+}
+ATTACK_TEXT_DIGEST = "5be49834d037f6391f8434bd2ef10a4941c6401748710cb353926ed3b47c109a"
+TABLE_DIGESTS = {
+    "csv": "87ca2fa833de08742b671163dd26dc71e4c6d0c2881eab87fd458477470a628c",
+    "text": "7d97cdc3cd37a0e129af47ad2e460bd56889bbefac54e877e19cfb3301a45138",
+}
 
-def _stdout_digest(capsys, *argv) -> str:
-    assert cli.main([*argv, "--format", "json"]) == 0
+
+@pytest.fixture
+def attack_params(tmp_path) -> str:
+    params = tmp_path / "attack.json"
+    params.write_text(json.dumps(ATTACK_PARAMS, sort_keys=True))
+    return str(params)
+
+
+def _stdout_digest(capsys, *argv, fmt="json") -> str:
+    assert cli.main([*argv, "--format", fmt]) == 0
     return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
 
 
@@ -62,11 +82,24 @@ def test_simulate_capture_is_pinned(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("seed", list(ATTACK_DIGESTS))
-def test_attack_output_is_pinned(capsys, tmp_path, seed):
-    params = tmp_path / "attack.json"
-    params.write_text(json.dumps(ATTACK_PARAMS, sort_keys=True))
-    digest = _stdout_digest(capsys, "attack", "--params", str(params), "--seed", str(seed))
+def test_attack_output_is_pinned(capsys, attack_params, seed):
+    digest = _stdout_digest(capsys, "attack", "--params", attack_params, "--seed", str(seed))
     assert digest == ATTACK_DIGESTS[seed]
+
+
+@pytest.mark.parametrize("argv", list(TEXT_DIGESTS), ids=" ".join)
+def test_text_output_is_pinned(capsys, argv):
+    assert _stdout_digest(capsys, *argv, fmt="text") == TEXT_DIGESTS[argv]
+
+
+def test_attack_text_output_is_pinned(capsys, attack_params):
+    digest = _stdout_digest(capsys, "attack", "--params", attack_params, "--seed", "1", fmt="text")
+    assert digest == ATTACK_TEXT_DIGEST
+
+
+@pytest.mark.parametrize("fmt", list(TABLE_DIGESTS))
+def test_table_csv_and_text_are_pinned(capsys, fmt):
+    assert _stdout_digest(capsys, "reproduce-table2", fmt=fmt) == TABLE_DIGESTS[fmt]
 
 
 SESSION_WITHOUT_SCIPY = """

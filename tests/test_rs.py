@@ -19,26 +19,13 @@ from noisekey.rs import (
     symbols_to_bits,
 )
 from conftest import random_codeword_with_errors
+from reference_rs import generator_poly, remainder_parity
 
 
 def parity_symbols(code, info):
     """encode_parity on symbols: the bit-level encoder between the conversions."""
     bits = symbols_to_bits(np.asarray(info), code.m)
     return bits_to_symbols(encode_parity(code, bits), code.m)
-
-
-def remainder_parity(code, info):
-    """Independent oracle: long division of info(x) * x^(n-k) by the generator."""
-    nsym = code.n - code.k
-    gen = _generator_poly(code.field, nsym)
-    rem = [0] * nsym
-    for sym in info:
-        feedback = int(sym) ^ rem[0]
-        rem = rem[1:] + [0]
-        if feedback:
-            for i in range(nsym):
-                rem[i] ^= code.field.mul(gen[i + 1], feedback)
-    return rem
 
 
 def test_derived_limits(code_255_167, code_7_5):
@@ -134,6 +121,9 @@ def test_zero_info_zero_parity(code_7_5):
 
 
 def test_parity_matches_remainder_oracle(code_7_5, code_255_167):
+    for code in (code_7_5, code_255_167):
+        nsym = code.n - code.k
+        assert _generator_poly(code.field, nsym) == generator_poly(code.field, nsym)
     rng = np.random.default_rng(10)
     for _ in range(50):
         info = rng.integers(0, 8, size=5)
