@@ -48,11 +48,11 @@ def _tail_support(trials: int, p: float, threshold: float, direction: str) -> np
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
     if trials < 0 or not threshold <= trials:  # NaN included
-        raise ValueError("need 0 <= threshold <= trials")
-    if direction == "above":
-        return np.arange(math.floor(threshold) + 1, trials + 1)
+        raise ValueError(f"need trials >= 0 and a threshold of at most trials ({trials}), got {threshold}")
+    if direction == "above":  # any threshold below 0, -inf included, as -1
+        return np.arange(math.floor(max(threshold, -1)) + 1, trials + 1)
     if direction == "below":
-        return np.arange(0, math.ceil(threshold))
+        return np.arange(0, math.ceil(max(threshold, 0)))
     raise ValueError("direction must be 'above' or 'below'")
 
 
@@ -74,11 +74,14 @@ def log_binomial_tail(trials: int, p: float, threshold: float, direction: str = 
 
     The pmf terms are summed in log space, so the result stays meaningful
     far below the smallest positive float. Raises ValueError unless
-    0 <= p <= 1 and 0 <= threshold <= trials.
+    0 <= p <= 1 and threshold <= trials (NaN refused); below 0 it takes
+    the whole support "above" and none "below".
     """
     ks = _tail_support(trials, p, threshold, direction)
     if len(ks) == 0:
         return -math.inf
+    if len(ks) == trials + 1:
+        return 0.0  # the whole support, which a sum of the pmf overshoots
     if p == 0.0:
         return 0.0 if 0 in ks else -math.inf
     if p == 1.0:

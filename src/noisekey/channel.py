@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rs import all_bits
+from .rs import all_bits, bit_row
 
 MAGIC = b"NKY1"
 VERSION = 1
@@ -219,13 +219,11 @@ def encode_frame(frame: Frame) -> bytes:
     ):
         if not isinstance(value, (int, np.integer)) or not 0 <= value <= limit:
             raise ValueError(f"frame {name} must be an integer in 0..{limit}, got {value!r}")
-    payload = np.asarray(frame.payload)
-    if payload.ndim != 1 or not all_bits(payload):
-        raise ValueError("frame payload must be a 1-d array holding only 0 and 1")
+    payload = bit_row(frame.payload, "frame payload")
     header = _HEADER.pack(
         MAGIC, VERSION, frame.method, frame.group, frame.index, frame.kind, len(payload)
     )
-    return header + np.packbits(payload.astype(np.uint8), bitorder="big").tobytes()
+    return header + np.packbits(payload, bitorder="big").tobytes()
 
 
 def decode_frame(data: bytes) -> Frame:

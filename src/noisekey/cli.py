@@ -85,11 +85,10 @@ class Field:
 # bounds, so NaN and infinities fail the range check. The bound on n is
 # make_code's own; those on key_length and unit_blocks keep the binomial
 # tail sums to tens of MB; balance_limit >= 1 guarantees every key length an
-# admissible key, so rejection sampling ends. A session lays out
-# (blocks_target + 1) * m * k stream positions as int64 before it sends
-# anything: at blocks_target = 100000 that peaks at ~156 MB for the (31, 19)
-# default and ~2.1 GB at the (255, 167) design point (tracemalloc, ~2.05
-# times the final positions array), where an unbounded target fails with a
+# admissible key, so rejection sampling ends. At blocks_target = 100000 a
+# transmitter's source stream, its routed copies and its blocks' bits, all
+# uint8, peak at ~36 MB for the (31, 19) default and ~470 MB at the
+# (255, 167) design point (tracemalloc); an unbounded target fails with a
 # MemoryError.
 FIELDS = {
     "name": Field(str),

@@ -9,12 +9,13 @@ block consumes every key bit at least once (see `block_fits_key_period`).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .rs import all_bits
+from .rs import bit_row
 
 def balanced(ones, length: int, balance_limit: float):
     """The balance window: |ones - length/2| <= balance_limit * sqrt(length/4),
@@ -39,11 +40,8 @@ class CommonKey:
 
     @classmethod
     def from_bits(cls, bits, balance_limit: float) -> "CommonKey":
-        arr = np.asarray(bits)
-        if arr.ndim != 1 or not all_bits(arr):
-            raise ValueError("key bits must be a 1-d array holding only 0 and 1")
+        arr = bit_row(bits, "key bits").copy()
         require_key_length(len(arr))
-        arr = arr.astype(np.uint8)
         arr.setflags(write=False)
         return cls(bits=arr, balance_limit=balance_limit)
 
@@ -58,6 +56,17 @@ class CommonKey:
     @property
     def zeros(self) -> int:
         return self.length - self.ones
+
+    @functools.cached_property
+    def columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """Group I's and group II's key columns, where the key holds 1 and 0
+        (read-only). A group's bits in one key period sit at its columns, so
+        routed bit q of a group with w columns cols sits at stream position
+        (q // w) * length + cols[q % w]."""
+        cols = np.flatnonzero(self.bits), np.flatnonzero(self.bits == 0)
+        for c in cols:
+            c.setflags(write=False)
+        return cols
 
     @property
     def admissible(self) -> bool:
@@ -96,13 +105,13 @@ def sample_key(length: int, balance_limit: float, rng: np.random.Generator) -> C
 
 @dataclass(frozen=True, eq=False)
 class GroupStreams:
-    """The two routed sub-streams, of bits or of stream positions."""
+    """The two routed sub-streams of bits."""
 
     group1: np.ndarray
     group2: np.ndarray
 
     def blocks(self, size: int) -> tuple[np.ndarray, np.ndarray]:
-        """Each group's entries cut into whole consecutive size-entry blocks, one
+        """Each group's bits cut into whole consecutive size-bit blocks, one
         (blocks, size) array per group; a trailing partial block is dropped."""
         return tuple(g[: len(g) // size * size].reshape(-1, size) for g in (self.group1, self.group2))
 
@@ -112,16 +121,24 @@ def _key_mask(key: CommonKey, length: int) -> np.ndarray:
     return np.tile(key.bits, -(-length // key.length))[:length].astype(bool)
 
 
+def route(x: np.ndarray, key: CommonKey) -> GroupStreams:
+    """`split_stream` unchecked: each group is the 1-d 0/1 stream x padded
+    to whole key periods, read as a (periods, key.length) grid and gathered
+    at the group's key columns, cut where x ends."""
+    size, length = len(x), key.length
+    grid = np.empty((-(-size // length), length), dtype=np.uint8)
+    grid.reshape(-1)[:size] = x  # grid.flat[:size] = x is over 100x slower
+    return GroupStreams(*(
+        grid[:, cols].reshape(-1)[: size // length * len(cols) + np.count_nonzero(cols < size % length)]
+        for cols in key.columns
+    ))
+
+
 def split_stream(x, key: CommonKey) -> GroupStreams:
     """Route bit x[i] to group1 iff key bit i mod key.length is 1; a key
     shifted by o positions is the key rotated left, np.roll(key.bits, -o).
     Raises ValueError unless x is a 1-d array of 0s and 1s."""
-    x = np.asarray(x)
-    if x.ndim != 1 or not all_bits(x):
-        raise ValueError("stream bits must be a 1-d array holding only 0 and 1")
-    x = x.astype(np.uint8, copy=False)
-    mask = _key_mask(key, len(x))
-    return GroupStreams(group1=x[mask], group2=x[~mask])
+    return route(bit_row(x, "stream bits"), key)
 
 
 def block_fits_key_period(key_length: int, balance_limit: float, m: int, k: int) -> bool:

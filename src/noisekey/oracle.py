@@ -20,8 +20,8 @@ import numpy as np
 
 from .analysis import binomial_tail, block_failure_probability, noisy_symbols, symbol_error_rate
 from .channel import GROUP_I, GROUP_II, FramingError, bsc_transmit, read_frames
-from .grouping import CommonKey, balanced, require_window, split_stream
-from .rs import CodeSpec, all_bits, bits_to_symbols, encode_parity, symbols_to_bits
+from .grouping import CommonKey, balanced, require_window, route, split_stream
+from .rs import CodeSpec, all_bits, bit_row, bits_to_symbols, encode_parity, symbols_to_bits
 from .session import decode_rows
 
 MAX_KEY_LENGTH = 20
@@ -100,20 +100,20 @@ def _parity_tags(parity: np.ndarray) -> np.ndarray:
 def _first_block_tags(code: CodeSpec, x: np.ndarray, keys: np.ndarray) -> np.ndarray:
     """Parity tag of the first group-I block under each key row, by GF(2) linearity.
 
-    A key with w ones at columns pos routes block bit j = s*w + i from stream
-    position s*key_length + pos[i]; the tag XORs the unit tags T[j] of the set
-    block bits. So column c, holding the key's i-th one, adds slots[w, i, c] =
-    XOR_s x[s*key_length + c] * T[s*w + i]. Folding 8 columns' slots gives one
-    table per key byte, indexed by (w, ones before the byte, byte value). The
-    key's last block bit comes from its one slot (w, (m*k - 1) % w, c), which is
-    flagged with bit MAX_TAG_BITS when that bit lies past the stream's end.
+    A key whose w group-I columns are pos routes block bit j = s*w + i from
+    stream position s*key_length + pos[i] (`CommonKey.columns`); the tag
+    XORs the unit tags T[j] of the set block bits. So column c, holding the
+    key's i-th one, adds slots[w, i, c] = XOR_s x[s*key_length + c] *
+    T[s*w + i]. Folding 8 columns' slots gives one table per key byte,
+    indexed by (w, ones before the byte, byte value). The key's last block
+    bit comes from its one slot (w, (m*k - 1) % w, c), which is flagged with
+    bit MAX_TAG_BITS when that bit lies past the stream's end.
     """
     n_bits = code.info_bits
     count, klen = keys.shape
     if klen > MAX_KEY_LENGTH:
         raise ValueError(f"parity tags are listed for keys of at most {MAX_KEY_LENGTH} bits")
-    if not all_bits(x):
-        raise ValueError("stream bits must hold only 0 and 1")
+    x = bit_row(x, "stream bits")
     # The parity matrix's row j is unit bit j's parity: no m*k x m*k encode (~160 MB at (255,167)).
     unit_tags = _parity_tags(np.unpackbits(code.parity_matrix, axis=-1, count=code.parity_bits))
     # One row per key byte, first column in bit 0; flat packing beats axis=1 ~10x.
@@ -284,7 +284,7 @@ def judge_candidate(key_bits, frames, code: CodeSpec, eve_ber: float) -> Judgeme
             raise FramingError(f"{frame} refused: parity frame {due[group]} of group {group} is due")
         due[group] += 1
     key = CommonKey.from_bits(key_bits, 0.0)
-    cut = split_stream(stream, key).blocks(code.info_bits)
+    cut = route(stream, key).blocks(code.info_bits)
     tags = list(itertools.takewhile(lambda tag: tag[1] < len(cut[tag[0] - GROUP_I]), parity))
     if not tags:
         raise ValueError("no complete blocks to judge")

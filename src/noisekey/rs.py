@@ -175,6 +175,15 @@ def all_bits(x: np.ndarray) -> bool:
     return not (x.astype(bool) != x).any()
 
 
+def bit_row(x, name: str) -> np.ndarray:
+    """x as a 1-d uint8 array; ValueError naming it unless it is 1-d and
+    holds only 0 and 1."""
+    x = np.asarray(x)
+    if x.ndim != 1 or not all_bits(x):
+        raise ValueError(f"{name} must be a 1-d array holding only 0 and 1")
+    return x.astype(np.uint8, copy=False)
+
+
 def encode_parity(code: CodeSpec, info_bits) -> np.ndarray:
     """Systematic parity bits of one information bit vector or a batch of them.
 

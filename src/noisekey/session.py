@@ -33,7 +33,8 @@ from .channel import (
     payload_stream,
     read_frames,
 )
-from .grouping import CommonKey, GroupStreams, _key_mask, bits_to_hex, block_fits_key_period
+# Nothing here calls _key_mask: it is imported for bench/layers.py to wrap.
+from .grouping import CommonKey, _key_mask, bits_to_hex, block_fits_key_period, route
 from .rs import CodeSpec, DecodeResult, bits_to_symbols, decode_block, encode_parity, symbols_to_bits
 
 _SOURCE_STREAM = 7
@@ -125,7 +126,7 @@ class TransmitterRun:
     keys: list
     blocks: list
     stream: np.ndarray
-    positions: np.ndarray   # (blocks, m*k) stream positions of each block's bits
+    info: np.ndarray    # (blocks, m*k) info bits of each block, the rows of `blocks`
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,36 +170,36 @@ class SessionReport:
 
 
 def _block_layout(key: CommonKey, block_bits: int, blocks: int):
-    """(group, per-group index, stream positions) of a session's first
-    `blocks` blocks.
-
-    The (B,) group and index arrays and the (B, block_bits) positions come in
-    wire completion order: by the payload chunk holding a block's last bit,
-    group I before group II within a chunk. Each group leaves fewer than
-    block_bits bits over, so blocks + 1 chunks always complete them. The
-    layout depends on the key alone, so both ends compute it independently
-    of bit values.
+    """(group, per-group index) of a session's first `blocks` blocks, in
+    wire completion order (by the payload chunk holding a block's last bit,
+    group I before group II within a chunk), and the payload chunks the plan
+    sends. They are among each group's first `blocks` blocks, located from
+    the key's columns alone, so both ends compute the layout independently
+    of bit values; a group with no columns has no blocks.
     """
-    mask = _key_mask(key, (blocks + 1) * block_bits)
-    per_group = GroupStreams(np.flatnonzero(mask), np.flatnonzero(~mask)).blocks(block_bits)
-    del mask  # so that the peak is the groups' positions plus the output only
-    group = np.repeat([1, 2], [len(p) for p in per_group])
-    index = np.concatenate([np.arange(len(p)) for p in per_group])
-    ends = np.concatenate([p[:, -1] for p in per_group])
-    order = np.lexsort((index, group, ends // block_bits))[:blocks]
-    group, index = group[order], index[order]
-    # A group's blocks complete in index order, so its rows take its first
-    # blocks as they are, with no reordered copy.
-    positions = np.empty((len(order), block_bits), dtype=np.int64)
-    for g, p in zip((1, 2), per_group):
-        rows = group == g
-        positions[rows] = p[: np.count_nonzero(rows)]
-    return group, index, positions
+    last = np.arange(1, blocks + 1) * block_bits - 1  # each block's last routed bit
+    groups = [(g, cols) for g, cols in zip((1, 2), key.columns) if len(cols)]
+    # Rank 2 * chunk in group I and 2 * chunk + 1 in group II; the stable
+    # sort keeps each group's blocks in index order.
+    ranks = np.concatenate([
+        (last // len(cols) * key.length + cols[last % len(cols)]) // block_bits * 2 + g - 1
+        for g, cols in groups
+    ])
+    order = np.argsort(ranks, kind="stable")[:blocks]
+    which, index = np.divmod(order, blocks)
+    group = np.array([g for g, _ in groups])[which]
+    return group, index, int(ranks[order[-1]]) // 2 + 1 if blocks else 0
 
 
-def _payload_frames(positions: np.ndarray, block_bits: int) -> int:
-    """Payload frames a plan sends: through the one holding its last block's last bit."""
-    return int(positions[-1, -1]) // block_bits + 1 if len(positions) else 0
+def _block_rows(stream: np.ndarray, key: CommonKey, block_bits: int, group, index) -> np.ndarray:
+    """The (B, block_bits) bit rows of blocks (group[i], index[i]) cut from
+    the 1-d 0/1 `stream` as the key routes it."""
+    cuts = route(stream, key).blocks(block_bits)
+    rows = np.empty((len(group), block_bits), dtype=np.uint8)
+    for g, cut in zip((1, 2), cuts):
+        here = group == g
+        rows[here] = cut[index[here]]
+    return rows
 
 
 def _unit_keys(config: SessionConfig, info: np.ndarray, ok: list) -> list:
@@ -218,20 +219,16 @@ def run_transmitter(config: SessionConfig) -> TransmitterRun:
     """Produce the frame stream and the transmitter-side secret keys."""
     code = config.code
     block_bits = code.info_bits
-    group, index, positions = _block_layout(config.key, block_bits, config.blocks_target)
+    group, index, sent = _block_layout(config.key, block_bits, config.blocks_target)
     # Frame payloads and the stream are views of one read-only chunk array.
-    chunks = bit_chunks(
-        entropy_words(config.source_seed, (_SOURCE_STREAM,)),
-        _payload_frames(positions, block_bits),
-        block_bits,
-    )
+    chunks = bit_chunks(entropy_words(config.source_seed, (_SOURCE_STREAM,)), sent, block_bits)
     chunks.setflags(write=False)
     frames = [
         Frame(method=config.channel.method, group=GROUP_NONE, index=i, kind=KIND_INFO, payload=c)
         for i, c in enumerate(chunks)
     ]
     stream = chunks.reshape(-1)
-    info = stream[positions]
+    info = _block_rows(stream, config.key, block_bits, group, index)
     rows = _batch_rows(code)
     parity = np.empty((len(info), code.parity_bits), dtype=np.uint8)
     for start in range(0, len(info), rows):
@@ -245,7 +242,7 @@ def run_transmitter(config: SessionConfig) -> TransmitterRun:
         for b, p in zip(blocks, parity)
     ]
     keys = _unit_keys(config, info, [True] * len(info))
-    return TransmitterRun(frames=frames, keys=keys, blocks=blocks, stream=stream, positions=positions)
+    return TransmitterRun(frames=frames, keys=keys, blocks=blocks, stream=stream, info=info)
 
 
 _MISSING_PARITY = DecodeResult(ok=False, info=None, corrected=0, reason="missing parity")
@@ -282,17 +279,17 @@ def run_receiver(frames, config: SessionConfig) -> ReceiverRun:
     blocks and hold exactly the plan's payload frames, else FramingError; a
     block without its parity frame fails."""
     code = config.code
-    groups, indices, positions = _block_layout(config.key, code.info_bits, config.blocks_target)
+    groups, indices, chunks = _block_layout(config.key, code.info_bits, config.blocks_target)
     _, stream, parity = read_frames(frames, code.info_bits, code.parity_bits, config.channel.method)
     plan = dict.fromkeys(zip(groups.tolist(), indices.tolist()))
     for tag, frame in parity.items():
         if tag not in plan:
             raise FramingError(f"{frame} refused: it names no planned block")
-    chunks = _payload_frames(positions, code.info_bits)
     if len(stream) != chunks * code.info_bits:
         raise FramingError(f"{len(stream) // code.info_bits} payload frames arrived, not the plan's {chunks}")
     row_parity = [parity[tag].payload if tag in parity else None for tag in plan]
-    results, bits = decode_rows(code, stream[positions], row_parity)
+    info = _block_rows(stream, config.key, code.info_bits, groups, indices)
+    results, bits = decode_rows(code, info, row_parity)
     outcomes = [BlockOutcome(g, j, r.ok, r.corrected, r.reason) for (g, j), r in zip(plan, results)]
     return ReceiverRun(keys=_unit_keys(config, bits, [r.ok for r in results]), outcomes=outcomes, bits=bits)
 
@@ -300,7 +297,7 @@ def run_receiver(frames, config: SessionConfig) -> ReceiverRun:
 def unit_outcomes(tx: TransmitterRun, rx: ReceiverRun, unit_blocks: int) -> tuple:
     """Per unit: "failed" (Bob has no key), "miscorrected" (every block
     decoded but Bob's corrected info bits differ from Alice's) or "agreed"."""
-    same = (rx.bits == tx.stream[tx.positions]).all(axis=1)
+    same = (rx.bits == tx.info).all(axis=1)
     units = len(rx.keys)
     agreed = same[: units * unit_blocks].reshape(units, unit_blocks).all(axis=1)
     return tuple(
@@ -316,7 +313,9 @@ def run_session(config: SessionConfig) -> SessionReport:
     eve_frames = [deliver(f, config.channel, "eve") for f in tx.frames]
     rx = run_receiver(bob_frames, config)
 
-    eve_flips = (tx.stream ^ payload_stream(eve_frames))[tx.positions].sum(axis=1).tolist()
+    group, index, _ = _block_layout(config.key, config.code.info_bits, config.blocks_target)
+    eve_info = _block_rows(payload_stream(eve_frames), config.key, config.code.info_bits, group, index)
+    eve_flips = (tx.info ^ eve_info).sum(axis=1).tolist()
 
     outcomes = unit_outcomes(tx, rx, config.unit_blocks)
     units = len(tx.keys)

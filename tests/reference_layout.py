@@ -4,19 +4,21 @@ The walk as the session first wrote it: at each payload-chunk boundary it
 counts each group's routed bits and yields every block that boundary
 completes, group I before group II. It is slow on purpose and must not be
 optimised; `noisekey.session._block_layout` has to give the same sequence,
-and `GroupStreams.blocks` each group's blocks in it.
+and `GroupStreams.blocks` each group's blocks in it. It builds its own key
+mask, so it shares no routing code with the package.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from noisekey.grouping import CommonKey, _key_mask
+from noisekey.grouping import CommonKey
 
 
 def completed_blocks(stream: np.ndarray, key: CommonKey, block_bits: int):
     """Yield (group, per-group index, routed bits) in wire completion order."""
-    mask = _key_mask(key, len(stream))
+    # Stream bit i goes to group I iff key bit i mod key.length is 1.
+    mask = np.tile(key.bits == 1, -(-len(stream) // key.length))[: len(stream)]
     routed = {1: stream[mask], 2: stream[~mask]}
     prefix_ones = np.cumsum(mask)
     done = {1: 0, 2: 0}

@@ -58,6 +58,13 @@ def test_tail_edge_cases():
     assert binomial_tail(10, 0.0, 0, "above") == 0.0
     assert binomial_tail(10, 0.0, 1, "below") == 1.0
     assert log_binomial_tail(10, 0.3, 10, "above") == -math.inf
+    # Below 0 "above" is the whole support, exactly (-inf ended in an
+    # OverflowError, and -1 summed to 1.0000000000000007), and "below" is empty.
+    for threshold in (-math.inf, -3, -1, -0.5):
+        assert binomial_tail(10, 0.1, threshold) == 1.0
+        assert log_binomial_tail(10, 0.1, threshold) == 0.0
+        assert binomial_tail(10, 0.1, threshold, "below") == 0.0
+    assert binomial_tail(10, 0.1, 0, "below") == 0.0
 
 
 def test_tail_no_underflow_deep():
@@ -79,12 +86,16 @@ def test_tail_query_validation():
         binomial_tail(10, 0.5, 11)
     with pytest.raises(ValueError):
         binomial_tail(10, 0.5, 3, "sideways")
+    # The message states the bound that holds: negative thresholds pass.
+    for threshold in (math.nan, math.inf, 10.5, 11):
+        with pytest.raises(ValueError, match=r"at most trials \(10\), got"):
+            binomial_tail(10, 0.5, threshold)
 
 
 @pytest.mark.parametrize("direction", ["above", "below"])
 def test_tail_refuses_a_nan_threshold(direction):
     # NaN used to end in "cannot convert float NaN to integer".
-    with pytest.raises(ValueError, match="need 0 <= threshold <= trials"):
+    with pytest.raises(ValueError, match="a threshold of at most trials"):
         binomial_tail(10, 0.1, math.nan, direction)
     # The judge asks for Pr{X > failures - 1}, which is -1 with no failure.
     assert binomial_tail(10, 0.1, -1) == pytest.approx(1.0, abs=1e-12)

@@ -5,9 +5,10 @@ explicit Toeplitz matrix,
 `decode_block`, its early-exit Berlekamp-Massey and the one polynomial
 evaluator on both exponent tables (syndromes and Chien points) against the
 frozen reference decoder in `reference_rs`, which builds its own field tables, the
-bit-level `encode_parity` against polynomial long division, the session's block
-layout and the block cut `GroupStreams.blocks` against the chunk-by-chunk
-completion walk in `reference_layout`, `make_scenario`'s leaked parity
+bit-level `encode_parity` against polynomial long division, the bit router
+against the key mask, the session's block layout, its cut rows and the block
+cut `GroupStreams.blocks` against the chunk-by-chunk completion walk in
+`reference_layout`, `make_scenario`'s leaked parity
 against the explicit first-block gather in `reference_oracle`,
 the exhaustive adversary's parity tags against the explicit first-block
 gather in `reference_oracle` (itself checked against per-key
@@ -25,7 +26,7 @@ import numpy as np
 import pytest
 import scipy
 from scipy.special import logsumexp
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
 from noisekey import amplify, rs
@@ -37,6 +38,7 @@ from noisekey.grouping import (
     CommonKey,
     GroupStreams,
     _key_mask,
+    route,
     split_stream,
 )
 from noisekey.oracle import (
@@ -57,7 +59,7 @@ from noisekey.rs import (
     make_code,
     symbols_to_bits,
 )
-from noisekey.session import _block_layout
+from noisekey.session import _block_layout, _block_rows
 
 import reference_rs
 from reference_layout import completed_blocks
@@ -418,11 +420,19 @@ def test_encode_is_linear(params, data):
     st.lists(st.integers(0, 1), min_size=2, max_size=24),
     st.lists(st.integers(0, 1), max_size=200),
 )
+@example([0, 0, 0], [1, 0, 1, 1, 0])  # no group-I columns
+@example([1, 1, 1, 1], [0, 1, 1])     # no group-II columns
+@example([1, 0, 1], [])
 def test_split_merge_round_trip_any_key(key_bits, stream):
     key = CommonKey.from_bits(key_bits, 0.0)
     x = np.array(stream, dtype=np.uint8)
     groups = split_stream(x, key)
     assert len(groups.group1) + len(groups.group2) == len(x)
+    # The router gives each group the stream at the key mask, as a uint8 row.
+    mask = _key_mask(key, len(x))
+    for routed in (groups, route(x, key)):
+        for got, want in ((routed.group1, x[mask]), (routed.group2, x[~mask])):
+            assert got.dtype == np.uint8 and np.array_equal(got, want)
     # Scattering the groups back through the key mask restores the stream.
     mask = np.resize(key.bits, len(x)).astype(bool)
     merged = np.empty(len(x), dtype=np.uint8)
@@ -437,21 +447,29 @@ def test_split_merge_round_trip_any_key(key_bits, stream):
     st.integers(1, 40),
     st.integers(0, 30),
 )
+@example([0, 0, 0, 0], 2.0, 5, 7)  # admissible at 4 bits and 2 sigma, with one empty group
+@example([1, 1, 1, 1], 2.0, 5, 7)
 def test_block_layout_matches_completion_walk(key_bits, balance_limit, block_bits, blocks):
-    # The layout of B blocks is the walk's first B blocks over B + 1 chunks.
+    # The layout of B blocks is the walk's first B blocks, and the plan sends
+    # the chunks through the one holding the last of them.
     key = CommonKey.from_bits(key_bits, balance_limit)
     assume(key.admissible)
     # On the stream 0, 1, 2, ... the walk's routed bits are the positions.
     stream = np.arange((blocks + 1) * block_bits)
-    walk = [(g, j, bits.tolist()) for g, j, bits in completed_blocks(stream, key, block_bits)]
+    walk = list(completed_blocks(stream, key, block_bits))
     assert len(walk) >= blocks
-    group, index, positions = _block_layout(key, block_bits, blocks)
-    assert positions.shape == (blocks, block_bits)
-    assert list(zip(group.tolist(), index.tolist(), positions.tolist())) == walk[:blocks]
+    group, index, chunks = _block_layout(key, block_bits, blocks)
+    assert list(zip(group.tolist(), index.tolist())) == [(g, j) for g, j, _ in walk[:blocks]]
+    assert chunks == (int(walk[blocks - 1][2][-1]) // block_bits + 1 if blocks else 0)
+    # The cut rows are the walk's bits of the same blocks.
+    bits = np.random.default_rng(block_bits).integers(0, 2, len(stream), dtype=np.uint8)
+    walk = list(completed_blocks(bits, key, block_bits))
+    rows = _block_rows(bits, key, block_bits, group, index)
+    assert rows.shape == (blocks, block_bits)
+    assert rows.tolist() == [b.tolist() for _, _, b in walk[:blocks]]
     # The stream is whole chunks, so the walk ends with every whole block of
     # each group: the block cut of that group, on positions and on bits.
     mask = _key_mask(key, len(stream))
-    bits = np.random.default_rng(block_bits).integers(0, 2, len(stream), dtype=np.uint8)
     for values, groups in (
         (stream, GroupStreams(stream[mask], stream[~mask])),
         (bits, split_stream(bits, key)),

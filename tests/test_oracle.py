@@ -298,6 +298,15 @@ def test_class_sizes_refuse_more_than_2_24_classes():
     assert sum(len(rows) for rows in partition_by_parity(scenario).values()) == 4
 
 
+@pytest.mark.parametrize("bad", ["two-rows", "non-bit"])
+def test_parity_tags_refuse_a_stream_that_is_not_one_row_of_bits(code_7_5, bad):
+    # A 2-d stream used to end in numpy's "cannot reshape array of size ...".
+    scenario, _ = make_scenario(code_7_5, 12, 2.0, np.random.default_rng(77))
+    x = scenario.x.reshape(2, -1) if bad == "two-rows" else scenario.x * 2
+    with pytest.raises(ValueError, match="stream bits must be a 1-d array holding only 0 and 1"):
+        partition_by_parity(replace(scenario, x=x))
+
+
 def test_parity_tags_stop_at_62_bits():
     assert _parity_tags(np.ones(62, dtype=np.uint8)) == 2**62 - 1
     bits = np.array([[1] + [0] * 61, [0] * 61 + [1]], dtype=np.uint8)
