@@ -9,6 +9,7 @@ from noisekey.amplify import CapacityParams, binary_entropy
 from noisekey.analysis import (
     average_pattern_count_log2,
     binomial_tail,
+    block_failure_probability,
     candidate_count_log2,
     capacity_table,
     effective_key_length,
@@ -265,6 +266,17 @@ def test_gamma_method2_counts_all_symbols(code_255_167):
     m1 = gamma_report(params, bob_ber=EVE_BER, method=1)
     m2 = gamma_report(params, bob_ber=EVE_BER, method=2)
     assert m2.decode_failure > m1.decode_failure  # parity symbols add error trials
+
+
+@pytest.mark.parametrize("ber", [1.5, -0.1, math.nan])
+def test_block_failure_refuses_a_ber_outside_the_unit_interval(code_255_167, ber):
+    # 1.5 used to give a failure probability near 1; -0.1 and NaN were
+    # refused with a message about p, which the caller never passed.
+    params = _design_params(code_255_167, 1, 3.0, 10)
+    with pytest.raises(ValueError, match=r"ber must lie in \[0, 1\], got"):
+        block_failure_probability(code_255_167, ber, 1)
+    with pytest.raises(ValueError, match=r"ber must lie in \[0, 1\], got"):
+        gamma_report(params, ber)
 
 
 def _margin_report(params, key_length, balance_limit):

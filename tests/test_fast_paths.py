@@ -14,8 +14,9 @@ the exhaustive adversary's parity tags against the explicit first-block
 gather in `reference_oracle` (itself checked against per-key
 `split_stream`) and its parity buckets against a plain dict loop,
 `expand_seed` and the one-read source draw `channel.bit_chunks` against
-`Generator.integers`, and the log-space sum against
-`scipy.special.logsumexp`.
+`Generator.integers`, the log-space sum against
+`scipy.special.logsumexp`, and the analyzer's log-gamma against
+`scipy.special.gammaln`.
 """
 
 import functools
@@ -25,13 +26,13 @@ import sys
 import numpy as np
 import pytest
 import scipy
-from scipy.special import logsumexp
+from scipy.special import gammaln, logsumexp
 from hypothesis import assume, example, given, settings, strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
 from noisekey import amplify, rs
 from noisekey.amplify import HashSeed, expand_seed, extract_key, toeplitz_matrix
-from noisekey.analysis import log_sum_exp
+from noisekey.analysis import _LOG_FACTORIALS, _log_gamma, log_sum_exp
 from noisekey.channel import bit_chunks, entropy_words
 from noisekey.gf import build_field
 from noisekey.grouping import (
@@ -651,6 +652,32 @@ def test_log_sum_exp_is_scipy_logsumexp(values, ties, data):
         assert ours == ref
     else:
         assert math.isclose(ours, ref, rel_tol=1e-13, abs_tol=1e-13)
+
+
+def test_log_gamma_below_13_is_scipy_gammaln():
+    # Recurrence, rational fit and math.log: the operations of scipy's lgam.
+    grid = np.arange(1000, 13000) / 1000
+    assert np.array_equal(_log_gamma(grid), gammaln(grid))
+    assert all(_log_gamma(float(x)) == gammaln(x) for x in grid[::97])
+
+
+def _within_ulps(ours, ref, ulps):
+    # numpy's SIMD log may differ from libm's in the last bit.
+    return bool(np.all(np.abs(ours - ref) <= ulps * np.spacing(np.abs(ref))))
+
+
+def test_log_gamma_table_and_series_are_within_2_ulp_of_scipy_gammaln():
+    table = np.arange(1, _LOG_FACTORIALS + 1)
+    assert _within_ulps(_log_gamma(table), gammaln(table), 2)
+    # Integers past the table, reals up to 2**24 and past 1e8, where the
+    # series stops, run the chunked series.
+    past = np.arange(_LOG_FACTORIALS - 5, _LOG_FACTORIALS + 20_000)
+    assert _within_ulps(_log_gamma(past), gammaln(past), 2)
+    reals = np.concatenate([
+        np.random.default_rng(25).uniform(1.0, 2.0**24, 200_000),
+        [999.5, 1000.0, 1e8, 1e8 + 1, 3e12],
+    ])
+    assert _within_ulps(_log_gamma(reals), gammaln(reals), 2)
 
 
 @pytest.mark.parametrize("rotation", ROTATIONS)

@@ -1,8 +1,8 @@
-"""Pinned outputs: the bytes the CLI prints for fixed seeds, and a session's imports.
+"""Pinned outputs: the bytes the CLI prints for fixed seeds, and what it imports.
 
 A change that should leave behaviour alone (a refactor, a speed-up) must
 leave these digests alone. `analyze` and `reproduce-table2`'s JSON are not
-pinned here: their floats come from numpy and scipy transcendentals whose
+pinned here: their floats come from numpy and libm transcendentals whose
 last digits may vary with CPU dispatch and library version, and the
 acceptance suite pins them to three figures instead. `reproduce-table2`'s
 CSV and text print 3 and 4 significant figures, so they are pinned. To
@@ -127,7 +127,7 @@ assert "scipy" not in sys.modules, "a protocol session imported scipy"
 
 
 def test_a_session_does_not_import_scipy():
-    # scipy costs ~25 MB and ~0.2 s to import; only the analyzer needs it.
+    # scipy costs ~25 MB and ~0.2 s to import; only the tests use it.
     src = str(Path(noisekey.__file__).resolve().parent.parent)
     done = subprocess.run(
         [sys.executable, "-c", SESSION_WITHOUT_SCIPY],
@@ -137,3 +137,41 @@ def test_a_session_does_not_import_scipy():
         timeout=120,
     )
     assert done.returncode == 0, done.stderr
+
+
+CLI_WITHOUT_SCIPY = """
+import contextlib, hashlib, io, json, sys
+sys.modules["scipy"] = None  # any import of scipy now raises ImportError
+from noisekey import cli
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        status = cli.main(argv)
+    print(json.dumps([status, hashlib.sha256(out.getvalue().encode()).hexdigest()]))
+"""
+
+
+def test_no_cli_command_needs_scipy(attack_params):
+    # scipy is a test dependency only: every command runs, and prints its
+    # pinned bytes, in a process where importing scipy fails.
+    commands = {
+        ("analyze", "--preset", "paper-255-167"): None,
+        ("reproduce-table2", "--format", "json"): None,
+        **{("reproduce-table2", "--format", fmt): digest for fmt, digest in TABLE_DIGESTS.items()},
+        **TEXT_DIGESTS,
+        ("attack", "--params", attack_params, "--seed", "1"): ATTACK_TEXT_DIGEST,
+    }
+    src = str(Path(noisekey.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-c", CLI_WITHOUT_SCIPY, json.dumps(list(commands))],
+        env={"PYTHONPATH": src, "PATH": ""},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    results = [json.loads(line) for line in done.stdout.splitlines()]
+    assert len(results) == len(commands)
+    for (argv, pinned), (status, digest) in zip(commands.items(), results):
+        assert status == 0, argv
+        assert pinned is None or digest == pinned, argv
