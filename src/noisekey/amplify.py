@@ -4,11 +4,11 @@ Secret keys are distilled from the information bits of `unit_blocks`
 decoded blocks through Toeplitz-matrix universal hashing (Krawczyk's
 family). Output bit i of a hash of n_in bits is the GF(2) inner product of
 the reversed input with the diagonal bits i .. i + n_in - 1; only the
-outputs kept are computed, by one of two exact kernels chosen by size:
-small units take one big-int AND/popcount per output bit, large units
-AND 64-bit words of the input against 64 shifted copies of the diagonal
-and take one parity per 64-bit accumulator. The admissible output size per
-unit comes from a lower bound on the conditional secrecy rate:
+outputs kept are computed, by one exact kernel over a batch of units, each
+with its own seed: it ANDs 64-bit words of the input against 64 shifted
+copies of the diagonal and takes one parity per 64-bit accumulator. The
+admissible output size per unit comes from a lower bound on the conditional
+secrecy rate:
 
     rate = (k - t_max)/n * h(p_adj) - safety_bits/(unit_blocks * m * n)
 
@@ -30,9 +30,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
-from .channel import bit_chunks, entropy_words
+from .channel import entropy_words, raw_bits, raw_count
 from .rs import CodeSpec, all_bits
 
 
@@ -146,10 +145,19 @@ class HashSeed:
         return cls(entropy=parts)
 
 
+def _diagonals(seeds, size: int) -> np.ndarray:
+    """(U, size) uint8 diagonal bits, row u those of seeds[u]: one raw read
+    per seed into one (U, raw) array, converted to bits in one pass."""
+    raw = np.empty((len(seeds), raw_count(1, size)), dtype=np.uint64)
+    for row, seed in zip(raw, seeds):
+        row[:] = np.random.PCG64(entropy_words(seed.entropy)).random_raw(len(row))
+    return raw_bits(raw, 1, size)[:, 0]
+
+
 def expand_seed(seed: HashSeed, n_in: int, n_out: int) -> np.ndarray:
     """Expand the seed into the n_in + n_out - 1 Toeplitz diagonal bits: those of
     default_rng(SeedSequence(entropy)).integers(0, 2, n, uint8)."""
-    return bit_chunks(entropy_words(seed.entropy), 1, n_in + n_out - 1)[0]
+    return _diagonals([seed], n_in + n_out - 1)[0]
 
 
 def toeplitz_matrix(seed: HashSeed, n_in: int, n_out: int) -> np.ndarray:
@@ -160,97 +168,86 @@ def toeplitz_matrix(seed: HashSeed, n_in: int, n_out: int) -> np.ndarray:
     return diag[n_in - 1 + i - j]
 
 
-# From this many input x output bits on, the word kernel is used. Timed
-# against the big-int loop over n_in in 95..13360 and key_bits in 1..506 on
-# a 2-core Xeon VM, the word kernel won every shape at or above 2^18 and the
-# loop every shape below 2^15; between, the winner depends on the shape
-# (95 x 506: 91 against 120 us for the loop; 4000 x 65: 89 against 69 us).
-# The kernel costs ~45 us however small its input; the loop ~5 us plus, per
-# output bit, ~0.2 us and an AND/popcount of n_in bits.
-WORD_KERNEL_MIN = 1 << 18
-
-# The word kernel ANDs at most this many 64-bit words (512 KiB) at once, or
-# one row of 64 outputs if that is more. Unblocked, a 1000-block
-# paper-255-167 unit (1.34M bits to 62406) would AND ~10 GB at once.
+# One kernel step ANDs at most this many 64-bit words (512 KiB), counted
+# across units, lanes, rows and words, or one row of 64 outputs of one unit
+# if that is more. Unblocked, a 1000-block paper-255-167 unit (1.34M bits
+# to 62406) would AND ~10 GB at once.
 _BLOCK_WORDS = 1 << 16
 
 _SHIFTS = np.arange(64, dtype=np.uint64)[:, None]
 _ONE = np.uint64(1)
-_PARITY = np.array([bin(b).count("1") & 1 for b in range(256)], dtype=np.uint8)
-
-
-def _hash_int(info_bits: np.ndarray, diag: np.ndarray, key_bits: int) -> np.ndarray:
-    """Big-int kernel: output bit i is the parity of (D >> i) & X.
-
-    Bit p of X is info_bits[n_in-1-p] and bit q of D is diag[q], so the
-    set bits of (D >> i) & X are the p with diag[p+i] = x[n_in-1-p] = 1.
-    """
-    n_in = len(info_bits)
-    packed = np.packbits(info_bits.astype(np.uint8)).tobytes()
-    x = int.from_bytes(packed, "big") >> (8 * len(packed) - n_in)
-    d = int.from_bytes(np.packbits(diag, bitorder="little").tobytes(), "little")
-    return np.array([((d >> i) & x).bit_count() & 1 for i in range(key_bits)], dtype=np.uint8)
+# 1-bits per byte value (np.bitwise_count needs numpy 2); a byte's parity is
+# its popcount & 1.
+BYTE_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
 
 
 def _words(bits: np.ndarray, n_words: int) -> np.ndarray:
-    """Bits packed little-endian into n_words uint64 words, zero-padded."""
-    buf = np.zeros(64 * n_words, dtype=np.uint8)
-    buf[: len(bits)] = bits
-    return np.packbits(buf, bitorder="little").view("<u8")
+    """(U, n_words) uint64: each row of the (U, n) bits packed little-endian, zero-padded."""
+    buf = np.zeros((len(bits), 64 * n_words), dtype=np.uint8)
+    buf[:, : bits.shape[1]] = bits
+    return np.packbits(buf, axis=1, bitorder="little").view("<u8")
 
 
-def _hash_words(info_bits: np.ndarray, diag: np.ndarray, key_bits: int) -> np.ndarray:
-    """Word kernel: the same outputs as `_hash_int` from 64-bit AND/XOR.
+def _hash_words(info_bits: np.ndarray, seeds, key_bits: int) -> np.ndarray:
+    """(U, key_bits) outputs of the (U, n_in) inputs, row u hashed with seeds[u].
 
     With y the reversed input packed into words Y[w], and lane s the
     diagonal shifted right by s bits and packed into words, output bit
-    i = 64r + s is the parity of XOR_w(lane_s[r + w] & Y[w]). Each 64-bit
-    accumulator is folded to one bit by XOR-ing its eight bytes and looking
-    the byte's parity up in a table.
+    i = 64r + s is the parity of XOR_w(lane_s[r + w] & Y[w]): the set bits
+    of lane_s[r + w] & Y[w] are the p with diag[p+i] = x[n_in-1-p] = 1.
+    Each 64-bit accumulator is folded to one bit by XOR-ing its eight bytes
+    and taking the byte's popcount & 1. A step ANDs one row of 64 outputs
+    of as many units as fit in _BLOCK_WORDS words, one unit at least.
     """
-    n_words = -(-len(info_bits) // 64)
+    units, n_in = info_bits.shape
+    n_words = -(-n_in // 64)
     rows = -(-key_bits // 64)
     n_lanes = min(64, key_bits)
-    y = _words(info_bits[::-1], n_words)
-    d = _words(diag, rows + n_words)
-    # The left shift is split in two so that lane 0 never shifts by 64.
+    y = _words(info_bits[:, ::-1], n_words)[:, None, :]
+    d = _words(_diagonals(seeds, n_in + key_bits - 1), rows + n_words)[:, None, :]
     shifts = _SHIFTS[:n_lanes]
-    lanes = (d[:-1] >> shifts) | ((d[1:] << _ONE) << (np.uint64(63) - shifts))
-    windows = sliding_window_view(lanes, n_words, axis=1)
-    acc = np.empty((n_lanes, rows), dtype=np.uint64)
-    step = max(1, _BLOCK_WORDS // (n_lanes * n_words))
-    for r in range(0, rows, step):
-        acc[:, r : r + step] = np.bitwise_xor.reduce(windows[:, r : r + step] & y, axis=2)
-    folded = np.bitwise_xor.reduce(acc.view(np.uint8).reshape(n_lanes, rows, 8), axis=2)
-    return _PARITY[folded].T.ravel()[:key_bits]
+    unit_step = max(1, _BLOCK_WORDS // (n_lanes * n_words))
+    out = np.empty((units, n_lanes, rows), dtype=np.uint8)
+    for u in range(0, units, unit_step):
+        du = d[u : u + unit_step]
+        # The left shift is split in two so that lane 0 never shifts by 64.
+        lanes = (du[..., :-1] >> shifts) | ((du[..., 1:] << _ONE) << (np.uint64(63) - shifts))
+        acc = np.empty(lanes.shape[:-1] + (rows,), dtype=np.uint64)
+        for r in range(rows):
+            acc[..., r] = np.bitwise_xor.reduce(lanes[..., r : r + n_words] & y[u : u + unit_step], axis=-1)
+        folded = np.bitwise_xor.reduce(acc.view(np.uint8).reshape(*acc.shape, 8), axis=-1)
+        out[u : u + unit_step] = BYTE_POPCOUNT[folded] & 1
+    return out.transpose(0, 2, 1).reshape(units, rows * n_lanes)[:, :key_bits]
 
 
-def extract_key(info_bits, key_bits: int, seed: HashSeed, key_bits_max: int | None = None) -> np.ndarray:
-    """Hash one unit's information bits down to key_bits secret bits.
+def extract_key(info_bits, key_bits: int, seed, key_bits_max: int | None = None) -> np.ndarray:
+    """Hash one unit's information bits down to key_bits secret bits, or a batch of units.
 
-    Computes exactly the key_bits outputs of toeplitz_matrix(seed, n_in,
-    key_bits) @ x mod 2, with integer operations only and no n_in x
-    key_bits matrix. Below WORD_KERNEL_MIN input x output bits it takes one
-    big-int AND/popcount of n_in bits per output bit; from there on, ANDs of
-    64-bit words against 64 shifted copies of the diagonal, XOR-reduced
-    over the input and folded to one parity per output bit. Both give the
-    same bits.
+    A 1-d row of n_in bits and one HashSeed give the (key_bits,) outputs of
+    toeplitz_matrix(seed, n_in, key_bits) @ x mod 2; a (U, n_in) batch and a
+    sequence of U seeds give (U, key_bits), row u that of row u and seed[u].
+    Computed with 64-bit word operations only and no n_in x key_bits
+    matrix: ANDs of the reversed input's words against 64 shifted copies of
+    the diagonal, XOR-reduced over the input and folded to one parity per
+    output bit.
 
     Refuses to exceed key_bits_max when given; that cap must come from
     capacity_lower_bound for the extraction to be rate-safe. Raises
-    ValueError for an empty input, a value outside {0, 1} or a non-integer
-    key_bits.
+    ValueError for an empty input row, a value outside {0, 1}, a
+    non-integer key_bits, or a batch without one seed per row.
     """
     info_bits = np.asarray(info_bits)
-    if info_bits.ndim != 1 or len(info_bits) == 0:
-        raise ValueError("info_bits must be a non-empty 1-d bit array")
+    one = isinstance(seed, HashSeed)
+    if info_bits.ndim != (1 if one else 2) or info_bits.shape[-1] == 0:
+        raise ValueError("info_bits must be a non-empty 1-d bit array with one HashSeed, or a 2-d batch")
+    if not one and len(seed) != len(info_bits):
+        raise ValueError(f"a batch of {len(info_bits)} rows needs as many seeds, got {len(seed)}")
     if not all_bits(info_bits):
         raise ValueError("info_bits must hold only 0 and 1")
     if not isinstance(key_bits, (int, np.integer)) or key_bits < 1:
         raise ValueError(f"key_bits must be an integer >= 1, got {key_bits!r}")
     if key_bits_max is not None and key_bits > key_bits_max:
         raise ValueError(f"requested {key_bits} key bits but the rate bound allows {key_bits_max}")
-    n_in = len(info_bits)
-    diag = expand_seed(seed, n_in, key_bits)
-    kernel = _hash_words if n_in * key_bits >= WORD_KERNEL_MIN else _hash_int
-    return kernel(info_bits, diag, key_bits)
+    if one:
+        return _hash_words(info_bits[None], [seed], key_bits)[0]
+    return _hash_words(info_bits, seed, key_bits)

@@ -119,19 +119,32 @@ def entropy_words(entropy, spawn_key=()) -> np.ndarray:
     return np.array(words, dtype=np.uint32)
 
 
-def bit_chunks(words: np.ndarray, chunks: int, size: int) -> np.ndarray:
-    """(chunks, size) uint8 bits, row i the i-th of `chunks` successive
-    Generator(PCG64(words)).integers(0, 2, size, uint8) draws, in one raw read.
+def raw_count(chunks: int, size: int) -> int:
+    """The 64-bit `random_raw` outputs that `chunks` successive size-bit draws take."""
+    return -(-chunks * -(-size // 4) // 2)
+
+
+def raw_bits(raw: np.ndarray, chunks: int, size: int) -> np.ndarray:
+    """(R, chunks, size) uint8 bits of the (R, raw_count(chunks, size)) raw
+    outputs of R generators: row r holds the `chunks` successive
+    Generator(g).integers(0, 2, size, uint8) draws of the generator g whose
+    random_raw gave raw[r].
 
     By Lemire's method each draw takes ceil(size/4) 32-bit words, the low
     half of each 64-bit output first, and each bit is the top bit of a byte,
     low byte first; the unused bytes of a draw's last word are dropped, as
     numpy's per-call byte buffer drops them.
     """
-    per_chunk = -(-size // 4)
-    raw = np.random.PCG64(words).random_raw(-(-chunks * per_chunk // 2))
-    halves = raw.astype("<u8").view("<u4")[: chunks * per_chunk]
-    return halves.view(np.uint8).reshape(chunks, 4 * per_chunk)[:, :size] >> 7
+    per_chunk = 4 * -(-size // 4)
+    octets = raw.astype("<u8", copy=False).view(np.uint8)[:, : chunks * per_chunk]
+    return octets.reshape(len(raw), chunks, per_chunk)[:, :, :size] >> 7
+
+
+def bit_chunks(words: np.ndarray, chunks: int, size: int) -> np.ndarray:
+    """(chunks, size) uint8 bits, row i the i-th of `chunks` successive
+    Generator(PCG64(words)).integers(0, 2, size, uint8) draws, in one raw read."""
+    raw = np.random.PCG64(words).random_raw(raw_count(chunks, size))
+    return raw_bits(raw[None], chunks, size)[0]
 
 
 def _frame_rng(config: ChannelConfig, recipient: str, frame: Frame) -> np.random.Generator:

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .amplify import BYTE_POPCOUNT
 from .analysis import binomial_tail, block_failure_probability, noisy_symbols, symbol_error_rate
 from .channel import GROUP_I, GROUP_II, FramingError, bsc_transmit, read_frames
 from .grouping import CommonKey, balanced, require_window, route, split_stream
@@ -32,10 +33,6 @@ _SHORT = "stream too short to fill one block for every key"
 _FOUR_SIGMA = 0.5 * math.erfc(4.0 / math.sqrt(2.0))  # Pr{Z > 4}, the judge's test level
 
 
-# 1-bits per byte value (np.bitwise_count needs numpy 2)
-_BYTE_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
-
-
 def admissible_keys(key_length: int, balance_limit: float) -> np.ndarray:
     """All admissible keys as a (count, key_length) bit matrix, MSB first, in
     increasing value order."""
@@ -43,7 +40,7 @@ def admissible_keys(key_length: int, balance_limit: float) -> np.ndarray:
         raise ValueError(f"exhaustive key listing is capped at {MAX_KEY_LENGTH} bits")
     # Filter the values by popcount, then expand only the kept ones to bits.
     octets = np.arange(1 << key_length, dtype=np.uint32).astype(">u4").view(np.uint8).reshape(-1, 4)
-    ones = sum(_BYTE_POPCOUNT[octets[:, i]] for i in range(4))
+    ones = sum(BYTE_POPCOUNT[octets[:, i]] for i in range(4))
     kept = octets[balanced(ones, key_length, balance_limit)]
     return np.ascontiguousarray(np.unpackbits(kept, axis=1)[:, 32 - key_length :])
 
@@ -119,7 +116,7 @@ def _first_block_tags(code: CodeSpec, x: np.ndarray, keys: np.ndarray) -> np.nda
     # One row per key byte, first column in bit 0; flat packing beats axis=1 ~10x.
     flat = np.pad(keys, ((0, 0), (0, -klen % 8))).ravel()
     octets = np.packbits(flat, bitorder="little").reshape(count, -(-klen // 8)).T
-    ones = _BYTE_POPCOUNT[octets]
+    ones = BYTE_POPCOUNT[octets]
     weights = sum(ones, np.zeros(count, dtype=np.intp))
     top = int(weights.max(initial=0))
     rows = np.pad(x[: n_bits * klen].astype(np.int64), (0, max(0, n_bits * klen - len(x))))

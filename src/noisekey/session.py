@@ -39,10 +39,10 @@ from .rs import CodeSpec, DecodeResult, bits_to_symbols, decode_block, encode_pa
 
 _SOURCE_STREAM = 7
 
-# Both ends encode, convert and unpack blocks in batches of at most this
-# many bytes, the way amplify._BLOCK_WORDS bounds the hash kernel: a batched
-# encode_parity holds m*k x ceil(m*(n-k)/8) bytes per block (~115 KiB at
-# (255, 167)), and a batch of word bits 8*m*n as int64 (~16 KiB).
+# Both ends encode, convert, unpack and hash blocks in batches of at most
+# this many bytes, the way amplify._BLOCK_WORDS bounds a hash kernel step: a
+# batched encode_parity holds m*k x ceil(m*(n-k)/8) bytes per block (~115 KiB
+# at (255, 167)), and a batch of word bits 8*m*n as int64 (~16 KiB).
 # Unbounded, the CLI's largest session would take ~11.7 GB at once.
 _BATCH_BYTES = 1 << 20
 
@@ -204,15 +204,23 @@ def _block_rows(stream: np.ndarray, key: CommonKey, block_bits: int, group, inde
 
 def _unit_keys(config: SessionConfig, info: np.ndarray, ok: list) -> list:
     """One key per whole unit of `unit_blocks` consecutive rows of the
-    (blocks, m*k) info bits; None for a unit that holds a row not `ok`."""
+    (blocks, m*k) info bits; None for a unit that holds a row not `ok`. One
+    extract_key call hashes each batch of whole units that are all `ok`."""
     size = config.unit_blocks
     units = len(info) // size
     rows = info[: units * size].reshape(units, size * info.shape[1])
-    whole = np.reshape(ok[: units * size], (units, size)).all(axis=1)
-    return [
-        extract_key(bits, config.key_bits, HashSeed.of(config.hash_seed, unit)) if fine else None
-        for unit, (bits, fine) in enumerate(zip(rows, whole))
-    ]
+    whole = np.flatnonzero(np.reshape(ok[: units * size], (units, size)).all(axis=1))
+    keys = [None] * units
+    # extract_key holds up to ~4 bytes per input bit of a batch at once
+    # (the gathered rows, the raw draws, the diagonal bits and their padded
+    # copy), so a batch takes at most a quarter of _BATCH_BYTES of rows.
+    step = max(1, _BATCH_BYTES // (4 * rows.shape[1]))
+    for start in range(0, len(whole), step):
+        batch = whole[start : start + step].tolist()
+        seeds = [HashSeed.of(config.hash_seed, unit) for unit in batch]
+        for unit, key in zip(batch, extract_key(rows[batch], config.key_bits, seeds)):
+            keys[unit] = key.copy()  # a view would keep the whole batch alive
+    return keys
 
 
 def run_transmitter(config: SessionConfig) -> TransmitterRun:

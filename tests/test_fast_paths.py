@@ -1,7 +1,8 @@
 """Each fast path against an independent slow oracle.
 
-`extract_key` and both of its hashing kernels are checked against the
-explicit Toeplitz matrix,
+`extract_key`, on one row and on batches of units with a seed each, is
+checked against the explicit Toeplitz matrix and a batch against its rows
+hashed one at a time,
 `decode_block`, its early-exit Berlekamp-Massey and the one polynomial
 evaluator on both exponent tables (syndromes and Chien points) against the
 frozen reference decoder in `reference_rs`, which builds its own field tables, the
@@ -22,6 +23,7 @@ gather in `reference_oracle` (itself checked against per-key
 import functools
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,7 +32,7 @@ from scipy.special import gammaln, logsumexp
 from hypothesis import assume, example, given, settings, strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
-from noisekey import amplify, rs
+from noisekey import rs
 from noisekey.amplify import HashSeed, expand_seed, extract_key, toeplitz_matrix
 from noisekey.analysis import _LOG_FACTORIALS, _log_gamma, log_sum_exp
 from noisekey.channel import bit_chunks, entropy_words
@@ -147,57 +149,99 @@ def test_extract_key_rejects_empty_input():
         extract_key(np.zeros((2, 4), dtype=np.uint8), 1, HashSeed.of(1))
 
 
-KERNELS = [amplify._hash_int, amplify._hash_words]
-
-
-def assert_kernel_matches_matrix(kernel, x, key_bits, seed):
-    key = kernel(x, expand_seed(seed, len(x), key_bits), key_bits)
-    assert key.dtype == np.uint8 and key.shape == (key_bits,)
-    assert np.array_equal(key, toeplitz_oracle(seed, x, key_bits))
+def assert_batch_matches_matrix(x, key_bits, seeds):
+    keys = extract_key(x, key_bits, seeds)
+    assert keys.dtype == np.uint8 and keys.shape == (len(x), key_bits)
+    for row, seed, key in zip(x, seeds, keys):
+        assert np.array_equal(key, toeplitz_oracle(seed, row, key_bits))
+    return keys
 
 
 # Lane edges (63/64/65 outputs), row edges (128/129) and word padding (n_in
-# around multiples of 64) of the word kernel.
+# around multiples of 64) of the word kernel, on a batch of three units.
 @pytest.mark.parametrize("n_in", [1, 63, 64, 65, 127, 128, 200])
 @pytest.mark.parametrize("key_bits", [1, 63, 64, 65, 128, 129])
 def test_word_kernel_matches_matrix(n_in, key_bits):
     rng = np.random.default_rng(n_in * 1000 + key_bits)
-    for trial, x in enumerate(
-        [np.ones(n_in, dtype=np.uint8), rng.integers(0, 2, n_in, dtype=np.uint8)]
-    ):
-        assert_kernel_matches_matrix(amplify._hash_words, x, key_bits, HashSeed.of(n_in, key_bits, trial))
+    x = np.stack([np.ones(n_in), rng.integers(0, 2, n_in), np.zeros(n_in)]).astype(np.uint8)
+    assert_batch_matches_matrix(x, key_bits, [HashSeed.of(n_in, key_bits, trial) for trial in range(3)])
 
 
 @settings(max_examples=60, deadline=None)
 @given(
+    units=st.integers(0, 4),
     n_in=st.integers(1, 300),
     key_bits=st.integers(1, 300),
     data=st.data(),
     entropy=st.integers(0, 2**32 - 1),
 )
-def test_both_kernels_match_matrix(n_in, key_bits, data, entropy):
-    x = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n_in, max_size=n_in)), dtype=np.uint8)
-    for kernel in KERNELS:
-        assert_kernel_matches_matrix(kernel, x, key_bits, HashSeed.of(entropy))
+def test_batched_kernel_matches_matrix(units, n_in, key_bits, data, entropy):
+    bits = data.draw(st.lists(st.integers(0, 1), min_size=units * n_in, max_size=units * n_in))
+    x = np.array(bits, dtype=np.uint8).reshape(units, n_in)
+    assert_batch_matches_matrix(x, key_bits, [HashSeed.of(entropy, unit) for unit in range(units)])
 
 
-@pytest.mark.parametrize("below", [True, False])
-def test_extract_key_selects_kernel_at_the_threshold(monkeypatch, below):
-    # One input bit fewer than the threshold takes the big-int loop.
-    key_bits = 256
-    n_in = amplify.WORD_KERNEL_MIN // key_bits - below
-    kernel = amplify._hash_int if below else amplify._hash_words
-    used = []
-    for k in KERNELS:
-        monkeypatch.setattr(amplify, k.__name__, lambda *a, k=k: used.append(k) or k(*a))
-    x = np.random.default_rng(n_in).integers(0, 2, n_in, dtype=np.uint8)
-    seed = HashSeed.of(n_in, key_bits)
-    assert np.array_equal(extract_key(x, key_bits, seed), toeplitz_oracle(seed, x, key_bits))
-    assert used == [kernel]
-    x[n_in // 2] = 2
+# The toy unit, a unit of 48 per kernel step (1336 -> 100: 64 lanes of 21
+# words) and the design unit (4 per step); 300 units cross several steps.
+@pytest.mark.parametrize("n_in, key_bits", [(95, 2), (1336, 100), (13360, 506)])
+@pytest.mark.parametrize("units", [0, 1, 9, 300])
+def test_a_batch_is_its_rows_hashed_one_at_a_time(n_in, key_bits, units):
+    x = np.random.default_rng(units + n_in).integers(0, 2, (units, n_in), dtype=np.uint8)
+    seeds = [HashSeed.of(5, unit) for unit in range(units)]
+    keys = extract_key(x, key_bits, seeds)
+    assert keys.dtype == np.uint8 and keys.shape == (units, key_bits)
+    for row, seed, key in zip(x, seeds, keys):
+        assert np.array_equal(key, extract_key(row, key_bits, seed))
+    if units:
+        assert np.array_equal(keys[-1], toeplitz_oracle(seeds[-1], x[-1], key_bits))
+
+
+def test_a_batch_mixes_one_and_two_word_unit_seeds():
+    # A unit index from 2^32 on adds a word to the seed's entropy, and so
+    # changes its SeedSequence; each row keeps its own seed.
+    seeds = [HashSeed.of(7, unit) for unit in (5, 2**32 - 1, 2**32, 2**32 + 5, 2**64 + 1, 0)]
+    x = np.random.default_rng(3).integers(0, 2, (len(seeds), 95), dtype=np.uint8)
+    x[-1] = x[0]
+    keys = assert_batch_matches_matrix(x, 12, seeds)
+    assert len({key.tobytes() for key in keys}) == len(seeds)
+
+
+def test_extract_key_rejects_a_batch_without_one_seed_per_row():
+    x = np.ones((3, 8), dtype=np.uint8)
+    seeds = [HashSeed.of(1, unit) for unit in range(3)]
+    for bad in (seeds[:2], seeds + seeds[:1]):
+        with pytest.raises(ValueError, match="needs as many seeds"):
+            extract_key(x, 1, bad)
     with pytest.raises(ValueError):
-        extract_key(x, key_bits, seed)
-    assert used == [kernel]
+        extract_key(x[0], 1, seeds[:1])
+    with pytest.raises(ValueError):
+        extract_key(np.ones((3, 0), dtype=np.uint8), 1, seeds)
+    x[1, 4] = 2
+    with pytest.raises(ValueError, match="only 0 and 1"):
+        extract_key(x, 1, seeds)
+
+
+# tracemalloc's peak for this unit with the big-int and word kernels: 24.29
+# MB (numpy 2.4, Python 3.11); the one batched kernel peaks at 22.96 MB.
+UNIT_1000_PEAK_MB = 24.29
+
+
+def test_a_1000_block_design_unit_peaks_no_higher_than_the_two_kernel_hash():
+    # 1000 blocks of (255, 167) hash 1 336 000 bits down to 62 406, a row of
+    # 64 outputs per kernel step.
+    n_in, key_bits, seed = 1_336_000, 62_406, HashSeed.of(1, 2)
+    x = np.random.default_rng(4).integers(0, 2, n_in, dtype=np.uint8)
+    tracemalloc.start()
+    try:
+        key = extract_key(x, key_bits, seed)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= UNIT_1000_PEAK_MB * 1e6
+    # Output i is the parity of diag[i : i + n_in] against the reversed input.
+    diag, reversed_x = expand_seed(seed, n_in, key_bits), x[::-1]
+    for i in (0, 1, 63, 64, 65, 30_000, key_bits - 2, key_bits - 1):
+        assert key[i] == np.count_nonzero(diag[i : i + n_in] & reversed_x) & 1
 
 
 def assert_same_decode(code, word):

@@ -535,6 +535,34 @@ def test_judge_verdict_does_not_depend_on_the_batch_size(toy_code, toy_key, monk
     assert whole[0].consistent and not whole[1].consistent
 
 
+def test_a_session_hashes_each_batch_of_units_in_one_call(toy_code, toy_key, monkeypatch):
+    # Both ends hash every whole, all-ok unit in ceil(units / batch) calls:
+    # one at the real batch size, and ceil(hashed / 7) at 7 units a batch,
+    # with the same keys. The receiver hashes no unit that has a failed block.
+    cfg = toy_config(toy_code, toy_key, blocks=60, ber=0.03, method=2, unit_blocks=2)
+    rows = []
+    original = session.extract_key
+    monkeypatch.setattr(session, "extract_key", lambda x, *args: rows.append(len(x)) or original(x, *args))
+
+    def hashed(batch_units):
+        tx = run_transmitter(cfg)
+        tx_rows = rows[:]
+        rows.clear()
+        rx = run_receiver([deliver(f, cfg.channel, "bob") for f in tx.frames], cfg)
+        ok_units = sum(key is not None for key in rx.keys)
+        assert 0 < ok_units < 30 == len(rx.keys)
+        for calls, units in ((tx_rows, 30), (rows, ok_units)):
+            assert sum(calls) == units and len(calls) == math.ceil(units / batch_units)
+            assert max(calls) == min(units, batch_units)
+        rows.clear()
+        return tx.keys, rx.keys
+
+    whole = hashed(30)
+    monkeypatch.setattr(session, "_BATCH_BYTES", 4 * 7 * 2 * toy_code.info_bits)
+    for keys, expected in zip(hashed(7), whole):
+        assert all(a is b is None or np.array_equal(a, b) for a, b in zip(keys, expected))
+
+
 def test_empty_session(toy_code, toy_key):
     report = run_session(toy_config(toy_code, toy_key, blocks=0))
     assert report.blocks_completed == 0
