@@ -234,7 +234,7 @@ def extract_key(info_bits, key_bits: int, seed, key_bits_max: int | None = None)
     Refuses to exceed key_bits_max when given; that cap must come from
     capacity_lower_bound for the extraction to be rate-safe. Raises
     ValueError for an empty input row, a value outside {0, 1}, a
-    non-integer key_bits, or a batch without one seed per row.
+    non-integer key_bits, or a batch without one HashSeed per row.
     """
     info_bits = np.asarray(info_bits)
     one = isinstance(seed, HashSeed)
@@ -242,6 +242,8 @@ def extract_key(info_bits, key_bits: int, seed, key_bits_max: int | None = None)
         raise ValueError("info_bits must be a non-empty 1-d bit array with one HashSeed, or a 2-d batch")
     if not one and len(seed) != len(info_bits):
         raise ValueError(f"a batch of {len(info_bits)} rows needs as many seeds, got {len(seed)}")
+    if not one and not all(isinstance(s, HashSeed) for s in seed):
+        raise ValueError("a batch's seeds must all be HashSeeds")
     if not all_bits(info_bits):
         raise ValueError("info_bits must hold only 0 and 1")
     if not isinstance(key_bits, (int, np.integer)) or key_bits < 1:

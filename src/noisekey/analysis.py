@@ -45,6 +45,8 @@ def log_sum_exp(a: np.ndarray) -> float:
 def _tail_support(trials: int, p: float, threshold: float, direction: str) -> np.ndarray:
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
+    if not isinstance(trials, (int, np.integer)):
+        raise ValueError(f"trials must be an integer, got {trials!r}")
     if trials < 0 or not threshold <= trials:  # NaN included
         raise ValueError(f"need trials >= 0 and a threshold of at most trials ({trials}), got {threshold}")
     if direction == "above":  # any threshold below 0, -inf included, as -1
@@ -145,8 +147,9 @@ def log_binomial_tail(trials: int, p: float, threshold: float, direction: str = 
 
     The pmf terms are summed in log space, so the result stays meaningful
     far below the smallest positive float. Raises ValueError unless
-    0 <= p <= 1 and threshold <= trials (NaN refused); below 0 it takes
-    the whole support "above" and none "below".
+    0 <= p <= 1, trials is an integer (numpy's too) and threshold <= trials
+    (NaN refused); below 0 it takes the whole support "above" and none
+    "below".
     """
     ks = _tail_support(trials, p, threshold, direction)
     if len(ks) == 0:

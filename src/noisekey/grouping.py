@@ -26,7 +26,9 @@ def balanced(ones, length: int, balance_limit: float):
 
 
 def require_key_length(length: int) -> None:
-    """Raise ValueError unless `length` reaches 2, the shortest key."""
+    """Raise ValueError unless `length` is an integer (numpy's too) of at least 2, the shortest key."""
+    if not isinstance(length, (int, np.integer)):
+        raise ValueError(f"key length must be an integer, got {length!r}")
     if length < 2:
         raise ValueError("key must have at least 2 bits")
 

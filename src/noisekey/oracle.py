@@ -159,6 +159,14 @@ def partition_by_parity(scenario: TinyScenario) -> dict[int, np.ndarray]:
     return dict(zip(tags[starts].tolist(), np.split(scenario.key_space[order], starts[1:])))
 
 
+def _parity_row(code: CodeSpec, parity) -> np.ndarray:
+    """The parity as uint8; ValueError unless it is m(n-k) entries, each 0 or 1."""
+    parity = np.asarray(parity)
+    if parity.shape != (code.parity_bits,) or not all_bits(parity):
+        raise ValueError(f"parity must be {code.parity_bits} bits of 0 or 1, got shape {parity.shape}")
+    return parity.astype(np.uint8)
+
+
 def enumerate_info_candidates(code: CodeSpec, parity) -> np.ndarray:
     """All information bit vectors whose parity bits equal the given ones.
 
@@ -167,9 +175,7 @@ def enumerate_info_candidates(code: CodeSpec, parity) -> np.ndarray:
     """
     if code.info_bits > MAX_INFO_ENUM_LOG2:
         raise ValueError(f"info space 2^{code.info_bits} exceeds the enumeration guard")
-    parity = np.asarray(parity)
-    if parity.shape != (code.parity_bits,):
-        raise ValueError(f"parity must be {code.parity_bits} bits, got shape {parity.shape}")
+    parity = _parity_row(code, parity)
     total = 1 << code.info_bits
     hits = []
     chunk = 1 << 16
@@ -195,54 +201,45 @@ class CandidateSet:
         return sum(len(v) for v in self.per_pattern.values())
 
 
-def _error_patterns(code: CodeSpec, max_weight: int, unit: str):
-    """Yield symbol-space error vectors up to the requested weight.
-
-    unit='symbol' ranges nonzero symbols over the whole alphabet;
-    unit='bit' flips individual bits inside the block's information bits.
-    """
-    k, m = code.k, code.m
-    yield (0,) * k
-    if unit == "symbol":
-        for weight in range(1, max_weight + 1):
-            for positions in itertools.combinations(range(k), weight):
-                for values in itertools.product(range(1, 1 << m), repeat=weight):
-                    vec = [0] * k
-                    for pos, val in zip(positions, values):
-                        vec[pos] = val
-                    yield tuple(vec)
-    elif unit == "bit":
-        nbits = k * m
-        for weight in range(1, max_weight + 1):
-            for positions in itertools.combinations(range(nbits), weight):
-                vec = [0] * k
-                for bit in positions:
-                    vec[bit // m] ^= 1 << (m - 1 - bit % m)
-                yield tuple(vec)
-    else:
-        raise ValueError(f"unknown pattern unit {unit!r}")
+def _pattern_rows(places: int, width: int, max_weight: int) -> np.ndarray:
+    """(P, places * width) bits setting at most max_weight places of width bits
+    to nonzero values: by weight, then places, then values, each lexicographic."""
+    values = []
+    for weight in range(max_weight + 1):
+        at = np.array(list(itertools.combinations(range(places), weight)), dtype=np.intp)
+        set_to = np.array(list(itertools.product(range(1, 1 << width), repeat=weight)), dtype=np.int64)
+        rows = np.zeros((len(at), len(set_to), places), dtype=np.int64)
+        rows[np.arange(len(at))[:, None, None], np.arange(len(set_to))[:, None], at[:, None]] = set_to
+        values.append(rows.reshape(-1, places))
+    return symbols_to_bits(np.concatenate(values), width).astype(np.uint8)
 
 
 def enumerate_with_errors(scenario: TinyScenario, max_weight: int, unit: str = "symbol") -> CandidateSet:
     """Candidate keys per hypothesized error pattern of weight <= max_weight.
 
-    Each pattern e shifts the matching parity to observed + parity(e);
-    patterns differing as symbol vectors of weight <= t therefore select
-    pairwise disjoint key sets.
+    unit='symbol' sets up to max_weight of the k symbols to nonzero values,
+    unit='bit' flips up to max_weight of the m*k bits. The patterns are
+    counted before any is listed: ValueError if the keys times the patterns
+    exceed MAX_WORK. Each pattern e shifts the matching parity to observed +
+    parity(e); patterns differing as symbol vectors of weight <= t therefore
+    select pairwise disjoint key sets.
     """
     code = scenario.code
-    parity = np.asarray(scenario.parity)
-    if parity.shape != (code.parity_bits,) or not all_bits(parity):
-        raise ValueError(f"parity must be {code.parity_bits} bits of 0 or 1")
-    if max_weight > code.t:
-        raise ValueError(f"patterns beyond {code.t} errors are not separable for this code")
-    patterns = list(_error_patterns(code, max_weight, unit))
-    if len(scenario.key_space) * len(patterns) > MAX_WORK:
+    parity = _parity_row(code, scenario.parity)
+    if not isinstance(max_weight, (int, np.integer)) or not 0 <= max_weight <= code.t:
+        raise ValueError(f"max_weight must be an integer in [0, {code.t}]: heavier patterns are not separable")
+    if unit not in ("symbol", "bit"):
+        raise ValueError(f"unknown pattern unit {unit!r}")
+    width = code.m if unit == "symbol" else 1
+    places = code.info_bits // width
+    count = sum(math.comb(places, w) * ((1 << width) - 1) ** w for w in range(max_weight + 1))
+    if len(scenario.key_space) * count > MAX_WORK:
         raise ValueError("scenario exceeds the enumeration work guard")
     buckets = partition_by_parity(scenario)
     empty = scenario.key_space[:0]
-    pattern_bits = symbols_to_bits(np.array(patterns), code.m)
-    targets = _parity_tags(encode_parity(code, pattern_bits) ^ parity.astype(np.uint8)).tolist()
+    rows = _pattern_rows(places, width, max_weight)
+    patterns = map(tuple, bits_to_symbols(rows, code.m).tolist())
+    targets = _parity_tags(encode_parity(code, rows) ^ parity).tolist()
     return CandidateSet(per_pattern={p: buckets.get(t, empty) for p, t in zip(patterns, targets)})
 
 

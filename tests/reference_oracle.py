@@ -1,15 +1,24 @@
-"""Reference first-block routing for the exhaustive adversary's tests.
+"""Reference first-block routing and error patterns for the exhaustive adversary's tests.
 
 The gather the adversary first used: each key's first group-I block as an
 explicit bit row, cut from the stream by the positions the key routes.
-It is slow on purpose and must not be optimised;
 `noisekey.oracle._first_block_tags` has to give the parity tags of these
 rows, and `split_stream` has to give the rows themselves.
+
+The generator the adversary first listed its error patterns with, one
+symbol tuple at a time: `noisekey.oracle._pattern_rows` has to give these
+patterns as bit rows, in this order.
+
+Both are slow on purpose and must not be optimised.
 """
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
+
+from noisekey.rs import CodeSpec
 
 SHORT = "stream too short to fill one block for every key"
 
@@ -37,3 +46,31 @@ def first_block_bits(n_bits: int, x: np.ndarray, keys: np.ndarray) -> np.ndarray
             raise ValueError(SHORT)
         out[rows] = x[idx]
     return out
+
+
+def _error_patterns(code: CodeSpec, max_weight: int, unit: str):
+    """Yield symbol-space error vectors up to the requested weight.
+
+    unit='symbol' ranges nonzero symbols over the whole alphabet;
+    unit='bit' flips individual bits inside the block's information bits.
+    """
+    k, m = code.k, code.m
+    yield (0,) * k
+    if unit == "symbol":
+        for weight in range(1, max_weight + 1):
+            for positions in itertools.combinations(range(k), weight):
+                for values in itertools.product(range(1, 1 << m), repeat=weight):
+                    vec = [0] * k
+                    for pos, val in zip(positions, values):
+                        vec[pos] = val
+                    yield tuple(vec)
+    elif unit == "bit":
+        nbits = k * m
+        for weight in range(1, max_weight + 1):
+            for positions in itertools.combinations(range(nbits), weight):
+                vec = [0] * k
+                for bit in positions:
+                    vec[bit // m] ^= 1 << (m - 1 - bit % m)
+                yield tuple(vec)
+    else:
+        raise ValueError(f"unknown pattern unit {unit!r}")

@@ -93,6 +93,18 @@ def test_tail_query_validation():
             binomial_tail(10, 0.5, threshold)
 
 
+@pytest.mark.parametrize("trials", [2.5, 10.0, "10"])
+def test_tail_refuses_trials_that_are_not_an_integer(trials):
+    # 2.5 used to give 0.387 for Pr{X > 1}.
+    with pytest.raises(ValueError, match="trials must be an integer"):
+        binomial_tail(trials, 0.5, 1)
+
+
+def test_tail_takes_numpy_integer_trials():
+    assert binomial_tail(np.int64(10), 0.3, 2) == binomial_tail(10, 0.3, 2)
+    assert binomial_tail(np.uint16(10), 0.3, 2, "below") == binomial_tail(10, 0.3, 2, "below")
+
+
 @pytest.mark.parametrize("direction", ["above", "below"])
 def test_tail_refuses_a_nan_threshold(direction):
     # NaN used to end in "cannot convert float NaN to integer".

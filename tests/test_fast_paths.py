@@ -221,6 +221,13 @@ def test_extract_key_rejects_a_batch_without_one_seed_per_row():
         extract_key(x, 1, seeds)
 
 
+@pytest.mark.parametrize("seeds", [[1, 2], [HashSeed.of(1), (1, 2)]], ids=["ints", "one-tuple"])
+def test_extract_key_rejects_a_batch_seed_that_is_not_a_hash_seed(seeds):
+    # [1, 2] used to end in "'int' object has no attribute 'entropy'".
+    with pytest.raises(ValueError, match="seeds must all be HashSeeds"):
+        extract_key(np.ones((2, 20), dtype=np.uint8), 4, seeds)
+
+
 # tracemalloc's peak for this unit with the big-int and word kernels: 24.29
 # MB (numpy 2.4, Python 3.11); the one batched kernel peaks at 22.96 MB.
 UNIT_1000_PEAK_MB = 24.29

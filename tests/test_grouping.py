@@ -213,6 +213,21 @@ def test_from_bits_rejects_fewer_than_2_bits(bits):
         CommonKey.from_bits(bits, 99.0)
 
 
+@pytest.mark.parametrize("length", [2.5, 8.0, "8"])
+def test_sample_key_refuses_a_length_that_is_not_an_integer(length):
+    # 2.5 used to pass the length and window checks and end in numpy's TypeError.
+    rng = np.random.default_rng(5)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="key length must be an integer"):
+        sample_key(length, 3.0, rng)
+    assert rng.bit_generator.state == state
+
+
+def test_sample_key_takes_a_numpy_integer_length():
+    key = sample_key(np.int64(8), 3.0, np.random.default_rng(5))
+    assert np.array_equal(key.bits, sample_key(8, 3.0, np.random.default_rng(5)).bits)
+
+
 # A (2, 2) array used to become a key of shape (2, 2), and a 0-d one raised
 # TypeError from len().
 @pytest.mark.parametrize("bits", [np.ones((2, 2), dtype=np.uint8), np.uint8(1)], ids=["2-d", "0-d"])

@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -8,8 +9,10 @@ import pytest
 
 from noisekey.grouping import CommonKey
 from noisekey.oracle import (
+    MAX_WORK,
     TinyScenario,
     _parity_tags,
+    _pattern_rows,
     admissible_keys,
     class_size_by_parity,
     enumerate_info_candidates,
@@ -25,6 +28,7 @@ from noisekey.channel import GROUP_NONE, KIND_INFO, KIND_PARITY, Frame, FramingE
 from noisekey.gf import build_field
 
 from reference_layout import completed_blocks
+from reference_oracle import _error_patterns
 
 
 def all_keys(candidates):
@@ -81,6 +85,13 @@ def test_info_candidates_tiny_code(code_3_2):
     assert any((row == 0).all() for row in zero)
     with pytest.raises(ValueError):
         enumerate_info_candidates(code_3_2, np.array([3]))  # a parity symbol, not its bits
+
+
+@pytest.mark.parametrize("parity", [[2, 0, 0, 0, 0, 0], [0.5] * 6, 0.5], ids=["two", "halves", "scalar"])
+def test_info_candidates_refuse_a_parity_that_is_not_bits(code_7_5, parity):
+    # A 2 or a 0.5 used to match no encoded parity and give 0 rows in place of 2^(m(2k-n)).
+    with pytest.raises(ValueError, match="parity must be 6 bits of 0 or 1"):
+        enumerate_info_candidates(code_7_5, np.array(parity))
 
 
 def test_info_candidates_guard(code_255_167):
@@ -148,6 +159,56 @@ def test_with_errors_weight_guard(code_7_5):
     scenario, _ = make_scenario(code_7_5, 12, 2.0, rng)
     with pytest.raises(ValueError):
         enumerate_with_errors(scenario, code_7_5.t + 1)
+
+
+@pytest.mark.parametrize("m, poly, n, k", [(2, 0x7, 3, 2), (3, 0xB, 7, 5), (3, 0xB, 7, 4), (4, 0x13, 15, 11)])
+@pytest.mark.parametrize("unit", ["symbol", "bit"])
+def test_pattern_rows_match_the_reference_generator(m, poly, n, k, unit):
+    code = make_code(build_field(m, poly), n, k)
+    width = m if unit == "symbol" else 1
+    for max_weight in range(code.t + 1):
+        rows = _pattern_rows(code.info_bits // width, width, max_weight)
+        assert rows.shape[1] == code.info_bits
+        listed = list(map(tuple, bits_to_symbols(rows, m).tolist()))
+        assert listed == list(_error_patterns(code, max_weight, unit))
+
+
+def test_work_guard_refuses_before_listing_any_pattern():
+    # 291 736 symbol patterns of weight <= 3 over 3938 keys: the guard used to
+    # trip only after listing every pattern as a tuple (2.65 s, 35.3 MB).
+    code = make_code(build_field(4, 0x13), 15, 9)
+    scenario, _ = make_scenario(code, 12, 2.0, np.random.default_rng(1))
+    assert len(scenario.key_space) * 291_736 > MAX_WORK
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="enumeration work guard"):
+            enumerate_with_errors(scenario, 3, "symbol")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize(
+    "parity, max_weight, unit, match",
+    [([2] * 6, -1, "byte", "parity must be 6 bits"),
+     ([0] * 6, -1, "byte", r"max_weight must be an integer in \[0, 1\]"),
+     ([0] * 6, 0.5, "byte", r"max_weight must be an integer in \[0, 1\]"),
+     ([0] * 6, 2, "byte", r"max_weight must be an integer in \[0, 1\]"),
+     ([0] * 6, 1, "byte", "unknown pattern unit 'byte'")],
+    ids=["parity-first", "negative-weight", "fractional-weight", "weight-beyond-t", "unit"],
+)
+def test_enumeration_refusals_come_in_order(code_7_5, parity, max_weight, unit, match):
+    # A negative max_weight used to list the zero pattern alone, and 0.5 ended
+    # in a TypeError from range(). Each case also breaks every later rule; the
+    # key space alone trips the work guard.
+    keys = np.broadcast_to(admissible_keys(12, 2.0)[:1], (MAX_WORK + 1, 12))
+    scenario = TinyScenario(
+        code=code_7_5, key_space=keys,
+        x=np.zeros(12 * code_7_5.info_bits, dtype=np.uint8), parity=np.array(parity),
+    )
+    with pytest.raises(ValueError, match=match):
+        enumerate_with_errors(scenario, max_weight, unit)
 
 
 def test_bit_patterns_are_symbol_patterns(code_7_5):
