@@ -196,25 +196,25 @@ def _hash_words(info_bits: np.ndarray, seeds, key_bits: int) -> np.ndarray:
     i = 64r + s is the parity of XOR_w(lane_s[r + w] & Y[w]): the set bits
     of lane_s[r + w] & Y[w] are the p with diag[p+i] = x[n_in-1-p] = 1.
     Each 64-bit accumulator is folded to one bit by XOR-ing its eight bytes
-    and taking the byte's popcount & 1. A step ANDs one row of 64 outputs
-    of as many units as fit in _BLOCK_WORDS words, one unit at least.
+    and taking the byte's popcount & 1. A step builds the input words and
+    diagonals of as many units as fit a row of 64 outputs in _BLOCK_WORDS
+    words, one unit at least, and ANDs them a row at a time.
     """
     units, n_in = info_bits.shape
     n_words = -(-n_in // 64)
     rows = -(-key_bits // 64)
     n_lanes = min(64, key_bits)
-    y = _words(info_bits[:, ::-1], n_words)[:, None, :]
-    d = _words(_diagonals(seeds, n_in + key_bits - 1), rows + n_words)[:, None, :]
     shifts = _SHIFTS[:n_lanes]
     unit_step = max(1, _BLOCK_WORDS // (n_lanes * n_words))
     out = np.empty((units, n_lanes, rows), dtype=np.uint8)
     for u in range(0, units, unit_step):
-        du = d[u : u + unit_step]
+        y = _words(info_bits[u : u + unit_step, ::-1], n_words)[:, None, :]
+        d = _words(_diagonals(seeds[u : u + unit_step], n_in + key_bits - 1), rows + n_words)[:, None, :]
         # The left shift is split in two so that lane 0 never shifts by 64.
-        lanes = (du[..., :-1] >> shifts) | ((du[..., 1:] << _ONE) << (np.uint64(63) - shifts))
+        lanes = (d[..., :-1] >> shifts) | ((d[..., 1:] << _ONE) << (np.uint64(63) - shifts))
         acc = np.empty(lanes.shape[:-1] + (rows,), dtype=np.uint64)
         for r in range(rows):
-            acc[..., r] = np.bitwise_xor.reduce(lanes[..., r : r + n_words] & y[u : u + unit_step], axis=-1)
+            acc[..., r] = np.bitwise_xor.reduce(lanes[..., r : r + n_words] & y, axis=-1)
         folded = np.bitwise_xor.reduce(acc.view(np.uint8).reshape(*acc.shape, 8), axis=-1)
         out[u : u + unit_step] = BYTE_POPCOUNT[folded] & 1
     return out.transpose(0, 2, 1).reshape(units, rows * n_lanes)[:, :key_bits]

@@ -77,12 +77,18 @@ class Frame:
         return f"frame (method {self.method}, kind {self.kind}, group {self.group}, index {self.index})"
 
 
-def bsc_transmit(bits, p: float, rng: np.random.Generator) -> np.ndarray:
-    """Flip each bit independently with probability p."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("flip probability must lie in [0, 1]")
+def _flip(bits, p: float, rng: np.random.Generator) -> np.ndarray:
+    """`bsc_transmit` unchecked, for the payloads `deliver` passes on."""
     bits = np.asarray(bits, dtype=np.uint8)
     return bits ^ (rng.random(len(bits)) < p)
+
+
+def bsc_transmit(bits, p: float, rng: np.random.Generator) -> np.ndarray:
+    """Flip each bit of a 1-d 0/1 array independently with probability p;
+    ValueError for a p outside [0, 1] or any other array."""
+    if not 0.0 <= p <= 1.0:
+        raise ValueError("flip probability must lie in [0, 1]")
+    return _flip(bit_row(bits, "channel bits"), p, rng)
 
 
 def _append_words(words: list, values) -> None:
@@ -169,7 +175,7 @@ def deliver(frame: Frame, config: ChannelConfig, recipient: str) -> Frame:
     p = config.bob_ber if recipient == "bob" else config.eve_ber
     if p == 0.0:
         return frame
-    noisy = bsc_transmit(frame.payload, p, _frame_rng(config, recipient, frame))
+    noisy = _flip(frame.payload, p, _frame_rng(config, recipient, frame))
     return Frame(method=frame.method, group=frame.group, index=frame.index, kind=frame.kind, payload=noisy)
 
 

@@ -86,9 +86,10 @@ class Field:
 # make_code's own; those on key_length and unit_blocks keep the binomial
 # tail sums to tens of MB; balance_limit >= 1 guarantees every key length an
 # admissible key, so rejection sampling ends. At blocks_target = 100000 a
-# transmitter's source stream, its routed copies and its blocks' bits, all
-# uint8, peak at ~36 MB for the (31, 19) default and ~470 MB at the
-# (255, 167) design point (tracemalloc); an unbounded target fails with a
+# transmitter peaks at ~132 MB for the (31, 19) default, most of it the
+# frames, block records and hash seeds made per block, and at ~496 MB at the
+# (255, 167) design point, most of it the source stream, its routed copies
+# and its blocks' bits (tracemalloc); an unbounded target fails with a
 # MemoryError.
 FIELDS = {
     "name": Field(str),

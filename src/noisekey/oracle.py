@@ -21,7 +21,7 @@ import numpy as np
 from .amplify import BYTE_POPCOUNT
 from .analysis import binomial_tail, block_failure_probability, noisy_symbols, symbol_error_rate
 from .channel import GROUP_I, GROUP_II, FramingError, bsc_transmit, read_frames
-from .grouping import CommonKey, balanced, require_window, route, split_stream
+from .grouping import CommonKey, balanced, require_key_length, require_window, route, split_stream
 from .rs import CodeSpec, all_bits, bit_row, bits_to_symbols, encode_parity, symbols_to_bits
 from .session import decode_rows
 
@@ -36,6 +36,7 @@ _FOUR_SIGMA = 0.5 * math.erfc(4.0 / math.sqrt(2.0))  # Pr{Z > 4}, the judge's te
 def admissible_keys(key_length: int, balance_limit: float) -> np.ndarray:
     """All admissible keys as a (count, key_length) bit matrix, MSB first, in
     increasing value order."""
+    require_key_length(key_length)
     if key_length > MAX_KEY_LENGTH:
         raise ValueError(f"exhaustive key listing is capped at {MAX_KEY_LENGTH} bits")
     # Filter the values by popcount, then expand only the kept ones to bits.
@@ -86,12 +87,16 @@ def make_scenario(
     return TinyScenario(code=code, key_space=keys, x=x_seen, parity=parity), true_key
 
 
-def _parity_tags(parity: np.ndarray) -> np.ndarray:
-    """Each (…, p)-bit parity row as one int64, most significant bit first."""
-    bits = parity.shape[-1]
+def _require_tag_width(bits: int) -> None:
+    """ValueError unless `bits` parity bits fit one int64 tag."""
     if bits > MAX_TAG_BITS:
         raise ValueError(f"{bits} parity bits exceed the {MAX_TAG_BITS}-bit tag")
-    return bits_to_symbols(parity, bits)[..., 0]
+
+
+def _parity_tags(parity: np.ndarray) -> np.ndarray:
+    """Each (…, p)-bit parity row as one int64, most significant bit first."""
+    _require_tag_width(parity.shape[-1])
+    return bits_to_symbols(parity, parity.shape[-1])[..., 0]
 
 
 def _first_block_tags(code: CodeSpec, x: np.ndarray, keys: np.ndarray) -> np.ndarray:
@@ -111,8 +116,9 @@ def _first_block_tags(code: CodeSpec, x: np.ndarray, keys: np.ndarray) -> np.nda
     if klen > MAX_KEY_LENGTH:
         raise ValueError(f"parity tags are listed for keys of at most {MAX_KEY_LENGTH} bits")
     x = bit_row(x, "stream bits")
-    # The parity matrix's row j is unit bit j's parity: no m*k x m*k encode (~160 MB at (255,167)).
-    unit_tags = _parity_tags(np.unpackbits(code.parity_matrix, axis=-1, count=code.parity_bits))
+    # Unit bit j's tag is that of the identity's row j, encoded once the width fits.
+    _require_tag_width(code.parity_bits)
+    unit_tags = _parity_tags(encode_parity(code, np.eye(n_bits, dtype=np.uint8)))
     # One row per key byte, first column in bit 0; flat packing beats axis=1 ~10x.
     flat = np.pad(keys, ((0, 0), (0, -klen % 8))).ravel()
     octets = np.packbits(flat, bitorder="little").reshape(count, -(-klen // 8)).T
@@ -219,10 +225,10 @@ def enumerate_with_errors(scenario: TinyScenario, max_weight: int, unit: str = "
 
     unit='symbol' sets up to max_weight of the k symbols to nonzero values,
     unit='bit' flips up to max_weight of the m*k bits. The patterns are
-    counted before any is listed: ValueError if the keys times the patterns
-    exceed MAX_WORK. Each pattern e shifts the matching parity to observed +
-    parity(e); patterns differing as symbol vectors of weight <= t therefore
-    select pairwise disjoint key sets.
+    counted before any is listed: ValueError if the keys plus the m*k bits of
+    a pattern's row, times the patterns, exceed MAX_WORK. Each pattern e
+    shifts the matching parity to observed + parity(e); patterns differing as
+    symbol vectors of weight <= t therefore select pairwise disjoint key sets.
     """
     code = scenario.code
     parity = _parity_row(code, scenario.parity)
@@ -233,7 +239,7 @@ def enumerate_with_errors(scenario: TinyScenario, max_weight: int, unit: str = "
     width = code.m if unit == "symbol" else 1
     places = code.info_bits // width
     count = sum(math.comb(places, w) * ((1 << width) - 1) ** w for w in range(max_weight + 1))
-    if len(scenario.key_space) * count > MAX_WORK:
+    if (len(scenario.key_space) + code.info_bits) * count > MAX_WORK:
         raise ValueError("scenario exceeds the enumeration work guard")
     buckets = partition_by_parity(scenario)
     empty = scenario.key_space[:0]

@@ -39,17 +39,14 @@ from .rs import CodeSpec, DecodeResult, bits_to_symbols, decode_block, encode_pa
 
 _SOURCE_STREAM = 7
 
-# Both ends encode, convert, unpack and hash blocks in batches of at most
-# this many bytes, the way amplify._BLOCK_WORDS bounds a hash kernel step: a
-# batched encode_parity holds m*k x ceil(m*(n-k)/8) bytes per block (~115 KiB
-# at (255, 167)), and a batch of word bits 8*m*n as int64 (~16 KiB).
-# Unbounded, the CLI's largest session would take ~11.7 GB at once.
+# decode_rows converts and unpacks blocks in batches of at most this many
+# bytes, 8*m*n per block for its int64 word bits (~16 KiB at (255, 167)).
 _BATCH_BYTES = 1 << 20
 
 
 def _batch_rows(code: CodeSpec) -> int:
-    """Blocks per batch for this code: one at least, else within _BATCH_BYTES."""
-    return max(1, _BATCH_BYTES // max(code.parity_matrix.nbytes, 8 * code.m * code.n))
+    """Blocks per decode batch for this code, within _BATCH_BYTES."""
+    return _BATCH_BYTES // (8 * code.m * code.n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,24 +200,14 @@ def _block_rows(stream: np.ndarray, key: CommonKey, block_bits: int, group, inde
 
 
 def _unit_keys(config: SessionConfig, info: np.ndarray, ok: list) -> list:
-    """One key per whole unit of `unit_blocks` consecutive rows of the
-    (blocks, m*k) info bits; None for a unit that holds a row not `ok`. One
-    extract_key call hashes each batch of whole units that are all `ok`."""
+    """One key per whole unit of `unit_blocks` consecutive (blocks, m*k) info
+    rows, all in one extract_key call; None for a unit with a row not `ok`."""
     size = config.unit_blocks
     units = len(info) // size
     rows = info[: units * size].reshape(units, size * info.shape[1])
-    whole = np.flatnonzero(np.reshape(ok[: units * size], (units, size)).all(axis=1))
-    keys = [None] * units
-    # extract_key holds up to ~4 bytes per input bit of a batch at once
-    # (the gathered rows, the raw draws, the diagonal bits and their padded
-    # copy), so a batch takes at most a quarter of _BATCH_BYTES of rows.
-    step = max(1, _BATCH_BYTES // (4 * rows.shape[1]))
-    for start in range(0, len(whole), step):
-        batch = whole[start : start + step].tolist()
-        seeds = [HashSeed.of(config.hash_seed, unit) for unit in batch]
-        for unit, key in zip(batch, extract_key(rows[batch], config.key_bits, seeds)):
-            keys[unit] = key.copy()  # a view would keep the whole batch alive
-    return keys
+    seeds = [HashSeed.of(config.hash_seed, unit) for unit in range(units)]
+    whole = np.reshape(ok[: units * size], (units, size)).all(axis=1)
+    return [key if fine else None for key, fine in zip(extract_key(rows, config.key_bits, seeds), whole)]
 
 
 def run_transmitter(config: SessionConfig) -> TransmitterRun:
@@ -237,10 +224,7 @@ def run_transmitter(config: SessionConfig) -> TransmitterRun:
     ]
     stream = chunks.reshape(-1)
     info = _block_rows(stream, config.key, block_bits, group, index)
-    rows = _batch_rows(code)
-    parity = np.empty((len(info), code.parity_bits), dtype=np.uint8)
-    for start in range(0, len(info), rows):
-        parity[start : start + rows] = encode_parity(code, info[start : start + rows])
+    parity = encode_parity(code, info)
     blocks = [
         BlockRecord(group=g, index=j, info_bits=bits)
         for g, j, bits in zip(group.tolist(), index.tolist(), info)

@@ -42,6 +42,19 @@ def test_bsc_flip_rate_concentrates():
     assert abs(rate - p) <= 4 * sigma
 
 
+@pytest.mark.parametrize(
+    "bits",
+    [np.zeros((4, 4), dtype=np.uint8), [0, 2, 1, 3], [-1, 1]],
+    ids=["two-d", "non-bit", "negative"],
+)
+def test_bsc_refuses_anything_but_a_row_of_bits(bits):
+    # The (4, 4) array came back with the same column flipped in every row,
+    # [0, 2, 1, 3] came back unchanged at p = 0 and [-1, 1] raised numpy's
+    # OverflowError.
+    with pytest.raises(ValueError, match="channel bits must be a 1-d array holding only 0 and 1"):
+        bsc_transmit(bits, 0.0, np.random.default_rng(32))
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         ChannelConfig(eve_ber=0.1, bob_ber=0.05)

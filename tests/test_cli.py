@@ -163,6 +163,26 @@ def test_attack_refuses_a_wide_tag_before_encoding(capsys, tmp_path):
     assert peak < 5e6, peak
 
 
+def test_attack_refuses_a_pattern_count_past_the_work_guard_before_listing(capsys, tmp_path):
+    # 2 keys times ~2.9e7 symbol patterns of weight <= 3 passed a guard on
+    # keys times patterns, and listing the patterns asked for tens of GB; the
+    # guard also counts each pattern's m*k = 95 bits and refuses the call.
+    params = tmp_path / "heavy.json"
+    params.write_text(json.dumps(
+        {"m": 5, "primitive_poly": 37, "n": 31, "k": 19, "key_length": 2, "balance_limit": 1.0}
+    ))
+    argv = ["attack", "--params", str(params), "--max-weight", "3", "--pattern-unit", "symbol", "--format", "json"]
+    tracemalloc.start()
+    try:
+        code, _, err = run_cli(capsys, *argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert json.loads(err) == {"error": "scenario exceeds the enumeration work guard"}
+    assert peak < 5e6, peak
+
+
 def test_table_reproduction(capsys):
     code, out, _ = run_cli(capsys, "reproduce-table2", "--format", "json")
     assert code == 0

@@ -438,6 +438,34 @@ def test_batched_encode_equals_rows(m, n, k):
     assert encode_parity(code, batch[:0]).shape == (0, 4, code.parity_bits)
 
 
+@pytest.mark.parametrize("m,n,k", [(5, 31, 19), (8, 255, 167)])
+def test_a_stepped_encode_equals_rows_at_the_step_edges(m, n, k):
+    # One row short of, at and one past a whole step of the reused buffer.
+    code = make_code(build_field(m), n, k)
+    step = rs._STEP_BYTES // code.parity_matrix.nbytes
+    rng = np.random.default_rng(n)
+    for rows in (step - 1, step, step + 1):
+        batch = rng.integers(0, 2, (rows, code.info_bits), dtype=np.uint8)
+        assert np.array_equal(encode_parity(code, batch), [encode_parity(code, row) for row in batch])
+
+
+def test_a_2000_row_design_encode_peaks_within_one_step_and_its_output():
+    # Unstepped, the broadcast alone took 2000 parity matrices (235 MB).
+    code = make_code(build_field(8), 255, 167)
+    bits = np.random.default_rng(6).integers(0, 2, (2000, code.info_bits), dtype=np.uint8)
+    step = rs._STEP_BYTES // code.parity_matrix.nbytes
+    tracemalloc.start()
+    try:
+        parity = encode_parity(code, bits)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert parity.shape == (2000, code.parity_bits)
+    # The step buffer, the packed parity bytes and the unpacked parity bits.
+    output = 2000 * (code.parity_matrix.shape[1] + code.parity_bits)
+    assert peak <= step * code.parity_matrix.nbytes + output + (64 << 10)
+
+
 @pytest.mark.parametrize("bad", [2, -1, 0.5, 255])
 def test_encode_rejects_non_bits(code_7_5, bad):
     bits = np.zeros(code_7_5.info_bits, dtype=type(bad))

@@ -54,6 +54,17 @@ def test_admissible_key_listing():
         admissible_keys(24, 2.0)
 
 
+@pytest.mark.parametrize(
+    "length, match",
+    [(0, "at least 2 bits"), (1, "at least 2 bits"), (-1, "at least 2 bits"), (2.5, "must be an integer")],
+)
+def test_admissible_keys_check_the_key_length_first(length, match):
+    # 0 and 1 listed 0- and 1-bit keys, 2.5 raised TypeError and -1
+    # "negative shift count".
+    with pytest.raises(ValueError, match=match):
+        admissible_keys(length, 3.0)
+
+
 def full_matrix_admissible_keys(key_length, balance_limit):
     # Every key as a bit row first, then the balance filter.
     values = np.arange(1 << key_length, dtype=np.uint32)

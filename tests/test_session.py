@@ -28,7 +28,7 @@ from noisekey.grouping import CommonKey, sample_key, split_stream
 from noisekey.oracle import judge_candidate
 from noisekey.rs import bits_to_symbols, decode_block, encode_parity, make_code, symbols_to_bits
 from noisekey.gf import build_field
-from noisekey import session
+from noisekey import amplify, session
 from noisekey.session import (
     BlockOutcome,
     FramingError,
@@ -535,32 +535,32 @@ def test_judge_verdict_does_not_depend_on_the_batch_size(toy_code, toy_key, monk
     assert whole[0].consistent and not whole[1].consistent
 
 
-def test_a_session_hashes_each_batch_of_units_in_one_call(toy_code, toy_key, monkeypatch):
-    # Both ends hash every whole, all-ok unit in ceil(units / batch) calls:
-    # one at the real batch size, and ceil(hashed / 7) at 7 units a batch,
-    # with the same keys. The receiver hashes no unit that has a failed block.
+def test_each_end_hashes_all_its_units_in_one_call(toy_code, toy_key, monkeypatch):
+    # Each end hashes the 30 units of 60 blocks in one extract_key call, and
+    # the receiver's key of a unit with a failed block is None. The keys stay
+    # the same when the hash kernel takes one step per unit.
     cfg = toy_config(toy_code, toy_key, blocks=60, ber=0.03, method=2, unit_blocks=2)
-    rows = []
-    original = session.extract_key
-    monkeypatch.setattr(session, "extract_key", lambda x, *args: rows.append(len(x)) or original(x, *args))
+    calls, steps = [], []
+    original, diagonals = session.extract_key, amplify._diagonals
+    monkeypatch.setattr(session, "extract_key", lambda x, *args: calls.append(len(x)) or original(x, *args))
+    monkeypatch.setattr(amplify, "_diagonals", lambda seeds, size: steps.append(len(seeds)) or diagonals(seeds, size))
 
-    def hashed(batch_units):
+    def keys():
+        calls.clear()
+        steps.clear()
         tx = run_transmitter(cfg)
-        tx_rows = rows[:]
-        rows.clear()
         rx = run_receiver([deliver(f, cfg.channel, "bob") for f in tx.frames], cfg)
-        ok_units = sum(key is not None for key in rx.keys)
-        assert 0 < ok_units < 30 == len(rx.keys)
-        for calls, units in ((tx_rows, 30), (rows, ok_units)):
-            assert sum(calls) == units and len(calls) == math.ceil(units / batch_units)
-            assert max(calls) == min(units, batch_units)
-        rows.clear()
-        return tx.keys, rx.keys
+        assert calls == [30, 30]
+        return tx.keys, rx.keys, [not all(o.ok for o in rx.outcomes[u : u + 2]) for u in range(0, 60, 2)]
 
-    whole = hashed(30)
-    monkeypatch.setattr(session, "_BATCH_BYTES", 4 * 7 * 2 * toy_code.info_bits)
-    for keys, expected in zip(hashed(7), whole):
-        assert all(a is b is None or np.array_equal(a, b) for a, b in zip(keys, expected))
+    tx_keys, rx_keys, failed = keys()
+    assert 0 < sum(failed) < 30 and all(key is not None for key in tx_keys)
+    assert [key is None for key in rx_keys] == failed
+    monkeypatch.setattr(amplify, "_BLOCK_WORDS", 1)
+    *stepped, _ = keys()
+    assert steps == [1] * 60
+    for keys_now, expected in zip(stepped, (tx_keys, rx_keys)):
+        assert all(a is b is None or np.array_equal(a, b) for a, b in zip(keys_now, expected))
 
 
 def test_empty_session(toy_code, toy_key):
