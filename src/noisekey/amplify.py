@@ -27,11 +27,12 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import entropy_words, raw_bits, raw_count
+from .channel import entropy_words, pcg64_raw, raw_bits, raw_count
 from .rs import CodeSpec, all_bits
 
 
@@ -146,11 +147,9 @@ class HashSeed:
 
 
 def _diagonals(seeds, size: int) -> np.ndarray:
-    """(U, size) uint8 diagonal bits, row u those of seeds[u]: one raw read
-    per seed into one (U, raw) array, converted to bits in one pass."""
-    raw = np.empty((len(seeds), raw_count(1, size)), dtype=np.uint64)
-    for row, seed in zip(raw, seeds):
-        row[:] = np.random.PCG64(entropy_words(seed.entropy)).random_raw(len(row))
+    """(U, size) uint8 diagonal bits, row u those of seeds[u]: one `pcg64_raw`
+    read for all seeds, converted to bits in one pass."""
+    raw = pcg64_raw([entropy_words(seed.entropy) for seed in seeds], raw_count(1, size))
     return raw_bits(raw, 1, size)[:, 0]
 
 
@@ -234,10 +233,13 @@ def extract_key(info_bits, key_bits: int, seed, key_bits_max: int | None = None)
     Refuses to exceed key_bits_max when given; that cap must come from
     capacity_lower_bound for the extraction to be rate-safe. Raises
     ValueError for an empty input row, a value outside {0, 1}, a
-    non-integer key_bits, or a batch without one HashSeed per row.
+    non-integer key_bits, a seed that is neither a HashSeed nor a sequence
+    of them, or a batch without one HashSeed per row.
     """
     info_bits = np.asarray(info_bits)
     one = isinstance(seed, HashSeed)
+    if not one and not isinstance(seed, Sequence):
+        raise ValueError(f"seed must be a HashSeed or a sequence of HashSeeds, got {type(seed).__name__}")
     if info_bits.ndim != (1 if one else 2) or info_bits.shape[-1] == 0:
         raise ValueError("info_bits must be a non-empty 1-d bit array with one HashSeed, or a 2-d batch")
     if not one and len(seed) != len(info_bits):

@@ -12,6 +12,7 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .rs import all_bits, bit_row
 
@@ -123,6 +124,49 @@ def entropy_words(entropy, spawn_key=()) -> np.ndarray:
         words += [0] * (4 - len(words))
         _append_words(words, spawn_key)
     return np.array(words, dtype=np.uint32)
+
+
+# numpy's SeedSequence.generate_state: output word i is pool word i % 4
+# XORed with _STATE_MULT[i], times _STATE_MULT[i + 1], its top half then
+# XORed into its low half. Each multiplier is the one before times 0x58F38DED.
+_STATE_MULT = np.array(
+    [0x8B51F9DD * pow(0x58F38DED, i, 1 << 32) % (1 << 32) for i in range(9)], dtype=np.uint32
+)
+_STATE_XOR, _STATE_TIMES = _STATE_MULT[:-1].reshape(2, 4), _STATE_MULT[1:].reshape(2, 4)
+
+
+class _State(ISeedSequence):
+    """Hands PCG64 a generate_state(4, uint64) result computed elsewhere."""
+
+    def __init__(self, state: np.ndarray):
+        self.state = state
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.state
+
+
+def pcg64_raw(words, count: int) -> np.ndarray:
+    """(U, count) uint64, row u equal to np.random.PCG64(words[u]).random_raw(count),
+    for U rows of uint32 entropy words as `entropy_words` gives them: a (U, W)
+    array, or a sequence of rows whose lengths may differ.
+
+    Each row's 4-word pool is numpy's own SeedSequence(words[u]).pool;
+    generate_state(4, uint64) then runs across all U pools at once in
+    uint32 array arithmetic, and each row's PCG64 seeds itself from that
+    state and draws in numpy's C code.
+    """
+    pool = np.empty((len(words), 4), dtype=np.uint32)
+    for row, entropy in zip(pool, words):
+        row[:] = np.random.SeedSequence(entropy).pool
+    state = pool[:, None, :] ^ _STATE_XOR
+    state *= _STATE_TIMES
+    state ^= state >> 16
+    # Paired as numpy pairs them: little-endian, low word first.
+    state = state.reshape(-1, 8).astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+    raw = np.empty((len(words), count), dtype=np.uint64)
+    for row, seed in zip(raw, state):
+        row[:] = np.random.PCG64(_State(seed)).random_raw(count)
+    return raw
 
 
 def raw_count(chunks: int, size: int) -> int:

@@ -31,6 +31,9 @@ MAX_WORK = 1 << 26
 MAX_TAG_BITS = 62
 _SHORT = "stream too short to fill one block for every key"
 _FOUR_SIGMA = 0.5 * math.erfc(4.0 / math.sqrt(2.0))  # Pr{Z > 4}, the judge's test level
+# symbols_to_bits makes ~16 bytes of int64 temporaries per bit it unpacks,
+# so a step of 2^18 bits stays near 4 MB.
+_UNPACK_STEP = 1 << 18
 
 
 def admissible_keys(key_length: int, balance_limit: float) -> np.ndarray:
@@ -209,15 +212,24 @@ class CandidateSet:
 
 def _pattern_rows(places: int, width: int, max_weight: int) -> np.ndarray:
     """(P, places * width) bits setting at most max_weight places of width bits
-    to nonzero values: by weight, then places, then values, each lexicographic."""
+    to nonzero values: by weight, then places, then values, each lexicographic.
+
+    The values are listed in the narrowest unsigned dtype that holds them
+    and unpacked to bits _UNPACK_STEP bits at a time."""
+    dtype = np.min_scalar_type((1 << width) - 1)
     values = []
     for weight in range(max_weight + 1):
         at = np.array(list(itertools.combinations(range(places), weight)), dtype=np.intp)
-        set_to = np.array(list(itertools.product(range(1, 1 << width), repeat=weight)), dtype=np.int64)
-        rows = np.zeros((len(at), len(set_to), places), dtype=np.int64)
+        set_to = np.array(list(itertools.product(range(1, 1 << width), repeat=weight)), dtype=dtype)
+        rows = np.zeros((len(at), len(set_to), places), dtype=dtype)
         rows[np.arange(len(at))[:, None, None], np.arange(len(set_to))[:, None], at[:, None]] = set_to
         values.append(rows.reshape(-1, places))
-    return symbols_to_bits(np.concatenate(values), width).astype(np.uint8)
+    symbols = np.concatenate(values)
+    bits = np.empty((len(symbols), places * width), dtype=np.uint8)
+    step = max(1, _UNPACK_STEP // (places * width))
+    for r in range(0, len(symbols), step):
+        bits[r : r + step] = symbols_to_bits(symbols[r : r + step], width)
+    return bits
 
 
 def enumerate_with_errors(scenario: TinyScenario, max_weight: int, unit: str = "symbol") -> CandidateSet:

@@ -19,8 +19,10 @@ session's code:
   .random(bits)[i] < ber`; parity frames pass untouched in method 1.
 - Bob cuts his payload stream by the same walk and decodes each block with
   `reference_rs.decode_block`. Unit u of `unit_blocks` consecutive blocks
-  hashes to `toeplitz_matrix(HashSeed.of(hash_seed, u), n_in, key_bits) @
-  bits % 2`; Bob has no key for a unit with a failed block.
+  hashes to `T @ bits % 2`, T the key_bits x n_in Toeplitz matrix with
+  T[i, j] = diag[n_in - 1 + i - j] and diag the n_in + key_bits - 1 bits
+  `default_rng(SeedSequence([hash_seed, u])).integers(0, 2, n, uint8)`;
+  Bob has no key for a unit with a failed block.
 - A unit is "failed" when Bob has no key, "agreed" when his corrected bits
   equal Alice's, and "miscorrected" otherwise.
 """
@@ -31,7 +33,6 @@ from collections import Counter
 
 import numpy as np
 
-from noisekey.amplify import HashSeed, toeplitz_matrix
 from noisekey.channel import Frame
 
 import reference_rs
@@ -60,6 +61,13 @@ def walk(chunks, key, size: int) -> list:
     """Every (group, index, bits) block the chunks complete, in wire order."""
     stream = np.concatenate(chunks) if chunks else np.zeros(0, dtype=np.uint8)
     return list(completed_blocks(stream, key, size))
+
+
+def toeplitz(hash_seed: int, unit: int, n_in: int, key_bits: int) -> np.ndarray:
+    rng = np.random.default_rng(np.random.SeedSequence([hash_seed, unit]))
+    diag = rng.integers(0, 2, n_in + key_bits - 1, dtype=np.uint8)
+    i, j = np.arange(key_bits)[:, None], np.arange(n_in)[None, :]
+    return diag[n_in - 1 + i - j].astype(np.int64)
 
 
 def deliver(frame: Frame, channel, recipient: str) -> Frame:
@@ -106,14 +114,14 @@ def reference_session(config) -> dict:
     for unit in range(target // config.unit_blocks):
         rows = range(unit * config.unit_blocks, (unit + 1) * config.unit_blocks)
         alice = np.concatenate([plan[row][2] for row in rows])
-        matrix = toeplitz_matrix(HashSeed.of(config.hash_seed, unit), len(alice), config.key_bits)
-        keys_alice.append((matrix.astype(np.int64) @ alice % 2).astype(np.uint8))
+        matrix = toeplitz(config.hash_seed, unit, len(alice), config.key_bits)
+        keys_alice.append((matrix @ alice % 2).astype(np.uint8))
         if any(bob_bits[row] is None for row in rows):
             keys_bob.append(None)
             labels.append("failed")
             continue
         corrected = np.concatenate([bob_bits[row] for row in rows])
-        keys_bob.append((matrix.astype(np.int64) @ corrected % 2).astype(np.uint8))
+        keys_bob.append((matrix @ corrected % 2).astype(np.uint8))
         labels.append("agreed" if np.array_equal(corrected, alice) else "miscorrected")
 
     eve_chunks = [f.payload for f in eve if f.kind == KIND_INFO]

@@ -20,6 +20,7 @@ from noisekey.channel import (
     deliver,
     encode_frame,
     entropy_words,
+    pcg64_raw,
     read_capture,
     write_capture,
 )
@@ -165,6 +166,39 @@ def test_entropy_words_name_a_float_seed(entropy):
     # A float used to be iterated: "'float' object is not iterable".
     with pytest.raises(TypeError, match="seed must be integer, got"):
         entropy_words(entropy)
+
+
+# One row per word count: 0 and 2^32 - 1 (one word), 2^32 (two), 2^64 + 1
+# (three), HashSeed.of() (none) and a spawn key's zero-padded five words.
+PCG64_ENTROPIES = {
+    "0": entropy_words(0),
+    "2^32-1": entropy_words(2**32 - 1),
+    "2^32": entropy_words(2**32),
+    "2^64+1": entropy_words(2**64 + 1),
+    "empty": entropy_words(()),
+    "spawn-key": entropy_words(7, (2**32 - 1,)),
+}
+
+
+@pytest.mark.parametrize("count", [1, 13, 1733])
+@pytest.mark.parametrize("words", PCG64_ENTROPIES.values(), ids=PCG64_ENTROPIES.keys())
+def test_pcg64_raw_rows_are_numpys_pcg64_draws(words, count):
+    for lanes in (0, 1, 3):
+        # Rows of one word count that differ in their first word, wrapped in uint32.
+        batch = np.tile(words, (lanes, 1))
+        batch[:, :1] += np.arange(lanes, dtype=np.uint32)[:, None]
+        raw = pcg64_raw(batch, count)
+        assert raw.dtype == np.uint64 and raw.shape == (lanes, count)
+        for row, drawn in zip(batch, raw):
+            assert np.array_equal(drawn, np.random.PCG64(row).random_raw(count))
+
+
+def test_pcg64_raw_takes_rows_of_different_lengths():
+    rows = list(PCG64_ENTROPIES.values())
+    raw = pcg64_raw(rows, 13)
+    assert raw.shape == (len(rows), 13)
+    for row, drawn in zip(rows, raw):
+        assert np.array_equal(drawn, np.random.PCG64(row).random_raw(13))
 
 
 def test_frame_round_trip():

@@ -198,7 +198,9 @@ def test_a_batch_is_its_rows_hashed_one_at_a_time(n_in, key_bits, units):
 
 def test_a_batch_mixes_one_and_two_word_unit_seeds():
     # A unit index from 2^32 on adds a word to the seed's entropy, and so
-    # changes its SeedSequence; each row keeps its own seed.
+    # changes its SeedSequence; each row keeps its own seed. The batch seeds
+    # its 2-, 3- and 4-word rows in one pcg64_raw call, and the oracle seeds
+    # each row alone.
     seeds = [HashSeed.of(7, unit) for unit in (5, 2**32 - 1, 2**32, 2**32 + 5, 2**64 + 1, 0)]
     x = np.random.default_rng(3).integers(0, 2, (len(seeds), 95), dtype=np.uint8)
     x[-1] = x[0]
@@ -221,10 +223,21 @@ def test_extract_key_rejects_a_batch_without_one_seed_per_row():
         extract_key(x, 1, seeds)
 
 
-@pytest.mark.parametrize("seeds", [[1, 2], [HashSeed.of(1), (1, 2)]], ids=["ints", "one-tuple"])
-def test_extract_key_rejects_a_batch_seed_that_is_not_a_hash_seed(seeds):
-    # [1, 2] used to end in "'int' object has no attribute 'entropy'".
-    with pytest.raises(ValueError, match="seeds must all be HashSeeds"):
+@pytest.mark.parametrize(
+    "seeds, why",
+    [
+        ([1, 2], "seeds must all be HashSeeds"),
+        ([HashSeed.of(1), (1, 2)], "seeds must all be HashSeeds"),
+        (5, "a HashSeed or a sequence of HashSeeds, got int"),
+        (None, "a HashSeed or a sequence of HashSeeds, got NoneType"),
+        ((HashSeed.of(1, u) for u in range(2)), "a HashSeed or a sequence of HashSeeds, got generator"),
+    ],
+    ids=["ints", "one-tuple", "int", "none", "generator"],
+)
+def test_extract_key_rejects_a_batch_seed_that_is_not_a_hash_seed(seeds, why):
+    # [1, 2] used to end in "'int' object has no attribute 'entropy'", and
+    # 5, None and a generator in "object of type ... has no len()".
+    with pytest.raises(ValueError, match=why):
         extract_key(np.ones((2, 20), dtype=np.uint8), 4, seeds)
 
 

@@ -184,6 +184,20 @@ def test_pattern_rows_match_the_reference_generator(m, poly, n, k, unit):
         assert listed == list(_error_patterns(code, max_weight, unit))
 
 
+def test_pattern_rows_of_the_31_19_weight_2_symbol_attack_peak_within_40_mb():
+    # 164 921 rows of 95 bits (15.7 MB as uint8). Listed as int64 symbols and
+    # unpacked in one call they peaked at 175.7 MB (numpy 2.4, Python 3.11);
+    # in uint8 and in steps, at 24.6 MB.
+    tracemalloc.start()
+    try:
+        rows = _pattern_rows(19, 5, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows.shape == (164_921, 95) and rows.dtype == np.uint8
+    assert peak <= 40e6
+
+
 def test_work_guard_refuses_before_listing_any_pattern():
     # 291 736 symbol patterns of weight <= 3 over 3938 keys: the guard used to
     # trip only after listing every pattern as a tuple (2.65 s, 35.3 MB).
