@@ -26,6 +26,7 @@ eavesdropper holds about an extracted key is bounded by
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -45,6 +46,20 @@ def binary_entropy(p: float) -> float:
     return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
 
 
+def as_integer(value, name: str, minimum: int | None = None) -> int:
+    """`value` as a Python int, read through operator.index so that a numpy
+    integer scalar does its arithmetic unbounded; ValueError naming `name` for
+    a bool, anything else that is not an integer, or one below `minimum`."""
+    try:
+        number = None if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        number = None
+    if number is None or minimum is not None and number < minimum:
+        floor = "" if minimum is None else f" >= {minimum}"
+        raise ValueError(f"{name} must be an integer{floor}, got {value!r}")
+    return number
+
+
 @dataclass(frozen=True, eq=False)
 class CapacityParams:
     """Inputs of the secure-rate bound for one code/channel operating point."""
@@ -57,8 +72,7 @@ class CapacityParams:
 
     def __post_init__(self):
         for name in ("unit_blocks", "safety_bits"):
-            if not isinstance(getattr(self, name), (int, np.integer)) or getattr(self, name) < 1:
-                raise ValueError(f"{name} must be an integer >= 1, got {getattr(self, name)!r}")
+            object.__setattr__(self, name, as_integer(getattr(self, name), name, 1))
         if not 0.0 < self.eve_ber <= 0.5:
             raise ValueError("eve_ber must lie in (0, 1/2]")
         if not self.fluctuation_sigmas >= 0.0:  # NaN included
@@ -248,8 +262,7 @@ def extract_key(info_bits, key_bits: int, seed, key_bits_max: int | None = None)
         raise ValueError("a batch's seeds must all be HashSeeds")
     if not all_bits(info_bits):
         raise ValueError("info_bits must hold only 0 and 1")
-    if not isinstance(key_bits, (int, np.integer)) or key_bits < 1:
-        raise ValueError(f"key_bits must be an integer >= 1, got {key_bits!r}")
+    key_bits = as_integer(key_bits, "key_bits", 1)
     if key_bits_max is not None and key_bits > key_bits_max:
         raise ValueError(f"requested {key_bits} key bits but the rate bound allows {key_bits_max}")
     if one:

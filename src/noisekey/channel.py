@@ -133,6 +133,7 @@ _STATE_MULT = np.array(
     [0x8B51F9DD * pow(0x58F38DED, i, 1 << 32) % (1 << 32) for i in range(9)], dtype=np.uint32
 )
 _STATE_XOR, _STATE_TIMES = _STATE_MULT[:-1].reshape(2, 4), _STATE_MULT[1:].reshape(2, 4)
+_STATE_INTS = tuple(_STATE_MULT.tolist())
 
 
 class _State(ISeedSequence):
@@ -143,6 +144,34 @@ class _State(ISeedSequence):
 
     def generate_state(self, n_words, dtype=np.uint32):
         return self.state
+
+
+def _pcg64(words) -> np.random.PCG64:
+    """np.random.PCG64(words), bit for bit, for uint32 entropy words as
+    `entropy_words` gives them.
+
+    This is the one-row form of the rule `pcg64_raw` runs across lanes: the
+    4-word pool is numpy's own SeedSequence(words).pool, and
+    generate_state(4, uint64) is computed from it in Python ints, unrolled,
+    rather than by numpy's Python-level loop.
+    """
+    p0, p1, p2, p3 = np.random.SeedSequence(words).pool.tolist()
+    c0, c1, c2, c3, c4, c5, c6, c7, c8 = _STATE_INTS
+    low = 0xFFFFFFFF
+    w0, w1, w2, w3 = (p0 ^ c0) * c1 & low, (p1 ^ c1) * c2 & low, (p2 ^ c2) * c3 & low, (p3 ^ c3) * c4 & low
+    w4, w5, w6, w7 = (p0 ^ c4) * c5 & low, (p1 ^ c5) * c6 & low, (p2 ^ c6) * c7 & low, (p3 ^ c7) * c8 & low
+    # Each word's top half XORed into its low half; paired as numpy pairs
+    # them, low word first.
+    state = np.array(
+        [
+            (w0 ^ w0 >> 16) | (w1 ^ w1 >> 16) << 32,
+            (w2 ^ w2 >> 16) | (w3 ^ w3 >> 16) << 32,
+            (w4 ^ w4 >> 16) | (w5 ^ w5 >> 16) << 32,
+            (w6 ^ w6 >> 16) | (w7 ^ w7 >> 16) << 32,
+        ],
+        dtype=np.uint64,
+    )
+    return np.random.PCG64(_State(state))
 
 
 def pcg64_raw(words, count: int) -> np.ndarray:
@@ -193,7 +222,7 @@ def raw_bits(raw: np.ndarray, chunks: int, size: int) -> np.ndarray:
 def bit_chunks(words: np.ndarray, chunks: int, size: int) -> np.ndarray:
     """(chunks, size) uint8 bits, row i the i-th of `chunks` successive
     Generator(PCG64(words)).integers(0, 2, size, uint8) draws, in one raw read."""
-    raw = np.random.PCG64(words).random_raw(raw_count(chunks, size))
+    raw = _pcg64(words).random_raw(raw_count(chunks, size))
     return raw_bits(raw[None], chunks, size)[0]
 
 
@@ -201,7 +230,7 @@ def _frame_rng(config: ChannelConfig, recipient: str, frame: Frame) -> np.random
     words = entropy_words(
         config.seed, (_RECIPIENT_STREAM[recipient], frame.kind, frame.index, frame.group)
     )
-    return np.random.Generator(np.random.PCG64(words))
+    return np.random.Generator(_pcg64(words))
 
 
 def deliver(frame: Frame, config: ChannelConfig, recipient: str) -> Frame:

@@ -5,10 +5,13 @@ x^d mod g(x) for the degrees actually used, which is the full-length code
 with implicit leading zeros.
 
 Encoding works on bits: the parity is a GF(2)-linear map of the m*k
-information bits, applied as the XOR of the rows of a packed binary parity
-matrix. Blocks travel as bits everywhere outside the decoder, and
-`bits_to_symbols` / `symbols_to_bits` hold the one symbol bit order, MSB
-first.
+information bits, the XOR of the rows of a packed binary parity matrix that
+the set bits select. It is applied four bits at a time (the "method of four
+Russians"): a per-code table holds, for every group of four information bits
+and each of its 16 values, the XOR of the rows that value selects, so a
+block's parity is the XOR of one table entry per nibble. Blocks travel as
+bits everywhere outside the decoder, and `bits_to_symbols` /
+`symbols_to_bits` hold the one symbol bit order, MSB first.
 
 The decoder is hard-decision, errors-only: syndromes, Berlekamp-Massey
 locator synthesis, Chien search over the n used positions, Forney values,
@@ -41,6 +44,10 @@ class CodeSpec:
     t_max: int                  # upper correction limit, n - k
     # m*k x ceil(m*(n-k)/8) packed bits; row i is the parity of info bit i alone
     parity_matrix: np.ndarray = field(repr=False)
+    # ceil(m*k/4) x 16 x ceil(m*(n-k)/64) '<u8': entry [g, v] is the XOR of the
+    # parity_matrix rows of info bits 4g..4g+3 that nibble v sets, MSB first,
+    # each row zero-padded to whole 64-bit words
+    parity_table: np.ndarray = field(repr=False)
     # n x (n-k), entry [p, d] is (d+1) * (n-1-p) mod 2^m - 1 in the symbol
     # dtype: the log of alpha^(d+1) to the degree n-1 of position p, so row p
     # weighs the symbol at p in each syndrome S_1..S_(n-k)
@@ -119,6 +126,23 @@ def _parity_matrix(fld: FieldSpec, rows: np.ndarray) -> np.ndarray:
     return out.reshape(k * m, -1)
 
 
+def _parity_table(pmat: np.ndarray) -> np.ndarray:
+    # Rows padded to whole words and to a whole last nibble, viewed as '<u8'.
+    # Each doubling step s = 1, 2, 4, 8 adds the row of nibble bit s (the
+    # group's row 3, 2, 1, 0): the entries s..2s-1 are the entries 0..s-1
+    # XOR that row.
+    groups, words = -(-len(pmat) // 4), -(-pmat.shape[1] // 8)
+    rows = np.zeros((4 * groups, 8 * words), dtype=np.uint8)
+    rows[: len(pmat), : pmat.shape[1]] = pmat
+    rows = rows.view("<u8").reshape(groups, 4, words)
+    table = np.zeros((groups, 16, words), dtype="<u8")
+    for bit in range(4):
+        s = 1 << bit
+        table[:, s : 2 * s] = table[:, :s] ^ rows[:, 3 - bit, None]
+    table.setflags(write=False)
+    return table
+
+
 def _exponent_table(fld: FieldSpec, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     # rows[:, None] * cols mod 2^m - 1, read-only in the symbol dtype. The
     # products are exact in int32, taken in place: each is below MAX_N^2 < 2^31.
@@ -129,10 +153,12 @@ def _exponent_table(fld: FieldSpec, rows: np.ndarray, cols: np.ndarray) -> np.nd
     return table
 
 
-# Longest code make_code builds. The exponent tables grow as n^2 and the parity
-# matrix as m * k * (n-k): (1023, 1) over GF(2^10) holds ~4.2 MB and peaks at
-# ~8.4 MB in the build, (1023, 512) at ~31 MB, where the parity planes' int64
-# bits dominate; a (65535, 1) code over GF(2^16) would hold ~17 GB.
+# Longest code make_code builds. The exponent tables grow as n^2, and the parity
+# matrix and its nibble table (four times the matrix's bytes) as m * k * (n-k):
+# (1023, 1) over GF(2^10) holds ~4.3 MB and peaks at ~8.5 MB in the build, and
+# (1023, 512) holds ~18.6 MB, 13.1 MB of it the nibble table, and peaks at
+# ~31 MB, where the parity planes' int64 bits dominate; a (65535, 1) code over
+# GF(2^16) would hold ~17 GB.
 MAX_N = 1023
 
 
@@ -150,6 +176,7 @@ def _make_code_cached(m: int, primitive_poly: int, n: int, k: int) -> CodeSpec:
         t=(n - k) // 2,
         t_max=n - k,
         parity_matrix=pmat,
+        parity_table=_parity_table(pmat),
         syndrome_table=_exponent_table(fld, n - 1 - np.arange(n), np.arange(1, n - k + 1)),
         chien_table=_exponent_table(fld, np.arange(n - k), -np.arange(n)),
     )
@@ -186,8 +213,9 @@ def bit_row(x, name: str) -> np.ndarray:
     return x.astype(np.uint8, copy=False)
 
 
-# encode_parity steps its broadcast through one reused buffer of at most this
-# many bytes (one row's if more); unstepped, 100 000 design blocks take 11.7 GB.
+# encode_parity gathers table entries a step of rows at a time, each step's
+# gathered entries within this many bytes (one row's if more); unstepped,
+# 100 000 design blocks would gather 2.9 GB.
 _STEP_BYTES = 1 << 20
 
 
@@ -196,24 +224,31 @@ def encode_parity(code: CodeSpec, info_bits) -> np.ndarray:
 
     Takes a (..., m*k) array of 0/1 (symbols MSB first, as on the wire) and
     returns the (..., m*(n-k)) parity bits as uint8: the XOR of the parity
-    matrix rows the set bits select, computed a step of rows at a time within
-    _STEP_BYTES, so any number of rows takes one call. Raises ValueError for
-    a wrong trailing length or a value outside {0, 1}.
+    table entries the info nibbles select, gathered a step of rows at a time
+    within _STEP_BYTES, so any number of rows takes one call. Raises
+    ValueError for a wrong trailing length or a value outside {0, 1}.
     """
     bits = np.asarray(info_bits)
     if bits.shape[-1:] != (code.info_bits,):
         raise ValueError(f"info must end in {code.info_bits} bits, got shape {bits.shape}")
     if not all_bits(bits):
         raise ValueError("info bits must hold only 0 and 1")
-    flat, matrix = bits.reshape(-1, code.info_bits), code.parity_matrix
-    step = max(1, _STEP_BYTES // matrix.nbytes)
-    buf = np.empty((min(step, len(flat)), *matrix.shape), dtype=np.uint8)
-    packed = np.empty((len(flat), matrix.shape[1]), dtype=np.uint8)
-    for start in range(0, len(flat), step):
-        rows = flat[start : start + step, :, None].astype(np.uint8, copy=False)
-        here = np.multiply(matrix, rows, out=buf[: len(rows)])
-        np.bitwise_xor.reduce(here, axis=1, out=packed[start : start + step])
-    parity = np.unpackbits(packed, axis=-1, count=code.parity_bits)
+    table = code.parity_table
+    groups, _, words = table.shape
+    octets = np.packbits(bits.reshape(-1, code.info_bits).astype(np.uint8, copy=False), axis=-1)
+    # Entry v of group g is row 16g + v of the flat table.
+    flat, offset = table.reshape(-1, words), np.arange(0, 16 * groups, 16)
+    step = max(1, _STEP_BYTES // (groups * words * 8))
+    packed = np.empty((len(octets), words), dtype="<u8")
+    for start in range(0, len(octets), step):
+        here = octets[start : start + step]
+        nibbles = np.empty((len(here), 2 * here.shape[1]), dtype=np.intp)
+        np.right_shift(here, 4, out=nibbles[:, 0::2])
+        np.bitwise_and(here, 15, out=nibbles[:, 1::2])
+        nibbles = nibbles[:, :groups]
+        nibbles += offset
+        np.bitwise_xor.reduce(flat[nibbles], axis=1, out=packed[start : start + step])
+    parity = np.unpackbits(packed.view(np.uint8), axis=-1, count=code.parity_bits)
     return parity.reshape(*bits.shape[:-1], code.parity_bits)
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .amplify import CapacityParams, HashSeed, capacity_lower_bound, extract_key
+from .amplify import CapacityParams, HashSeed, as_integer, capacity_lower_bound, extract_key
 from .channel import (
     ChannelConfig,
     Frame,
@@ -75,13 +75,15 @@ class SessionConfig:
                 else "one block does not span a full key period; enlarge the block "
                 "or shorten the key"
             )
-        if not isinstance(self.blocks_target, (int, np.integer)) or self.blocks_target < 0:
-            raise ValueError(f"blocks_target must be an integer >= 0, got {self.blocks_target!r}")
+        # The counts are kept as Python ints: a numpy scalar's arithmetic
+        # overflows in its own width.
+        object.__setattr__(self, "blocks_target", as_integer(self.blocks_target, "blocks_target", 0))
+        for name in ("unit_blocks", "safety_bits"):
+            object.__setattr__(self, name, as_integer(getattr(self, name), name, 1))
         bound = capacity_lower_bound(self.capacity_params)
         if self.key_bits is None:
             object.__setattr__(self, "key_bits", bound.key_bits_max)
-        if not isinstance(self.key_bits, (int, np.integer)):
-            raise ValueError(f"key_bits must be an integer, got {self.key_bits!r}")
+        object.__setattr__(self, "key_bits", as_integer(self.key_bits, "key_bits"))
         if self.key_bits > bound.key_bits_max:
             raise ValueError(
                 f"{self.key_bits} key bits per unit exceeds the rate bound "

@@ -152,6 +152,11 @@ def test_extract_refuses_a_non_integer_key_size():
     with pytest.raises(ValueError, match="key_bits must be an integer >= 1, got 2.5"):
         extract_key(bits, 2.5, HashSeed.of(1))
     assert len(extract_key(bits, np.int64(2), HashSeed.of(1))) == 2
+    # True used to pass as 1 and end in "an integer is required".
+    with pytest.raises(ValueError, match="key_bits must be an integer >= 1, got True"):
+        extract_key(bits, True, HashSeed.of(1))
+    for dtype in (np.int8, np.int16, np.uint16):
+        assert np.array_equal(extract_key(bits, dtype(2), HashSeed.of(1)), extract_key(bits, 2, HashSeed.of(1)))
 
 
 def test_avalanche():

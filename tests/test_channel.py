@@ -15,6 +15,7 @@ from noisekey.channel import (
     GROUP_NONE,
     KIND_INFO,
     KIND_PARITY,
+    _pcg64,
     bsc_transmit,
     decode_frame,
     deliver,
@@ -191,6 +192,12 @@ def test_pcg64_raw_rows_are_numpys_pcg64_draws(words, count):
         assert raw.dtype == np.uint64 and raw.shape == (lanes, count)
         for row, drawn in zip(batch, raw):
             assert np.array_equal(drawn, np.random.PCG64(row).random_raw(count))
+
+
+@pytest.mark.parametrize("count", [1, 13, 1733])
+@pytest.mark.parametrize("words", PCG64_ENTROPIES.values(), ids=PCG64_ENTROPIES.keys())
+def test_one_row_pcg64_is_numpys_pcg64(words, count):
+    assert np.array_equal(_pcg64(words).random_raw(count), np.random.PCG64(words).random_raw(count))
 
 
 def test_pcg64_raw_takes_rows_of_different_lengths():

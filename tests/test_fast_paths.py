@@ -453,9 +453,11 @@ def test_batched_encode_equals_rows(m, n, k):
 
 @pytest.mark.parametrize("m,n,k", [(5, 31, 19), (8, 255, 167)])
 def test_a_stepped_encode_equals_rows_at_the_step_edges(m, n, k):
-    # One row short of, at and one past a whole step of the reused buffer.
+    # One row short of, at and one past a whole step of gathered table
+    # entries, one (words,) entry per nibble group and row.
     code = make_code(build_field(m), n, k)
-    step = rs._STEP_BYTES // code.parity_matrix.nbytes
+    step = rs._STEP_BYTES // (code.parity_table.nbytes // 16)
+    assert step == {31: 5461, 255: 35}[n]
     rng = np.random.default_rng(n)
     for rows in (step - 1, step, step + 1):
         batch = rng.integers(0, 2, (rows, code.info_bits), dtype=np.uint8)

@@ -86,6 +86,22 @@ def test_the_longest_supported_code_holds_a_few_megabytes_of_tables():
     assert code.n == MAX_N and held <= 8 << 20 and peak <= 10 << 20
 
 
+def test_the_widest_supported_code_holds_its_parity_table_within_bounds():
+    # (1023, 512) holds 13.1 MB of nibble table beside a 3.3 MB parity
+    # matrix and 2.1 MB of exponent tables; the build's peak is the parity planes' int64 bits, not the table.
+    fld = build_field(10, 0x409)
+    _make_code_cached.cache_clear()
+    tracemalloc.start()
+    try:
+        code = make_code(fld, MAX_N, 512)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        _make_code_cached.cache_clear()
+    assert code.parity_table.nbytes == 1280 * 16 * 80 * 8
+    assert held <= 19.5e6 and peak <= 32e6
+
+
 def walked_parity_matrix(fld, rows):
     """Parity planes by multiplying each row by alpha = x, m - 1 times, with
     the shift-and-reduce walk: plane b is the row times alpha^(m-1-b)."""
@@ -108,6 +124,18 @@ def test_code_tables_match_the_walk_and_the_int64_products(m, n, k):
     code = _make_code_cached.__wrapped__(m, fld.primitive_poly, n, k)   # kept out of the cache
     rows = _parity_rows(fld, _generator_poly(fld, n - k), n, k)
     assert np.array_equal(code.parity_matrix, walked_parity_matrix(fld, rows))
+    # Entry [g, v] of the nibble table is the XOR of the padded matrix rows
+    # 4g..4g+3 that v's bits select, MSB first.
+    groups, _, words = code.parity_table.shape
+    padded = np.zeros((4 * groups, 8 * words), dtype=np.uint8)
+    padded[: code.info_bits, : code.parity_matrix.shape[1]] = code.parity_matrix
+    padded = padded.reshape(groups, 4, 8 * words)
+    assert code.parity_table.dtype == np.dtype("<u8") and not code.parity_table.flags.writeable
+    assert groups == -(-code.info_bits // 4) and words == -(-code.parity_bits // 64)
+    table_bytes = code.parity_table.view(np.uint8)
+    for v in range(16):
+        chosen = [j for j in range(4) if v >> (3 - j) & 1]
+        assert np.array_equal(table_bytes[:, v], np.bitwise_xor.reduce(padded[:, chosen], axis=1))
     dtype = np.uint8 if m <= 8 else np.uint16
     syndrome = ((n - 1 - np.arange(n))[:, None] * np.arange(1, n - k + 1) % fld.mul_order).astype(dtype)
     chien = (-np.arange(n - k)[:, None] * np.arange(n) % fld.mul_order).astype(dtype)

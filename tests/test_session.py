@@ -108,6 +108,21 @@ def test_config_refuses_a_non_integer_count(toy_code, toy_key, field):
         replace(cfg, **{field: 1.5})
 
 
+@pytest.mark.parametrize("dtype", [np.int8, np.int16, np.uint16])
+def test_numpy_integer_counts_give_the_report_of_python_ints(toy_code, toy_key, dtype):
+    # numpy 2 keeps a scalar's arithmetic in its own width: np.int8 counts
+    # used to overflow in the rate bound (unit_blocks * m * n) and in the
+    # hashing kernel's step (np.int8(2) key bits).
+    counts = {"blocks_target": 120, "unit_blocks": 1, "safety_bits": 1, "key_bits": 2}
+    plain = replace(toy_config(toy_code, toy_key, ber=0.019), **counts)
+    scalar = replace(plain, **{name: dtype(value) for name, value in counts.items()})
+    assert all(type(getattr(scalar, name)) is int for name in counts)
+    assert run_session(scalar).to_dict() == run_session(plain).to_dict()
+    for name in counts:
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            replace(plain, **{name: True})
+
+
 @pytest.mark.parametrize(
     "seed", [{"source_seed": 1.5}, {"hash_seed": 1.5}, {"seed": 1.5}], ids=["source", "hash", "channel"]
 )
