@@ -79,12 +79,12 @@ class FieldSpec:
         Row i of power_table is log(x_j^(d_i)) in [0, 2^m - 1) for each column
         j: one coefficient at its own degree d_i, so the rows may come in any
         order (ascending degrees for the Chien table, a word's positions for
-        the syndrome table). Rows past len(coeffs) are ignored; returns one
-        field element per column. Zero coefficients read the sentinel, so
-        their terms are 0.
+        the syndrome table). Rows past the c coefficients are ignored; returns
+        one field element per column, or (..., columns) for a (..., c) stack
+        of polynomials. Zero coefficients read the sentinel, so terms are 0.
         """
         logs = self.log_ext[np.asarray(coeffs, dtype=np.int64)]
-        return np.bitwise_xor.reduce(self.exp_ext[power_table[: len(logs)] + logs[:, None]], axis=0)
+        return np.bitwise_xor.reduce(self.exp_ext[power_table[: logs.shape[-1]] + logs[..., None]], axis=-2)
 
 
 @lru_cache(maxsize=32)

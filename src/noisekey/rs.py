@@ -5,27 +5,28 @@ x^d mod g(x) for the degrees actually used, which is the full-length code
 with implicit leading zeros.
 
 Encoding works on bits: the parity is a GF(2)-linear map of the m*k
-information bits, the XOR of the rows of a packed binary parity matrix that
-the set bits select. It is applied four bits at a time (the "method of four
-Russians"): a per-code table holds, for every group of four information bits
-and each of its 16 values, the XOR of the rows that value selects, so a
-block's parity is the XOR of one table entry per nibble. Blocks travel as
-bits everywhere outside the decoder, and `bits_to_symbols` /
-`symbols_to_bits` hold the one symbol bit order, MSB first.
+information bits, which `_linear_map` applies four bits at a time (the
+"method of four Russians", Arlazarov et al. 1970): a per-code nibble table
+holds, for every group of four input bits and each of its 16 values, the XOR
+of the bit-matrix rows that value selects. Blocks travel as bits everywhere
+outside the decoder, and `bits_to_symbols` / `symbols_to_bits` hold the one
+symbol bit order, MSB first. A code's tables are built on first use.
 
 The decoder is hard-decision, errors-only: syndromes, Berlekamp-Massey
 locator synthesis, Chien search over the n used positions, Forney values,
 then a syndrome re-check of the corrected word so miscorrected words that
 fail the parity check are reported as failures rather than silent wrong
-answers. Every stage evaluates a polynomial with `FieldSpec.eval_poly_at_powers`
-against one of two per-code exponent tables: the syndromes and the re-check
-against `syndrome_table`, Chien and Forney against `chien_table`.
+answers. A codeword's syndromes are zero, so a word's are those of its
+parity mismatch, received parity ^ encode_parity(info), which `syndromes`
+maps through a second nibble table. One `FieldSpec.eval_poly_at_powers` call
+serves Chien and Forney, and one the re-check.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import lru_cache
+import threading
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -34,7 +35,7 @@ from .gf import FieldSpec, build_field
 
 @dataclass(frozen=True, eq=False)
 class CodeSpec:
-    """Parameters and derived tables of one (n, k) code instance."""
+    """Parameters of one (n, k) code instance; each table is built, read-only, on first use."""
 
     field: FieldSpec
     n: int
@@ -42,20 +43,39 @@ class CodeSpec:
     d: int                      # minimum distance, n - k + 1
     t: int                      # guaranteed-correctable symbol errors
     t_max: int                  # upper correction limit, n - k
-    # m*k x ceil(m*(n-k)/8) packed bits; row i is the parity of info bit i alone
-    parity_matrix: np.ndarray = field(repr=False)
-    # ceil(m*k/4) x 16 x ceil(m*(n-k)/64) '<u8': entry [g, v] is the XOR of the
-    # parity_matrix rows of info bits 4g..4g+3 that nibble v sets, MSB first,
-    # each row zero-padded to whole 64-bit words
-    parity_table: np.ndarray = field(repr=False)
-    # n x (n-k), entry [p, d] is (d+1) * (n-1-p) mod 2^m - 1 in the symbol
-    # dtype: the log of alpha^(d+1) to the degree n-1 of position p, so row p
-    # weighs the symbol at p in each syndrome S_1..S_(n-k)
-    syndrome_table: np.ndarray = field(repr=False)
-    # (n-k) x n, entry [d, j] is d * -j mod 2^m - 1 in the symbol dtype: the
-    # log of the d-th power of the point alpha^-j, where Chien evaluates the
-    # locator and Forney evaluates omega and the locator's derivative
-    chien_table: np.ndarray = field(repr=False)
+
+    @cached_property
+    def parity_matrix(self) -> np.ndarray:
+        """m*k x ceil(m*(n-k)/8) packed bits; row i is the parity of info bit i alone."""
+        rows = _parity_rows(self.field, _generator_poly(self.field, self.n - self.k), self.n, self.k)
+        return _bit_matrix(self.field, self.field.log_ext[rows])
+
+    @cached_property
+    def parity_table(self) -> np.ndarray:
+        """`encode_parity`'s nibble table, of parity_matrix."""
+        return _nibble_table(self.parity_matrix)
+
+    @cached_property
+    def mismatch_table(self) -> np.ndarray:
+        """`syndromes`' nibble table; syndrome_table's row p logs the syndromes of a 1 at p."""
+        return _nibble_table(_bit_matrix(self.field, self.syndrome_table[self.k :]))
+
+    @cached_property
+    def syndrome_table(self) -> np.ndarray:
+        """n x (n-k) logs in the symbol dtype, [p, d] = (d+1) * (n-1-p) mod 2^m - 1:
+        row p weighs the symbol at p, of degree n-1-p, in each syndrome S_1..S_(n-k)."""
+        return _exponent_table(self.field, self.n - 1 - np.arange(self.n), np.arange(1, self.n - self.k + 1))
+
+    @cached_property
+    def chien_table(self) -> np.ndarray:
+        """(n-k) x n logs in the symbol dtype, [d, j] = d * -j mod 2^m - 1: the d-th
+        power of alpha^-j, where Chien and Forney evaluate their polynomials."""
+        return _exponent_table(self.field, np.arange(self.n - self.k), -np.arange(self.n))
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the tables this code has built so far (a snapshot, safe while others build)."""
+        return sum(v.nbytes for v in list(vars(self).values()) if isinstance(v, np.ndarray))
 
     @property
     def m(self) -> int:
@@ -112,33 +132,37 @@ def _parity_rows(fld: FieldSpec, gen: list[int], n: int, k: int) -> np.ndarray:
     return out
 
 
-def _parity_matrix(fld: FieldSpec, rows: np.ndarray) -> np.ndarray:
-    # Row m*i + b is the parity of bit b of info symbol i alone. Bit b (MSB
-    # first) is the value alpha^(m-1-b), so that parity is parity row i times
-    # alpha^(m-1-b), read from the sentinel tables one plane at a time.
-    k, nsym = rows.shape
-    m = fld.m
-    out = np.empty((k, m, -(-m * nsym // 8)), dtype=np.uint8)
-    for b in range(m):
-        plane = fld.exp_ext[fld.log_ext[rows] + (m - 1 - b)]
-        # packbits takes ~15x longer on the int64 bits than on uint8 ones.
-        out[:, b] = np.packbits(symbols_to_bits(plane, m).astype(np.uint8), axis=-1)
-    return out.reshape(k * m, -1)
+def _bit_matrix(fld: FieldSpec, logs: np.ndarray) -> np.ndarray:
+    # Row m*i + b is the packed bits of symbol row i (given as logs, in any
+    # integer dtype) times alpha^(m-1-b), bit b's value, MSB first: the image
+    # of that bit alone. Planes are read a step of rows at a time, so their
+    # int64 bits stay within _STEP_BYTES.
+    (count, width), m = logs.shape, fld.m
+    out = np.empty((count, m, -(-m * width // 8)), dtype=np.uint8)
+    step = max(1, _STEP_BYTES // (8 * m * width))
+    for start in range(0, count, step):
+        here = logs[start : start + step].astype(np.int64) + (m - 1)
+        for b in range(m):
+            plane = symbols_to_bits(fld.exp_ext[here - b], m)
+            # packbits takes ~15x longer on the int64 bits than on uint8 ones.
+            out[start : start + step, b] = np.packbits(plane.astype(np.uint8), axis=-1)
+    out.setflags(write=False)
+    return out.reshape(count * m, -1)
 
 
-def _parity_table(pmat: np.ndarray) -> np.ndarray:
-    # Rows padded to whole words and to a whole last nibble, viewed as '<u8'.
-    # Each doubling step s = 1, 2, 4, 8 adds the row of nibble bit s (the
-    # group's row 3, 2, 1, 0): the entries s..2s-1 are the entries 0..s-1
-    # XOR that row.
-    groups, words = -(-len(pmat) // 4), -(-pmat.shape[1] // 8)
+def _nibble_table(matrix: np.ndarray) -> np.ndarray:
+    # ceil(rows/4) x 16 x ceil(row bits/64) '<u8': entry [g, v] is the XOR of
+    # the packed matrix rows 4g..4g+3 that nibble v sets, MSB first, each row
+    # zero-padded to whole 64-bit words. Doubling step s = 1, 2, 4, 8 writes
+    # entries s..2s-1 as entries 0..s-1 XOR the group's row of nibble bit s.
+    groups, words = -(-len(matrix) // 4), -(-matrix.shape[1] // 8)
     rows = np.zeros((4 * groups, 8 * words), dtype=np.uint8)
-    rows[: len(pmat), : pmat.shape[1]] = pmat
+    rows[: len(matrix), : matrix.shape[1]] = matrix
     rows = rows.view("<u8").reshape(groups, 4, words)
     table = np.zeros((groups, 16, words), dtype="<u8")
     for bit in range(4):
         s = 1 << bit
-        table[:, s : 2 * s] = table[:, :s] ^ rows[:, 3 - bit, None]
+        np.bitwise_xor(table[:, :s], rows[:, 3 - bit, None], out=table[:, s : 2 * s])
     table.setflags(write=False)
     return table
 
@@ -153,41 +177,41 @@ def _exponent_table(fld: FieldSpec, rows: np.ndarray, cols: np.ndarray) -> np.nd
     return table
 
 
-# Longest code make_code builds. The exponent tables grow as n^2, and the parity
-# matrix and its nibble table (four times the matrix's bytes) as m * k * (n-k):
-# (1023, 1) over GF(2^10) holds ~4.3 MB and peaks at ~8.5 MB in the build, and
-# (1023, 512) holds ~18.6 MB, 13.1 MB of it the nibble table, and peaks at
-# ~31 MB, where the parity planes' int64 bits dominate; a (65535, 1) code over
-# GF(2^16) would hold ~17 GB.
+# Longest code make_code accepts. The exponent tables grow as n^2, the nibble
+# tables as m^2 (n-k) max(k, n-k): a first decode at (1023, 1) over GF(2^10)
+# holds 56.5 MB, 52.3 MB of it the mismatch table, and peaks at ~81 MB; a
+# (65535, 1) code over GF(2^16) would need ~17 GB.
 MAX_N = 1023
 
+# make_code keeps its codes, least recently used first; each new code evicts
+# the oldest until the tables the rest have built total at most this many bytes.
+_CACHE_BYTES = 64 << 20
+_codes: dict = {}
+_codes_lock = threading.Lock()
 
-@lru_cache(maxsize=32)
-def _make_code_cached(m: int, primitive_poly: int, n: int, k: int) -> CodeSpec:
-    fld = build_field(m, primitive_poly)
-    gen = _generator_poly(fld, n - k)
-    pmat = _parity_matrix(fld, _parity_rows(fld, gen, n, k))
-    pmat.setflags(write=False)
-    return CodeSpec(
-        field=fld,
-        n=n,
-        k=k,
-        d=n - k + 1,
-        t=(n - k) // 2,
-        t_max=n - k,
-        parity_matrix=pmat,
-        parity_table=_parity_table(pmat),
-        syndrome_table=_exponent_table(fld, n - 1 - np.arange(n), np.arange(1, n - k + 1)),
-        chien_table=_exponent_table(fld, np.arange(n - k), -np.arange(n)),
-    )
+
+def _build_code(m: int, primitive_poly: int, n: int, k: int) -> CodeSpec:
+    return CodeSpec(build_field(m, primitive_poly), n, k, d=n - k + 1, t=(n - k) // 2, t_max=n - k)
+
+
+def _make_code_cached(*key) -> CodeSpec:
+    with _codes_lock:
+        code = _codes.pop(key, None)
+        if code is None:
+            code = _build_code(*key)
+            while sum(c.nbytes for c in _codes.values()) > _CACHE_BYTES:
+                del _codes[next(iter(_codes))]
+        _codes[key] = code
+    return code
+
+
+_make_code_cached.cache_clear = _codes.clear
+_make_code_cached.__wrapped__ = _build_code
 
 
 def make_code(fld: FieldSpec, n: int, k: int) -> CodeSpec:
-    """Construct the code, its derived limits, and its encoding and decoding tables.
-
-    Raises ValueError, before building any table, unless 1 <= k < n <= 2^m - 1
-    and n <= MAX_N.
-    """
+    """The code and its derived limits, its tables built on first use. Raises
+    ValueError unless 1 <= k < n <= 2^m - 1 and n <= MAX_N."""
     if not 1 <= k < n:
         raise ValueError(f"need 1 <= k < n, got ({n}, {k})")
     if n > fld.mul_order:
@@ -213,29 +237,17 @@ def bit_row(x, name: str) -> np.ndarray:
     return x.astype(np.uint8, copy=False)
 
 
-# encode_parity gathers table entries a step of rows at a time, each step's
+# _linear_map gathers table entries a step of rows at a time, each step's
 # gathered entries within this many bytes (one row's if more); unstepped,
 # 100 000 design blocks would gather 2.9 GB.
 _STEP_BYTES = 1 << 20
 
 
-def encode_parity(code: CodeSpec, info_bits) -> np.ndarray:
-    """Systematic parity bits of one information bit vector or a batch of them.
-
-    Takes a (..., m*k) array of 0/1 (symbols MSB first, as on the wire) and
-    returns the (..., m*(n-k)) parity bits as uint8: the XOR of the parity
-    table entries the info nibbles select, gathered a step of rows at a time
-    within _STEP_BYTES, so any number of rows takes one call. Raises
-    ValueError for a wrong trailing length or a value outside {0, 1}.
-    """
-    bits = np.asarray(info_bits)
-    if bits.shape[-1:] != (code.info_bits,):
-        raise ValueError(f"info must end in {code.info_bits} bits, got shape {bits.shape}")
-    if not all_bits(bits):
-        raise ValueError("info bits must hold only 0 and 1")
-    table = code.parity_table
+def _linear_map(table: np.ndarray, bits: np.ndarray, out_bits: int) -> np.ndarray:
+    # A `_nibble_table`'s map of (..., in_bits) 0/1 rows: (..., out_bits)
+    # uint8 bits, the XOR of the one entry per nibble that each row selects.
     groups, _, words = table.shape
-    octets = np.packbits(bits.reshape(-1, code.info_bits).astype(np.uint8, copy=False), axis=-1)
+    octets = np.packbits(bits.reshape(-1, bits.shape[-1]).astype(np.uint8, copy=False), axis=-1)
     # Entry v of group g is row 16g + v of the flat table.
     flat, offset = table.reshape(-1, words), np.arange(0, 16 * groups, 16)
     step = max(1, _STEP_BYTES // (groups * words * 8))
@@ -248,8 +260,32 @@ def encode_parity(code: CodeSpec, info_bits) -> np.ndarray:
         nibbles = nibbles[:, :groups]
         nibbles += offset
         np.bitwise_xor.reduce(flat[nibbles], axis=1, out=packed[start : start + step])
-    parity = np.unpackbits(packed.view(np.uint8), axis=-1, count=code.parity_bits)
-    return parity.reshape(*bits.shape[:-1], code.parity_bits)
+    return np.unpackbits(packed.view(np.uint8), axis=-1, count=out_bits).reshape(*bits.shape[:-1], out_bits)
+
+
+def encode_parity(code: CodeSpec, info_bits) -> np.ndarray:
+    """Systematic parity bits of one information bit vector or a batch of them.
+
+    Takes a (..., m*k) array of 0/1 (symbols MSB first, as on the wire) and
+    returns the (..., m*(n-k)) parity bits as uint8; any number of rows
+    takes one call. Raises ValueError for a wrong trailing length or a value
+    outside {0, 1}.
+    """
+    bits = np.asarray(info_bits)
+    if bits.shape[-1:] != (code.info_bits,) or not all_bits(bits):
+        raise ValueError(f"info must end in {code.info_bits} bits of 0 or 1, got shape {bits.shape}")
+    return _linear_map(code.parity_table, bits, code.parity_bits)
+
+
+def syndromes(code: CodeSpec, word_bits) -> np.ndarray:
+    """Syndromes S_1..S_(n-k), (..., n-k) int64 symbols, of (..., m*n) word
+    bits (info, then parity, as on the wire), from their parity mismatch.
+    Raises ValueError unless the rows are m*n bits of 0 or 1."""
+    bits = np.asarray(word_bits)
+    if bits.shape[-1:] != (code.m * code.n,) or not all_bits(bits):
+        raise ValueError(f"a word must end in {code.m * code.n} bits of 0 or 1, got shape {bits.shape}")
+    mismatch = bits[..., code.info_bits :] ^ encode_parity(code, bits[..., : code.info_bits])
+    return bits_to_symbols(_linear_map(code.mismatch_table, mismatch, code.parity_bits), code.m)
 
 
 def _symbols(code: CodeSpec, word, name: str, length: int) -> np.ndarray:
@@ -272,16 +308,22 @@ def codeword(code: CodeSpec, info) -> np.ndarray:
     return np.concatenate([info, bits_to_symbols(parity, code.m)])
 
 
+@lru_cache(maxsize=64)
+def _shifts(nsym: int) -> np.ndarray:
+    # Row j, column i is nsym - 1 + i - j: a read-only view of one arange.
+    return np.lib.stride_tricks.sliding_window_view(np.arange(2 * nsym - 1), nsym)[::-1]
+
+
 def _times_syndromes(fld: FieldSpec, poly, synd: np.ndarray) -> np.ndarray:
     # Coefficients 0..n-k-1 of poly(x) * S(x), with S(x) = sum S_(i+1) x^i:
     # coefficient i is Berlekamp-Massey's discrepancy at step i for this
-    # locator, and the whole vector is Forney's omega. Term (j, i) is
-    # poly_j * S_(i-j+1), read from sentinel logs; the len(poly) - 1 leading
-    # sentinels stand for the S_(i-j+1) with i < j.
-    coeff_logs = fld.log_ext[np.asarray(poly)]
-    top = len(coeff_logs) - 1
-    synd_logs = np.concatenate([np.full(top, fld.log_ext[0]), fld.log_ext[synd]])
-    rows = np.arange(top, top + len(synd)) - np.arange(top + 1)[:, None]
+    # locator, and the whole vector is Forney's omega. Term (j < n-k, i) is
+    # poly_j * S_(i-j+1), read from sentinel logs at the cached shifts; the
+    # n-k-1 leading sentinels stand for the S_(i-j+1) with i < j.
+    nsym = len(synd)
+    coeff_logs = fld.log_ext[np.asarray(poly[:nsym])]
+    synd_logs = np.concatenate([np.full(nsym - 1, fld.log_ext[0]), fld.log_ext[synd]])
+    rows = _shifts(nsym)[: len(coeff_logs)]
     return np.bitwise_xor.reduce(fld.exp_ext[synd_logs[rows] + coeff_logs[:, None]], axis=0)
 
 
@@ -315,7 +357,7 @@ def _berlekamp_massey(fld: FieldSpec, synd: np.ndarray) -> tuple[list[int], int,
                 i += 1
                 continue
             product = _times_syndromes(fld, cur, synd)
-            rest = np.flatnonzero(product[i + 1 :])
+            rest = product[i + 1 :].nonzero()[0]
             if len(rest) == 0:
                 omega = product
                 break
@@ -343,18 +385,19 @@ def _berlekamp_massey(fld: FieldSpec, synd: np.ndarray) -> tuple[list[int], int,
     return cur, length, omega
 
 
-def decode_block(code: CodeSpec, received) -> DecodeResult:
+def decode_block(code: CodeSpec, received, synd=None) -> DecodeResult:
     """Correct up to t symbol errors; anything unrecoverable is a failure.
 
-    A returned failure is a normal outcome of a noisy block, not an
-    exception. Note that a received word landing within distance t of a
-    *different* codeword decodes to that codeword; such miscorrections are
-    indistinguishable from success at this layer. Raises ValueError for a
-    wrong length or a symbol that is not an integer in [0, 2^m).
+    `synd` is the word's `syndromes`, computed here if not given. A failure
+    is a normal outcome of a noisy block, not an exception. A word within
+    distance t of a *different* codeword decodes to that codeword; such
+    miscorrections are indistinguishable from success at this layer. Raises
+    ValueError for a wrong length or a symbol not an integer in [0, 2^m).
     """
     received = _symbols(code, received, "received", code.n)
     fld = code.field
-    synd = fld.eval_poly_at_powers(received, code.syndrome_table)
+    if synd is None:
+        synd = syndromes(code, symbols_to_bits(received, code.m))
     if not synd.any():
         return DecodeResult(ok=True, info=received[: code.k].copy(), corrected=0)
 
@@ -362,21 +405,18 @@ def decode_block(code: CodeSpec, received) -> DecodeResult:
     if length > code.t or length != len(locator) - 1:
         return DecodeResult(ok=False, info=None, corrected=0, reason="locator degree")
 
-    # Chien search over the n positions in use; position at degree j is in
-    # error iff locator(alpha^-j) = 0.
-    err_degrees = np.flatnonzero(fld.eval_poly_at_powers(locator, code.chien_table) == 0)
+    # One evaluation at the Chien points alpha^-j of the n positions in use
+    # (degree j) serves Chien and Forney: the position is in error iff the
+    # locator is 0 there, and its error value is omega / locator' (odd terms
+    # only) for first root alpha^1. The length-L locator generates every
+    # syndrome, so omega's coefficients from L on are zero (Massey 1969).
+    polys = np.zeros((3, length + 1), dtype=np.int64)
+    polys[0], polys[1, :length], polys[2, :length:2] = locator, omega[:length], locator[1::2]
+    values = fld.eval_poly_at_powers(polys, code.chien_table)
+    err_degrees = (values[0] == 0).nonzero()[0]
     if len(err_degrees) != length:
         return DecodeResult(ok=False, info=None, corrected=0, reason="root count")
-
-    # Forney: the error value at X_l is omega(X_l^-1) / locator'(X_l^-1) for
-    # first root alpha^1, with the X_l^-1 the Chien points of the roots. The
-    # length-L locator generates every syndrome, so omega's coefficients from
-    # L on are zero (Massey 1969) and are not evaluated.
-    roots = code.chien_table[:, err_degrees]
-    omega_vals = fld.eval_poly_at_powers(omega[:length], roots)
-    deriv = np.array(locator[1:], dtype=np.int64)
-    deriv[1::2] = 0                       # formal derivative keeps odd terms only
-    deriv_vals = fld.eval_poly_at_powers(deriv, roots)
+    omega_vals, deriv_vals = values[1:, err_degrees]
     if not deriv_vals.all():
         return DecodeResult(ok=False, info=None, corrected=0, reason="zero derivative")
     magnitudes = fld.exp_ext[fld.log_ext[omega_vals] - fld.log_ext[deriv_vals] + fld.mul_order]

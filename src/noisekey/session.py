@@ -35,7 +35,7 @@ from .channel import (
 )
 # Nothing here calls _key_mask: it is imported for bench/layers.py to wrap.
 from .grouping import CommonKey, _key_mask, bits_to_hex, block_fits_key_period, route
-from .rs import CodeSpec, DecodeResult, bits_to_symbols, decode_block, encode_parity, symbols_to_bits
+from .rs import CodeSpec, DecodeResult, bits_to_symbols, decode_block, encode_parity, symbols_to_bits, syndromes
 
 _SOURCE_STREAM = 7
 
@@ -245,8 +245,8 @@ _MISSING_PARITY = DecodeResult(ok=False, info=None, corrected=0, reason="missing
 def decode_rows(code: CodeSpec, info: np.ndarray, parity: list) -> tuple[list, np.ndarray]:
     """(DecodeResults, (B, m*k) corrected bits, a zero row where a block
     failed) of the (B, m*k) `info` rows against their parity rows, a None
-    one failing as "missing parity". Each batch takes one symbol conversion
-    each way; decode_block runs once per row with parity."""
+    one failing as "missing parity". Each batch takes one `syndromes` call and
+    one symbol conversion each way; decode_block runs once per row with parity."""
     results: list[DecodeResult] = []
     bits = np.zeros((len(info), code.info_bits), dtype=np.uint8)
     rows = _batch_rows(code)
@@ -258,8 +258,8 @@ def decode_rows(code: CodeSpec, info: np.ndarray, parity: list) -> tuple[list, n
             if row is not None:
                 word[code.info_bits :] = row
         done = [
-            _MISSING_PARITY if row is None else decode_block(code, symbols)
-            for symbols, row in zip(bits_to_symbols(words, code.m), batch)
+            _MISSING_PARITY if row is None else decode_block(code, symbols, synd)
+            for symbols, synd, row in zip(bits_to_symbols(words, code.m), syndromes(code, words), batch)
         ]
         decoded = np.reshape([r.info for r in done if r.ok], (-1, code.k))
         bits[start : start + rows][[r.ok for r in done]] = symbols_to_bits(decoded, code.m)

@@ -3,9 +3,11 @@
 `extract_key`, on one row and on batches of units with a seed each, is
 checked against the explicit Toeplitz matrix and a batch against its rows
 hashed one at a time,
-`decode_block`, its early-exit Berlekamp-Massey and the one polynomial
-evaluator on both exponent tables (syndromes and Chien points) against the
-frozen reference decoder in `reference_rs`, which builds its own field tables, the
+`decode_block`, with and without a batch's syndromes, its early-exit
+Berlekamp-Massey and the one polynomial evaluator on both exponent tables
+(syndromes and Chien points) against the frozen reference decoder in
+`reference_rs`, which builds its own field tables, the batched `syndromes`
+against that evaluator on the syndrome table, the
 bit-level `encode_parity` against polynomial long division, the bit router
 against the key mask, the session's block layout, its cut rows and the block
 cut `GroupStreams.blocks` against the chunk-by-chunk completion walk in
@@ -264,8 +266,8 @@ def test_a_1000_block_design_unit_peaks_no_higher_than_the_two_kernel_hash():
         assert key[i] == np.count_nonzero(diag[i : i + n_in] & reversed_x) & 1
 
 
-def assert_same_decode(code, word):
-    fast = decode_block(code, word)
+def assert_same_decode(code, word, synd=None):
+    fast = decode_block(code, word, synd)
     slow = reference_rs.decode_block(code, word)
     assert (fast.ok, fast.corrected, fast.reason) == (slow.ok, slow.corrected, slow.reason)
     if slow.info is None:
@@ -304,10 +306,53 @@ def test_reverify_rejects_wrong_error_values(monkeypatch):
 
     monkeypatch.setattr(rs, "_berlekamp_massey", skewed)
     rng = np.random.default_rng(31)
-    for weight in range(1, code.t + 1):
-        _, word, _ = random_codeword_with_errors(rng, code, weight)
+    words = [random_codeword_with_errors(rng, code, weight)[1] for weight in range(1, code.t + 1)]
+    # decode_rows' path too: each word's row of one batched syndromes call.
+    for word, synd in zip(words, rs.syndromes(code, symbols_to_bits(np.array(words), code.m))):
         assert reference_rs.decode_block(code, word).ok   # shares no evaluator with the package
-        assert decode_block(code, word).reason == "reverify"
+        assert decode_block(code, word).reason == decode_block(code, word, synd).reason == "reverify"
+
+
+def test_decode_with_given_syndromes_matches_reference():
+    # decode_rows hands decode_block one row of a batched `syndromes` call;
+    # without them decode_block makes that call on its word alone. Both match
+    # the reference at t-1, t, t+1 and beyond t, reason for reason.
+    for m, n, k in CODES:
+        code = make_code(build_field(m), n, k)
+        rng = np.random.default_rng(3000 * m + n)
+        weights = [w for w in (code.t - 1, code.t, code.t + 1, code.t + 3, n - k + 1) if 0 <= w <= n]
+        words = [random_codeword_with_errors(rng, code, w)[1] for w in weights for _ in range(30)]
+        given = rs.syndromes(code, symbols_to_bits(np.array(words), m))
+        outcomes = {True: 0, False: 0}
+        for word, synd in zip(words, given):
+            assert_same_decode(code, word)
+            outcomes[assert_same_decode(code, word, synd)] += 1
+        assert outcomes[True] and outcomes[False]
+
+
+@pytest.mark.parametrize("m,n,k", CODES + [(16, 1023, 1000)])
+def test_syndromes_are_the_word_evaluated_at_the_syndrome_table(m, n, k):
+    # The one syndrome path against the direct evaluation it replaced, kept
+    # here as the oracle: a batch, its rows one at a time, and zero words.
+    code = make_code(build_field(m), n, k)
+    rng = np.random.default_rng(n + m)
+    words = rng.integers(0, code.field.order, (40, n))
+    words[0] = 0
+    words[1] = codeword(code, rng.integers(0, code.field.order, k))
+    words[2:6] = random_codeword_with_errors(rng, code, 1)[1]
+    bits = symbols_to_bits(words, m)
+    batch = rs.syndromes(code, bits)
+    assert batch.shape == (40, n - k) and batch.dtype == np.int64
+    assert not batch[:2].any()
+    for row, word, synd in zip(bits, words, batch):
+        expected = code.field.eval_poly_at_powers(word, code.syndrome_table)
+        assert np.array_equal(synd, expected)
+        assert np.array_equal(rs.syndromes(code, row), expected)
+    assert rs.syndromes(code, bits[:0].astype(np.uint8)).shape == (0, n - k)
+    with pytest.raises(ValueError):
+        rs.syndromes(code, bits[:, 1:])
+    with pytest.raises(ValueError):
+        rs.syndromes(code, bits * 2)
 
 
 def one_hot_words(code):
@@ -465,10 +510,13 @@ def test_a_stepped_encode_equals_rows_at_the_step_edges(m, n, k):
 
 
 def test_a_2000_row_design_encode_peaks_within_one_step_and_its_output():
-    # Unstepped, the broadcast alone took 2000 parity matrices (235 MB).
+    # Unstepped, the gather alone would take 2000 rows of 334 table entries
+    # (58.8 MB); the kernel peaks at 1.94 MB (numpy 2.4).
     code = make_code(build_field(8), 255, 167)
+    groups, _, words = code.parity_table.shape   # built here, outside the measurement
     bits = np.random.default_rng(6).integers(0, 2, (2000, code.info_bits), dtype=np.uint8)
-    step = rs._STEP_BYTES // code.parity_matrix.nbytes
+    step = rs._STEP_BYTES // (groups * words * 8)
+    assert (step, groups * words * 8) == (35, 29_392)
     tracemalloc.start()
     try:
         parity = encode_parity(code, bits)
@@ -476,9 +524,12 @@ def test_a_2000_row_design_encode_peaks_within_one_step_and_its_output():
     finally:
         tracemalloc.stop()
     assert parity.shape == (2000, code.parity_bits)
-    # The step buffer, the packed parity bytes and the unpacked parity bits.
-    output = 2000 * (code.parity_matrix.shape[1] + code.parity_bits)
-    assert peak <= step * code.parity_matrix.nbytes + output + (64 << 10)
+    # The packed info bytes and parity words, beside the larger of one step's
+    # gathered entries with their intp nibble indices and the unpacked parity bits.
+    octets = -(-code.info_bits // 8)
+    gathered = step * (groups * words * 8 + 2 * octets * np.dtype(np.intp).itemsize)
+    packed = 2000 * (octets + words * 8)
+    assert peak <= packed + max(gathered, 2000 * code.parity_bits) + (128 << 10)
 
 
 @pytest.mark.parametrize("bad", [2, -1, 0.5, 255])

@@ -145,6 +145,21 @@ def test_poly_eval_vectorized_matches_horner():
                 assert vec[i] == acc
 
 
+@pytest.mark.parametrize("m", [3, 8, 10])
+def test_a_stack_of_polynomials_evaluates_as_its_rows(m):
+    fld = build_field(m)
+    rng = np.random.default_rng(7 * m)
+    powers = (np.arange(9)[:, None] * rng.integers(0, fld.mul_order, 20) % fld.mul_order).astype(np.uint16)
+    for count in (0, 1, 4, 9):
+        stack = rng.integers(0, fld.order, (2, 3, count))
+        stack[0, 1] = 0
+        values = fld.eval_poly_at_powers(stack, powers)
+        assert values.shape == (2, 3, 20)
+        for index in np.ndindex(2, 3):
+            assert np.array_equal(values[index], fld.eval_poly_at_powers(stack[index], powers))
+            assert np.array_equal(values[index], fld.eval_poly_at_powers(stack[index].tolist(), powers))
+
+
 @pytest.mark.parametrize("m", [2, 4, 8])
 def test_sentinel_tables_multiply_and_divide_every_pair(m):
     fld = build_field(m)

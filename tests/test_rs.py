@@ -1,10 +1,13 @@
 import itertools
+import sys
+import threading
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+from noisekey import rs
 from noisekey.gf import build_field
 from noisekey.rs import (
     MAX_N,
@@ -70,36 +73,125 @@ def test_make_code_builds_the_longest_supported_code():
         _make_code_cached.cache_clear()  # ~4 MB of tables
 
 
-def test_the_longest_supported_code_holds_a_few_megabytes_of_tables():
-    # Two 1023 x 1022 uint16 exponent tables of ~2 MB each and a small parity
-    # matrix; a packed bit-plane syndrome table alone used to hold 21 MB. The
-    # tables' int64 products and remainders used to peak at 18.8 MB.
-    fld = build_field(10, 0x409)
-    _make_code_cached.cache_clear()
+def traced(call, *args):
+    """call(*args), then tracemalloc's held and peak bytes over the call."""
     tracemalloc.start()
     try:
-        code = make_code(fld, MAX_N, 1)
-        held, peak = tracemalloc.get_traced_memory()
+        return call(*args), *tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+
+
+def encode_one(code):
+    encode_parity(code, np.arange(code.info_bits) % 3 == 0)
+
+
+def decode_one(code):
+    word = codeword(code, np.arange(code.k) % code.field.order)
+    word[[0, code.n // 2, code.n - 1]] ^= 7
+    assert decode_block(code, word).corrected == 3
+
+
+def test_the_longest_supported_code_holds_its_tables_within_bounds():
+    # make_code builds no table. A first encode builds the small parity
+    # matrix and its nibble table (74 KB); a first decode the two 1023 x 1022
+    # uint16 exponent tables (2.1 MB each) and the 52.3 MB mismatch table,
+    # which peaks beside its 12.8 MB bit matrix and the matrix's padded copy.
+    # Measured with numpy 2.4 on Python 3.11: 576 B held and 648 B peak in
+    # make_code; 87 KB held and 344 KB peak in the encode; 56.5 MB held and
+    # 80.9 MB peak in the decode.
+    fld = build_field(10, 0x409)
+    _make_code_cached.cache_clear()
+    try:
+        code, held, peak = traced(make_code, fld, MAX_N, 1)
+        assert code.n == MAX_N and code.nbytes == 0 and held <= 4 << 10 and peak <= 16 << 10
+        _, held, peak = traced(encode_one, code)
+        assert held <= 128 << 10 and peak <= 512 << 10
+        _, held, peak = traced(decode_one, code)
+        assert code.mismatch_table.nbytes == 2555 * 16 * 160 * 8
+        assert held <= 57e6 and peak <= 83e6
+    finally:
         _make_code_cached.cache_clear()
-    assert code.n == MAX_N and held <= 8 << 20 and peak <= 10 << 20
 
 
 def test_the_widest_supported_code_holds_its_parity_table_within_bounds():
-    # (1023, 512) holds 13.1 MB of nibble table beside a 3.3 MB parity
-    # matrix and 2.1 MB of exponent tables; the build's peak is the parity planes' int64 bits, not the table.
+    # make_code builds no table. A first encode builds the 13.1 MB nibble
+    # table beside the 3.3 MB parity matrix, whose parity planes' int64 bits
+    # it reads a 1 MiB step at a time; a first decode two 1 MB exponent
+    # tables and the 13.1 MB mismatch table. Measured with numpy 2.4 on
+    # Python 3.11: 536 B held and 608 B peak in make_code; 16.4 MB held and
+    # 19.9 MB peak in the encode; 15.2 MB held and 21.0 MB peak in the decode.
     fld = build_field(10, 0x409)
     _make_code_cached.cache_clear()
-    tracemalloc.start()
     try:
-        code = make_code(fld, MAX_N, 512)
-        held, peak = tracemalloc.get_traced_memory()
+        code, held, peak = traced(make_code, fld, MAX_N, 512)
+        assert code.nbytes == 0 and held <= 4 << 10 and peak <= 16 << 10
+        _, held, peak = traced(encode_one, code)
+        assert code.parity_table.nbytes == 1280 * 16 * 80 * 8
+        assert held <= 16.5e6 and peak <= 20.5e6
+        _, held, peak = traced(decode_one, code)
+        assert code.mismatch_table.nbytes == 1278 * 16 * 80 * 8
+        assert held <= 15.5e6 and peak <= 22e6
     finally:
-        tracemalloc.stop()
         _make_code_cached.cache_clear()
-    assert code.parity_table.nbytes == 1280 * 16 * 80 * 8
-    assert held <= 19.5e6 and peak <= 32e6
+
+
+def test_the_code_cache_evicts_its_least_recently_used_codes_past_its_byte_bound(monkeypatch):
+    # Each new code evicts the least recently used ones while the tables the
+    # cached codes have built total more than the bound; three decoded
+    # (255, k) codes, then a bound that holds two of them.
+    fld = build_field(8)
+    _make_code_cached.cache_clear()
+    try:
+        codes = [make_code(fld, 255, k) for k in (167, 191, 223)]
+        for code in codes:
+            decode_one(code)
+        assert all(make_code(fld, 255, code.k) is code for code in codes)
+        assert make_code(fld, 255, 167) is codes[0]   # now the most recently used
+        monkeypatch.setattr(rs, "_CACHE_BYTES", codes[0].nbytes + codes[2].nbytes)
+        make_code(fld, 255, 239)                       # evicts (255, 191)
+        assert make_code(fld, 255, 167) is codes[0] and make_code(fld, 255, 223) is codes[2]
+        assert make_code(fld, 255, 191) is not codes[1]
+        # The newest code stays whatever its size.
+        monkeypatch.setattr(rs, "_CACHE_BYTES", 0)
+        newest = make_code(fld, 255, 247)
+        decode_one(newest)
+        assert make_code(fld, 255, 247) is newest
+        assert make_code(fld, 255, 167) is not codes[0]
+    finally:
+        _make_code_cached.cache_clear()
+
+
+def test_the_code_cache_holds_under_threads_that_build_and_evict(monkeypatch):
+    # More threads than cores ask for codes, build their tables and force
+    # evictions at a tiny byte bound; each must get its own code, decoding.
+    monkeypatch.setattr(rs, "_CACHE_BYTES", 1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    errors = []
+
+    def worker(seed):
+        try:
+            for i in range(400):
+                m, n, k = [(4, 15, 9), (5, 31, 19), (6, 63, 51)][(seed + i) % 3]
+                code = make_code(build_field(m), n, k)
+                assert (code.n, code.k) == (n, k)
+                decode_one(code)
+        except Exception as error:   # asserted on in the main thread
+            errors.append(error)
+
+    _make_code_cached.cache_clear()
+    threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(8)]
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(interval)
+        _make_code_cached.cache_clear()
+    assert errors == []
 
 
 def walked_parity_matrix(fld, rows):
