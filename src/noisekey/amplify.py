@@ -26,15 +26,15 @@ eavesdropper holds about an extracted key is bounded by
 from __future__ import annotations
 
 import math
-import operator
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._rules import all_bits, as_integer, step_rows
 from .channel import entropy_words, pcg64_raw, raw_bits, raw_count
-from .rs import CodeSpec, all_bits
+from .rs import CodeSpec
 
 
 def binary_entropy(p: float) -> float:
@@ -44,20 +44,6 @@ def binary_entropy(p: float) -> float:
     if p == 0.0 or p == 1.0:
         return 0.0
     return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
-
-
-def as_integer(value, name: str, minimum: int | None = None) -> int:
-    """`value` as a Python int, read through operator.index so that a numpy
-    integer scalar does its arithmetic unbounded; ValueError naming `name` for
-    a bool, anything else that is not an integer, or one below `minimum`."""
-    try:
-        number = None if isinstance(value, bool) else operator.index(value)
-    except TypeError:
-        number = None
-    if number is None or minimum is not None and number < minimum:
-        floor = "" if minimum is None else f" >= {minimum}"
-        raise ValueError(f"{name} must be an integer{floor}, got {value!r}")
-    return number
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,12 +167,6 @@ def toeplitz_matrix(seed: HashSeed, n_in: int, n_out: int) -> np.ndarray:
     return diag[n_in - 1 + i - j]
 
 
-# One kernel step ANDs at most this many 64-bit words (512 KiB), counted
-# across units, lanes, rows and words, or one row of 64 outputs of one unit
-# if that is more. Unblocked, a 1000-block paper-255-167 unit (1.34M bits
-# to 62406) would AND ~10 GB at once.
-_BLOCK_WORDS = 1 << 16
-
 _SHIFTS = np.arange(64, dtype=np.uint64)[:, None]
 _ONE = np.uint64(1)
 # 1-bits per byte value (np.bitwise_count needs numpy 2); a byte's parity is
@@ -210,15 +190,15 @@ def _hash_words(info_bits: np.ndarray, seeds, key_bits: int) -> np.ndarray:
     of lane_s[r + w] & Y[w] are the p with diag[p+i] = x[n_in-1-p] = 1.
     Each 64-bit accumulator is folded to one bit by XOR-ing its eight bytes
     and taking the byte's popcount & 1. A step builds the input words and
-    diagonals of as many units as fit a row of 64 outputs in _BLOCK_WORDS
-    words, one unit at least, and ANDs them a row at a time.
+    the lanes of a `step_rows` of units, each unit's lanes and the two shifted
+    copies they are ORed from counted, and ANDs them a row at a time.
     """
     units, n_in = info_bits.shape
     n_words = -(-n_in // 64)
     rows = -(-key_bits // 64)
     n_lanes = min(64, key_bits)
     shifts = _SHIFTS[:n_lanes]
-    unit_step = max(1, _BLOCK_WORDS // (n_lanes * n_words))
+    unit_step = step_rows(24 * n_lanes * (rows + n_words - 1))
     out = np.empty((units, n_lanes, rows), dtype=np.uint8)
     for u in range(0, units, unit_step):
         y = _words(info_bits[u : u + unit_step, ::-1], n_words)[:, None, :]

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._rules import as_integer, as_method, step_rows
 from .amplify import (
     CapacityParams,
     binary_entropy,
@@ -42,17 +43,17 @@ def log_sum_exp(a: np.ndarray) -> float:
     return float(np.log1p(rest / count) + np.log(count) + top)
 
 
-def _tail_support(trials: int, p: float, threshold: float, direction: str) -> np.ndarray:
+def _tail_support(trials: int, p: float, threshold: float, direction: str) -> tuple[int, np.ndarray]:
+    """trials as a Python int, and the counts of the tail."""
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
-    if not isinstance(trials, (int, np.integer)):
-        raise ValueError(f"trials must be an integer, got {trials!r}")
+    trials = as_integer(trials, "trials")
     if trials < 0 or not threshold <= trials:  # NaN included
         raise ValueError(f"need trials >= 0 and a threshold of at most trials ({trials}), got {threshold}")
     if direction == "above":  # any threshold below 0, -inf included, as -1
-        return np.arange(math.floor(max(threshold, -1)) + 1, trials + 1)
+        return trials, np.arange(math.floor(max(threshold, -1)) + 1, trials + 1)
     if direction == "below":
-        return np.arange(0, math.ceil(max(threshold, 0)))
+        return trials, np.arange(0, math.ceil(max(threshold, 0)))
     raise ValueError("direction must be 'above' or 'below'")
 
 
@@ -71,7 +72,6 @@ _LGAM_C = (1.0, -3.51815701436523470549e2, -1.70642106651881159223e4,
            -2.01889141433532773231e6)
 _LOG_SQRT_2PI = 0.91893853320467274178
 _LOG_FACTORIALS = 1 << 17   # table of log j!, j < 2**17: 1 MiB
-_LGAM_CHUNK = 1 << 13       # elements per pass of the series, bounding its temporaries
 
 
 def _horner(x, coefficients):
@@ -102,12 +102,13 @@ def _lgam_below_13(x: float) -> float:
 def _lgam(x: np.ndarray) -> np.ndarray:
     """cephes' lgam over a 1-d array of values >= 1, as float64."""
     out = np.empty(len(x))
-    for start in range(0, len(x), _LGAM_CHUNK):
-        part = x[start:start + _LGAM_CHUNK].astype(np.float64, copy=False)
+    step = step_rows(48)    # a pass's float64 temporaries per element (tracemalloc: ~49)
+    for start in range(0, len(x), step):
+        part = x[start:start + step].astype(np.float64, copy=False)
         q = (part - 0.5) * np.log(part) - part + _LOG_SQRT_2PI
         p = 1.0 / (part * part)
         series = np.where(part >= 1000.0, _horner(p, _STIRLING_SHORT), _horner(p, _STIRLING))
-        out[start:start + _LGAM_CHUNK] = np.where(part > 1e8, q, q + series / part)
+        out[start:start + step] = np.where(part > 1e8, q, q + series / part)
     for i in np.flatnonzero(x < 13.0):
         out[i] = _lgam_below_13(float(x[i]))
     return out
@@ -151,7 +152,7 @@ def log_binomial_tail(trials: int, p: float, threshold: float, direction: str = 
     (NaN refused); below 0 it takes the whole support "above" and none
     "below".
     """
-    ks = _tail_support(trials, p, threshold, direction)
+    trials, ks = _tail_support(trials, p, threshold, direction)
     if len(ks) == 0:
         return -math.inf
     if len(ks) == trials + 1:
@@ -173,7 +174,7 @@ def outside_set_probability(length: int, balance_limit: float) -> float:
     """Probability that a uniform bitstring falls outside the admissible set:
     the binomial distribution of the 1-count summed over the counts outside
     the `balanced` window, in log space (1 - P(inside) would cancel)."""
-    require_key_length(length)
+    length = require_key_length(length)
     counts = np.arange(length + 1)
     outside = counts[~balanced(counts, length, balance_limit)]
     if len(outside) == 0:
@@ -195,9 +196,7 @@ def noisy_symbols(code, method: int) -> int:
     """Symbols per block that reach a listener through the noisy channel: in
     method 1 the parity arrives error-free, so only the k information
     symbols; method 2 exposes all n. Raises ValueError for another method."""
-    if method not in (1, 2):
-        raise ValueError(f"method must be 1 or 2, got {method!r}")
-    return code.k if method == 1 else code.n
+    return code.k if as_method(method) == 1 else code.n
 
 
 def block_failure_probability(code, ber: float, method: int) -> float:
@@ -343,7 +342,7 @@ def security_report(
     bob_ber: float,
     method: int = 1,
 ) -> SecurityReport:
-    require_window(key_length, balance_limit)
+    key_length = require_window(key_length, balance_limit)
     code = params.code
     delta = outside_set_probability(key_length, balance_limit)
     log2_cand = candidate_count_log2(key_length, code.m, code.n, code.k, delta)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .rs import all_bits, bit_row
+from ._rules import all_bits, as_integer, as_method, bit_row
 
 MAGIC = b"NKY1"
 VERSION = 1
@@ -51,8 +51,7 @@ class ChannelConfig:
             raise ValueError("bit-error rates must lie in [0, 1/2]")
         if self.bob_ber < self.eve_ber:
             raise ValueError("the tap point sees the channel at least as cleanly as the receiver")
-        if self.method not in (1, 2):
-            raise ValueError(f"method must be 1 or 2, got {self.method}")
+        object.__setattr__(self, "method", as_method(self.method))
 
 
 @dataclass(frozen=True, eq=False)
@@ -303,18 +302,10 @@ def encode_frame(frame: Frame) -> bytes:
     ValueError naming the field, and so does a payload that is not 1-d or
     holds anything but 0 and 1.
     """
-    for name, value, limit in (
-        ("method", frame.method, 0xFF),
-        ("group", frame.group, 0xFF),
-        ("index", frame.index, 0xFFFFFFFF),
-        ("kind", frame.kind, 0xFF),
-    ):
-        if not isinstance(value, (int, np.integer)) or not 0 <= value <= limit:
-            raise ValueError(f"frame {name} must be an integer in 0..{limit}, got {value!r}")
+    limits = {"method": 0xFF, "group": 0xFF, "index": 0xFFFFFFFF, "kind": 0xFF}
+    fields = [as_integer(getattr(frame, name), f"frame {name}", 0, top) for name, top in limits.items()]
     payload = bit_row(frame.payload, "frame payload")
-    header = _HEADER.pack(
-        MAGIC, VERSION, frame.method, frame.group, frame.index, frame.kind, len(payload)
-    )
+    header = _HEADER.pack(MAGIC, VERSION, *fields, len(payload))
     return header + np.packbits(payload, bitorder="big").tobytes()
 
 

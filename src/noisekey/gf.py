@@ -18,6 +18,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from ._rules import as_integer
+
 # Conventional primitive polynomial per extension degree (integer bit encoding,
 # e.g. 0x11D = x^8 + x^4 + x^3 + x^2 + 1). All are verified at table build time.
 PRIMITIVE_POLYS = {
@@ -87,21 +89,22 @@ class FieldSpec:
         return np.bitwise_xor.reduce(self.exp_ext[power_table[: logs.shape[-1]] + logs[..., None]], axis=-2)
 
 
-@lru_cache(maxsize=32)
 def build_field(m: int, primitive_poly: int | None = None) -> FieldSpec:
     """Build exp/log tables for GF(2^m), once per (m, primitive_poly).
 
-    Raises ValueError, on every call, when the polynomial has the wrong
-    degree or is not primitive (the generated cycle is shorter than 2^m - 1).
+    Raises ValueError, on every call, unless m is an integer in 2..16 and
+    the polynomial an integer of degree m that is primitive (the generated
+    cycle is not shorter than 2^m - 1).
     """
-    if not 2 <= m <= 16:
-        raise ValueError(f"extension degree must be in 2..16, got {m}")
-    if primitive_poly is None:
-        primitive_poly = PRIMITIVE_POLYS[m]
-    if primitive_poly.bit_length() != m + 1:
-        raise ValueError(
-            f"polynomial 0x{primitive_poly:X} does not have degree {m}"
-        )
+    m = as_integer(m, "extension degree", 2, 16)
+    poly = PRIMITIVE_POLYS[m] if primitive_poly is None else as_integer(primitive_poly, "primitive polynomial", 1)
+    if poly.bit_length() != m + 1:
+        raise ValueError(f"polynomial 0x{poly:X} does not have degree {m}")
+    return _build_field(m, poly)
+
+
+@lru_cache(maxsize=32)
+def _build_field(m: int, primitive_poly: int) -> FieldSpec:
     q = 1 << m
     sentinel = 2 * (q - 1)
     exp_ext = np.zeros(2 * sentinel + 1, dtype=np.int64)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rs import bit_row
+from ._rules import as_integer, bit_row
 
 def balanced(ones, length: int, balance_limit: float):
     """The balance window: |ones - length/2| <= balance_limit * sqrt(length/4),
@@ -25,12 +25,12 @@ def balanced(ones, length: int, balance_limit: float):
     return np.abs(ones - length / 2.0) <= balance_limit * math.sqrt(length / 4.0)
 
 
-def require_key_length(length: int) -> None:
-    """Raise ValueError unless `length` is an integer (numpy's too) of at least 2, the shortest key."""
-    if not isinstance(length, (int, np.integer)):
-        raise ValueError(f"key length must be an integer, got {length!r}")
+def require_key_length(length: int) -> int:
+    """`length` as a Python int; ValueError unless it is an integer of at least 2, the shortest key."""
+    length = as_integer(length, "key length")
     if length < 2:
         raise ValueError("key must have at least 2 bits")
+    return length
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,12 +84,13 @@ def bits_to_hex(bits) -> str:
     return f"{value:0{-(-len(bits) // 4)}x}"
 
 
-def require_window(length: int, balance_limit: float) -> None:
-    """Raise ValueError unless the balance window admits some `length`-bit key."""
-    require_key_length(length)
+def require_window(length: int, balance_limit: float) -> int:
+    """`require_key_length`'s int; ValueError unless the balance window admits some `length`-bit key."""
+    length = require_key_length(length)
     # length // 2 ones lies nearest length/2: if it is refused, every count is.
     if not balanced(length // 2, length, balance_limit):
         raise ValueError(f"no {length}-bit key fits a balance limit of {balance_limit} sigmas")
+    return length
 
 
 def sample_key(length: int, balance_limit: float, rng: np.random.Generator) -> CommonKey:
@@ -98,7 +99,7 @@ def sample_key(length: int, balance_limit: float, rng: np.random.Generator) -> C
     Raises ValueError, before drawing, when the balance window admits no
     1-count at all.
     """
-    require_window(length, balance_limit)
+    length = require_window(length, balance_limit)
     while True:
         bits = rng.integers(0, 2, size=length, dtype=np.uint8)
         if balanced(int(bits.sum()), length, balance_limit):

@@ -18,11 +18,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._rules import all_bits, as_integer, bit_row, step_rows
 from .amplify import BYTE_POPCOUNT
 from .analysis import binomial_tail, block_failure_probability, noisy_symbols, symbol_error_rate
 from .channel import GROUP_I, GROUP_II, FramingError, bsc_transmit, read_frames
 from .grouping import CommonKey, balanced, require_key_length, require_window, route, split_stream
-from .rs import CodeSpec, all_bits, bit_row, bits_to_symbols, encode_parity, symbols_to_bits
+from .rs import CodeSpec, bits_to_symbols, encode_parity, symbols_to_bits
 from .session import decode_rows
 
 MAX_KEY_LENGTH = 20
@@ -31,15 +32,12 @@ MAX_WORK = 1 << 26
 MAX_TAG_BITS = 62
 _SHORT = "stream too short to fill one block for every key"
 _FOUR_SIGMA = 0.5 * math.erfc(4.0 / math.sqrt(2.0))  # Pr{Z > 4}, the judge's test level
-# symbols_to_bits makes ~16 bytes of int64 temporaries per bit it unpacks,
-# so a step of 2^18 bits stays near 4 MB.
-_UNPACK_STEP = 1 << 18
 
 
 def admissible_keys(key_length: int, balance_limit: float) -> np.ndarray:
     """All admissible keys as a (count, key_length) bit matrix, MSB first, in
     increasing value order."""
-    require_key_length(key_length)
+    key_length = require_key_length(key_length)
     if key_length > MAX_KEY_LENGTH:
         raise ValueError(f"exhaustive key listing is capped at {MAX_KEY_LENGTH} bits")
     # Filter the values by popcount, then expand only the kept ones to bits.
@@ -77,7 +75,7 @@ def make_scenario(
     """
     if not 0.0 <= ber <= 0.5:
         raise ValueError(f"ber must lie in [0, 1/2], got {ber!r}")
-    require_window(key_length, balance_limit)
+    key_length = require_window(key_length, balance_limit)
     keys = admissible_keys(key_length, balance_limit)
     if balanced(0, key_length, balance_limit):
         keys = keys[1:]  # the all-zero key lists first
@@ -187,7 +185,7 @@ def enumerate_info_candidates(code: CodeSpec, parity) -> np.ndarray:
     parity = _parity_row(code, parity)
     total = 1 << code.info_bits
     hits = []
-    chunk = 1 << 16
+    chunk = step_rows(16 * code.info_bits)   # symbols_to_bits' int64 temporaries
     for start in range(0, total, chunk):
         values = np.arange(start, min(start + chunk, total), dtype=np.int64)
         bits = symbols_to_bits(values[:, None], code.info_bits).astype(np.uint8)
@@ -215,7 +213,8 @@ def _pattern_rows(places: int, width: int, max_weight: int) -> np.ndarray:
     to nonzero values: by weight, then places, then values, each lexicographic.
 
     The values are listed in the narrowest unsigned dtype that holds them
-    and unpacked to bits _UNPACK_STEP bits at a time."""
+    and unpacked to bits a `step_rows` of rows at a time, counting the 16
+    bytes of int64 temporaries symbols_to_bits makes per bit."""
     dtype = np.min_scalar_type((1 << width) - 1)
     values = []
     for weight in range(max_weight + 1):
@@ -226,7 +225,7 @@ def _pattern_rows(places: int, width: int, max_weight: int) -> np.ndarray:
         values.append(rows.reshape(-1, places))
     symbols = np.concatenate(values)
     bits = np.empty((len(symbols), places * width), dtype=np.uint8)
-    step = max(1, _UNPACK_STEP // (places * width))
+    step = step_rows(16 * places * width)
     for r in range(0, len(symbols), step):
         bits[r : r + step] = symbols_to_bits(symbols[r : r + step], width)
     return bits
@@ -244,8 +243,8 @@ def enumerate_with_errors(scenario: TinyScenario, max_weight: int, unit: str = "
     """
     code = scenario.code
     parity = _parity_row(code, scenario.parity)
-    if not isinstance(max_weight, (int, np.integer)) or not 0 <= max_weight <= code.t:
-        raise ValueError(f"max_weight must be an integer in [0, {code.t}]: heavier patterns are not separable")
+    # Heavier patterns than t are not separable.
+    max_weight = as_integer(max_weight, "max_weight", 0, code.t)
     if unit not in ("symbol", "bit"):
         raise ValueError(f"unknown pattern unit {unit!r}")
     width = code.m if unit == "symbol" else 1

@@ -30,6 +30,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
+from ._rules import all_bits, as_integer, step_rows
 from .gf import FieldSpec, build_field
 
 
@@ -135,11 +136,11 @@ def _parity_rows(fld: FieldSpec, gen: list[int], n: int, k: int) -> np.ndarray:
 def _bit_matrix(fld: FieldSpec, logs: np.ndarray) -> np.ndarray:
     # Row m*i + b is the packed bits of symbol row i (given as logs, in any
     # integer dtype) times alpha^(m-1-b), bit b's value, MSB first: the image
-    # of that bit alone. Planes are read a step of rows at a time, so their
-    # int64 bits stay within _STEP_BYTES.
+    # of that bit alone. Planes are read a step of rows at a time, each row
+    # of a plane m*width int64 bits.
     (count, width), m = logs.shape, fld.m
     out = np.empty((count, m, -(-m * width // 8)), dtype=np.uint8)
-    step = max(1, _STEP_BYTES // (8 * m * width))
+    step = step_rows(8 * m * width)
     for start in range(0, count, step):
         here = logs[start : start + step].astype(np.int64) + (m - 1)
         for b in range(m):
@@ -194,7 +195,18 @@ def _build_code(m: int, primitive_poly: int, n: int, k: int) -> CodeSpec:
     return CodeSpec(build_field(m, primitive_poly), n, k, d=n - k + 1, t=(n - k) // 2, t_max=n - k)
 
 
-def _make_code_cached(*key) -> CodeSpec:
+def make_code(fld: FieldSpec, n: int, k: int) -> CodeSpec:
+    """The code and its derived limits, its tables built on first use. Raises
+    ValueError unless n and k are integers with 1 <= k < n <= 2^m - 1 and
+    n <= MAX_N."""
+    n, k = as_integer(n, "n"), as_integer(k, "k")
+    if not 1 <= k < n:
+        raise ValueError(f"need 1 <= k < n, got ({n}, {k})")
+    if n > fld.mul_order:
+        raise ValueError(f"code length {n} exceeds 2^{fld.m} - 1 = {fld.mul_order}")
+    if n > MAX_N:
+        raise ValueError(f"code length {n} exceeds the supported maximum {MAX_N}")
+    key = fld.m, fld.primitive_poly, n, k
     with _codes_lock:
         code = _codes.pop(key, None)
         if code is None:
@@ -205,52 +217,15 @@ def _make_code_cached(*key) -> CodeSpec:
     return code
 
 
-_make_code_cached.cache_clear = _codes.clear
-_make_code_cached.__wrapped__ = _build_code
-
-
-def make_code(fld: FieldSpec, n: int, k: int) -> CodeSpec:
-    """The code and its derived limits, its tables built on first use. Raises
-    ValueError unless 1 <= k < n <= 2^m - 1 and n <= MAX_N."""
-    if not 1 <= k < n:
-        raise ValueError(f"need 1 <= k < n, got ({n}, {k})")
-    if n > fld.mul_order:
-        raise ValueError(f"code length {n} exceeds 2^{fld.m} - 1 = {fld.mul_order}")
-    if n > MAX_N:
-        raise ValueError(f"code length {n} exceeds the supported maximum {MAX_N}")
-    return _make_code_cached(fld.m, fld.primitive_poly, n, k)
-
-
-def all_bits(x: np.ndarray) -> bool:
-    """True iff every entry of x is 0 or 1; exact for any dtype, and without a copy for integers."""
-    if x.dtype.kind in "biu":
-        return bool(x.max(initial=0) <= 1 and (x.dtype.kind != "i" or x.min(initial=0) >= 0))
-    return not (x.astype(bool) != x).any()
-
-
-def bit_row(x, name: str) -> np.ndarray:
-    """x as a 1-d uint8 array; ValueError naming it unless it is 1-d and
-    holds only 0 and 1."""
-    x = np.asarray(x)
-    if x.ndim != 1 or not all_bits(x):
-        raise ValueError(f"{name} must be a 1-d array holding only 0 and 1")
-    return x.astype(np.uint8, copy=False)
-
-
-# _linear_map gathers table entries a step of rows at a time, each step's
-# gathered entries within this many bytes (one row's if more); unstepped,
-# 100 000 design blocks would gather 2.9 GB.
-_STEP_BYTES = 1 << 20
-
-
 def _linear_map(table: np.ndarray, bits: np.ndarray, out_bits: int) -> np.ndarray:
     # A `_nibble_table`'s map of (..., in_bits) 0/1 rows: (..., out_bits)
     # uint8 bits, the XOR of the one entry per nibble that each row selects.
+    # A step of rows holds their gathered entries, groups x words per row.
     groups, _, words = table.shape
     octets = np.packbits(bits.reshape(-1, bits.shape[-1]).astype(np.uint8, copy=False), axis=-1)
     # Entry v of group g is row 16g + v of the flat table.
     flat, offset = table.reshape(-1, words), np.arange(0, 16 * groups, 16)
-    step = max(1, _STEP_BYTES // (groups * words * 8))
+    step = step_rows(groups * words * 8)
     packed = np.empty((len(octets), words), dtype="<u8")
     for start in range(0, len(octets), step):
         here = octets[start : start + step]

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .amplify import CapacityParams, HashSeed, as_integer, capacity_lower_bound, extract_key
+from ._rules import as_integer, step_rows
+from .amplify import CapacityParams, HashSeed, capacity_lower_bound, extract_key
 from .channel import (
     ChannelConfig,
     Frame,
@@ -38,15 +39,6 @@ from .grouping import CommonKey, _key_mask, bits_to_hex, block_fits_key_period, 
 from .rs import CodeSpec, DecodeResult, bits_to_symbols, decode_block, encode_parity, symbols_to_bits, syndromes
 
 _SOURCE_STREAM = 7
-
-# decode_rows converts and unpacks blocks in batches of at most this many
-# bytes, 8*m*n per block for its int64 word bits (~16 KiB at (255, 167)).
-_BATCH_BYTES = 1 << 20
-
-
-def _batch_rows(code: CodeSpec) -> int:
-    """Blocks per decode batch for this code, within _BATCH_BYTES."""
-    return _BATCH_BYTES // (8 * code.m * code.n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,8 +67,6 @@ class SessionConfig:
                 else "one block does not span a full key period; enlarge the block "
                 "or shorten the key"
             )
-        # The counts are kept as Python ints: a numpy scalar's arithmetic
-        # overflows in its own width.
         object.__setattr__(self, "blocks_target", as_integer(self.blocks_target, "blocks_target", 0))
         for name in ("unit_blocks", "safety_bits"):
             object.__setattr__(self, name, as_integer(getattr(self, name), name, 1))
@@ -246,10 +236,11 @@ def decode_rows(code: CodeSpec, info: np.ndarray, parity: list) -> tuple[list, n
     """(DecodeResults, (B, m*k) corrected bits, a zero row where a block
     failed) of the (B, m*k) `info` rows against their parity rows, a None
     one failing as "missing parity". Each batch takes one `syndromes` call and
-    one symbol conversion each way; decode_block runs once per row with parity."""
+    one symbol conversion each way, of its m*n int64 word bits per block;
+    decode_block runs once per row with parity."""
     results: list[DecodeResult] = []
     bits = np.zeros((len(info), code.info_bits), dtype=np.uint8)
-    rows = _batch_rows(code)
+    rows = step_rows(8 * code.m * code.n)
     for start in range(0, len(info), rows):
         batch = parity[start : start + rows]
         words = np.zeros((len(batch), code.m * code.n), dtype=np.uint8)

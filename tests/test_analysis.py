@@ -17,6 +17,7 @@ from noisekey.analysis import (
     gamma_report,
     log_binomial_tail,
     log_sum_exp,
+    noisy_symbols,
     outside_set_probability,
     security_report,
     symbol_error_rate,
@@ -103,6 +104,18 @@ def test_tail_refuses_trials_that_are_not_an_integer(trials):
 def test_tail_takes_numpy_integer_trials():
     assert binomial_tail(np.int64(10), 0.3, 2) == binomial_tail(10, 0.3, 2)
     assert binomial_tail(np.uint16(10), 0.3, 2, "below") == binomial_tail(10, 0.3, 2, "below")
+    # int8 trials used to wrap in trials + 1, with a RuntimeWarning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert binomial_tail(np.int8(127), 0.5, 3) == binomial_tail(127, 0.5, 3)
+
+
+@pytest.mark.parametrize("method", [0, 3, None, True])
+def test_noisy_symbols_refuses_a_method_other_than_1_or_2(code_7_5, method):
+    # True used to count as method 1.
+    with pytest.raises(ValueError, match="method must be 1 or 2"):
+        noisy_symbols(code_7_5, method)
+    assert noisy_symbols(code_7_5, np.int64(2)) == 7
 
 
 @pytest.mark.parametrize("direction", ["above", "below"])

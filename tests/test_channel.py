@@ -64,6 +64,10 @@ def test_config_validation():
         ChannelConfig(eve_ber=0.1, bob_ber=0.6)
     with pytest.raises(ValueError):
         ChannelConfig(eve_ber=0.01, bob_ber=0.01, method=3)
+    # True used to pass as method 1.
+    with pytest.raises(ValueError, match="method must be 1 or 2, got True"):
+        ChannelConfig(eve_ber=0.01, bob_ber=0.01, method=True)
+    assert type(ChannelConfig(eve_ber=0.01, bob_ber=0.01, method=np.int8(2)).method) is int
     ChannelConfig(eve_ber=0.01, bob_ber=0.01)  # equality allowed
 
 
@@ -287,6 +291,7 @@ def test_read_capture_refuses_a_length_prefix_past_the_end_before_reading(tmp_pa
         ("method", 256),
         ("method", -1),
         ("group", 256),
+        ("group", True),
         ("kind", 256),
         ("kind", -1),
     ],

@@ -34,7 +34,7 @@ from scipy.special import gammaln, logsumexp
 from hypothesis import assume, example, given, settings, strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
-from noisekey import rs
+from noisekey import _rules, rs
 from noisekey.amplify import HashSeed, expand_seed, extract_key, toeplitz_matrix
 from noisekey.analysis import _LOG_FACTORIALS, _log_gamma, log_sum_exp
 from noisekey.channel import bit_chunks, entropy_words
@@ -501,7 +501,7 @@ def test_a_stepped_encode_equals_rows_at_the_step_edges(m, n, k):
     # One row short of, at and one past a whole step of gathered table
     # entries, one (words,) entry per nibble group and row.
     code = make_code(build_field(m), n, k)
-    step = rs._STEP_BYTES // (code.parity_table.nbytes // 16)
+    step = _rules.STEP_BYTES // (code.parity_table.nbytes // 16)
     assert step == {31: 5461, 255: 35}[n]
     rng = np.random.default_rng(n)
     for rows in (step - 1, step, step + 1):
@@ -515,7 +515,7 @@ def test_a_2000_row_design_encode_peaks_within_one_step_and_its_output():
     code = make_code(build_field(8), 255, 167)
     groups, _, words = code.parity_table.shape   # built here, outside the measurement
     bits = np.random.default_rng(6).integers(0, 2, (2000, code.info_bits), dtype=np.uint8)
-    step = rs._STEP_BYTES // (groups * words * 8)
+    step = _rules.STEP_BYTES // (groups * words * 8)
     assert (step, groups * words * 8) == (35, 29_392)
     tracemalloc.start()
     try:

@@ -48,6 +48,21 @@ def test_wrong_degree_rejected():
         build_field(8, 0xB)
     with pytest.raises(ValueError):
         build_field(1, 0x3)
+    for bad in (True, 8.0, "8"):
+        with pytest.raises(ValueError, match="extension degree must be an integer"):
+            build_field(bad)
+    # A negative polynomial used to end in an IndexError.
+    with pytest.raises(ValueError, match="primitive polynomial must be an integer >= 1"):
+        build_field(8, -0x11D)
+
+
+def test_numpy_integer_arguments_build_the_same_field():
+    # An int8 degree used to shift 1 << 8 to 0 and end in numpy's "negative
+    # dimensions are not allowed"; the (m, polynomial) pair is the cache key.
+    fld = build_field(np.int8(8))
+    assert (fld.m, fld.order, fld.primitive_poly) == (8, 256, 0x11D)
+    assert type(fld.m) is int and type(fld.primitive_poly) is int
+    assert fld is build_field(8) is build_field(8, np.uint16(0x11D))
 
 
 @pytest.mark.parametrize("m", sorted(PRIMITIVE_POLYS))

@@ -48,6 +48,8 @@ def brute_admissible_count(length, limit):
 def test_admissible_key_listing():
     keys = admissible_keys(12, 2.0)
     assert len(keys) == brute_admissible_count(12, 2.0) == 3938
+    # An int8 length used to shift 1 << 16 to 0 and list no key.
+    assert len(admissible_keys(np.int8(16), 2.0)) == brute_admissible_count(16, 2.0) == 64_142
     ones = keys.sum(axis=1)
     assert ones.min() >= 3 and ones.max() <= 9
     with pytest.raises(ValueError):
@@ -220,8 +222,9 @@ def test_work_guard_refuses_before_listing_any_pattern():
      ([0] * 6, -1, "byte", r"max_weight must be an integer in \[0, 1\]"),
      ([0] * 6, 0.5, "byte", r"max_weight must be an integer in \[0, 1\]"),
      ([0] * 6, 2, "byte", r"max_weight must be an integer in \[0, 1\]"),
+     ([0] * 6, True, "byte", r"max_weight must be an integer in \[0, 1\]"),
      ([0] * 6, 1, "byte", "unknown pattern unit 'byte'")],
-    ids=["parity-first", "negative-weight", "fractional-weight", "weight-beyond-t", "unit"],
+    ids=["parity-first", "negative-weight", "fractional-weight", "weight-beyond-t", "bool-weight", "unit"],
 )
 def test_enumeration_refusals_come_in_order(code_7_5, parity, max_weight, unit, match):
     # A negative max_weight used to list the zero pattern alone, and 0.5 ended

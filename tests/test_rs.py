@@ -12,7 +12,6 @@ from noisekey.gf import build_field
 from noisekey.rs import (
     MAX_N,
     _generator_poly,
-    _make_code_cached,
     _parity_rows,
     bits_to_symbols,
     codeword,
@@ -51,6 +50,26 @@ def test_make_code_refuses_k_below_one(gf8, k):
         make_code(gf8, 5, k)
 
 
+@pytest.mark.parametrize("k", [True, 2.0, "2"])
+def test_make_code_refuses_a_k_that_is_not_an_integer(gf8, k):
+    # True used to build the (5, 1) code.
+    with pytest.raises(ValueError, match="k must be an integer"):
+        make_code(gf8, 5, k)
+
+
+def test_numpy_integer_lengths_make_the_python_int_code(gf256):
+    # uint8 n and k used to give info_bits 8 * 167 mod 256 = 56, and the
+    # cache then handed that code to make_code(gf256, 255, 167) too.
+    rs._codes.clear()
+    try:
+        code = make_code(gf256, np.uint8(255), np.uint8(167))
+        assert (code.info_bits, code.parity_bits) == (1336, 704)
+        assert all(type(v) is int for v in (code.n, code.k, code.d, code.t, code.t_max))
+        assert make_code(gf256, 255, 167) is code
+    finally:
+        rs._codes.clear()
+
+
 def test_make_code_refuses_long_codes_before_building_tables():
     fld = build_field(11, 0x805)
     tracemalloc.start()
@@ -70,7 +89,7 @@ def test_make_code_builds_the_longest_supported_code():
         info = np.array([5])
         assert (codeword(code, info) == 5).all()  # the repetition code
     finally:
-        _make_code_cached.cache_clear()  # ~4 MB of tables
+        rs._codes.clear()  # ~4 MB of tables
 
 
 def traced(call, *args):
@@ -101,7 +120,7 @@ def test_the_longest_supported_code_holds_its_tables_within_bounds():
     # make_code; 87 KB held and 344 KB peak in the encode; 56.5 MB held and
     # 80.9 MB peak in the decode.
     fld = build_field(10, 0x409)
-    _make_code_cached.cache_clear()
+    rs._codes.clear()
     try:
         code, held, peak = traced(make_code, fld, MAX_N, 1)
         assert code.n == MAX_N and code.nbytes == 0 and held <= 4 << 10 and peak <= 16 << 10
@@ -111,7 +130,7 @@ def test_the_longest_supported_code_holds_its_tables_within_bounds():
         assert code.mismatch_table.nbytes == 2555 * 16 * 160 * 8
         assert held <= 57e6 and peak <= 83e6
     finally:
-        _make_code_cached.cache_clear()
+        rs._codes.clear()
 
 
 def test_the_widest_supported_code_holds_its_parity_table_within_bounds():
@@ -122,7 +141,7 @@ def test_the_widest_supported_code_holds_its_parity_table_within_bounds():
     # Python 3.11: 536 B held and 608 B peak in make_code; 16.4 MB held and
     # 19.9 MB peak in the encode; 15.2 MB held and 21.0 MB peak in the decode.
     fld = build_field(10, 0x409)
-    _make_code_cached.cache_clear()
+    rs._codes.clear()
     try:
         code, held, peak = traced(make_code, fld, MAX_N, 512)
         assert code.nbytes == 0 and held <= 4 << 10 and peak <= 16 << 10
@@ -133,7 +152,7 @@ def test_the_widest_supported_code_holds_its_parity_table_within_bounds():
         assert code.mismatch_table.nbytes == 1278 * 16 * 80 * 8
         assert held <= 15.5e6 and peak <= 22e6
     finally:
-        _make_code_cached.cache_clear()
+        rs._codes.clear()
 
 
 def test_the_code_cache_evicts_its_least_recently_used_codes_past_its_byte_bound(monkeypatch):
@@ -141,7 +160,7 @@ def test_the_code_cache_evicts_its_least_recently_used_codes_past_its_byte_bound
     # cached codes have built total more than the bound; three decoded
     # (255, k) codes, then a bound that holds two of them.
     fld = build_field(8)
-    _make_code_cached.cache_clear()
+    rs._codes.clear()
     try:
         codes = [make_code(fld, 255, k) for k in (167, 191, 223)]
         for code in codes:
@@ -159,7 +178,7 @@ def test_the_code_cache_evicts_its_least_recently_used_codes_past_its_byte_bound
         assert make_code(fld, 255, 247) is newest
         assert make_code(fld, 255, 167) is not codes[0]
     finally:
-        _make_code_cached.cache_clear()
+        rs._codes.clear()
 
 
 def test_the_code_cache_holds_under_threads_that_build_and_evict(monkeypatch):
@@ -180,7 +199,7 @@ def test_the_code_cache_holds_under_threads_that_build_and_evict(monkeypatch):
         except Exception as error:   # asserted on in the main thread
             errors.append(error)
 
-    _make_code_cached.cache_clear()
+    rs._codes.clear()
     threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(8)]
     try:
         for thread in threads:
@@ -190,7 +209,7 @@ def test_the_code_cache_holds_under_threads_that_build_and_evict(monkeypatch):
         assert not any(thread.is_alive() for thread in threads)
     finally:
         sys.setswitchinterval(interval)
-        _make_code_cached.cache_clear()
+        rs._codes.clear()
     assert errors == []
 
 
@@ -213,7 +232,7 @@ def walked_parity_matrix(fld, rows):
 )
 def test_code_tables_match_the_walk_and_the_int64_products(m, n, k):
     fld = build_field(m)
-    code = _make_code_cached.__wrapped__(m, fld.primitive_poly, n, k)   # kept out of the cache
+    code = rs._build_code(m, fld.primitive_poly, n, k)   # kept out of the cache
     rows = _parity_rows(fld, _generator_poly(fld, n - k), n, k)
     assert np.array_equal(code.parity_matrix, walked_parity_matrix(fld, rows))
     # Entry [g, v] of the nibble table is the XOR of the padded matrix rows

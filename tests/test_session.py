@@ -25,10 +25,11 @@ from noisekey.channel import (
     write_capture,
 )
 from noisekey.grouping import CommonKey, sample_key, split_stream
-from noisekey.oracle import judge_candidate
+from noisekey.oracle import enumerate_with_errors, judge_candidate, make_scenario
 from noisekey.rs import bits_to_symbols, decode_block, encode_parity, make_code, symbols_to_bits
 from noisekey.gf import build_field
-from noisekey import amplify, session
+from noisekey import _rules, amplify, session
+from noisekey._rules import step_rows
 from noisekey.session import (
     BlockOutcome,
     FramingError,
@@ -544,8 +545,8 @@ def test_judge_verdict_does_not_depend_on_the_batch_size(toy_code, toy_key, monk
     observed = (run_session(cfg).eve_capture, toy_code, cfg.channel.eve_ber)
     guesses = [toy_key.bits, np.roll(toy_key.bits, 1)]
     whole = [judge_candidate(guess, *observed) for guess in guesses]
-    monkeypatch.setattr(session, "_BATCH_BYTES", 16 * 8 * toy_code.m * toy_code.n)
-    assert session._batch_rows(toy_code) == 16
+    monkeypatch.setattr(_rules, "STEP_BYTES", 16 * 8 * toy_code.m * toy_code.n)
+    assert step_rows(8 * toy_code.m * toy_code.n) == 16
     assert [judge_candidate(guess, *observed) for guess in guesses] == whole
     assert whole[0].consistent and not whole[1].consistent
 
@@ -553,7 +554,8 @@ def test_judge_verdict_does_not_depend_on_the_batch_size(toy_code, toy_key, monk
 def test_each_end_hashes_all_its_units_in_one_call(toy_code, toy_key, monkeypatch):
     # Each end hashes the 30 units of 60 blocks in one extract_key call, and
     # the receiver's key of a unit with a failed block is None. The keys stay
-    # the same when the hash kernel takes one step per unit.
+    # the same when every stepped kernel, the hash's included, takes one row
+    # (one unit) per step.
     cfg = toy_config(toy_code, toy_key, blocks=60, ber=0.03, method=2, unit_blocks=2)
     calls, steps = [], []
     original, diagonals = session.extract_key, amplify._diagonals
@@ -571,11 +573,41 @@ def test_each_end_hashes_all_its_units_in_one_call(toy_code, toy_key, monkeypatc
     tx_keys, rx_keys, failed = keys()
     assert 0 < sum(failed) < 30 and all(key is not None for key in tx_keys)
     assert [key is None for key in rx_keys] == failed
-    monkeypatch.setattr(amplify, "_BLOCK_WORDS", 1)
+    monkeypatch.setattr(_rules, "STEP_BYTES", 1)
     *stepped, _ = keys()
     assert steps == [1] * 60
     for keys_now, expected in zip(stepped, (tx_keys, rx_keys)):
         assert all(a is b is None or np.array_equal(a, b) for a, b in zip(keys_now, expected))
+
+
+def test_one_row_steps_in_every_layer_change_no_result(toy_code, toy_key, code_7_5, monkeypatch):
+    # STEP_BYTES = 1 makes every stepped kernel take one row at a time: the
+    # decode batches, the encode and syndrome gathers, the hash units, the
+    # pattern unpacking and the log-gamma series. A 60-block method-2 toy
+    # session, the judge of its capture and the (7, 5) 16-bit attack give
+    # what they give in one step.
+    cfg = toy_config(toy_code, toy_key, blocks=60, ber=0.03, method=2, unit_blocks=2)
+    batches, syndromes = [], session.syndromes
+    monkeypatch.setattr(session, "syndromes", lambda code, words: batches.append(len(words)) or syndromes(code, words))
+
+    def run():
+        batches.clear()
+        report = run_session(cfg)
+        guesses = [toy_key.bits, np.roll(toy_key.bits, 1)]
+        verdicts = [judge_candidate(g, report.eve_capture, toy_code, cfg.channel.eve_ber) for g in guesses]
+        scenario, _ = make_scenario(code_7_5, 16, 2.0, np.random.default_rng(7))
+        found = enumerate_with_errors(scenario, 1, "bit").per_pattern
+        return report, verdicts, found, list(batches)
+
+    report, verdicts, found, whole = run()
+    monkeypatch.setattr(_rules, "STEP_BYTES", 1)
+    stepped, stepped_verdicts, stepped_found, single = run()
+    assert whole == [60] * 3 and single == [1] * 180    # Bob's decode, then the judge's two
+    assert stepped.to_dict() == report.to_dict() and stepped.eve_capture == report.eve_capture
+    assert stepped_verdicts == verdicts and verdicts[0].consistent
+    assert stepped_found.keys() == found.keys()
+    assert all(np.array_equal(stepped_found[p], found[p]) for p in found)
+    assert sum(map(len, found.values())) > 0
 
 
 def test_empty_session(toy_code, toy_key):
@@ -776,7 +808,7 @@ def test_batched_receiver_matches_the_per_block_path_at_the_batch_edges(
         code, key, ber, method = toy_code, toy_key, 0.03, 2
     else:
         code, key, ber, method = code_255_167, sample_key(2496, 3.5, np.random.default_rng(82)), EVE_BER, 1
-    blocks = session._batch_rows(code) + offset
+    blocks = step_rows(8 * code.m * code.n) + offset
     cfg = SessionConfig(
         key=key, code=code, channel=ChannelConfig(ber, ber, method=method, seed=9),
         blocks_target=blocks, unit_blocks=2, fluctuation_sigmas=0.5, safety_bits=1,
