@@ -10,7 +10,8 @@ information bits, which `_linear_map` applies four bits at a time (the
 holds, for every group of four input bits and each of its 16 values, the XOR
 of the bit-matrix rows that value selects. Blocks travel as bits everywhere
 outside the decoder, and `bits_to_symbols` / `symbols_to_bits` hold the one
-symbol bit order, MSB first. A code's tables are built on first use.
+symbol bit order, MSB first. A code's tables are built on first use and
+live as long as the code object: a caller keeps the code to reuse them.
 
 The decoder is hard-decision, errors-only: syndromes, Berlekamp-Massey
 locator synthesis, Chien search over the n used positions, Forney values,
@@ -24,37 +25,31 @@ serves Chien and Forney, and one the re-check.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
 
 from ._rules import all_bits, as_integer, step_rows
-from .gf import FieldSpec, build_field
+from .gf import FieldSpec
 
 
 @dataclass(frozen=True, eq=False)
 class CodeSpec:
-    """Parameters of one (n, k) code instance; each table is built, read-only, on first use."""
+    """One (n, k) code over `field`; each table is built, read-only, on first use."""
 
     field: FieldSpec
     n: int
     k: int
-    d: int                      # minimum distance, n - k + 1
-    t: int                      # guaranteed-correctable symbol errors
-    t_max: int                  # upper correction limit, n - k
-
-    @cached_property
-    def parity_matrix(self) -> np.ndarray:
-        """m*k x ceil(m*(n-k)/8) packed bits; row i is the parity of info bit i alone."""
-        rows = _parity_rows(self.field, _generator_poly(self.field, self.n - self.k), self.n, self.k)
-        return _bit_matrix(self.field, self.field.log_ext[rows])
 
     @cached_property
     def parity_table(self) -> np.ndarray:
-        """`encode_parity`'s nibble table, of parity_matrix."""
-        return _nibble_table(self.parity_matrix)
+        """`encode_parity`'s nibble table, of the m*k x ceil(m*(n-k)/8) packed
+        bit matrix whose row i is the parity of info bit i alone."""
+        # One expression, so the int64 parity rows and their logs are freed
+        # before the nibble table is built beside the bit matrix.
+        fld, gen = self.field, _generator_poly(self.field, self.n - self.k)
+        return _nibble_table(_bit_matrix(fld, fld.log_ext[_parity_rows(fld, gen, self.n, self.k)]))
 
     @cached_property
     def mismatch_table(self) -> np.ndarray:
@@ -74,9 +69,19 @@ class CodeSpec:
         return _exponent_table(self.field, np.arange(self.n - self.k), -np.arange(self.n))
 
     @property
-    def nbytes(self) -> int:
-        """Bytes of the tables this code has built so far (a snapshot, safe while others build)."""
-        return sum(v.nbytes for v in list(vars(self).values()) if isinstance(v, np.ndarray))
+    def d(self) -> int:
+        """Minimum distance, n - k + 1."""
+        return self.n - self.k + 1
+
+    @property
+    def t(self) -> int:
+        """Guaranteed-correctable symbol errors, (n - k) // 2."""
+        return (self.n - self.k) // 2
+
+    @property
+    def t_max(self) -> int:
+        """Upper correction limit, n - k."""
+        return self.n - self.k
 
     @property
     def m(self) -> int:
@@ -184,21 +189,11 @@ def _exponent_table(fld: FieldSpec, rows: np.ndarray, cols: np.ndarray) -> np.nd
 # (65535, 1) code over GF(2^16) would need ~17 GB.
 MAX_N = 1023
 
-# make_code keeps its codes, least recently used first; each new code evicts
-# the oldest until the tables the rest have built total at most this many bytes.
-_CACHE_BYTES = 64 << 20
-_codes: dict = {}
-_codes_lock = threading.Lock()
-
-
-def _build_code(m: int, primitive_poly: int, n: int, k: int) -> CodeSpec:
-    return CodeSpec(build_field(m, primitive_poly), n, k, d=n - k + 1, t=(n - k) // 2, t_max=n - k)
-
 
 def make_code(fld: FieldSpec, n: int, k: int) -> CodeSpec:
-    """The code and its derived limits, its tables built on first use. Raises
-    ValueError unless n and k are integers with 1 <= k < n <= 2^m - 1 and
-    n <= MAX_N."""
+    """The (n, k) code over fld; it builds no table, and each table the code
+    builds on first use lives as long as the code object. Raises ValueError
+    unless n and k are integers with 1 <= k < n <= 2^m - 1 and n <= MAX_N."""
     n, k = as_integer(n, "n"), as_integer(k, "k")
     if not 1 <= k < n:
         raise ValueError(f"need 1 <= k < n, got ({n}, {k})")
@@ -206,15 +201,7 @@ def make_code(fld: FieldSpec, n: int, k: int) -> CodeSpec:
         raise ValueError(f"code length {n} exceeds 2^{fld.m} - 1 = {fld.mul_order}")
     if n > MAX_N:
         raise ValueError(f"code length {n} exceeds the supported maximum {MAX_N}")
-    key = fld.m, fld.primitive_poly, n, k
-    with _codes_lock:
-        code = _codes.pop(key, None)
-        if code is None:
-            code = _build_code(*key)
-            while sum(c.nbytes for c in _codes.values()) > _CACHE_BYTES:
-                del _codes[next(iter(_codes))]
-        _codes[key] = code
-    return code
+    return CodeSpec(fld, n, k)
 
 
 def _linear_map(table: np.ndarray, bits: np.ndarray, out_bits: int) -> np.ndarray:

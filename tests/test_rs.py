@@ -1,3 +1,5 @@
+import dataclasses
+import gc
 import itertools
 import sys
 import threading
@@ -58,16 +60,19 @@ def test_make_code_refuses_a_k_that_is_not_an_integer(gf8, k):
 
 
 def test_numpy_integer_lengths_make_the_python_int_code(gf256):
-    # uint8 n and k used to give info_bits 8 * 167 mod 256 = 56, and the
-    # cache then handed that code to make_code(gf256, 255, 167) too.
-    rs._codes.clear()
-    try:
-        code = make_code(gf256, np.uint8(255), np.uint8(167))
-        assert (code.info_bits, code.parity_bits) == (1336, 704)
-        assert all(type(v) is int for v in (code.n, code.k, code.d, code.t, code.t_max))
-        assert make_code(gf256, 255, 167) is code
-    finally:
-        rs._codes.clear()
+    # uint8 n and k used to give info_bits 8 * 167 mod 256 = 56.
+    code = make_code(gf256, np.uint8(255), np.uint8(167))
+    assert (code.info_bits, code.parity_bits) == (1336, 704)
+    assert all(type(v) is int for v in (code.n, code.k, code.d, code.t, code.t_max))
+
+
+def test_a_code_is_its_field_n_and_k(gf8):
+    # make_code keeps nothing: each call gives a new code over the field it
+    # was given, and the limits follow from n and k.
+    code = make_code(gf8, 7, 3)
+    assert [f.name for f in dataclasses.fields(code)] == ["field", "n", "k"]
+    assert code.field is gf8 and make_code(gf8, 7, 3) is not code
+    assert (code.d, code.t, code.t_max) == (5, 2, 4)
 
 
 def test_make_code_refuses_long_codes_before_building_tables():
@@ -84,21 +89,30 @@ def test_make_code_refuses_long_codes_before_building_tables():
 
 def test_make_code_builds_the_longest_supported_code():
     code = make_code(build_field(10, 0x409), MAX_N, 1)
-    try:
-        assert (code.n, code.k, code.t, code.m) == (1023, 1, 511, 10)
-        info = np.array([5])
-        assert (codeword(code, info) == 5).all()  # the repetition code
-    finally:
-        rs._codes.clear()  # ~4 MB of tables
+    assert (code.n, code.k, code.t, code.m) == (1023, 1, 511, 10)
+    info = np.array([5])
+    assert (codeword(code, info) == 5).all()  # the repetition code
+
+
+@pytest.fixture
+def tracing():
+    tracemalloc.start()
+    yield
+    tracemalloc.stop()
 
 
 def traced(call, *args):
-    """call(*args), then tracemalloc's held and peak bytes over the call."""
-    tracemalloc.start()
-    try:
-        return call(*args), *tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    """call(*args), then the traced bytes it left held and its traced peak,
+    each above the bytes held before it; tracemalloc must be running."""
+    before = tracemalloc.get_traced_memory()[0]
+    tracemalloc.reset_peak()
+    result = call(*args)
+    held, peak = tracemalloc.get_traced_memory()
+    return result, held - before, peak - before
+
+
+def no_tables(code):
+    return not any(isinstance(v, np.ndarray) for v in vars(code).values())
 
 
 def encode_one(code):
@@ -106,111 +120,92 @@ def encode_one(code):
 
 
 def decode_one(code):
-    word = codeword(code, np.arange(code.k) % code.field.order)
+    info = np.arange(code.k) % code.field.order
+    word = codeword(code, info)
     word[[0, code.n // 2, code.n - 1]] ^= 7
-    assert decode_block(code, word).corrected == 3
+    result = decode_block(code, word)
+    assert result.corrected == 3 and np.array_equal(result.info, info)
 
 
-def test_the_longest_supported_code_holds_its_tables_within_bounds():
-    # make_code builds no table. A first encode builds the small parity
-    # matrix and its nibble table (74 KB); a first decode the two 1023 x 1022
-    # uint16 exponent tables (2.1 MB each) and the 52.3 MB mismatch table,
-    # which peaks beside its 12.8 MB bit matrix and the matrix's padded copy.
-    # Measured with numpy 2.4 on Python 3.11: 576 B held and 648 B peak in
-    # make_code; 87 KB held and 344 KB peak in the encode; 56.5 MB held and
-    # 80.9 MB peak in the decode.
+def test_the_longest_supported_code_holds_its_tables_within_bounds(tracing):
+    # make_code builds no table. A first encode builds the parity nibble
+    # table (61 KB) beside its small bit matrix; a first decode the two
+    # 1023 x 1022 uint16 exponent tables (2.1 MB each) and the 52.3 MB
+    # mismatch table, which peaks beside its 12.8 MB bit matrix and the
+    # matrix's padded copy. The tables go with the code. Measured with numpy
+    # 2.4 on Python 3.11: 344 B held and peak in make_code; 62 KB held and
+    # 343 KB peak in the encode; 56.5 MB held and 80.9 MB peak in the
+    # decode; nothing held once the code is dropped.
     fld = build_field(10, 0x409)
-    rs._codes.clear()
-    try:
-        code, held, peak = traced(make_code, fld, MAX_N, 1)
-        assert code.n == MAX_N and code.nbytes == 0 and held <= 4 << 10 and peak <= 16 << 10
-        _, held, peak = traced(encode_one, code)
-        assert held <= 128 << 10 and peak <= 512 << 10
-        _, held, peak = traced(decode_one, code)
-        assert code.mismatch_table.nbytes == 2555 * 16 * 160 * 8
-        assert held <= 57e6 and peak <= 83e6
-    finally:
-        rs._codes.clear()
+    decode_one(make_code(fld, 7, 1))   # warms numpy's first-use caches
+    before = tracemalloc.get_traced_memory()[0]
+    code, held, peak = traced(make_code, fld, MAX_N, 1)
+    assert code.n == MAX_N and no_tables(code) and held <= 4 << 10 and peak <= 16 << 10
+    _, held, peak = traced(encode_one, code)
+    assert held <= 128 << 10 and peak <= 512 << 10
+    _, held, peak = traced(decode_one, code)
+    assert code.mismatch_table.nbytes == 2555 * 16 * 160 * 8
+    assert held <= 57e6 and peak <= 83e6
+    # The decoder's shift views are cached by n - k, not by the code.
+    del code
+    rs._shifts.cache_clear()
+    gc.collect()
+    assert tracemalloc.get_traced_memory()[0] - before <= 4 << 10
 
 
-def test_the_widest_supported_code_holds_its_parity_table_within_bounds():
+def test_the_widest_supported_code_holds_its_parity_table_within_bounds(tracing):
     # make_code builds no table. A first encode builds the 13.1 MB nibble
-    # table beside the 3.3 MB parity matrix, whose parity planes' int64 bits
-    # it reads a 1 MiB step at a time; a first decode two 1 MB exponent
-    # tables and the 13.1 MB mismatch table. Measured with numpy 2.4 on
-    # Python 3.11: 536 B held and 608 B peak in make_code; 16.4 MB held and
-    # 19.9 MB peak in the encode; 15.2 MB held and 21.0 MB peak in the decode.
+    # table beside the 3.3 MB bit matrix, whose parity planes' int64 bits it
+    # reads a 1 MiB step at a time, and keeps only the nibble table; a first
+    # decode two 1 MB exponent tables and the 13.1 MB mismatch table.
+    # Measured with numpy 2.4 on Python 3.11: 392 B held and peak in
+    # make_code; 13.1 MB held and 19.9 MB peak in the encode; 15.2 MB held
+    # and 21.0 MB peak in the decode.
     fld = build_field(10, 0x409)
-    rs._codes.clear()
-    try:
-        code, held, peak = traced(make_code, fld, MAX_N, 512)
-        assert code.nbytes == 0 and held <= 4 << 10 and peak <= 16 << 10
-        _, held, peak = traced(encode_one, code)
-        assert code.parity_table.nbytes == 1280 * 16 * 80 * 8
-        assert held <= 16.5e6 and peak <= 20.5e6
-        _, held, peak = traced(decode_one, code)
-        assert code.mismatch_table.nbytes == 1278 * 16 * 80 * 8
-        assert held <= 15.5e6 and peak <= 22e6
-    finally:
-        rs._codes.clear()
+    code, held, peak = traced(make_code, fld, MAX_N, 512)
+    assert no_tables(code) and held <= 4 << 10 and peak <= 16 << 10
+    _, held, peak = traced(encode_one, code)
+    assert code.parity_table.nbytes == 1280 * 16 * 80 * 8
+    assert held <= 13.5e6 and peak <= 20.5e6
+    _, held, peak = traced(decode_one, code)
+    assert code.mismatch_table.nbytes == 1278 * 16 * 80 * 8
+    assert held <= 15.5e6 and peak <= 22e6
 
 
-def test_the_code_cache_evicts_its_least_recently_used_codes_past_its_byte_bound(monkeypatch):
-    # Each new code evicts the least recently used ones while the tables the
-    # cached codes have built total more than the bound; three decoded
-    # (255, k) codes, then a bound that holds two of them.
-    fld = build_field(8)
-    rs._codes.clear()
-    try:
-        codes = [make_code(fld, 255, k) for k in (167, 191, 223)]
-        for code in codes:
-            decode_one(code)
-        assert all(make_code(fld, 255, code.k) is code for code in codes)
-        assert make_code(fld, 255, 167) is codes[0]   # now the most recently used
-        monkeypatch.setattr(rs, "_CACHE_BYTES", codes[0].nbytes + codes[2].nbytes)
-        make_code(fld, 255, 239)                       # evicts (255, 191)
-        assert make_code(fld, 255, 167) is codes[0] and make_code(fld, 255, 223) is codes[2]
-        assert make_code(fld, 255, 191) is not codes[1]
-        # The newest code stays whatever its size.
-        monkeypatch.setattr(rs, "_CACHE_BYTES", 0)
-        newest = make_code(fld, 255, 247)
-        decode_one(newest)
-        assert make_code(fld, 255, 247) is newest
-        assert make_code(fld, 255, 167) is not codes[0]
-    finally:
-        rs._codes.clear()
+def test_threads_that_first_use_a_fresh_code_at_once_all_decode_with_it():
+    # Each round makes one fresh code, and more threads than cores decode with
+    # it at once, so their first uses of its tables race; from Python 3.12 on
+    # cached_property takes no lock, and a raced table may be built twice.
+    shapes = [(4, 15, 9), (5, 31, 19), (6, 63, 51)]
+    codes, errors = [], []
 
+    def fresh_code():
+        m, n, k = shapes[len(codes) % len(shapes)]
+        codes.append(make_code(build_field(m), n, k))
 
-def test_the_code_cache_holds_under_threads_that_build_and_evict(monkeypatch):
-    # More threads than cores ask for codes, build their tables and force
-    # evictions at a tiny byte bound; each must get its own code, decoding.
-    monkeypatch.setattr(rs, "_CACHE_BYTES", 1)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    errors = []
+    barrier = threading.Barrier(8, action=fresh_code)
 
-    def worker(seed):
+    def worker():
         try:
-            for i in range(400):
-                m, n, k = [(4, 15, 9), (5, 31, 19), (6, 63, 51)][(seed + i) % 3]
-                code = make_code(build_field(m), n, k)
-                assert (code.n, code.k) == (n, k)
-                decode_one(code)
+            for _ in range(150):
+                barrier.wait(timeout=60)
+                decode_one(codes[-1])
         except Exception as error:   # asserted on in the main thread
+            barrier.abort()
             errors.append(error)
 
-    rs._codes.clear()
-    threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    threads = [threading.Thread(target=worker) for _ in range(8)]
     try:
         for thread in threads:
             thread.start()
         for thread in threads:
-            thread.join(timeout=60)
+            thread.join(timeout=120)
         assert not any(thread.is_alive() for thread in threads)
     finally:
         sys.setswitchinterval(interval)
-        rs._codes.clear()
-    assert errors == []
+    assert errors == [] and len(codes) == 150
 
 
 def walked_parity_matrix(fld, rows):
@@ -232,14 +227,15 @@ def walked_parity_matrix(fld, rows):
 )
 def test_code_tables_match_the_walk_and_the_int64_products(m, n, k):
     fld = build_field(m)
-    code = rs._build_code(m, fld.primitive_poly, n, k)   # kept out of the cache
+    code = make_code(fld, n, k)
     rows = _parity_rows(fld, _generator_poly(fld, n - k), n, k)
-    assert np.array_equal(code.parity_matrix, walked_parity_matrix(fld, rows))
+    matrix = rs._bit_matrix(fld, fld.log_ext[rows])
+    assert np.array_equal(matrix, walked_parity_matrix(fld, rows))
     # Entry [g, v] of the nibble table is the XOR of the padded matrix rows
     # 4g..4g+3 that v's bits select, MSB first.
     groups, _, words = code.parity_table.shape
     padded = np.zeros((4 * groups, 8 * words), dtype=np.uint8)
-    padded[: code.info_bits, : code.parity_matrix.shape[1]] = code.parity_matrix
+    padded[: code.info_bits, : matrix.shape[1]] = matrix
     padded = padded.reshape(groups, 4, 8 * words)
     assert code.parity_table.dtype == np.dtype("<u8") and not code.parity_table.flags.writeable
     assert groups == -(-code.info_bits // 4) and words == -(-code.parity_bits // 64)
