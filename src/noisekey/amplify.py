@@ -4,11 +4,11 @@ Secret keys are distilled from the information bits of `unit_blocks`
 decoded blocks through Toeplitz-matrix universal hashing (Krawczyk's
 family). Output bit i of a hash of n_in bits is the GF(2) inner product of
 the reversed input with the diagonal bits i .. i + n_in - 1; only the
-outputs kept are computed, by one exact kernel over a batch of units, each
-with its own seed: it ANDs 64-bit words of the input against 64 shifted
-copies of the diagonal and takes one parity per 64-bit accumulator. The
-admissible output size per unit comes from a lower bound on the conditional
-secrecy rate:
+outputs kept are computed, by one exact kernel over a batch of units under
+one seed, row u seeded as (seed..., u): it ANDs 64-bit words of the input
+against 64 shifted copies of the diagonal and takes one parity per 64-bit
+accumulator. The admissible output size per unit comes from a lower bound
+on the conditional secrecy rate:
 
     rate = (k - t_max)/n * h(p_adj) - safety_bits/(unit_blocks * m * n)
 
@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -146,17 +145,17 @@ class HashSeed:
         return cls(entropy=parts)
 
 
-def _diagonals(seeds, size: int) -> np.ndarray:
-    """(U, size) uint8 diagonal bits, row u those of seeds[u]: one `pcg64_raw`
-    read for all seeds, converted to bits in one pass."""
-    raw = pcg64_raw([entropy_words(seed.entropy) for seed in seeds], raw_count(1, size))
-    return raw_bits(raw, 1, size)[:, 0]
+def _diagonals(words: np.ndarray, size: int) -> np.ndarray:
+    """(U, size) uint8 diagonal bits, row u those of the generator seeded with
+    the uint32 entropy words words[u]: one `pcg64_raw` read for all rows,
+    converted to bits in one pass."""
+    return raw_bits(pcg64_raw(words, raw_count(1, size)), 1, size)[:, 0]
 
 
 def expand_seed(seed: HashSeed, n_in: int, n_out: int) -> np.ndarray:
     """Expand the seed into the n_in + n_out - 1 Toeplitz diagonal bits: those of
     default_rng(SeedSequence(entropy)).integers(0, 2, n, uint8)."""
-    return _diagonals([seed], n_in + n_out - 1)[0]
+    return _diagonals(entropy_words(seed.entropy)[None], n_in + n_out - 1)[0]
 
 
 def toeplitz_matrix(seed: HashSeed, n_in: int, n_out: int) -> np.ndarray:
@@ -181,8 +180,8 @@ def _words(bits: np.ndarray, n_words: int) -> np.ndarray:
     return np.packbits(buf, axis=1, bitorder="little").view("<u8")
 
 
-def _hash_words(info_bits: np.ndarray, seeds, key_bits: int) -> np.ndarray:
-    """(U, key_bits) outputs of the (U, n_in) inputs, row u hashed with seeds[u].
+def _hash_words(info_bits: np.ndarray, words: np.ndarray, key_bits: int) -> np.ndarray:
+    """(U, key_bits) outputs of the (U, n_in) inputs, row u hashed under entropy words words[u].
 
     With y the reversed input packed into words Y[w], and lane s the
     diagonal shifted right by s bits and packed into words, output bit
@@ -202,7 +201,7 @@ def _hash_words(info_bits: np.ndarray, seeds, key_bits: int) -> np.ndarray:
     out = np.empty((units, n_lanes, rows), dtype=np.uint8)
     for u in range(0, units, unit_step):
         y = _words(info_bits[u : u + unit_step, ::-1], n_words)[:, None, :]
-        d = _words(_diagonals(seeds[u : u + unit_step], n_in + key_bits - 1), rows + n_words)[:, None, :]
+        d = _words(_diagonals(words[u : u + unit_step], n_in + key_bits - 1), rows + n_words)[:, None, :]
         # The left shift is split in two so that lane 0 never shifts by 64.
         lanes = (d[..., :-1] >> shifts) | ((d[..., 1:] << _ONE) << (np.uint64(63) - shifts))
         acc = np.empty(lanes.shape[:-1] + (rows,), dtype=np.uint64)
@@ -213,38 +212,38 @@ def _hash_words(info_bits: np.ndarray, seeds, key_bits: int) -> np.ndarray:
     return out.transpose(0, 2, 1).reshape(units, rows * n_lanes)[:, :key_bits]
 
 
-def extract_key(info_bits, key_bits: int, seed, key_bits_max: int | None = None) -> np.ndarray:
+def extract_key(info_bits, key_bits: int, seed: HashSeed, key_bits_max: int | None = None) -> np.ndarray:
     """Hash one unit's information bits down to key_bits secret bits, or a batch of units.
 
-    A 1-d row of n_in bits and one HashSeed give the (key_bits,) outputs of
-    toeplitz_matrix(seed, n_in, key_bits) @ x mod 2; a (U, n_in) batch and a
-    sequence of U seeds give (U, key_bits), row u that of row u and seed[u].
-    Computed with 64-bit word operations only and no n_in x key_bits
-    matrix: ANDs of the reversed input's words against 64 shifted copies of
-    the diagonal, XOR-reduced over the input and folded to one parity per
-    output bit.
+    A 1-d row of n_in bits gives the (key_bits,) outputs of
+    toeplitz_matrix(seed, n_in, key_bits) @ x mod 2; a (U, n_in) batch gives
+    (U, key_bits), row u that of row u under HashSeed.of(*seed.entropy, u),
+    whose last entropy word is u. Computed with 64-bit word operations only
+    and no n_in x key_bits matrix: ANDs of the reversed input's words
+    against 64 shifted copies of the diagonal, XOR-reduced over the input
+    and folded to one parity per output bit.
 
     Refuses to exceed key_bits_max when given; that cap must come from
     capacity_lower_bound for the extraction to be rate-safe. Raises
-    ValueError for an empty input row, a value outside {0, 1}, a
-    non-integer key_bits, a seed that is neither a HashSeed nor a sequence
-    of them, or a batch without one HashSeed per row.
+    ValueError for a seed that is not a HashSeed, an empty input row, a
+    batch of more than 2^32 rows, a value outside {0, 1} or a non-integer
+    key_bits.
     """
     info_bits = np.asarray(info_bits)
-    one = isinstance(seed, HashSeed)
-    if not one and not isinstance(seed, Sequence):
-        raise ValueError(f"seed must be a HashSeed or a sequence of HashSeeds, got {type(seed).__name__}")
-    if info_bits.ndim != (1 if one else 2) or info_bits.shape[-1] == 0:
-        raise ValueError("info_bits must be a non-empty 1-d bit array with one HashSeed, or a 2-d batch")
-    if not one and len(seed) != len(info_bits):
-        raise ValueError(f"a batch of {len(info_bits)} rows needs as many seeds, got {len(seed)}")
-    if not one and not all(isinstance(s, HashSeed) for s in seed):
-        raise ValueError("a batch's seeds must all be HashSeeds")
+    if not isinstance(seed, HashSeed):
+        raise ValueError(f"seed must be a HashSeed, got {type(seed).__name__}")
+    if info_bits.ndim not in (1, 2) or info_bits.shape[-1] == 0:
+        raise ValueError("info_bits must be a non-empty 1-d bit row or a 2-d batch of them")
+    if info_bits.ndim == 2 and len(info_bits) > 1 << 32:
+        raise ValueError(f"a batch holds at most 2^32 rows, one seed word of unit index, got {len(info_bits)}")
     if not all_bits(info_bits):
         raise ValueError("info_bits must hold only 0 and 1")
     key_bits = as_integer(key_bits, "key_bits", 1)
     if key_bits_max is not None and key_bits > key_bits_max:
         raise ValueError(f"requested {key_bits} key bits but the rate bound allows {key_bits_max}")
-    if one:
-        return _hash_words(info_bits[None], [seed], key_bits)[0]
-    return _hash_words(info_bits, seed, key_bits)
+    words = entropy_words(seed.entropy)
+    if info_bits.ndim == 1:
+        return _hash_words(info_bits[None], words[None], key_bits)[0]
+    units = len(info_bits)
+    words = np.column_stack((np.broadcast_to(words, (units, len(words))), np.arange(units, dtype=np.uint32)))
+    return _hash_words(info_bits, words, key_bits)

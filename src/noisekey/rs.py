@@ -26,7 +26,7 @@ serves Chien and Forney, and one the re-check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -270,22 +270,21 @@ def codeword(code: CodeSpec, info) -> np.ndarray:
     return np.concatenate([info, bits_to_symbols(parity, code.m)])
 
 
-@lru_cache(maxsize=64)
-def _shifts(nsym: int) -> np.ndarray:
-    # Row j, column i is nsym - 1 + i - j: a read-only view of one arange.
-    return np.lib.stride_tricks.sliding_window_view(np.arange(2 * nsym - 1), nsym)[::-1]
+# Row r, column i is MAX_N - 1 - r + i, a read-only view of one arange (16 KB):
+# from row MAX_N - s on, its first s columns hold s - 1 - j + i at (j, i).
+_SHIFTS = np.lib.stride_tricks.sliding_window_view(np.arange(2 * MAX_N - 1), MAX_N)[::-1]
 
 
 def _times_syndromes(fld: FieldSpec, poly, synd: np.ndarray) -> np.ndarray:
     # Coefficients 0..n-k-1 of poly(x) * S(x), with S(x) = sum S_(i+1) x^i:
     # coefficient i is Berlekamp-Massey's discrepancy at step i for this
     # locator, and the whole vector is Forney's omega. Term (j < n-k, i) is
-    # poly_j * S_(i-j+1), read from sentinel logs at the cached shifts; the
+    # poly_j * S_(i-j+1), read from sentinel logs at the shared shifts; the
     # n-k-1 leading sentinels stand for the S_(i-j+1) with i < j.
     nsym = len(synd)
     coeff_logs = fld.log_ext[np.asarray(poly[:nsym])]
     synd_logs = np.concatenate([np.full(nsym - 1, fld.log_ext[0]), fld.log_ext[synd]])
-    rows = _shifts(nsym)[: len(coeff_logs)]
+    rows = _SHIFTS[MAX_N - nsym : MAX_N - nsym + len(coeff_logs), :nsym]
     return np.bitwise_xor.reduce(fld.exp_ext[synd_logs[rows] + coeff_logs[:, None]], axis=0)
 
 

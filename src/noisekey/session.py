@@ -72,15 +72,15 @@ class SessionConfig:
             object.__setattr__(self, name, as_integer(getattr(self, name), name, 1))
         bound = capacity_lower_bound(self.capacity_params)
         if self.key_bits is None:
+            if bound.key_bits_max < 1:
+                raise ValueError("no secure key bits available at these parameters")
             object.__setattr__(self, "key_bits", bound.key_bits_max)
-        object.__setattr__(self, "key_bits", as_integer(self.key_bits, "key_bits"))
+        object.__setattr__(self, "key_bits", as_integer(self.key_bits, "key_bits", 1))
         if self.key_bits > bound.key_bits_max:
             raise ValueError(
                 f"{self.key_bits} key bits per unit exceeds the rate bound "
                 f"({bound.key_bits_max})"
             )
-        if self.key_bits < 1:
-            raise ValueError("no secure key bits available at these parameters")
 
     @property
     def capacity_params(self) -> CapacityParams:
@@ -197,9 +197,9 @@ def _unit_keys(config: SessionConfig, info: np.ndarray, ok: list) -> list:
     size = config.unit_blocks
     units = len(info) // size
     rows = info[: units * size].reshape(units, size * info.shape[1])
-    seeds = [HashSeed.of(config.hash_seed, unit) for unit in range(units)]
     whole = np.reshape(ok[: units * size], (units, size)).all(axis=1)
-    return [key if fine else None for key, fine in zip(extract_key(rows, config.key_bits, seeds), whole)]
+    keys = extract_key(rows, config.key_bits, HashSeed.of(config.hash_seed))
+    return [key if fine else None for key, fine in zip(keys, whole)]
 
 
 def run_transmitter(config: SessionConfig) -> TransmitterRun:

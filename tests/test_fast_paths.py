@@ -1,6 +1,6 @@
 """Each fast path against an independent slow oracle.
 
-`extract_key`, on one row and on batches of units with a seed each, is
+`extract_key`, on one row and on batches of units under one seed, is
 checked against the explicit Toeplitz matrix and a batch against its rows
 hashed one at a time,
 `decode_block`, with and without a batch's syndromes, its early-exit
@@ -34,7 +34,7 @@ from scipy.special import gammaln, logsumexp
 from hypothesis import assume, example, given, settings, strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
-from noisekey import _rules, rs
+from noisekey import _rules, amplify, rs
 from noisekey.amplify import HashSeed, expand_seed, extract_key, toeplitz_matrix
 from noisekey.analysis import _LOG_FACTORIALS, _log_gamma, log_sum_exp
 from noisekey.channel import bit_chunks, entropy_words
@@ -145,17 +145,19 @@ def test_extract_key_rejects_non_bits(bad):
 
 
 def test_extract_key_rejects_empty_input():
-    with pytest.raises(ValueError):
-        extract_key(np.zeros(0, dtype=np.uint8), 1, HashSeed.of(1))
-    with pytest.raises(ValueError):
-        extract_key(np.zeros((2, 4), dtype=np.uint8), 1, HashSeed.of(1))
+    for empty in (np.zeros(0, dtype=np.uint8), np.zeros((2, 0), dtype=np.uint8)):
+        with pytest.raises(ValueError, match="non-empty"):
+            extract_key(empty, 1, HashSeed.of(1))
+    # A batch takes one seed, however many rows it holds.
+    assert extract_key(np.zeros((2, 4), dtype=np.uint8), 1, HashSeed.of(1)).shape == (2, 1)
 
 
-def assert_batch_matches_matrix(x, key_bits, seeds):
-    keys = extract_key(x, key_bits, seeds)
+def assert_batch_matches_matrix(x, key_bits, seed):
+    # Row u is hashed under HashSeed.of(*seed.entropy, u).
+    keys = extract_key(x, key_bits, seed)
     assert keys.dtype == np.uint8 and keys.shape == (len(x), key_bits)
-    for row, seed, key in zip(x, seeds, keys):
-        assert np.array_equal(key, toeplitz_oracle(seed, row, key_bits))
+    for unit, (row, key) in enumerate(zip(x, keys)):
+        assert np.array_equal(key, toeplitz_oracle(HashSeed.of(*seed.entropy, unit), row, key_bits))
     return keys
 
 
@@ -166,7 +168,7 @@ def assert_batch_matches_matrix(x, key_bits, seeds):
 def test_word_kernel_matches_matrix(n_in, key_bits):
     rng = np.random.default_rng(n_in * 1000 + key_bits)
     x = np.stack([np.ones(n_in), rng.integers(0, 2, n_in), np.zeros(n_in)]).astype(np.uint8)
-    assert_batch_matches_matrix(x, key_bits, [HashSeed.of(n_in, key_bits, trial) for trial in range(3)])
+    assert_batch_matches_matrix(x, key_bits, HashSeed.of(n_in, key_bits))
 
 
 @settings(max_examples=60, deadline=None)
@@ -180,7 +182,7 @@ def test_word_kernel_matches_matrix(n_in, key_bits):
 def test_batched_kernel_matches_matrix(units, n_in, key_bits, data, entropy):
     bits = data.draw(st.lists(st.integers(0, 1), min_size=units * n_in, max_size=units * n_in))
     x = np.array(bits, dtype=np.uint8).reshape(units, n_in)
-    assert_batch_matches_matrix(x, key_bits, [HashSeed.of(entropy, unit) for unit in range(units)])
+    assert_batch_matches_matrix(x, key_bits, HashSeed.of(entropy))
 
 
 # The toy unit, a unit of 48 per kernel step (1336 -> 100: 64 lanes of 21
@@ -189,58 +191,66 @@ def test_batched_kernel_matches_matrix(units, n_in, key_bits, data, entropy):
 @pytest.mark.parametrize("units", [0, 1, 9, 300])
 def test_a_batch_is_its_rows_hashed_one_at_a_time(n_in, key_bits, units):
     x = np.random.default_rng(units + n_in).integers(0, 2, (units, n_in), dtype=np.uint8)
-    seeds = [HashSeed.of(5, unit) for unit in range(units)]
-    keys = extract_key(x, key_bits, seeds)
+    keys = extract_key(x, key_bits, HashSeed.of(5))
     assert keys.dtype == np.uint8 and keys.shape == (units, key_bits)
-    for row, seed, key in zip(x, seeds, keys):
-        assert np.array_equal(key, extract_key(row, key_bits, seed))
+    for unit, (row, key) in enumerate(zip(x, keys)):
+        assert np.array_equal(key, extract_key(row, key_bits, HashSeed.of(5, unit)))
     if units:
-        assert np.array_equal(keys[-1], toeplitz_oracle(seeds[-1], x[-1], key_bits))
+        assert np.array_equal(keys[-1], toeplitz_oracle(HashSeed.of(5, units - 1), x[-1], key_bits))
 
 
 def test_a_batch_mixes_one_and_two_word_unit_seeds():
-    # A unit index from 2^32 on adds a word to the seed's entropy, and so
-    # changes its SeedSequence; each row keeps its own seed. The batch seeds
-    # its 2-, 3- and 4-word rows in one pcg64_raw call, and the oracle seeds
-    # each row alone.
-    seeds = [HashSeed.of(7, unit) for unit in (5, 2**32 - 1, 2**32, 2**32 + 5, 2**64 + 1, 0)]
-    x = np.random.default_rng(3).integers(0, 2, (len(seeds), 95), dtype=np.uint8)
+    # A batch's row u is seeded by the seed's entropy words and then u as one
+    # word, whether the seed holds 0, 1 or 2 words (2^32 + 7 takes two), and
+    # the oracle seeds each row alone. Equal rows under different seeds, or
+    # at different indices, give different keys.
+    x = np.random.default_rng(3).integers(0, 2, (4, 95), dtype=np.uint8)
     x[-1] = x[0]
-    keys = assert_batch_matches_matrix(x, 12, seeds)
-    assert len({key.tobytes() for key in keys}) == len(seeds)
+    keys = [assert_batch_matches_matrix(x, 12, HashSeed.of(*entropy)) for entropy in ((), (7,), (2**32 + 7,))]
+    assert len({key.tobytes() for batch in keys for key in batch}) == 3 * len(x)
 
 
 def test_extract_key_rejects_a_batch_without_one_seed_per_row():
+    # A batch takes one HashSeed, not a seed per row; its zero-width and
+    # non-bit rows are refused as a row's are.
     x = np.ones((3, 8), dtype=np.uint8)
     seeds = [HashSeed.of(1, unit) for unit in range(3)]
-    for bad in (seeds[:2], seeds + seeds[:1]):
-        with pytest.raises(ValueError, match="needs as many seeds"):
+    for bad in (seeds, seeds[:2], seeds[:1]):
+        with pytest.raises(ValueError, match="seed must be a HashSeed, got list"):
             extract_key(x, 1, bad)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="seed must be a HashSeed, got list"):
         extract_key(x[0], 1, seeds[:1])
-    with pytest.raises(ValueError):
-        extract_key(np.ones((3, 0), dtype=np.uint8), 1, seeds)
+    with pytest.raises(ValueError, match="non-empty"):
+        extract_key(np.ones((3, 0), dtype=np.uint8), 1, seeds[0])
     x[1, 4] = 2
     with pytest.raises(ValueError, match="only 0 and 1"):
-        extract_key(x, 1, seeds)
+        extract_key(x, 1, seeds[0])
 
 
 @pytest.mark.parametrize(
-    "seeds, why",
+    "seed, kind",
     [
-        ([1, 2], "seeds must all be HashSeeds"),
-        ([HashSeed.of(1), (1, 2)], "seeds must all be HashSeeds"),
-        (5, "a HashSeed or a sequence of HashSeeds, got int"),
-        (None, "a HashSeed or a sequence of HashSeeds, got NoneType"),
-        ((HashSeed.of(1, u) for u in range(2)), "a HashSeed or a sequence of HashSeeds, got generator"),
+        ([1, 2], "list"),
+        ([HashSeed.of(1), (1, 2)], "list"),
+        ([HashSeed.of(1, u) for u in range(2)], "list"),
+        ((1, 2), "tuple"),
+        (5, "int"),
+        (None, "NoneType"),
+        ((HashSeed.of(1, u) for u in range(2)), "generator"),
     ],
-    ids=["ints", "one-tuple", "int", "none", "generator"],
+    ids=["ints", "one-tuple", "hash-seeds", "tuple", "int", "none", "generator"],
 )
-def test_extract_key_rejects_a_batch_seed_that_is_not_a_hash_seed(seeds, why):
-    # [1, 2] used to end in "'int' object has no attribute 'entropy'", and
-    # 5, None and a generator in "object of type ... has no len()".
-    with pytest.raises(ValueError, match=why):
-        extract_key(np.ones((2, 20), dtype=np.uint8), 4, seeds)
+def test_extract_key_rejects_a_batch_seed_that_is_not_a_hash_seed(seed, kind):
+    with pytest.raises(ValueError, match=f"seed must be a HashSeed, got {kind}$"):
+        extract_key(np.ones((2, 20), dtype=np.uint8), 4, seed)
+
+
+def test_a_batch_of_more_than_2_to_the_32_rows_is_refused_before_its_bits_are_read(monkeypatch):
+    # Its last unit index would take a second seed word, and so wrap.
+    monkeypatch.setattr(amplify, "all_bits", lambda x: pytest.fail("the bits were read"))
+    x = np.broadcast_to(np.zeros((1, 1), dtype=np.uint8), (2**32 + 1, 1))
+    with pytest.raises(ValueError, match="at most 2\\^32 rows"):
+        extract_key(x, 1, HashSeed.of(1))
 
 
 # tracemalloc's peak for this unit with the big-int and word kernels: 24.29

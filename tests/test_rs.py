@@ -146,9 +146,7 @@ def test_the_longest_supported_code_holds_its_tables_within_bounds(tracing):
     _, held, peak = traced(decode_one, code)
     assert code.mismatch_table.nbytes == 2555 * 16 * 160 * 8
     assert held <= 57e6 and peak <= 83e6
-    # The decoder's shift views are cached by n - k, not by the code.
     del code
-    rs._shifts.cache_clear()
     gc.collect()
     assert tracemalloc.get_traced_memory()[0] - before <= 4 << 10
 

@@ -99,6 +99,22 @@ def test_config_enforces_rate_gate(toy_code, toy_key):
         toy_config(toy_code, toy_key, key_bits=1000)
 
 
+@pytest.mark.parametrize("key_bits", [0, -3])
+def test_config_refuses_an_explicit_key_size_below_one(toy_code, toy_key, key_bits):
+    # The toy bound allows 1 bit; a size of 0 or -3 used to be told that no
+    # secure key bits were available.
+    assert toy_config(toy_code, toy_key).key_bits == 1
+    with pytest.raises(ValueError, match=f"key_bits must be an integer >= 1, got {key_bits}"):
+        toy_config(toy_code, toy_key, key_bits=key_bits)
+
+
+def test_config_refuses_the_default_key_size_at_a_zero_rate_bound(toy_code, toy_key):
+    with pytest.raises(ValueError, match="no secure key bits available at these parameters"):
+        toy_config(toy_code, toy_key, safety_bits=1000)
+    with pytest.raises(ValueError, match=r"1 key bits per unit exceeds the rate bound \(0\)"):
+        toy_config(toy_code, toy_key, safety_bits=1000, key_bits=1)
+
+
 @pytest.mark.parametrize("field", ["blocks_target", "unit_blocks", "safety_bits", "key_bits"])
 def test_config_refuses_a_non_integer_count(toy_code, toy_key, field):
     # blocks_target=2.5 used to fail in numpy, and unit_blocks=1.5 passed the
@@ -560,7 +576,7 @@ def test_each_end_hashes_all_its_units_in_one_call(toy_code, toy_key, monkeypatc
     calls, steps = [], []
     original, diagonals = session.extract_key, amplify._diagonals
     monkeypatch.setattr(session, "extract_key", lambda x, *args: calls.append(len(x)) or original(x, *args))
-    monkeypatch.setattr(amplify, "_diagonals", lambda seeds, size: steps.append(len(seeds)) or diagonals(seeds, size))
+    monkeypatch.setattr(amplify, "_diagonals", lambda words, size: steps.append(len(words)) or diagonals(words, size))
 
     def keys():
         calls.clear()
@@ -854,6 +870,23 @@ def test_a_large_session_peaks_no_higher_than_block_by_block(code_255_167):
     assert len(rx.outcomes) == 2000 and all(o.ok for o in rx.outcomes)
     # A 15 % margin for other numpy and Python versions: 24.3 MB.
     assert peak <= 1.15 * SESSION_PEAK_MB * 1e6
+
+
+def test_unit_keys_hold_no_seed_per_unit(toy_code, toy_key):
+    # 20 000 toy units hashed under one seed: 6.75 MB (tracemalloc, numpy
+    # 2.4, Python 3.11), where a HashSeed per unit peaked at 10.1 MB.
+    cfg = toy_config(toy_code, toy_key)
+    info = np.random.default_rng(84).integers(0, 2, (20_000, toy_code.info_bits), dtype=np.uint8)
+    ok = [True] * len(info)
+    session._unit_keys(cfg, info[:10], ok[:10])  # warms numpy's first-use caches
+    tracemalloc.start()
+    try:
+        keys = session._unit_keys(cfg, info, ok)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(keys) == len(info) and np.array_equal(keys[-1], extract_key(info[-1], cfg.key_bits, HashSeed.of(12, 19_999)))
+    assert peak <= 8e6
 
 
 def test_block_layout_peaks_in_proportion_to_its_blocks():
